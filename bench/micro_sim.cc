@@ -21,6 +21,12 @@
  * trace_spans (span recording on, DDR mirror off), and trace_ddr
  * (full DDR command mirroring, the golden-trace configuration).
  *
+ * Every row does the same fixed work: one untimed warm-up batch, then
+ * kBatches timed batches. The simulated work (events and ticks) must
+ * therefore be identical across trace modes and kernel tiers; the
+ * bench re-runs trace_off untimed under every available tier and exits
+ * non-zero when any of them differs.
+ *
  * Writes BENCH_sim.json; tools/bench_gate.py compares it against
  * bench/baselines/BENCH_sim.json so a scheduler or queue regression
  * fails CI instead of silently making every other bench slower.
@@ -40,6 +46,7 @@ using namespace sd;
 namespace {
 
 constexpr std::size_t kMessages = 32;
+constexpr std::size_t kBatches = 64; ///< timed batches after the warm-up
 constexpr std::size_t kMessageBytes = 4096;
 constexpr Tick kDramPeriod = 625; // DDR4-3200 command clock, ps/cycle
 
@@ -111,18 +118,15 @@ measure(TraceMode mode)
     using Clock = std::chrono::steady_clock;
     const Tick tick0 = rig.events.now();
     const std::uint64_t ev0 = rig.events.executed();
-    std::uint64_t done = 0;
     const auto start = Clock::now();
-    auto now = start;
-    do {
+    for (std::size_t b = 0; b < kBatches; ++b) {
         runBatch();
-        done += kMessages;
-        now = Clock::now();
         // Bound the trace buffers: the throughput of *recording* is
         // what we measure, not an ever-growing event log.
         if (mode != TraceMode::kOff)
             tr.clear();
-    } while (now - start < std::chrono::milliseconds(300));
+    }
+    const auto now = Clock::now();
 
     Row row;
     row.name = mode == TraceMode::kOff     ? "trace_off"
@@ -132,7 +136,7 @@ measure(TraceMode mode)
         std::chrono::duration<double, std::nano>(now - start).count();
     row.sim_ticks = rig.events.now() - tick0;
     row.events = rig.events.executed() - ev0;
-    row.ops = done;
+    row.ops = kBatches * kMessages;
     const double wall_s = row.wall_ns / 1e9;
     row.sim_cycles_per_sec =
         static_cast<double>(row.sim_ticks / kDramPeriod) / wall_s;
@@ -142,6 +146,13 @@ measure(TraceMode mode)
     tr.disable();
     tr.clear();
     return row;
+}
+
+/** Same simulated work: identical event count and simulated span. */
+bool
+sameWork(const Row &a, const Row &b)
+{
+    return a.events == b.events && a.sim_ticks == b.sim_ticks;
 }
 
 void
@@ -154,6 +165,7 @@ writeJson(const std::vector<Row> &rows)
     }
     os << "{\n  \"workload\": \"tls4k_compcpy\",\n"
        << "  \"messages\": " << kMessages << ",\n"
+       << "  \"batches\": " << kBatches << ",\n"
        << "  \"bytes_per_op\": " << kMessageBytes << ",\n"
        << "  \"results\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -182,6 +194,7 @@ main()
     std::printf("%-12s %16s %14s %12s %10s\n", "mode", "sim_Mcyc/s",
                 "events/s", "ops/s", "events/op");
     std::vector<Row> rows;
+    bool same_work = true;
     for (const TraceMode mode :
          {TraceMode::kOff, TraceMode::kSpans, TraceMode::kDdr}) {
         Row row = measure(mode);
@@ -191,6 +204,24 @@ main()
                     static_cast<double>(row.events) /
                         static_cast<double>(row.ops));
         rows.push_back(row);
+        same_work = same_work && sameWork(row, rows.front());
+    }
+    // Fixed work means the kernels change host time only: re-run the
+    // trace_off row untimed under every tier this machine has.
+    for (const kernels::KernelTier tier : kernels::availableTiers()) {
+        kernels::forceTier(tier);
+        const Row row = measure(TraceMode::kOff);
+        kernels::clearForcedTier();
+        std::printf("tier %-7s %llu events, %llu ticks\n",
+                    kernels::tierName(tier),
+                    static_cast<unsigned long long>(row.events),
+                    static_cast<unsigned long long>(row.sim_ticks));
+        same_work = same_work && sameWork(row, rows.front());
+    }
+    if (!same_work) {
+        std::printf("FAIL: simulated work differs across trace modes or "
+                    "kernel tiers\n");
+        return 1;
     }
     writeJson(rows);
 

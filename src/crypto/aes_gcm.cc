@@ -237,12 +237,12 @@ IncrementalGcm::finalTag() const
     std::uint8_t lenblock[16];
     buildLengthBlock(0, message_len_, lenblock);
 
-    // Length block is the last GHASH block: contributes * H^1.
-    Ghash scratch(ctx_.hashSubkey());
+    // Length block is the last GHASH block: contributes * H^1, which
+    // the message's own power table already holds.
     const std::size_t total_blocks =
         divCeil(message_len_, kAesBlockSize) + 1;
     const Gf128 len_contrib =
-        scratch.positional(lenblock, total_blocks - 1, total_blocks);
+        ghash_.positional(lenblock, total_blocks - 1, total_blocks);
 
     Gf128 digest = partial_tag_ ^ len_contrib ^ Gf128::load(eiv_.data());
     GcmTag tag;

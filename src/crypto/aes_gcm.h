@@ -120,7 +120,9 @@ class IncrementalGcm
     std::size_t line_count_;
     std::size_t lines_done_ = 0;
     std::vector<bool> seen_;
-    Ghash ghash_;
+    /** Mutable so finalTag() can fold the length block; H^1 is
+     *  always cached, so that never extends the power table. */
+    mutable Ghash ghash_;
     Gf128 partial_tag_{}; ///< XOR of positional GHASH contributions
     std::array<std::uint8_t, 16> eiv_;
 };

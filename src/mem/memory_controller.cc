@@ -1,7 +1,6 @@
 #include "mem/memory_controller.h"
 
 #include <algorithm>
-#include <memory>
 
 #include "common/log.h"
 
@@ -17,21 +16,30 @@ MemoryController::MemoryController(EventQueue &events, const AddressMap &map,
 {
 }
 
+std::uint32_t
+MemoryController::admit(Addr line_addr, MemCallback cb)
+{
+    const std::uint32_t slot = pool_.alloc();
+    Request &req = pool_[slot];
+    req.addr = line_addr;
+    req.coord = map_.decompose(line_addr);
+    req.flat_bank = req.coord.flatBank(map_.geometry());
+    req.cb = std::move(cb);
+    req.enqueued = events_.now();
+    req.retries = 0;
+    req.needed_act = false;
+    return slot;
+}
+
 void
 MemoryController::enqueueRead(Addr line_addr, std::uint8_t *data,
                               MemCallback cb)
 {
     SD_ASSERT(isLineAligned(line_addr), "unaligned read 0x%llx",
               static_cast<unsigned long long>(line_addr));
-    Request req;
-    req.addr = line_addr;
-    req.coord = map_.decompose(line_addr);
-    req.flat_bank = req.coord.flatBank(map_.geometry());
-    req.read_data = data;
-    req.cb = std::move(cb);
-    req.enqueued = events_.now();
-    read_q_.push_back(std::move(req));
-    kick();
+    const std::uint32_t slot = admit(line_addr, std::move(cb));
+    pool_[slot].read_data = data;
+    queueRead(slot);
 }
 
 void
@@ -40,14 +48,18 @@ MemoryController::enqueueWrite(Addr line_addr, const std::uint8_t *data,
 {
     SD_ASSERT(isLineAligned(line_addr), "unaligned write 0x%llx",
               static_cast<unsigned long long>(line_addr));
-    Request req;
-    req.addr = line_addr;
-    req.coord = map_.decompose(line_addr);
-    req.flat_bank = req.coord.flatBank(map_.geometry());
-    req.write_data.assign(data, data + kCacheLineSize);
-    req.cb = std::move(cb);
-    req.enqueued = events_.now();
-    write_q_.push_back(std::move(req));
+    const std::uint32_t slot = admit(line_addr, std::move(cb));
+    Request &req = pool_[slot];
+    std::copy_n(data, kCacheLineSize, req.write_data.begin());
+    write_q_.push_back({req.coord.row, req.flat_bank, slot});
+    kick();
+}
+
+void
+MemoryController::queueRead(std::uint32_t slot)
+{
+    const Request &req = pool_[slot];
+    read_q_.push_back({req.coord.row, req.flat_bank, slot});
     kick();
 }
 
@@ -84,20 +96,22 @@ MemoryController::requestPass(Tick when)
 }
 
 std::size_t
-MemoryController::pickFrFcfs(const std::deque<Request> &queue) const
+MemoryController::pickFrFcfs(const std::vector<Key> &queue) const
 {
-    // First ready (row hit), then oldest. The probe is one 8-byte
-    // load against the SoA open-row column, keyed by the flat bank
-    // id precomputed at enqueue.
+    // First ready (row hit), then oldest. The scan walks contiguous
+    // 16-byte keys; each probe is one 8-byte load against the SoA
+    // open-row column, keyed by the flat bank id precomputed at
+    // enqueue.
     for (std::size_t i = 0; i < queue.size(); ++i) {
-        if (banks_.rowHit(queue[i].flat_bank, queue[i].coord.row))
+        if (banks_.rowHit(queue[i].flat_bank, queue[i].row))
             return i;
     }
     return 0;
 }
 
-void
-MemoryController::emit(DdrCommandType type, const Request &req, Tick at)
+DdrCommand
+MemoryController::command(DdrCommandType type, const Request &req,
+                          Tick at) const
 {
     DdrCommand cmd;
     cmd.type = type;
@@ -106,6 +120,13 @@ MemoryController::emit(DdrCommandType type, const Request &req, Tick at)
     cmd.issue = at;
     // Four command slots per buffer-device cycle (Sec. IV-C).
     cmd.slot = static_cast<unsigned>(clock_.cyclesAt(at) % 4);
+    return cmd;
+}
+
+void
+MemoryController::emit(DdrCommandType type, std::uint32_t slot, Tick at)
+{
+    const DdrCommand cmd = command(type, pool_[slot], at);
     dimm_.onCommand(cmd);
     if (observer_)
         observer_->observe(cmd);
@@ -164,33 +185,30 @@ MemoryController::reportStats(trace::StatsBlock &block) const
 }
 
 bool
-MemoryController::issueRequest(std::deque<Request> &queue,
-                               std::size_t index, bool is_write)
+MemoryController::issueRequest(std::vector<Key> &queue, std::size_t index,
+                               bool is_write)
 {
-    Request &req = queue[index];
-    const std::uint32_t bank = req.flat_bank;
+    const Key key = queue[index];
+    const std::uint32_t bank = key.flat_bank;
     const Tick now = events_.now();
     const Tick period = clock_.period();
 
     // Open the right row first if needed.
-    if (!banks_.rowHit(bank, req.coord.row)) {
+    if (!banks_.rowHit(bank, key.row)) {
         Tick when = std::max(now, banks_.readyAt(bank));
         if (banks_.open(bank)) {
             // PRE then ACT. Respect tRAS since the last ACT.
             when = std::max(when,
                             banks_.actAt(bank) + timing_.tRAS * period);
-            Request pre_req; // coordinates only
-            pre_req.addr = req.addr;
-            pre_req.coord = req.coord;
-            emit(DdrCommandType::kPrecharge, pre_req, when);
+            emit(DdrCommandType::kPrecharge, key.slot, when);
             when += timing_.tRP * period;
             ++stats_.row_conflicts;
         } else {
             ++stats_.row_misses;
         }
-        emit(DdrCommandType::kActivate, req, when);
-        req.needed_act = true;
-        banks_.activate(bank, req.coord.row, /*act_at=*/when,
+        emit(DdrCommandType::kActivate, key.slot, when);
+        pool_[key.slot].needed_act = true;
+        banks_.activate(bank, key.row, /*act_at=*/when,
                         /*ready_at=*/when + timing_.tRCD * period);
         // Re-run the scheduler when the bank becomes ready.
         requestPass(banks_.readyAt(bank));
@@ -220,9 +238,12 @@ MemoryController::issueRequest(std::deque<Request> &queue,
         ++stats_.turnarounds;
 
     // Issue the CAS now. Row hits are CASes that never needed an ACT.
+    // Only the 16-byte key leaves the queue; the request stays put in
+    // its slot until the data phase.
+    Request &req = pool_[key.slot];
     if (!req.needed_act)
         ++stats_.row_hits;
-    Request done = std::move(req);
+    req.cas_at = cas_at;
     queue.erase(queue.begin() + static_cast<long>(index));
 
     const Cycles cas_latency = is_write ? timing_.tCWL : timing_.tCL;
@@ -235,106 +256,99 @@ MemoryController::issueRequest(std::deque<Request> &queue,
     cas_issued_ = true;
     bus_busy_cycles_ += timing_.tBL;
 
+    // The data-phase event captures {this, slot} only, so it always
+    // fits UniqueFunction's inline buffer.
+    const std::uint32_t slot = key.slot;
     if (is_write) {
-        emit(DdrCommandType::kWriteCas, done, cas_at);
+        emit(DdrCommandType::kWriteCas, slot, cas_at);
         ++stats_.writes;
-        // The burst reaches the device at the end of the data
-        // transfer. The capture *owns* the burst bytes and the
-        // completion callback (move-only Callback — no shared_ptr
-        // indirection, no nested std::function copy).
-        DdrCommand cmd;
-        cmd.type = DdrCommandType::kWriteCas;
-        cmd.coord = done.coord;
-        cmd.addr = done.addr;
-        cmd.issue = cas_at;
-        cmd.slot = static_cast<unsigned>(clock_.cyclesAt(cas_at) % 4);
-        events_.schedule(data_end,
-                         [this, cmd, data = std::move(done.write_data),
-                          cb = std::move(done.cb)]() mutable {
-            dimm_.onWrite(cmd, data.data());
-            if (cb)
-                cb(events_.now(), MemStatus::kOk);
-        });
+        events_.schedule(data_end, [this, slot] { writeDataPhase(slot); });
     } else {
-        emit(DdrCommandType::kReadCas, done, cas_at);
-        DdrCommand cmd;
-        cmd.type = DdrCommandType::kReadCas;
-        cmd.coord = done.coord;
-        cmd.addr = done.addr;
-        cmd.issue = cas_at;
-        cmd.slot = static_cast<unsigned>(clock_.cyclesAt(cas_at) % 4);
-        auto *read_data = done.read_data;
-        auto retries = done.retries;
-        const Tick enq = done.enqueued;
-        events_.schedule(data_end,
-                         [this, cmd, read_data,
-                          cb = std::move(done.cb), retries,
-                          enq]() mutable {
-            const ReadResponse resp = dimm_.onRead(cmd, read_data);
-            if (resp == ReadResponse::kAlertN) {
-                // S13: device asserted ALERT_N — requeue the rdCAS.
-                retryAlert(cmd, read_data, std::move(cb), retries, enq,
-                           /*spurious=*/false);
-                return;
-            }
-            if (fault_plan_ && fault_plan_->armed(fault::Site::kAlertStorm)
-                && fault_plan_->shouldInject(
-                       fault::Site::kAlertStorm,
-                       {static_cast<int>(channel_), -1})) {
-                // Injected storm: treat the good read as if the device
-                // had asserted ALERT_N (data is discarded and re-read).
-                retryAlert(cmd, read_data, std::move(cb), retries, enq,
-                           /*spurious=*/true);
-                return;
-            }
-            ++stats_.reads;
-            read_latency_.sample(events_.now() - enq);
-            if (cb)
-                cb(events_.now(), MemStatus::kOk);
-        });
-        // Count the read at issue for scheduling purposes: stats_.reads
-        // is incremented at completion above; nothing else here.
+        // stats_.reads counts completions, in readDataPhase().
+        emit(DdrCommandType::kReadCas, slot, cas_at);
+        events_.schedule(data_end, [this, slot] { readDataPhase(slot); });
     }
     return true;
 }
 
 void
-MemoryController::retryAlert(const DdrCommand &cmd, std::uint8_t *read_data,
-                             MemCallback cb, unsigned retries,
-                             Tick enq, bool spurious)
+MemoryController::writeDataPhase(std::uint32_t slot)
 {
+    // The burst reaches the device at the end of the data transfer.
+    // Copy out what the device and callback need and free the slot
+    // first, so anything they enqueue may reuse it.
+    Request &req = pool_[slot];
+    const DdrCommand cmd = command(DdrCommandType::kWriteCas, req, req.cas_at);
+    const std::array<std::uint8_t, kCacheLineSize> burst = req.write_data;
+    MemCallback cb = std::move(req.cb);
+    pool_.free(slot);
+    dimm_.onWrite(cmd, burst.data());
+    if (cb)
+        cb(events_.now(), MemStatus::kOk);
+}
+
+void
+MemoryController::readDataPhase(std::uint32_t slot)
+{
+    const DdrCommand cmd =
+        command(DdrCommandType::kReadCas, pool_[slot], pool_[slot].cas_at);
+    const ReadResponse resp = dimm_.onRead(cmd, pool_[slot].read_data);
+    if (resp == ReadResponse::kAlertN) {
+        // S13: device asserted ALERT_N — requeue the rdCAS.
+        retryAlert(slot, /*spurious=*/false);
+        return;
+    }
+    if (fault_plan_ && fault_plan_->armed(fault::Site::kAlertStorm)
+        && fault_plan_->shouldInject(fault::Site::kAlertStorm,
+                                     {static_cast<int>(channel_), -1})) {
+        // Injected storm: treat the good read as if the device had
+        // asserted ALERT_N (data is discarded and re-read).
+        retryAlert(slot, /*spurious=*/true);
+        return;
+    }
+    ++stats_.reads;
+    read_latency_.sample(events_.now() - pool_[slot].enqueued);
+    complete(slot, MemStatus::kOk);
+}
+
+void
+MemoryController::complete(std::uint32_t slot, MemStatus status)
+{
+    MemCallback cb = std::move(pool_[slot].cb);
+    pool_.free(slot);
+    if (cb)
+        cb(events_.now(), status);
+}
+
+void
+MemoryController::retryAlert(std::uint32_t slot, bool spurious)
+{
+    Request &req = pool_[slot];
     ++stats_.alert_retries;
     if (spurious) {
         ++stats_.spurious_alerts;
-        SD_TRACE_FAULT_EVENT(cmd.addr / kPageSize, events_.now(), cmd.addr);
+        SD_TRACE_FAULT_EVENT(req.addr / kPageSize, events_.now(), req.addr);
     }
 
-    const unsigned attempt = retries + 1;
+    const unsigned attempt = req.retries + 1;
     if (attempt >= config_.alert_max_retries) {
         // Retry budget exhausted: hand the (possibly stale) line back
         // as degraded instead of wedging the channel. The host stack
         // decides how to recover (Sec. IV-D's fallback path).
         ++stats_.degraded_reads;
-        SD_TRACE_FAULT_EVENT(cmd.addr / kPageSize, events_.now(), cmd.addr);
+        SD_TRACE_FAULT_EVENT(req.addr / kPageSize, events_.now(), req.addr);
         ++stats_.reads;
-        read_latency_.sample(events_.now() - enq);
-        if (cb)
-            cb(events_.now(), MemStatus::kDegraded);
+        read_latency_.sample(events_.now() - req.enqueued);
+        complete(slot, MemStatus::kDegraded);
         return;
     }
 
-    Request retry;
-    retry.addr = cmd.addr;
-    retry.coord = cmd.coord;
-    retry.flat_bank = cmd.coord.flatBank(map_.geometry());
-    retry.read_data = read_data;
-    retry.cb = std::move(cb);
-    retry.enqueued = enq; // latency spans all retries
-    retry.retries = attempt;
-
+    // The same slot goes back on the read queue; its enqueue tick is
+    // kept, so the latency sample spans all retries.
+    req.retries = attempt;
+    req.needed_act = false;
     if (attempt <= config_.alert_fast_retries) {
-        read_q_.push_back(std::move(retry));
-        kick();
+        queueRead(slot);
         return;
     }
 
@@ -346,10 +360,7 @@ MemoryController::retryAlert(const DdrCommand &cmd, std::uint8_t *read_data,
     const Cycles backoff = std::min(config_.alert_backoff_base << shift,
                                     config_.alert_backoff_cap);
     events_.schedule(events_.now() + backoff * clock_.period(),
-                     [this, retry = std::move(retry)]() mutable {
-        read_q_.push_back(std::move(retry));
-        kick();
-    });
+                     [this, slot] { queueRead(slot); });
 }
 
 void
@@ -381,7 +392,7 @@ MemoryController::schedulePass()
     for (;;) {
         const bool service_writes =
             write_drain_ || (read_q_.empty() && !write_q_.empty());
-        std::deque<Request> &queue = service_writes ? write_q_ : read_q_;
+        std::vector<Key> &queue = service_writes ? write_q_ : read_q_;
         if (queue.empty())
             break;
         const std::size_t index = pickFrFcfs(queue);

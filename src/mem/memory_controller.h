@@ -10,9 +10,9 @@
 #ifndef SD_MEM_MEMORY_CONTROLLER_H
 #define SD_MEM_MEMORY_CONTROLLER_H
 
+#include <array>
 #include <cstdint>
-#include <deque>
-#include <functional>
+#include <memory>
 #include <vector>
 
 #include "common/stats.h"
@@ -110,8 +110,11 @@ class MemoryController
      */
     void setFaultPlan(fault::FaultPlan *plan) { fault_plan_ = plan; }
 
-    /** @return pending request count (both queues + in flight). */
-    std::size_t pending() const { return read_q_.size() + write_q_.size(); }
+    /**
+     * @return pending request count: both queues, CASes waiting for
+     * their data phase, and reads parked in an ALERT_N backoff.
+     */
+    std::size_t pending() const { return pool_.live(); }
 
     const ControllerStats &stats() const { return stats_; }
     void resetStats() { stats_ = ControllerStats{}; }
@@ -135,17 +138,84 @@ class MemoryController
     void setCoalesceWakeups(bool on) { coalesce_wakeups_ = on; }
 
   private:
+    /**
+     * One request's state. It lives in a pool slot from enqueue until
+     * its callback is about to run; the queues and the CAS data-phase
+     * event name it by slot only, so scheduling never moves it.
+     */
     struct Request
     {
-        Addr addr;
+        Addr addr = 0;
         DramCoord coord;
         std::uint32_t flat_bank = 0; ///< precomputed FR-FCFS scan key
         std::uint8_t *read_data = nullptr;
-        std::vector<std::uint8_t> write_data;
+        std::array<std::uint8_t, kCacheLineSize> write_data{};
         MemCallback cb;
         Tick enqueued = 0;
+        Tick cas_at = 0; ///< issue tick of the request's CAS
         unsigned retries = 0;
         bool needed_act = false; ///< ACT was issued for this request
+    };
+
+    /** FR-FCFS queue entry: scan key plus the request's pool slot. */
+    struct Key
+    {
+        std::uint64_t row;
+        std::uint32_t flat_bank;
+        std::uint32_t slot;
+    };
+    static_assert(sizeof(Key) == 16, "queue keys stay 16-byte PODs");
+
+    /**
+     * Chunked request pool with a free list. Chunks are never
+     * reallocated, so a slot's address is stable while device code
+     * re-enters enqueueRead()/enqueueWrite() and grows the pool.
+     */
+    class RequestPool
+    {
+      public:
+        Request &
+        operator[](std::uint32_t slot)
+        {
+            return chunks_[slot >> kChunkBits][slot & (kChunkSize - 1)];
+        }
+
+        std::uint32_t
+        alloc()
+        {
+            if (free_.empty())
+                grow();
+            const std::uint32_t slot = free_.back();
+            free_.pop_back();
+            return slot;
+        }
+
+        void free(std::uint32_t slot) { free_.push_back(slot); }
+
+        /** Slots currently holding a request. */
+        std::size_t
+        live() const
+        {
+            return chunks_.size() * kChunkSize - free_.size();
+        }
+
+      private:
+        static constexpr unsigned kChunkBits = 6;
+        static constexpr std::uint32_t kChunkSize = 1u << kChunkBits;
+
+        void
+        grow()
+        {
+            const auto base =
+                static_cast<std::uint32_t>(chunks_.size() * kChunkSize);
+            chunks_.push_back(std::make_unique<Request[]>(kChunkSize));
+            // Reverse order: the chunk's lowest slot is handed out first.
+            for (std::uint32_t i = kChunkSize; i-- > 0;)
+                free_.push_back(base + i);
+        }
+
+        std::vector<std::unique_ptr<Request[]>> chunks_;
+        std::vector<std::uint32_t> free_;
     };
 
     void kick();           ///< request a pass at the next clock edge
@@ -158,15 +228,23 @@ class MemoryController
      * passes and computed issue ticks never recede.
      */
     void requestPass(Tick when);
-    void retryAlert(const DdrCommand &cmd, std::uint8_t *read_data,
-                    MemCallback cb, unsigned retries, Tick enq,
-                    bool spurious);
+    /** Claim a slot for a new request and fill its common fields. */
+    std::uint32_t admit(Addr line_addr, MemCallback cb);
+    /** Append @p slot's key to the read queue and wake the scheduler. */
+    void queueRead(std::uint32_t slot);
+    void readDataPhase(std::uint32_t slot);
+    void writeDataPhase(std::uint32_t slot);
+    /** Release @p slot, then run its callback with @p status. */
+    void complete(std::uint32_t slot, MemStatus status);
+    void retryAlert(std::uint32_t slot, bool spurious);
     void updateWriteDrain(); ///< watermark hysteresis + injected delay
     void schedulePass();   ///< pick and issue the next command
-    bool issueRequest(std::deque<Request> &queue, std::size_t index,
+    bool issueRequest(std::vector<Key> &queue, std::size_t index,
                       bool is_write);
-    std::size_t pickFrFcfs(const std::deque<Request> &queue) const;
-    void emit(DdrCommandType type, const Request &req, Tick at);
+    std::size_t pickFrFcfs(const std::vector<Key> &queue) const;
+    DdrCommand command(DdrCommandType type, const Request &req,
+                       Tick at) const;
+    void emit(DdrCommandType type, std::uint32_t slot, Tick at);
 
     EventQueue &events_;
     const AddressMap &map_;
@@ -178,8 +256,14 @@ class MemoryController
     fault::FaultPlan *fault_plan_ = nullptr;
     ClockDomain clock_{625}; // DDR4-3200 command clock
 
-    std::deque<Request> read_q_;
-    std::deque<Request> write_q_;
+    /*
+     * Re-entrancy: emit() and the data phases call into the device,
+     * which may enqueue. No Request& is held across such a call; the
+     * slot is looked up again after it.
+     */
+    RequestPool pool_;
+    std::vector<Key> read_q_;  ///< age-ordered
+    std::vector<Key> write_q_; ///< age-ordered
     BankStateSoA banks_;
     bool write_drain_ = false;
     bool coalesce_wakeups_ = true;

@@ -58,10 +58,9 @@ class EventQueue
 {
   public:
     /**
-     * Move-only with a 128-byte inline buffer: scheduling never
-     * heap-allocates for hot-path lambdas, and captures may own
-     * move-only state (write bursts, completion callbacks) directly
-     * instead of via shared_ptr.
+     * Move-only with a 128-byte inline buffer: scheduling a lambda of
+     * up to 128 bytes never heap-allocates, and captures may own
+     * move-only state directly instead of via shared_ptr.
      */
     using Callback = UniqueFunction;
 

@@ -37,8 +37,10 @@ template <typename R, typename... Args>
 class UniqueFunctionT<R(Args...)>
 {
   public:
-    /** Inline capacity, sized for the fattest hot-path lambda (a
-     *  CAS completion: DdrCommand + data + nested callback). */
+    /** Inline capacity. The per-event hot-path lambdas capture a few
+     *  pointers and ids (a CAS data phase is {controller, slot}); a
+     *  lambda that captures another UniqueFunctionT is larger than
+     *  this and always goes to the heap. */
     static constexpr std::size_t kInlineBytes = 128;
 
     UniqueFunctionT() = default;

@@ -82,6 +82,11 @@ TlsDsaJob::complete() const
 void
 TlsDsaJob::placeTag() const
 {
+    // The tag is final once the message completes, and no line is
+    // processed after that, so placing it once is enough.
+    if (tag_placed_)
+        return;
+    tag_placed_ = true;
     const crypto::GcmTag tag = state_->finalTag();
     const std::size_t msg_len = state_->messageLen();
     const std::size_t tag_off = msg_len - page_index_ * kPageSize;

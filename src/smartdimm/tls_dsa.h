@@ -89,7 +89,7 @@ class TlsDsaJob : public DsaJob
     std::size_t payloadLines() const { return payload_lines_; }
 
   private:
-    /** Patch the trailer tag into this page's result bytes. */
+    /** Patch the trailer tag into this page's result bytes (once). */
     void placeTag() const;
 
     /** Bitmask of this page's trailer-region lines (>= payload). */
@@ -102,6 +102,7 @@ class TlsDsaJob : public DsaJob
     bool holds_tag_;            ///< trailer lives in this page
     mutable std::vector<std::uint8_t> result_;
     mutable std::uint64_t ready_ = 0; ///< bit per available result line
+    mutable bool tag_placed_ = false;
     std::size_t lines_done_ = 0;
 };
 

@@ -233,6 +233,39 @@ TEST(MemoryController, WritesBatchBeforeDraining)
     EXPECT_GT(rig.mc.stats().turnarounds, 0u);
 }
 
+TEST(MemoryController, PendingCountsIssuedCasUntilDataEnd)
+{
+    // An issued CAS leaves the queue but is still in flight until its
+    // data phase ends; pending() must keep counting it.
+    for (const bool is_write : {false, true}) {
+        Rig rig;
+        std::uint8_t line[64] = {};
+        bool done = false;
+        if (is_write)
+            rig.mc.enqueueWrite(0x2000, line,
+                                [&](Tick, mem::MemStatus) { done = true; });
+        else
+            rig.mc.enqueueRead(0x2000, line,
+                               [&](Tick, mem::MemStatus) { done = true; });
+        const auto cas = is_write ? DdrCommandType::kWriteCas
+                                  : DdrCommandType::kReadCas;
+        auto casIssued = [&] {
+            for (const auto &cmd : rig.tracer.trace)
+                if (cmd.type == cas)
+                    return true;
+            return false;
+        };
+        // Step one command clock at a time until the CAS is on the bus.
+        while (!casIssued())
+            rig.events.runUntil(rig.events.now() + 625);
+        EXPECT_FALSE(done) << (is_write ? "write" : "read");
+        EXPECT_EQ(rig.mc.pending(), 1u) << (is_write ? "write" : "read");
+        rig.events.run();
+        EXPECT_TRUE(done);
+        EXPECT_EQ(rig.mc.pending(), 0u);
+    }
+}
+
 TEST(MemoryController, BandwidthAccounting)
 {
     Rig rig;
