@@ -1,23 +1,94 @@
 #include "cache/cache.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "common/log.h"
 
 namespace sd::cache {
 
+namespace {
+
+/** Bitmask of ways [lo, hi); hi <= 16. */
+std::uint16_t
+wayRange(unsigned lo, unsigned hi)
+{
+    return static_cast<std::uint16_t>(((1u << hi) - 1) & ~((1u << lo) - 1));
+}
+
+/** Recency stack with way w at depth w. The order of never-filled
+ *  ways is arbitrary: a way's depth only matters once it is valid. */
+std::uint64_t
+initialStack(unsigned ways)
+{
+    std::uint64_t stack = 0;
+    for (unsigned w = 0; w < ways; ++w)
+        stack |= std::uint64_t{w} << (4 * w);
+    return stack;
+}
+
+/** @return @p stack with @p way moved to the MRU end. */
+std::uint64_t
+promote(std::uint64_t stack, unsigned way)
+{
+    constexpr std::uint64_t kNibbleLsb = 0x1111'1111'1111'1111ULL;
+    // SWAR search: the nibble equal to `way` becomes zero after the
+    // XOR; fold each nibble's bits onto its low bit to find it. Unused
+    // high nibbles (ways < 16) sit deeper than every real way, so the
+    // lowest match is the real one.
+    const std::uint64_t x = stack ^ (way * kNibbleLsb);
+    const std::uint64_t folded = x | (x >> 1) | (x >> 2) | (x >> 3);
+    const auto shift =
+        static_cast<unsigned>(std::countr_zero(~folded & kNibbleLsb));
+    // Shift the nibbles above `way` one place deeper and put `way` on
+    // top. 0x10 << 60 wraps to 0, so depth 15 needs no special case.
+    const std::uint64_t above = (std::uint64_t{1} << shift) - 1;
+    const std::uint64_t through = (std::uint64_t{0x10} << shift) - 1;
+    return (stack & ~through) | ((stack & above) << 4) | way;
+}
+
+/**
+ * Eviction victim among the @p eligible ways of a set with @p ways
+ * ways. This is exactly what per-way timestamps give: the lowest
+ * invalid eligible way, else the eligible way touched longest ago.
+ * Every valid way was touched at its fill, so among valid ways stack
+ * depth orders the same as a timestamp would.
+ */
+unsigned
+pickVictim(std::uint64_t stack, std::uint16_t valid, std::uint16_t eligible,
+           unsigned ways)
+{
+    if (const unsigned free = ~valid & eligible)
+        return static_cast<unsigned>(std::countr_zero(free));
+    // All eligible ways are valid: take the deepest one. For the full
+    // way mask that is the last nibble.
+    for (unsigned depth = ways; depth-- > 0;) {
+        const auto way = static_cast<unsigned>(stack >> (4 * depth)) & 0xF;
+        if ((eligible >> way) & 1)
+            return way;
+    }
+    SD_ASSERT(false, "no eligible way");
+    return 0;
+}
+
+} // namespace
+
 Cache::Cache(const CacheConfig &config)
-    : config_(config), cpu_ways_(std::min(config.cpu_ways, config.ways)),
-      sets_(config.sets()),
+    : config_(config), sets_(config.sets()),
       set_mask_((sets_ & (sets_ - 1)) == 0 ? sets_ - 1 : 0),
+      cpu_eligible_(wayRange(
+          0, std::max(1u, std::min(config.cpu_ways, config.ways)))),
+      ddio_eligible_(
+          wayRange(config.ways - config.ddio_ways, config.ways)),
       tags_(sets_ * config.ways, kInvalidTag),
-      lru_(tags_.size(), 0), dirty_(tags_.size(), 0),
+      state_(sets_, SetState{initialStack(config.ways), 0, 0}),
       data_(tags_.size() * kCacheLineSize, 0)
 {
     SD_ASSERT(sets_ > 0, "cache smaller than one set");
-    SD_ASSERT(config.ddio_ways <= config.ways,
-              "DDIO ways exceed associativity");
+    SD_ASSERT(config.ways <= 16, "recency stack holds at most 16 ways");
+    SD_ASSERT(config.ddio_ways >= 1 && config.ddio_ways <= config.ways,
+              "DDIO ways outside [1, associativity]");
 }
 
 std::size_t
@@ -29,16 +100,20 @@ Cache::setIndex(Addr addr) const
     return set_mask_ ? (line & set_mask_) : (line % sets_);
 }
 
-std::size_t
-Cache::find(Addr addr) const
+unsigned
+Cache::findWay(std::size_t set, Addr line) const
 {
-    const Addr line = lineAlign(addr);
-    const std::size_t base = setIndex(line) * config_.ways;
-    const Addr *tags = tags_.data() + base;
-    for (unsigned w = 0; w < config_.ways; ++w)
-        if (tags[w] == line)
-            return base + w;
-    return kNotFound;
+    const Addr *tags = tags_.data() + set * config_.ways;
+    unsigned w = 0;
+    while (w < config_.ways && tags[w] != line)
+        ++w;
+    return w;
+}
+
+std::uint8_t *
+Cache::slotData(std::size_t set, unsigned way)
+{
+    return data_.data() + (set * config_.ways + way) * kCacheLineSize;
 }
 
 AccessResult
@@ -46,14 +121,17 @@ Cache::access(Addr addr, bool is_write, AllocClass cls,
               bool full_line_store)
 {
     const Addr line_addr = lineAlign(addr);
+    const std::size_t set = setIndex(line_addr);
+    SetState &state = state_[set];
     AccessResult result;
 
-    if (const std::size_t slot = find(line_addr); slot != kNotFound) {
+    if (const unsigned way = findWay(set, line_addr); way != config_.ways) {
         ++stats_.hits;
         ++probe_hits_;
-        lru_[slot] = ++lru_clock_;
-        dirty_[slot] |= is_write;
+        state.stack = promote(state.stack, way);
+        state.dirty |= static_cast<std::uint16_t>(unsigned{is_write} << way);
         result.hit = true;
+        result.data = slotData(set, way);
         return result;
     }
 
@@ -63,39 +141,25 @@ Cache::access(Addr addr, bool is_write, AllocClass cls,
     // Victim selection restricted to the class's eligible ways.
     // CPU class uses ways [0, cpu_ways); DDIO uses the last ddio_ways
     // ways, mirroring Intel's restricted-allocation scheme.
-    unsigned lo;
-    unsigned hi;
-    if (cls == AllocClass::kDdio) {
-        lo = config_.ways - config_.ddio_ways;
-        hi = config_.ways;
-    } else {
-        lo = 0;
-        hi = std::max(1u, cpu_ways_);
-    }
+    const unsigned way = pickVictim(
+        state.stack, state.valid,
+        cls == AllocClass::kDdio ? ddio_eligible_ : cpu_eligible_,
+        config_.ways);
+    const auto bit = static_cast<std::uint16_t>(1u << way);
+    Addr &tag = tags_[set * config_.ways + way];
+    result.data = slotData(set, way);
 
-    const std::size_t base = setIndex(line_addr) * config_.ways;
-    std::size_t victim = base + lo;
-    for (unsigned w = lo; w < hi; ++w) {
-        const std::size_t slot = base + w;
-        if (tags_[slot] == kInvalidTag) {
-            victim = slot;
-            break;
-        }
-        if (lru_[slot] < lru_[victim])
-            victim = slot;
-    }
-
-    if (tags_[victim] != kInvalidTag && dirty_[victim]) {
-        result.writeback = tags_[victim];
-        std::memcpy(result.writeback_data.data(),
-                    data_.data() + victim * kCacheLineSize,
-                    kCacheLineSize);
+    if (state.dirty & bit) {
+        result.writeback = tag;
+        result.writeback_data = result.data;
         ++stats_.writebacks;
     }
 
-    tags_[victim] = line_addr;
-    dirty_[victim] = is_write;
-    lru_[victim] = ++lru_clock_;
+    tag = line_addr;
+    state.valid |= bit;
+    state.dirty = static_cast<std::uint16_t>(
+        is_write ? state.dirty | bit : state.dirty & ~bit);
+    state.stack = promote(state.stack, way);
     ++stats_.fills;
     result.filled = !(is_write && full_line_store);
     return result;
@@ -106,28 +170,33 @@ Cache::flush(Addr addr)
 {
     ++stats_.flushes;
     FlushResult result;
-    if (const std::size_t slot = find(addr); slot != kNotFound) {
-        result.present = true;
-        result.dirty = dirty_[slot] != 0;
-        if (result.dirty) {
-            ++stats_.flush_dirty;
-            std::memcpy(result.data.data(),
-                        data_.data() + slot * kCacheLineSize,
-                        kCacheLineSize);
-        }
-        tags_[slot] = kInvalidTag;
-        dirty_[slot] = 0;
+    const Addr line = lineAlign(addr);
+    const std::size_t set = setIndex(line);
+    const unsigned way = findWay(set, line);
+    if (way == config_.ways)
+        return result;
+
+    SetState &state = state_[set];
+    const auto bit = static_cast<std::uint16_t>(1u << way);
+    result.present = true;
+    result.dirty = (state.dirty & bit) != 0;
+    if (result.dirty) {
+        ++stats_.flush_dirty;
+        std::memcpy(result.data.data(), slotData(set, way), kCacheLineSize);
     }
+    tags_[set * config_.ways + way] = kInvalidTag;
+    state.valid &= static_cast<std::uint16_t>(~bit);
+    state.dirty &= static_cast<std::uint16_t>(~bit);
     return result;
 }
 
 std::uint8_t *
 Cache::dataPtr(Addr addr)
 {
-    const std::size_t slot = find(addr);
-    if (slot == kNotFound)
-        return nullptr;
-    return data_.data() + slot * kCacheLineSize;
+    const Addr line = lineAlign(addr);
+    const std::size_t set = setIndex(line);
+    const unsigned way = findWay(set, line);
+    return way == config_.ways ? nullptr : slotData(set, way);
 }
 
 const std::uint8_t *
@@ -139,21 +208,24 @@ Cache::dataPtr(Addr addr) const
 bool
 Cache::contains(Addr addr) const
 {
-    return find(addr) != kNotFound;
+    const Addr line = lineAlign(addr);
+    return findWay(setIndex(line), line) != config_.ways;
 }
 
 bool
 Cache::isDirty(Addr addr) const
 {
-    const std::size_t slot = find(addr);
-    return slot != kNotFound && dirty_[slot];
+    const Addr line = lineAlign(addr);
+    const std::size_t set = setIndex(line);
+    const unsigned way = findWay(set, line);
+    return way != config_.ways && ((state_[set].dirty >> way) & 1);
 }
 
 void
 Cache::setCpuWays(unsigned ways)
 {
     SD_ASSERT(ways >= 1 && ways <= config_.ways, "CAT mask out of range");
-    cpu_ways_ = ways;
+    cpu_eligible_ = wayRange(0, ways);
 }
 
 double

@@ -62,24 +62,40 @@ struct CacheStats
     }
 };
 
-/** Outcome of a single cache access. */
+/**
+ * Outcome of a single cache access. The two pointers address line
+ * slots inside the cache's data array; both stay valid until the next
+ * access()/flush() on the same cache.
+ */
 struct AccessResult
 {
     bool hit = false;
-    /** Dirty victim evicted by the fill (needs a memory write). */
-    std::optional<Addr> writeback;
-    /** The victim's data, valid when writeback is set. */
-    std::array<std::uint8_t, kCacheLineSize> writeback_data{};
     /** Line was filled (miss) and needs a memory read first, unless
      *  the caller installs full-line data (store of a whole line). */
     bool filled = false;
+    /** Dirty victim evicted by the fill (needs a memory write). */
+    std::optional<Addr> writeback;
+    /**
+     * The victim's 64 bytes, set when writeback is. This is the slot
+     * the new line was filled into, so it holds the victim's data only
+     * until the caller writes the filled line through @ref data: copy
+     * (or enqueue) the writeback first.
+     */
+    const std::uint8_t *writeback_data = nullptr;
+    /** The accessed line's 64-byte slot, on a hit and on a fill. */
+    std::uint8_t *data = nullptr;
 };
 
 /**
- * The LLC model. Data does not live here — the simulator keeps data in
- * the memory BackingStore and treats cached dirty lines as "newer than
- * memory" only where the experiment needs it (CompCpy tracks its own
- * buffers). The cache tracks tags, dirtiness and LRU exactly.
+ * The LLC model. It tracks tags, dirtiness and exact LRU per set, and
+ * holds 64 bytes per resident line: the MemorySystem keeps a line's
+ * newest data here while it is cached and writes it back to DRAM on
+ * eviction or flush. Callers that model no data (the analytic
+ * contention probe) never touch the slots.
+ *
+ * Exact LRU is a packed recency stack, one 64-bit word per set: up to
+ * 16 four-bit way ids ordered MRU (low nibble) to LRU, so
+ * associativity is capped at 16 ways.
  */
 class Cache
 {
@@ -127,7 +143,6 @@ class Cache
 
     /** Shrink/grow the CPU-class way allocation at runtime (CAT). */
     void setCpuWays(unsigned ways);
-    unsigned cpuWays() const { return cpu_ways_; }
 
     const CacheConfig &config() const { return config_; }
     const CacheStats &stats() const { return stats_; }
@@ -144,28 +159,34 @@ class Cache
      *  line-aligned addresses and can never equal ~0). */
     static constexpr Addr kInvalidTag = ~Addr{0};
 
-    /** Absent-line sentinel for find(). */
-    static constexpr std::size_t kNotFound = ~std::size_t{0};
+    /** Per-set replacement and line-state bits. */
+    struct SetState
+    {
+        std::uint64_t stack; ///< way ids, nibble 0 = MRU, 4 bits each
+        std::uint16_t valid; ///< bit w: tag w is not kInvalidTag
+        std::uint16_t dirty; ///< bit w: way w is dirty (implies valid)
+    };
 
     std::size_t setIndex(Addr addr) const;
-    /** @return flat line slot (set * ways + way), or kNotFound. */
-    std::size_t find(Addr addr) const;
+    /** @return the way holding @p line in @p set, or config_.ways. */
+    unsigned findWay(std::size_t set, Addr line) const;
+    std::uint8_t *slotData(std::size_t set, unsigned way);
 
     CacheConfig config_;
-    unsigned cpu_ways_;
     std::size_t sets_;     ///< cached config_.sets()
     std::size_t set_mask_; ///< sets_ - 1 when a power of two, else 0
+    std::uint16_t cpu_eligible_;  ///< ways [0, cpu_ways) as a bitmask
+    std::uint16_t ddio_eligible_; ///< the last ddio_ways ways
     /**
-     * Structure-of-arrays line state (sets x ways, row-major). The
-     * tag probe — the hottest loop in the memory system — touches
-     * only tags_: 16 ways x 8 B = two cache lines, with validity
-     * folded into the tag as kInvalidTag instead of a separate flag.
+     * Structure-of-arrays line state. The tag probe — the hottest loop
+     * in the memory system — touches only tags_ (sets x ways,
+     * row-major): 16 ways x 8 B = two cache lines, with invalid ways
+     * holding kInvalidTag so a probe needs no validity check. Victim
+     * choice reads only the set's 16-byte SetState.
      */
     std::vector<Addr> tags_;
-    std::vector<std::uint64_t> lru_;
-    std::vector<std::uint8_t> dirty_;
+    std::vector<SetState> state_;
     std::vector<std::uint8_t> data_; ///< 64 B per line slot
-    std::uint64_t lru_clock_ = 0;
     CacheStats stats_;
     std::uint64_t probe_hits_ = 0;
     std::uint64_t probe_misses_ = 0;

@@ -116,7 +116,7 @@ MemorySystem::writebackVictim(const AccessResult &result)
 {
     if (result.writeback)
         route(*result.writeback)
-            .enqueueWrite(*result.writeback, result.writeback_data.data());
+            .enqueueWrite(*result.writeback, result.writeback_data);
 }
 
 void
@@ -125,7 +125,7 @@ MemorySystem::readLine(Addr addr, std::uint8_t *dst, Callback cb)
     const Addr line = lineAlign(addr);
     const auto result = llc_.access(line, false, AllocClass::kCpu);
     if (result.hit) {
-        std::memcpy(dst, llc_.dataPtr(line), kCacheLineSize);
+        std::memcpy(dst, result.data, kCacheLineSize);
         events_.scheduleIn(latencies_.llc_hit, [this, cb = std::move(cb)]()
                                mutable { cb(events_.now()); });
         return;
@@ -155,8 +155,7 @@ MemorySystem::writeLine(Addr addr, const std::uint8_t *src, Callback cb)
     const auto result =
         llc_.access(line, true, AllocClass::kCpu, /*full_line_store=*/true);
     writebackVictim(result);
-    if (std::uint8_t *slot = llc_.dataPtr(line))
-        std::memcpy(slot, src, kCacheLineSize);
+    std::memcpy(result.data, src, kCacheLineSize);
     events_.scheduleIn(latencies_.store_commit, [this, cb = std::move(cb)]()
                            mutable { cb(events_.now()); });
 }
@@ -198,8 +197,7 @@ MemorySystem::dmaWriteLine(Addr addr, const std::uint8_t *src, Callback cb)
     const auto result =
         llc_.access(line, true, AllocClass::kDdio, /*full_line_store=*/true);
     writebackVictim(result);
-    if (std::uint8_t *slot = llc_.dataPtr(line))
-        std::memcpy(slot, src, kCacheLineSize);
+    std::memcpy(result.data, src, kCacheLineSize);
     events_.scheduleIn(latencies_.store_commit, [this, cb = std::move(cb)]()
                            mutable { cb(events_.now()); });
 }

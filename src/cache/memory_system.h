@@ -175,6 +175,8 @@ class MemorySystem
 
   private:
     mem::MemoryController &route(Addr addr);
+    /** Enqueue the access's dirty victim, if any. Call it before
+     *  writing the filled line: the victim's bytes live in that slot. */
     void writebackVictim(const AccessResult &result);
 
     /**

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "app/antagonist.h"
 #include "app/contention_model.h"
 #include "app/open_loop.h"
@@ -61,6 +64,49 @@ TEST(Contention, Deterministic)
     w.connections = 1024;
     EXPECT_DOUBLE_EQ(measureContention(w).leak_fraction,
                      measureContention(w).leak_fraction);
+}
+
+/** The IEEE-754 bit pattern of @p value. */
+std::uint64_t
+bitsOf(double value)
+{
+    return std::bit_cast<std::uint64_t>(value);
+}
+
+TEST(Contention, PinnedOutputBits)
+{
+    // evaluateServer's probe settings for the four distinct
+    // server_sweep workloads. Any change to the LLC model's hit/evict
+    // decisions moves these bits, and with them every Fig. 11/12 and
+    // Table I number.
+    struct Pin
+    {
+        std::size_t message_bytes;
+        std::size_t antagonist_mb;
+        unsigned antagonist_instances;
+        std::uint64_t leak_fraction;
+        std::uint64_t miss_rate;
+    };
+    const Pin pins[] = {
+        {4096, 0, 0, 0x3fdea90000000000, 0x3feddb45b6064e6b},
+        {16384, 0, 0, 0x3fe2800000000000, 0x3feccac8cedd0a23},
+        {65536, 0, 0, 0x3feca00000000000, 0x3feee04e6d430970},
+        {4096, 1800, 10, 0x3fe0000000000000, 0x3feee0e086c77e38},
+    };
+    for (const Pin &pin : pins) {
+        ContentionWorkload w;
+        w.connections = 1024;
+        w.per_connection_kb = 64;
+        w.llc_mb = 27;
+        w.message_bytes = pin.message_bytes;
+        w.antagonist_mb = pin.antagonist_mb;
+        w.antagonist_instances = pin.antagonist_instances;
+        const auto got = measureContention(w, 7);
+        EXPECT_EQ(bitsOf(got.leak_fraction), pin.leak_fraction)
+            << pin.message_bytes << " B, antagonist " << pin.antagonist_mb;
+        EXPECT_EQ(bitsOf(got.miss_rate), pin.miss_rate)
+            << pin.message_bytes << " B, antagonist " << pin.antagonist_mb;
+    }
 }
 
 TEST(ServerModel, Fig11OrderingAt4K)

@@ -90,6 +90,7 @@ TEST(Cache, DirtyEvictionYieldsWritebackWithData)
     const auto result = cache.access(0x80, false, AllocClass::kCpu);
     ASSERT_TRUE(result.writeback.has_value());
     EXPECT_EQ(*result.writeback, 0x0u);
+    ASSERT_NE(result.writeback_data, nullptr);
     EXPECT_EQ(result.writeback_data[0], 0xaa);
     EXPECT_EQ(cache.stats().writebacks, 1u);
 }
