@@ -25,7 +25,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <functional>
 #include <vector>
 
@@ -181,36 +180,6 @@ runPoint(const char *name, double link_ns)
     return row;
 }
 
-void
-writeJson(const std::vector<Row> &rows)
-{
-    std::ofstream os("BENCH_cxl.json");
-    if (!os) {
-        std::printf("could not write BENCH_cxl.json\n");
-        return;
-    }
-    os << "{\n  \"offloads\": " << kOffloads
-       << ",\n  \"record_bytes\": " << kRecordBytes
-       << ",\n  \"results\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const Row &r = rows[i];
-        os << "    {\"name\": \"" << r.name << "\", "
-           << "\"link_ns\": " << r.link_ns << ", "
-           << "\"ops_per_sec\": " << r.ops_per_sec << ", "
-           << "\"p50_us\": " << r.p50_us << ", "
-           << "\"p99_us\": " << r.p99_us << ", "
-           << "\"speedup_vs_cpu\": " << r.speedup_vs_cpu << ", "
-           << "\"polls_saved\": " << r.polls_saved << ", "
-           << "\"poll_bytes_saved\": " << r.poll_bytes_saved << ", "
-           << "\"withheld_completions\": " << r.withheld_completions
-           << ", "
-           << "\"link_transfers\": " << r.link_transfers << "}"
-           << (i + 1 < rows.size() ? "," : "") << "\n";
-    }
-    os << "  ]\n}\n";
-    std::printf("wrote BENCH_cxl.json\n");
-}
-
 } // namespace
 
 int
@@ -242,7 +211,21 @@ main()
                     static_cast<unsigned long long>(row.polls_saved));
         rows.push_back(row);
     }
-    writeJson(rows);
+    std::vector<bench::JsonFields> json;
+    for (const Row &r : rows)
+        json.push_back({{"name", r.name},
+                        {"link_ns", r.link_ns},
+                        {"ops_per_sec", r.ops_per_sec},
+                        {"p50_us", r.p50_us},
+                        {"p99_us", r.p99_us},
+                        {"speedup_vs_cpu", r.speedup_vs_cpu},
+                        {"polls_saved", r.polls_saved},
+                        {"poll_bytes_saved", r.poll_bytes_saved},
+                        {"withheld_completions", r.withheld_completions},
+                        {"link_transfers", r.link_transfers}});
+    bench::writeBenchJson(
+        "BENCH_cxl.json",
+        {{"offloads", kOffloads}, {"record_bytes", kRecordBytes}}, json);
 
     std::printf(
         "\nPaper anchor: the CPU path pays the link round trip on\n"

@@ -31,7 +31,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <functional>
 #include <vector>
 
@@ -183,32 +182,6 @@ runAsync(std::size_t depth, std::size_t batch)
     return row;
 }
 
-void
-writeJson(const std::vector<Row> &rows)
-{
-    std::ofstream os("BENCH_queue.json");
-    if (!os) {
-        std::printf("could not write BENCH_queue.json\n");
-        return;
-    }
-    os << "{\n  \"offloads\": " << kOffloads
-       << ",\n  \"record_bytes\": " << kRecordBytes
-       << ",\n  \"results\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const Row &r = rows[i];
-        os << "    {\"mode\": \"" << r.mode << "\", "
-           << "\"depth\": " << r.depth << ", "
-           << "\"batch\": " << r.batch << ", "
-           << "\"offloads_per_sec\": " << r.offloads_per_sec << ", "
-           << "\"p50_us\": " << r.p50_us << ", "
-           << "\"p99_us\": " << r.p99_us << ", "
-           << "\"speedup_vs_serial\": " << r.speedup << "}"
-           << (i + 1 < rows.size() ? "," : "") << "\n";
-    }
-    os << "  ]\n}\n";
-    std::printf("wrote BENCH_queue.json\n");
-}
-
 } // namespace
 
 int
@@ -238,7 +211,18 @@ main()
         report(runAsync(depth, 1));
     for (const std::size_t depth : {8u, 16u})
         report(runAsync(depth, kBatch));
-    writeJson(rows);
+    std::vector<bench::JsonFields> json;
+    for (const Row &r : rows)
+        json.push_back({{"mode", r.mode},
+                        {"depth", r.depth},
+                        {"batch", r.batch},
+                        {"offloads_per_sec", r.offloads_per_sec},
+                        {"p50_us", r.p50_us},
+                        {"p99_us", r.p99_us},
+                        {"speedup_vs_serial", r.speedup}});
+    bench::writeBenchJson(
+        "BENCH_queue.json",
+        {{"offloads", kOffloads}, {"record_bytes", kRecordBytes}}, json);
 
     std::printf("\nPaper anchor: single-op descriptors overlap the\n"
                 "protocol round trips; batch descriptors amortise the\n"

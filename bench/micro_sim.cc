@@ -34,7 +34,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -155,34 +154,6 @@ sameWork(const Row &a, const Row &b)
     return a.events == b.events && a.sim_ticks == b.sim_ticks;
 }
 
-void
-writeJson(const std::vector<Row> &rows)
-{
-    std::ofstream os("BENCH_sim.json");
-    if (!os) {
-        std::printf("could not write BENCH_sim.json\n");
-        return;
-    }
-    os << "{\n  \"workload\": \"tls4k_compcpy\",\n"
-       << "  \"messages\": " << kMessages << ",\n"
-       << "  \"batches\": " << kBatches << ",\n"
-       << "  \"bytes_per_op\": " << kMessageBytes << ",\n"
-       << "  \"results\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const Row &r = rows[i];
-        os << "    {\"name\": \"" << r.name << "\", "
-           << "\"sim_cycles_per_sec\": " << r.sim_cycles_per_sec << ", "
-           << "\"events_per_sec\": " << r.events_per_sec << ", "
-           << "\"ops_per_sec\": " << r.ops_per_sec << ", "
-           << "\"sim_ticks\": " << r.sim_ticks << ", "
-           << "\"events\": " << r.events << ", "
-           << "\"wall_ns\": " << r.wall_ns << "}"
-           << (i + 1 < rows.size() ? "," : "") << "\n";
-    }
-    os << "  ]\n}\n";
-    std::printf("wrote BENCH_sim.json\n");
-}
-
 } // namespace
 
 int
@@ -223,7 +194,21 @@ main()
                     "kernel tiers\n");
         return 1;
     }
-    writeJson(rows);
+    std::vector<bench::JsonFields> json;
+    for (const Row &r : rows)
+        json.push_back({{"name", r.name},
+                        {"sim_cycles_per_sec", r.sim_cycles_per_sec},
+                        {"events_per_sec", r.events_per_sec},
+                        {"ops_per_sec", r.ops_per_sec},
+                        {"sim_ticks", r.sim_ticks},
+                        {"events", r.events},
+                        {"wall_ns", r.wall_ns}});
+    bench::writeBenchJson("BENCH_sim.json",
+                          {{"workload", "tls4k_compcpy"},
+                           {"messages", kMessages},
+                           {"batches", kBatches},
+                           {"bytes_per_op", kMessageBytes}},
+                          json);
 
     std::printf("\nThese are *simulator* metrics (wall clock), not\n"
                 "simulated-hardware throughput: they gate the cost of\n"

@@ -24,7 +24,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <functional>
 #include <vector>
 
@@ -151,34 +150,6 @@ runShape(unsigned channels, unsigned dimms)
     return row;
 }
 
-void
-writeJson(const std::vector<Row> &rows)
-{
-    std::ofstream os("BENCH_topology.json");
-    if (!os) {
-        std::printf("could not write BENCH_topology.json\n");
-        return;
-    }
-    os << "{\n  \"offloads\": " << kOffloads
-       << ",\n  \"record_bytes\": " << kRecordBytes
-       << ",\n  \"results\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const Row &r = rows[i];
-        os << "    {\"name\": \"" << r.name << "\", "
-           << "\"channels\": " << r.channels << ", "
-           << "\"dimms_per_channel\": " << r.dimms << ", "
-           << "\"ops_per_sec\": " << r.ops_per_sec << ", "
-           << "\"p50_us\": " << r.p50_us << ", "
-           << "\"p99_us\": " << r.p99_us << ", "
-           << "\"speedup_vs_1x1\": " << r.speedup << ", "
-           << "\"shed_to_sibling\": " << r.shed_to_sibling << ", "
-           << "\"shed_to_cpu\": " << r.shed_to_cpu << "}"
-           << (i + 1 < rows.size() ? "," : "") << "\n";
-    }
-    os << "  ]\n}\n";
-    std::printf("wrote BENCH_topology.json\n");
-}
-
 } // namespace
 
 int
@@ -203,7 +174,20 @@ main()
                         row.shed_to_sibling + row.shed_to_cpu));
         rows.push_back(row);
     }
-    writeJson(rows);
+    std::vector<bench::JsonFields> json;
+    for (const Row &r : rows)
+        json.push_back({{"name", r.name},
+                        {"channels", r.channels},
+                        {"dimms_per_channel", r.dimms},
+                        {"ops_per_sec", r.ops_per_sec},
+                        {"p50_us", r.p50_us},
+                        {"p99_us", r.p99_us},
+                        {"speedup_vs_1x1", r.speedup},
+                        {"shed_to_sibling", r.shed_to_sibling},
+                        {"shed_to_cpu", r.shed_to_cpu}});
+    bench::writeBenchJson(
+        "BENCH_topology.json",
+        {{"offloads", kOffloads}, {"record_bytes", kRecordBytes}}, json);
 
     std::printf("\nPaper anchor: every DIMM owns an independent DSA\n"
                 "pipeline behind its own channel share, so aggregate\n"

@@ -8,29 +8,6 @@
 
 namespace sd {
 
-void
-Average::sample(double v)
-{
-    if (count_ == 0) {
-        min_ = v;
-        max_ = v;
-    } else {
-        min_ = std::min(min_, v);
-        max_ = std::max(max_, v);
-    }
-    sum_ += v;
-    ++count_;
-}
-
-void
-Average::reset()
-{
-    sum_ = 0.0;
-    min_ = 0.0;
-    max_ = 0.0;
-    count_ = 0;
-}
-
 Histogram::Histogram(double lo, double hi, std::size_t buckets)
     : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)),
       counts_(buckets, 0)
@@ -184,29 +161,6 @@ LogHistogram::percentile(double q) const
             return std::min(bucketHigh(i), max_);
     }
     return max_;
-}
-
-void
-StatsRegistry::set(const std::string &name, double value)
-{
-    MutexLock lock(mu_);
-    scalars_[name] = value;
-}
-
-double
-StatsRegistry::get(const std::string &name, double fallback) const
-{
-    MutexLock lock(mu_);
-    auto it = scalars_.find(name);
-    return it == scalars_.end() ? fallback : it->second;
-}
-
-void
-StatsRegistry::dump(std::ostream &os) const
-{
-    MutexLock lock(mu_);
-    for (const auto &[name, value] : scalars_)
-        os << name << " " << value << "\n";
 }
 
 } // namespace sd

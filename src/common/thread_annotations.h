@@ -11,9 +11,10 @@
  *
  * Two kinds of contract appear in this codebase:
  *
- *  - Genuinely shared state (the process-wide Tracer, the trace-layer
- *    StatsRegistry, the kernel dispatch override) is protected by an
- *    annotated sd::Mutex with SD_GUARDED_BY members, or by atomics.
+ *  - Genuinely shared state (the process-wide Tracer,
+ *    trace::StatsRegistry, the kernel dispatch override) is protected
+ *    by an annotated sd::Mutex with SD_GUARDED_BY members, or by
+ *    atomics.
  *
  *  - Per-simulation state (EventQueue, Scratchpad, BankTable, the
  *    cache/memory models) is **single-owner**: one thread constructs

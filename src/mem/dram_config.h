@@ -73,8 +73,6 @@ struct DramTiming
 /** Memory-controller queueing policy. */
 struct ControllerConfig
 {
-    unsigned read_queue_depth = 64;
-    unsigned write_queue_depth = 64;
     unsigned write_high_watermark = 48; ///< enter write-drain mode
     unsigned write_low_watermark = 16;  ///< leave write-drain mode
 

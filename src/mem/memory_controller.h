@@ -221,7 +221,7 @@ class MemoryController
     void kick();           ///< request a pass at the next clock edge
     /**
      * The coalesced wakeup helper: every scheduler wakeup flows
-     * through here (sdlint's wakeup-bypass rule enforces it). A
+     * through here (sdcheck's wakeup-bypass rule enforces it). A
      * request already covered by a pending pass at an earlier-or-
      * equal tick is dropped — the pass re-derives any later wakeup
      * it still needs, because the FR-FCFS pick is stable between

@@ -26,8 +26,8 @@ struct EnergyModel
     double translation_lookup_pj = 180.0;  ///< 3 hash probes + CAM (FPGA)
     double scratchpad_access_pj = 840.0;  ///< 64 B SRAM r/w
     double config_access_pj = 640.0;      ///< context slot access
-    double dsa_tls_line_pj = 21000.0;      ///< 4 AES rounds pipe + GHASH
-    double dsa_deflate_line_pj = 16500.0;  ///< 8-lane match + encode
+    /** 4 AES rounds pipe + GHASH; charged for every DSA line, any ULP. */
+    double dsa_tls_line_pj = 21000.0;
     double phy_passthrough_pj = 360.0;     ///< DDR PHY + slot decode
 };
 

@@ -6,7 +6,7 @@
  * address ranges and CompCpy engines. This factory replaces the
  * implicit single-instance MemorySystem/BufferDevice wiring: every
  * rig — benches, examples, the open-loop server model — builds its
- * system through a Topology, and tools/sdlint.py bans direct
+ * system through a Topology, and tools/sdcheck.py bans direct
  * construction elsewhere in src/.
  *
  * Address scheme (ChannelInterleave::kCapacity): channel c owns the

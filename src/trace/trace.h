@@ -16,7 +16,7 @@
  *    sequence against a checked-in file).
  *
  *  - StatsRegistry: components register named provider blocks that
- *    emit Counter/Average/Histogram/LogHistogram summaries on demand;
+ *    emit scalar and Histogram/LogHistogram summaries on demand;
  *    the harness dumps everything as JSON or CSV after a run.
  *
  * Cost model: every recording entry point begins with a single
@@ -389,7 +389,8 @@ class DdrBatch
 // otherwise a single branch on the enabled flag.
 //
 // SD_SPAN_BEGIN/SD_SPAN_END delimit a synchronous traced unit of
-// work; tools/sdlint.py enforces that each function balances them.
+// work; tools/sdcheck.py checks that every path through a function
+// balances them.
 // Asynchronous flows whose span outlives the opening function (the
 // CompCpy engine) use the raw beginSpan()/endSpan() API instead.
 #ifdef SD_TRACE_DISABLED

@@ -5,16 +5,12 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "common/stats.h"
 
 namespace {
 
-using sd::Average;
 using sd::Counter;
 using sd::Histogram;
-using sd::StatsRegistry;
 
 TEST(Stats, CounterBasics)
 {
@@ -25,21 +21,6 @@ TEST(Stats, CounterBasics)
     EXPECT_EQ(c.value(), 6u);
     c.reset();
     EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(Stats, AverageTracksMoments)
-{
-    Average a;
-    EXPECT_EQ(a.mean(), 0.0);
-    a.sample(2);
-    a.sample(4);
-    a.sample(6);
-    EXPECT_DOUBLE_EQ(a.mean(), 4.0);
-    EXPECT_DOUBLE_EQ(a.min(), 2.0);
-    EXPECT_DOUBLE_EQ(a.max(), 6.0);
-    EXPECT_EQ(a.count(), 3u);
-    a.reset();
-    EXPECT_EQ(a.count(), 0u);
 }
 
 TEST(Stats, HistogramBuckets)
@@ -69,20 +50,6 @@ TEST(Stats, HistogramPercentiles)
         h.sample(i + 0.5);
     EXPECT_NEAR(h.percentile(0.5), 50.0, 2.0);
     EXPECT_NEAR(h.percentile(0.99), 99.0, 2.0);
-}
-
-TEST(Stats, RegistryRoundTrip)
-{
-    StatsRegistry reg;
-    reg.set("rps", 123456);
-    reg.set("cpu_util", 0.5);
-    EXPECT_DOUBLE_EQ(reg.get("rps"), 123456);
-    EXPECT_DOUBLE_EQ(reg.get("missing", -1), -1);
-
-    std::ostringstream os;
-    reg.dump(os);
-    EXPECT_NE(os.str().find("rps 123456"), std::string::npos);
-    EXPECT_NE(os.str().find("cpu_util 0.5"), std::string::npos);
 }
 
 } // namespace

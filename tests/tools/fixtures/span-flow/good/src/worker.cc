@@ -1,6 +1,6 @@
 // Fixture: span-flow/good — every SD_SPAN_BEGIN reaches an END on all
-// paths, including the branch-balanced if/else form the old linear
-// sdlint rule used to mis-flag.
+// paths, including the branch-balanced if/else form a linear
+// BEGIN/END count used to mis-flag.
 #include "trace/trace.h"
 
 namespace sd {

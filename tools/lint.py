@@ -1,15 +1,12 @@
 #!/usr/bin/env python3
-"""lint — single entry point for all three SmartDIMM analysis tiers.
+"""lint — single entry point for both SmartDIMM analysis tiers.
 
 Runs, in order:
 
-  1. sdlint    cheap per-file text rules (determinism, iostream,
-               guards, recoverable-assert, queue/wakeup bypass,
-               topology construction)
-  2. sdcheck   control-flow and cross-TU audits (span dataflow,
-               fault-site coverage, stat registry, MMIO map, address
-               arithmetic) against the committed baseline
-  3. clang-tidy (via tools/run_tidy.sh) over compile_commands.json,
+  1. sdcheck   project-invariant rules (per-file conventions, span
+               dataflow, fault-site coverage, stat registry, MMIO map,
+               address arithmetic) against the committed baseline
+  2. clang-tidy (via tools/run_tidy.sh) over compile_commands.json,
                enforcing — skipped when clang-tidy is not installed
                or with --fast
 
@@ -19,9 +16,9 @@ pre-commit, the ctest registrations and the CI lint jobs alike.
 Usage:
   tools/lint.py [--root DIR] [--build DIR] [--fast]
 
---fast is the pre-commit profile: sdlint + sdcheck in --regex-only
-mode (no libclang parse, no compile_commands.json needed) and no
-clang-tidy. Full runs want a configured build directory.
+--fast is the pre-commit profile: sdcheck in --regex-only mode (no
+libclang parse, no compile_commands.json needed) and no clang-tidy.
+Full runs want a configured build directory.
 """
 
 from __future__ import annotations
@@ -61,9 +58,6 @@ def main() -> int:
     py = sys.executable or "python3"
 
     failures = []
-
-    if not run_step("sdlint", [py, tools / "sdlint.py", "--root", root]):
-        failures.append("sdlint")
 
     sdcheck_cmd = [py, tools / "sdcheck.py", "--root", root,
                    "--build", build]

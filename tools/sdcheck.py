@@ -1,21 +1,40 @@
 #!/usr/bin/env python3
-"""sdcheck — AST-grade cross-module invariant analyzer for SmartDIMM.
+"""sdcheck — the SmartDIMM static analyzer for project invariants.
 
-Where tools/sdlint.py holds the cheap per-file text rules, sdcheck does
-the analyses a regex cannot: control-flow-aware dataflow inside
-function bodies and cross-translation-unit joins over registries that
-span src/, tests/ and bench/baselines/. It is driven by libclang over
-the CMake-exported compile_commands.json when the bindings are
-installed (the CI job installs python3-clang); without them it falls
-back to a conservative tokenizer with the same rule semantics, so
-developer machines never silently skip a rule.
+It checks the contracts generic tools (clang-tidy, compiler warnings)
+cannot express: plain per-file text rules, control-flow-aware dataflow
+inside function bodies, and cross-translation-unit joins over
+registries that span src/, tests/ and bench/baselines/. Function
+extents come from libclang over the CMake-exported
+compile_commands.json when the bindings are installed (the CI job
+installs python3-clang); without them a conservative tokenizer with
+the same rule semantics takes over, so developer machines never
+silently skip a rule.
 
 Rule catalogue:
 
+  per-file        plain regex rules over one file's text, identical
+                  under both backends. Scope: src/; the topology-
+                  construction rule also covers bench/ and examples/.
+    determinism     no rand()/srand()/std::random_device: randomness
+                    flows through sd::Rng so runs replay from a seed.
+    iostream        no <iostream> in headers; sinks take std::ostream&.
+    guards          every header has an #ifndef SD_* include guard.
+    recoverable-assert
+                    modules under fault injection degrade instead of
+                    asserting; SD_ASSERTs there match a per-file budget.
+    queue-bypass    CompCpyEngine::startOp() is named only by the engine
+                    and the work queue: one execution path.
+    wakeup-bypass   schedulePass() events are scheduled only inside
+                    requestPass(), which coalesces wakeups.
+    topology-construction
+                    MemorySystem/BufferDevice are constructed only by
+                    the topo::Topology factory, which owns each DIMM's
+                    address window and MMIO base.
   span-flow       every SD_SPAN_BEGIN reaches a matching SD_SPAN_END on
                   *all* paths through the function — early returns,
                   error branches, loops. A path-sensitive dataflow over
-                  a block tree replaces sdlint's old linear count (which
+                  a block tree replaces a linear BEGIN/END count (which
                   both missed early-return leaks and mis-flagged the
                   branch-balanced if/else form). Async flows that hand a
                   span across functions use the raw Tracer API, which
@@ -1208,6 +1227,154 @@ def check_addr_arith(root: pathlib.Path, findings: list, read=None,
 
 
 # --------------------------------------------------------------------------
+# Rule family: per-file — plain regex rules over one file's text
+# --------------------------------------------------------------------------
+
+RANDOM_RE = re.compile(r"\b(?:srand|rand)\s*\(|std\s*::\s*random_device")
+IOSTREAM_RE = re.compile(r"^\s*#\s*include\s*<iostream>", re.MULTILINE)
+GUARD_RE = re.compile(
+    r"^\s*#\s*ifndef\s+(SD_\w+)\s*$\s*^\s*#\s*define\s+\1\s*$",
+    re.MULTILINE)
+ASSERT_RE = re.compile(r"\bSD_ASSERT\s*\(")
+QUEUE_BYPASS_RE = re.compile(r"\bstartOp\s*\(")
+WAKEUP_BYPASS_RE = re.compile(r"\bschedule(?:In)?\s*\([^;]*schedulePass",
+                              re.DOTALL)
+# Only construction matches: references, pointers, container element
+# types and template parameters are uses.
+TOPOLOGY_CTOR_RE = re.compile(
+    r"\bnew\s+(?:[\w:]+\s*::\s*)?(?:MemorySystem|BufferDevice)\b"
+    r"|\bmake_unique\s*<\s*[\w:]*(?:MemorySystem|BufferDevice)\s*>"
+    r"|\b(?:MemorySystem|BufferDevice)\s+\w+\s*[({]")
+
+# Modules threaded with fault-injection sites (src/fault): code here
+# runs under the chaos soak, so a *new* SD_ASSERT is usually a panic on
+# a recoverable path — prefer a degraded-mode completion (kDegraded,
+# rejected registration, bounded retry) and a stat. The budgets count
+# the asserts that guard genuine programming errors, exactly: a file
+# above *or* below its budget is a finding, so budgets only ratchet.
+INJECTED_MODULES = ("mem", "smartdimm", "compcpy", "net")
+RECOVERABLE_ASSERT_BUDGET = {
+    "src/mem/address_map.cc": 3,  # construction-time geometry invariants
+    "src/mem/cxl_link.cc": 2,  # construction-time link-config invariants
+    "src/mem/bank_state.h": 1,
+    "src/mem/dimm_mux.h": 2,  # chip-select decode of a malformed coord
+    "src/mem/memory_controller.cc": 2,
+    "src/smartdimm/buffer_device.cc": 3,
+    "src/smartdimm/config_memory.cc": 4,
+    "src/smartdimm/cuckoo_table.cc": 1,
+    "src/smartdimm/deflate_dsa.cc": 3,
+    "src/smartdimm/scratchpad.cc": 9,
+    "src/smartdimm/tls_dsa.cc": 4,
+    "src/smartdimm/bank_table.h": 1,
+    "src/compcpy/compcpy.cc": 3,
+    "src/compcpy/offload_engine.cc": 2,
+    "src/compcpy/queue.cc": 5,
+    "src/compcpy/driver.h": 2,
+    "src/net/tcp_stream.cc": 1,
+}
+
+# startOp() is CompCpyEngine's private execution hook; only the queue
+# (which owns dispatch ordering) and the engine itself (declaration +
+# sync facade) may name it. Any other call site skips descriptor
+# accounting, completion records and the per-queue fallback decision.
+QUEUE_BYPASS_ALLOWED = {
+    "src/compcpy/compcpy.h",
+    "src/compcpy/compcpy.cc",
+    "src/compcpy/queue.cc",
+}
+
+# requestPass() is the only place allowed to put a schedulePass() event
+# on the queue: it owns the pending-pass flag, the pass epoch and the
+# wakeups_requested/coalesced accounting. The budget is the sites the
+# regex sees there: the uncoalesced reference mode. (The epoch-guarded
+# lambda has a ';' before its schedulePass() call, so it never matches.)
+WAKEUP_BYPASS_BUDGET = {
+    "src/mem/memory_controller.cc": 1,
+}
+
+# The factory computes the per-slot capacity windows, rebases each
+# device's MMIO base into its slot, threads fault scopes and keeps the
+# per-device stat names consistent. A hand-wired rig silently gets one
+# global MMIO window and unscoped faults.
+TOPOLOGY_CTOR_ALLOWED = {
+    "src/topo/topology.h",
+    "src/topo/topology.cc",
+}
+
+
+def _each_match(rule: str, rel: str, clean: str, regex, msg: str) -> list:
+    return [Finding(rule, rel, line_of(clean, m.start()),
+                    " ".join(m.group(0).split()), msg)
+            for m in regex.finditer(clean)]
+
+
+def _exact_budget(rule: str, rel: str, clean: str, regex, budget: int,
+                  what: str, over_msg: str) -> list:
+    matches = list(regex.finditer(clean))
+    if len(matches) == budget:
+        return []
+    if len(matches) > budget:
+        line, advice = line_of(clean, matches[budget].start()), over_msg
+    else:
+        line, advice = 1, ("lower the budget in tools/sdcheck.py so it "
+                           "keeps matching the code")
+    return [Finding(rule, rel, line, what,
+                    f"{rel} has {len(matches)} {what} site(s), budget "
+                    f"{budget}: {advice}")]
+
+
+def check_topology_construction(rel: str, clean: str) -> list:
+    if rel in TOPOLOGY_CTOR_ALLOWED:
+        return []
+    return _each_match(
+        "topology-construction", rel, clean, TOPOLOGY_CTOR_RE,
+        "construct MemorySystem/BufferDevice through the topo::Topology "
+        "factory (topo/topology.h): it owns the address windows, rebased "
+        "MMIO bases, fault scopes and stat names; only tests may wire "
+        "bespoke rigs")
+
+
+def check_per_file(rel: str, text: str, clean: str) -> list:
+    """All seven per-file rules over one src/ file."""
+    findings = _each_match(
+        "determinism", rel, clean, RANDOM_RE,
+        "rand()/srand()/std::random_device breaks replayability; use "
+        "sd::Rng seeded from the config")
+    if rel.endswith(".h"):
+        findings += _each_match(
+            "iostream", rel, clean, IOSTREAM_RE,
+            "<iostream> in a header drags the ios_base initialiser into "
+            "every TU; take std::ostream& instead")
+        if not GUARD_RE.search(text):
+            findings.append(Finding(
+                "guards", rel, 1, "include-guard",
+                "header lacks an #ifndef SD_* include guard"))
+    parts = rel.split("/")
+    if len(parts) >= 2 and parts[-2] in INJECTED_MODULES:
+        findings += _exact_budget(
+            "recoverable-assert", rel, clean, ASSERT_RE,
+            RECOVERABLE_ASSERT_BUDGET.get(rel, 0), "SD_ASSERT",
+            "this module runs under fault injection — handle the failure "
+            "as a degraded mode (retry/reject/kDegraded + stat) or, for a "
+            "genuine invariant, raise RECOVERABLE_ASSERT_BUDGET in "
+            "tools/sdcheck.py")
+    if rel not in QUEUE_BYPASS_ALLOWED:
+        findings += _each_match(
+            "queue-bypass", rel, clean, QUEUE_BYPASS_RE,
+            "startOp() bypasses the work-queue front end; submit a "
+            "Descriptor through a WorkQueue (or the sync facade "
+            "run()/start()) so the call is accounted and reaped")
+    findings += _exact_budget(
+        "wakeup-bypass", rel, clean, WAKEUP_BYPASS_RE,
+        WAKEUP_BYPASS_BUDGET.get(rel, 0), "schedulePass",
+        "scheduling schedulePass() directly bypasses requestPass() wakeup "
+        "coalescing; call requestPass(when) instead (or, for a new "
+        "legitimate site inside it, raise WAKEUP_BYPASS_BUDGET in "
+        "tools/sdcheck.py)")
+    return findings + check_topology_construction(rel, clean)
+
+
+# --------------------------------------------------------------------------
 # Driver: run all rules over the tree
 # --------------------------------------------------------------------------
 
@@ -1218,12 +1385,14 @@ def run_analysis(root: pathlib.Path, build: pathlib.Path,
     functions, backend = make_backend(root, build, regex_only)
     findings = []
 
-    # Per-file rule: span-flow over every src/ translation unit.
+    # Per-file rules and span-flow over every src/ translation unit.
     for path in sorted((root / "src").rglob("*")):
         if path.suffix not in SRC_EXTS or not path.is_file():
             continue
         rel = path.relative_to(root).as_posix()
-        clean = strip_comments_and_strings(path.read_text())
+        text = path.read_text()
+        clean = strip_comments_and_strings(text)
+        findings.extend(check_per_file(rel, text, clean))
         if backend == "libclang":
             fns = functions(path, blank_preprocessor(clean))
             for fn in fns:
@@ -1233,6 +1402,16 @@ def run_analysis(root: pathlib.Path, build: pathlib.Path,
             check_span_flow(rel, clean,
                             lambda _p, c: extract_functions_regex(c),
                             findings)
+
+    # bench/ and examples/ build production-shaped rigs, so the
+    # topology-construction rule (and only it) extends there; tests/
+    # stay free to wire bespoke rigs.
+    for sub in ("bench", "examples"):
+        for path in sorted((root / sub).rglob("*")):
+            if path.suffix in SRC_EXTS | {".cpp"} and path.is_file():
+                findings.extend(check_topology_construction(
+                    path.relative_to(root).as_posix(),
+                    strip_comments_and_strings(path.read_text())))
 
     # Cross-module rules.
     fault_summary = check_fault_coverage(root, findings)
@@ -1367,8 +1546,98 @@ SPAN_SELF_TESTS = [
 ]
 
 
-def _fixture_tree_reader(base: pathlib.Path):
-    return lambda p: pathlib.Path(p).read_text()
+def _sites(asserts: int = 0, wakeups: int = 0) -> str:
+    """Source with @p asserts SD_ASSERTs and @p wakeups direct
+    schedulePass() sites: a case naming a budgeted file holds the
+    budgets it does not test, so rules don't cross-report."""
+    return ("void g() {" + " SD_ASSERT(a, \"x\");" * asserts + " }\n" +
+            "void r() { events_.schedule(t, [this] { schedulePass(); }); }\n"
+            * wakeups)
+
+
+PER_FILE_SELF_TESTS = [
+    # (name, source, suffix, expected rule names); a "/" in the name
+    # makes it the module-relative path under src/.
+    ("rand-call", "int f() { return rand(); }", ".cc", ["determinism"]),
+    ("srand-call", "void f() { srand(42); }", ".cc", ["determinism"]),
+    ("random-device", "#include <random>\nstd::random_device rd;", ".cc",
+     ["determinism"]),
+    ("rand-in-comment", "// rand() is banned\nint f() { return 0; }", ".cc",
+     []),
+    ("rand-in-string",
+     '#ifndef SD_X_H\n#define SD_X_H\nconst char *k = "rand()";\n#endif',
+     ".h", []),
+    ("rand-substring", "int grand() { return strand(); }", ".cc", []),
+    ("iostream-header",
+     "#ifndef SD_A_H\n#define SD_A_H\n#include <iostream>\n#endif", ".h",
+     ["iostream"]),
+    ("iostream-impl", "#include <iostream>\nint x;", ".cc", []),
+    ("guard-missing", "int x;", ".h", ["guards"]),
+    # recoverable-assert
+    ("mem/new_unit", "void f() { SD_ASSERT(x, \"boom\"); }", ".cc",
+     ["recoverable-assert"]),
+    ("mem/memory_controller", _sites(2, 1), ".cc", []),  # at budget
+    ("mem/memory_controller", _sites(3, 1), ".cc",
+     ["recoverable-assert"]),  # above budget
+    ("mem/memory_controller", _sites(1, 1), ".cc",
+     ["recoverable-assert"]),  # below budget: lower it
+    ("trace/trace", "void f() { SD_ASSERT(x, \"fine\"); }", ".cc",
+     []),  # not an injected module
+    ("mem/new_unit2", "// SD_ASSERT(x) would be wrong here\nint x;",
+     ".cc", []),  # comments don't count
+    # queue-bypass
+    ("compcpy/rogue_caller", "void f() { engine.startOp(p, s, cb); }",
+     ".cc", ["queue-bypass"]),
+    ("compcpy/queue", _sites(5) + "void f() { engine_.startOp(p, s, cb); }",
+     ".cc", []),  # the queue is the blessed dispatcher
+    ("compcpy/compcpy", _sites(3) + "void f() { startOp(p, s, cb); }",
+     ".cc", []),  # the engine's own sync facade
+    ("smartdimm/rogue2", "// startOp() is off limits\nint x;", ".cc",
+     []),  # comments don't count
+    # wakeup-bypass
+    ("mem/rogue_scheduler",
+     "void f() { events_.schedule(t, [this] { schedulePass(); }); }",
+     ".cc", ["wakeup-bypass"]),
+    ("mem/rogue_scheduler2",
+     "void f() { events_.scheduleIn(5, [this] { schedulePass(); }); }",
+     ".cc", ["wakeup-bypass"]),
+    # requestPass() as written: the epoch-guarded lambda's ';' hides
+    # its schedulePass() from the regex, so one site counts.
+    ("mem/memory_controller", _sites(2, 1) +
+     "void b() { events_.schedule(t, [this, e] {\n"
+     "  if (e != epoch_) return; schedulePass(); }); }", ".cc", []),
+    ("mem/memory_controller", _sites(2, 2), ".cc",
+     ["wakeup-bypass"]),  # a second site is over budget
+    ("mem/memory_controller", _sites(2, 3), ".cc",
+     ["wakeup-bypass"]),  # so is a third
+    ("mem/ok_request", "void f() { requestPass(clock_.nextEdge(now)); }",
+     ".cc", []),  # the blessed entry point
+    ("mem/comment_only", "// events_.schedule(t, schedulePass) is banned\n",
+     ".cc", []),  # comments don't count
+    # topology-construction
+    ("cache/rogue_rig",
+     "void f() { cache::MemorySystem memory(e, g, i, c, d); }", ".cc",
+     ["topology-construction"]),
+    ("smartdimm/rogue_dimm",
+     "void f() { smartdimm::BufferDevice dimm(e, m, s); }", ".cc",
+     ["topology-construction"]),
+    ("app/rogue_ptr",
+     "auto m = std::make_unique<cache::MemorySystem>(a, b);", ".cc",
+     ["topology-construction"]),
+    ("app/rogue_new",
+     "auto *d = new smartdimm::BufferDevice(a, b, c);", ".cc",
+     ["topology-construction"]),
+    ("topo/topology",
+     "void f() { cache::MemorySystem memory(a, b); }", ".cc",
+     []),  # the factory itself is the blessed construction site
+    ("cache/ref_ok",
+     "void f(cache::MemorySystem &m, smartdimm::BufferDevice *d) "
+     "{ m.writeSync(0, p, n); }", ".cc",
+     []),  # references and pointers are uses, not construction
+    ("cache/member_ok",
+     "void f() { std::deque<smartdimm::BufferDevice> pool; }", ".cc",
+     []),  # container element types are not construction sites
+]
 
 
 def run_fixture(root: pathlib.Path, rule: str) -> list:
@@ -1419,7 +1688,23 @@ def self_test(repo_root: pathlib.Path) -> int:
         else:
             print(f"ok   span-flow/{name}")
 
-    # 2. On-disk fixtures: tests/tools/fixtures/<rule>/{good,bad}/ —
+    # 2. Embedded per-file corpus.
+    for name, source, suffix, expected in PER_FILE_SELF_TESTS:
+        rel = f"src/{name}{suffix}" if "/" in name else \
+            f"<self-test:{name}>{suffix}"
+        findings = check_per_file(rel, source,
+                                  strip_comments_and_strings(source))
+        got = sorted(f.rule for f in findings)
+        if got != sorted(expected):
+            failures += 1
+            print(f"FAIL per-file/{name}: expected {sorted(expected)}, "
+                  f"got {got}")
+            for f in findings:
+                print(f"    {f}")
+        else:
+            print(f"ok   per-file/{name}")
+
+    # 3. On-disk fixtures: tests/tools/fixtures/<rule>/{good,bad}/ —
     # good trees must be clean, bad trees must raise >= 1 finding of
     # their rule.
     fixtures = repo_root / "tests" / "tools" / "fixtures"
@@ -1451,7 +1736,7 @@ def self_test(repo_root: pathlib.Path) -> int:
         failures += 1
         print(f"FAIL fixtures directory missing: {fixtures}")
 
-    # 3. Baseline mechanics.
+    # 4. Baseline mechanics.
     fs = [Finding("r", "f.cc", 1, "ctx", "m"),
           Finding("r", "f.cc", 2, "ctx", "m"),
           Finding("r2", "g.cc", 3, "other", "m")]
