@@ -20,7 +20,7 @@ namespace {
 Tick
 runCopy(bool ordered)
 {
-    bench::DeviceRig rig;
+    topo::Topology rig(bench::deviceSpec());
     Rng rng(21);
     constexpr std::size_t kMsg = 4096;
     constexpr int kCalls = 24;
@@ -32,7 +32,7 @@ runCopy(bool ordered)
         const Addr dbuf = sbuf + 4 * kPageSize;
         std::vector<std::uint8_t> data(kMsg);
         rng.fill(data.data(), data.size());
-        rig.memory->writeSync(sbuf, data.data(), data.size());
+        rig.memory().writeSync(sbuf, data.data(), data.size());
 
         compcpy::CompCpyParams params;
         params.sbuf = sbuf;
@@ -44,10 +44,10 @@ runCopy(bool ordered)
         rng.fill(params.key, sizeof(params.key));
         rng.fill(params.iv.data(), params.iv.size());
 
-        const Tick start = rig.events.now();
-        rig.engine.run(params);
-        total += rig.events.now() - start;
-        rig.engine.useSync(dbuf, kMsg + kPageSize);
+        const Tick start = rig.events().now();
+        rig.slot(0).engine.run(params);
+        total += rig.events().now() - start;
+        rig.slot(0).engine.useSync(dbuf, kMsg + kPageSize);
     }
     return total / kCalls;
 }

@@ -1,8 +1,8 @@
 /**
  * @file
  * Shared helpers for the figure/table reproduction harnesses: row
- * printing and the standard system rig (memory system + SmartDIMM
- * buffer device + CompCpy engine) used by the device-level benches.
+ * printing, JSON artefacts and the spec of the standard one-channel
+ * system the device-level benches build as a topo::Topology.
  */
 
 #ifndef SD_BENCH_BENCH_UTIL_H
@@ -11,7 +11,6 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -19,12 +18,7 @@
 #include <utility>
 #include <vector>
 
-#include "cache/memory_system.h"
-#include "compcpy/compcpy.h"
-#include "compcpy/driver.h"
 #include "kernels/dispatch.h"
-#include "sim/event_queue.h"
-#include "smartdimm/buffer_device.h"
 #include "topo/topology.h"
 #include "trace/trace.h"
 
@@ -40,57 +34,19 @@ header(const char *artifact, const char *description)
 }
 
 /**
- * One-channel SmartDIMM system rig for device-level experiments.
- * Built through the topology factory (a 1x1 Topology keeps the legacy
- * single-device layout bit-for-bit); the flat member references
- * preserve the historical rig field names the benches were written
- * against.
+ * Spec of the one-channel SmartDIMM system the device-level benches
+ * run on: a 1x1 Topology with an LLC of @p llc_bytes and @p llc_ways
+ * ways, all of them open to the CPU.
  */
-struct DeviceRig
+inline topo::TopologySpec
+deviceSpec(std::size_t llc_bytes = 32ull << 20, unsigned llc_ways = 16)
 {
-    topo::Topology topo;
-    EventQueue &events;
-    mem::BackingStore &store;
-    const mem::DramGeometry &geometry;
-    const mem::AddressMap &map;
-    smartdimm::BufferDevice &dimm;
-    cache::MemorySystem *memory;
-    compcpy::Driver &driver;
-    compcpy::CompCpyEngine::SharedState &shared;
-    compcpy::CompCpyEngine &engine;
-
-    explicit DeviceRig(std::size_t llc_bytes = 32ull << 20,
-                       unsigned llc_ways = 16)
-        : topo(makeSpec(llc_bytes, llc_ways)), events(topo.events()),
-          store(topo.store()), geometry(topo.geometry()),
-          map(topo.addressMap()), dimm(topo.slot(0u).device),
-          memory(&topo.memory()), driver(topo.slot(0u).driver),
-          shared(topo.slot(0u).shared), engine(topo.slot(0u).engine)
-    {
-    }
-
-    static topo::TopologySpec
-    makeSpec(std::size_t llc_bytes, unsigned llc_ways)
-    {
-        topo::TopologySpec spec;
-        spec.llc.size_bytes = llc_bytes;
-        spec.llc.ways = llc_ways;
-        spec.llc.cpu_ways = llc_ways;
-        return spec;
-    }
-
-    /**
-     * Register every rig component into @p registry: the memory
-     * system ("llc", "mc.chN"), the CompCpy engine ("compcpy") and
-     * the buffer device ("smartdimm"). The registry must not outlive
-     * the rig.
-     */
-    void
-    registerStats(trace::StatsRegistry &registry) const
-    {
-        topo.registerStats(registry);
-    }
-};
+    topo::TopologySpec spec;
+    spec.llc.size_bytes = llc_bytes;
+    spec.llc.ways = llc_ways;
+    spec.llc.cpu_ways = llc_ways;
+    return spec;
+}
 
 /**
  * Dump @p registry as `<name>_stats.json` next to the bench's normal

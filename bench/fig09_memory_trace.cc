@@ -56,9 +56,9 @@ main()
                   "rd/wrCAS memory trace of 4 cores running "
                   "concurrent CompCpys (32 MB apart)");
 
-    bench::DeviceRig rig(/*llc=*/4ull << 20);
+    topo::Topology rig(bench::deviceSpec(/*llc=*/4ull << 20));
     Trace trace;
-    rig.memory->controller(0).setObserver(&trace);
+    rig.memory().controller(0).setObserver(&trace);
 
     // Span tracing with the DDR mirror on: the spans JSON carries the
     // same CAS stream as the CSV, attributed to CompCpy spans.
@@ -84,7 +84,7 @@ main()
             const Addr dbuf = sbuf + (16ULL << 20);
             std::vector<std::uint8_t> data(kMsg);
             rng.fill(data.data(), data.size());
-            rig.memory->writeSync(sbuf, data.data(), data.size());
+            rig.memory().writeSync(sbuf, data.data(), data.size());
 
             compcpy::CompCpyParams params;
             params.sbuf = sbuf;
@@ -96,15 +96,15 @@ main()
             rng.fill(params.iv.data(), params.iv.size());
 
             ++outstanding;
-            rig.engine.start(params, [&outstanding, &rig, dbuf] {
+            rig.slot(0).engine.start(params, [&outstanding, &rig, dbuf] {
                 --outstanding;
                 // USE: flush the destination so self-recycle drains.
-                rig.engine.use(dbuf, kMsg + kPageSize, [] {});
+                rig.slot(0).engine.use(dbuf, kMsg + kPageSize, [] {});
             });
         }
-        rig.events.run();
+        rig.events().run();
     }
-    rig.events.run();
+    rig.events().run();
 
     // Summarise.
     std::uint64_t reads = 0;
@@ -141,7 +141,7 @@ main()
                     trace.rows.size());
     }
 
-    const auto &arb = rig.dimm.stats();
+    const auto &arb = rig.slot(0).device.stats();
     std::printf("device: sbuf_reads=%llu recycles=%llu alert_n=%llu\n",
                 static_cast<unsigned long long>(arb.sbuf_reads),
                 static_cast<unsigned long long>(arb.dbuf_recycles),

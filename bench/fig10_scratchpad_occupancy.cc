@@ -23,7 +23,7 @@ namespace {
 void
 runProvision(std::size_t llc_bytes, const char *label)
 {
-    bench::DeviceRig rig(llc_bytes);
+    topo::Topology rig(bench::deviceSpec(llc_bytes));
     Rng rng(7);
     constexpr std::size_t kMsg = 4096;
     constexpr int kOffloads = 1200;
@@ -39,7 +39,7 @@ runProvision(std::size_t llc_bytes, const char *label)
         const Addr dbuf = sbuf + kPageSize * 3;
         std::vector<std::uint8_t> data(kMsg);
         rng.fill(data.data(), data.size());
-        rig.memory->writeSync(sbuf, data.data(), data.size());
+        rig.memory().writeSync(sbuf, data.data(), data.size());
 
         compcpy::CompCpyParams params;
         params.sbuf = sbuf;
@@ -50,19 +50,19 @@ runProvision(std::size_t llc_bytes, const char *label)
         rng.fill(params.key, sizeof(params.key));
         rng.fill(params.iv.data(), params.iv.size());
 
-        rig.engine.run(params);
+        rig.slot(0).engine.run(params);
         // No explicit USE flush: recycling relies on the LLC's own
         // capacity evictions of the dirty destination lines, exactly
         // the Self-Recycle equilibrium of Sec. IV-B.
         if (i % 60 == 59)
-            samples.push_back(rig.dimm.scratchpad().occupancyBytes());
+            samples.push_back(rig.slot(0).device.scratchpad().occupancyBytes());
     }
 
     for (std::size_t i = 0; i < samples.size(); ++i)
         std::printf("  t=%3zu occupancy=%7.1f KB\n", (i + 1) * 60,
                     static_cast<double>(samples[i]) / 1024.0);
 
-    const auto &sp = rig.dimm.scratchpad().stats();
+    const auto &sp = rig.slot(0).device.scratchpad().stats();
     std::printf("  equilibrium=%.1f KB peak=%.1f KB self_recycles=%llu "
                 "force_recycles=%llu\n",
                 static_cast<double>(samples.back()) / 1024.0,

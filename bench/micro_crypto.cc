@@ -106,7 +106,7 @@ BENCHMARK(BM_TlsRecordProtect);
 void
 BM_DeviceCompCpy4K(benchmark::State &state)
 {
-    bench::DeviceRig rig;
+    topo::Topology rig(bench::deviceSpec());
     Rng rng(5);
     std::vector<std::uint8_t> data(4096);
     rng.fill(data.data(), data.size());
@@ -115,7 +115,7 @@ BM_DeviceCompCpy4K(benchmark::State &state)
         const Addr sbuf =
             (1ULL << 20) + (i % 1024) * 8 * kPageSize;
         const Addr dbuf = sbuf + 4 * kPageSize;
-        rig.memory->writeSync(sbuf, data.data(), data.size());
+        rig.memory().writeSync(sbuf, data.data(), data.size());
         compcpy::CompCpyParams params;
         params.sbuf = sbuf;
         params.dbuf = dbuf;
@@ -123,8 +123,8 @@ BM_DeviceCompCpy4K(benchmark::State &state)
         params.ulp = smartdimm::UlpKind::kTlsEncrypt;
         params.message_id = ++i;
         rng.fill(params.key, sizeof(params.key));
-        rig.engine.run(params);
-        rig.engine.useSync(dbuf, 4096 + kPageSize);
+        rig.slot(0).engine.run(params);
+        rig.slot(0).engine.useSync(dbuf, 4096 + kPageSize);
     }
     state.SetBytesProcessed(
         static_cast<std::int64_t>(state.iterations()) * 4096);

@@ -30,6 +30,7 @@
 
 #include "bench/bench_util.h"
 #include "common/random.h"
+#include "common/stats.h"
 #include "offload/placement.h"
 #include "topo/dispatcher.h"
 
@@ -55,16 +56,6 @@ struct Row
     std::uint64_t withheld_completions = 0;
     std::uint64_t link_transfers = 0;
 };
-
-Tick
-percentile(const std::vector<Tick> &sorted, double p)
-{
-    if (sorted.empty())
-        return 0;
-    const auto idx = static_cast<std::size_t>(
-        p * static_cast<double>(sorted.size() - 1) + 0.5);
-    return sorted[std::min(idx, sorted.size() - 1)];
-}
 
 /** Modeled CPU-path vs tier-path cycles per record at @p link_ns. */
 double
@@ -165,8 +156,10 @@ runPoint(const char *name, double link_ns)
                                 static_cast<double>(elapsed)
                           : 0;
     std::sort(latencies.begin(), latencies.end());
-    row.p50_us = static_cast<double>(percentile(latencies, 0.50)) / 1e6;
-    row.p99_us = static_cast<double>(percentile(latencies, 0.99)) / 1e6;
+    row.p50_us =
+        static_cast<double>(sortedPercentile(latencies, 0.50)) / 1e6;
+    row.p99_us =
+        static_cast<double>(sortedPercentile(latencies, 0.99)) / 1e6;
     row.speedup_vs_cpu = modeledSpeedup(link_ns);
 
     const compcpy::WorkQueueStats &qs =

@@ -18,11 +18,11 @@ namespace {
 
 /** Flush one page and return elapsed ticks. */
 Tick
-flushPage(bench::DeviceRig &rig, Addr page)
+flushPage(topo::Topology &rig, Addr page)
 {
-    const Tick start = rig.events.now();
-    rig.memory->flushSync(page, kPageSize);
-    return rig.events.now() - start;
+    const Tick start = rig.events().now();
+    rig.memory().flushSync(page, kPageSize);
+    return rig.events().now() - start;
 }
 
 } // namespace
@@ -33,7 +33,7 @@ main()
     bench::header("Flush microbenchmark (Sec. IV-A)",
                   "clflush of 4 KB: cached-dirty vs already-in-DRAM");
 
-    bench::DeviceRig rig;
+    topo::Topology rig(bench::deviceSpec());
     Rng rng(5);
     std::vector<std::uint8_t> data(kPageSize);
 
@@ -45,7 +45,7 @@ main()
 
         // Case 1: page dirty in the LLC (just written by the app).
         rng.fill(data.data(), data.size());
-        rig.memory->writeSync(page, data.data(), data.size());
+        rig.memory().writeSync(page, data.data(), data.size());
         dirty_ns += static_cast<double>(flushPage(rig, page)) / 1e3;
 
         // Case 2: page already in DRAM (previously flushed; cache

@@ -63,7 +63,7 @@ struct Workload
 };
 
 Workload
-stage(bench::DeviceRig &rig)
+stage(topo::Topology &rig)
 {
     Workload w;
     Rng rng(71);
@@ -71,10 +71,10 @@ stage(bench::DeviceRig &rig)
 
     for (std::size_t i = 0; i < kOffloads; ++i) {
         rng.fill(plain.data(), plain.size());
-        const Addr sbuf = rig.driver.alloc(kRecordBytes);
-        const Addr dbuf = rig.driver.alloc(kPageSize);
-        rig.memory->writeSync(sbuf, plain.data(), plain.size());
-        rig.memory->flushSync(sbuf, plain.size());
+        const Addr sbuf = rig.slot(0).driver.alloc(kRecordBytes);
+        const Addr dbuf = rig.slot(0).driver.alloc(kPageSize);
+        rig.memory().writeSync(sbuf, plain.data(), plain.size());
+        rig.memory().flushSync(sbuf, plain.size());
 
         compcpy::CompCpyParams params;
         params.sbuf = sbuf;
@@ -110,18 +110,18 @@ offloadsPerSec(Tick elapsed)
 Row
 runSerial()
 {
-    bench::DeviceRig rig;
+    topo::Topology rig(bench::deviceSpec());
     const Workload w = stage(rig);
-    const Tick start = rig.events.now();
+    const Tick start = rig.events().now();
     for (const auto &op : w.ops)
-        rig.engine.run(op);
-    const Tick elapsed = rig.events.now() - start;
+        rig.slot(0).engine.run(op);
+    const Tick elapsed = rig.events().now() - start;
 
     Row row;
     row.mode = "serial_sync";
     row.depth = 0;
     row.offloads_per_sec = offloadsPerSec(elapsed);
-    const auto &lat = rig.engine.syncQueue().completionLatency();
+    const auto &lat = rig.slot(0).engine.syncQueue().completionLatency();
     row.p50_us = static_cast<double>(lat.percentile(0.50)) / 1e6;
     row.p99_us = static_cast<double>(lat.percentile(0.99)) / 1e6;
     return row;
@@ -134,7 +134,7 @@ runSerial()
 Row
 runAsync(std::size_t depth, std::size_t batch)
 {
-    bench::DeviceRig rig;
+    topo::Topology rig(bench::deviceSpec());
     const Workload w = stage(rig);
 
     WorkQueueConfig cfg;
@@ -142,7 +142,7 @@ runAsync(std::size_t depth, std::size_t batch)
     cfg.mode = QueueMode::kDedicated;
     cfg.depth = depth;
     cfg.max_inflight = depth * batch;
-    WorkQueue queue(rig.engine, cfg);
+    WorkQueue queue(rig.slot(0).engine, cfg);
 
     const std::size_t descriptors = kOffloads / batch;
     std::size_t next = 0;
@@ -164,11 +164,11 @@ runAsync(std::size_t depth, std::size_t batch)
         submitNext();
     };
 
-    const Tick start = rig.events.now();
+    const Tick start = rig.events().now();
     for (std::size_t i = 0; i < depth && next < descriptors; ++i)
         submitNext();
-    rig.events.run();
-    const Tick elapsed = rig.events.now() - start;
+    rig.events().run();
+    const Tick elapsed = rig.events().now() - start;
 
     Row row;
     row.mode = batch > 1 ? "async_batch8" : "async";

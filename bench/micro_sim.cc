@@ -39,6 +39,7 @@
 
 #include "bench/bench_util.h"
 #include "common/random.h"
+#include "sim/clock.h"
 
 using namespace sd;
 
@@ -47,7 +48,6 @@ namespace {
 constexpr std::size_t kMessages = 32;
 constexpr std::size_t kBatches = 64; ///< timed batches after the warm-up
 constexpr std::size_t kMessageBytes = 4096;
-constexpr Tick kDramPeriod = 625; // DDR4-3200 command clock, ps/cycle
 
 struct Row
 {
@@ -63,16 +63,16 @@ struct Row
 
 /** Pre-staged 4 KB TLS messages on a fresh rig (staging untimed). */
 std::vector<compcpy::CompCpyParams>
-stage(bench::DeviceRig &rig)
+stage(topo::Topology &rig)
 {
     Rng rng(7);
     std::vector<compcpy::CompCpyParams> ops;
     std::vector<std::uint8_t> plain(kMessageBytes);
     for (std::size_t i = 0; i < kMessages; ++i) {
         rng.fill(plain.data(), plain.size());
-        const Addr sbuf = rig.driver.alloc(kMessageBytes);
-        const Addr dbuf = rig.driver.alloc(2 * kPageSize);
-        rig.memory->writeSync(sbuf, plain.data(), plain.size());
+        const Addr sbuf = rig.slot(0).driver.alloc(kMessageBytes);
+        const Addr dbuf = rig.slot(0).driver.alloc(2 * kPageSize);
+        rig.memory().writeSync(sbuf, plain.data(), plain.size());
 
         compcpy::CompCpyParams params;
         params.sbuf = sbuf;
@@ -96,7 +96,7 @@ enum class TraceMode
 Row
 measure(TraceMode mode)
 {
-    bench::DeviceRig rig;
+    topo::Topology rig(bench::deviceSpec());
     auto ops = stage(rig);
 
     auto &tr = trace::tracer();
@@ -109,14 +109,14 @@ measure(TraceMode mode)
     auto runBatch = [&] {
         for (auto &op : ops) {
             op.message_id = message_id++;
-            rig.engine.run(op);
+            rig.slot(0).engine.run(op);
         }
     };
     runBatch(); // warm the caches and the row buffers
 
     using Clock = std::chrono::steady_clock;
-    const Tick tick0 = rig.events.now();
-    const std::uint64_t ev0 = rig.events.executed();
+    const Tick tick0 = rig.events().now();
+    const std::uint64_t ev0 = rig.events().executed();
     const auto start = Clock::now();
     for (std::size_t b = 0; b < kBatches; ++b) {
         runBatch();
@@ -133,12 +133,12 @@ measure(TraceMode mode)
                                            : "trace_ddr";
     row.wall_ns =
         std::chrono::duration<double, std::nano>(now - start).count();
-    row.sim_ticks = rig.events.now() - tick0;
-    row.events = rig.events.executed() - ev0;
+    row.sim_ticks = rig.events().now() - tick0;
+    row.events = rig.events().executed() - ev0;
     row.ops = kBatches * kMessages;
     const double wall_s = row.wall_ns / 1e9;
     row.sim_cycles_per_sec =
-        static_cast<double>(row.sim_ticks / kDramPeriod) / wall_s;
+        static_cast<double>(row.sim_ticks / kDramClockPeriod) / wall_s;
     row.events_per_sec = static_cast<double>(row.events) / wall_s;
     row.ops_per_sec = static_cast<double>(row.ops) / wall_s;
 

@@ -58,17 +58,17 @@ main()
     constexpr std::size_t kMsg = 4096;
 
     for (int t = 0; t < kTrials; ++t) {
-        bench::DeviceRig rig;
+        topo::Topology rig(bench::deviceSpec());
         SlackProbe probe;
         probe.sbuf = (1ULL << 20);
         probe.dbuf = (1ULL << 20) + (8ULL << 20);
         probe.window = kMsg;
-        rig.memory->controller(0).setObserver(&probe);
+        rig.memory().controller(0).setObserver(&probe);
 
         Rng rng(10 + t);
         std::vector<std::uint8_t> data(kMsg);
         rng.fill(data.data(), data.size());
-        rig.memory->writeSync(probe.sbuf, data.data(), data.size());
+        rig.memory().writeSync(probe.sbuf, data.data(), data.size());
 
         compcpy::CompCpyParams params;
         params.sbuf = probe.sbuf;
@@ -79,8 +79,8 @@ main()
         rng.fill(params.key, sizeof(params.key));
         rng.fill(params.iv.data(), params.iv.size());
 
-        rig.engine.run(params);
-        rig.engine.useSync(probe.dbuf, kMsg + kPageSize);
+        rig.slot(0).engine.run(params);
+        rig.slot(0).engine.useSync(probe.dbuf, kMsg + kPageSize);
 
         const double slack_us =
             static_cast<double>(probe.first_write - probe.first_read) /

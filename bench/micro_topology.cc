@@ -29,6 +29,7 @@
 
 #include "bench/bench_util.h"
 #include "common/random.h"
+#include "common/stats.h"
 #include "topo/dispatcher.h"
 
 using namespace sd;
@@ -52,16 +53,6 @@ struct Row
     std::uint64_t shed_to_sibling = 0;
     std::uint64_t shed_to_cpu = 0;
 };
-
-Tick
-percentile(const std::vector<Tick> &sorted, double p)
-{
-    if (sorted.empty())
-        return 0;
-    const auto idx = static_cast<std::size_t>(
-        p * static_cast<double>(sorted.size() - 1) + 0.5);
-    return sorted[std::min(idx, sorted.size() - 1)];
-}
 
 Row
 runShape(unsigned channels, unsigned dimms)
@@ -143,8 +134,10 @@ runShape(unsigned channels, unsigned dimms)
                                 static_cast<double>(elapsed)
                           : 0;
     std::sort(latencies.begin(), latencies.end());
-    row.p50_us = static_cast<double>(percentile(latencies, 0.50)) / 1e6;
-    row.p99_us = static_cast<double>(percentile(latencies, 0.99)) / 1e6;
+    row.p50_us =
+        static_cast<double>(sortedPercentile(latencies, 0.50)) / 1e6;
+    row.p99_us =
+        static_cast<double>(sortedPercentile(latencies, 0.99)) / 1e6;
     row.shed_to_sibling = dispatcher.stats().shed_to_sibling;
     row.shed_to_cpu = dispatcher.stats().shed_to_cpu;
     return row;

@@ -23,12 +23,12 @@ main()
                   "buffer-device power at observed and full channel "
                   "utilisation");
 
-    bench::DeviceRig rig;
+    topo::Topology rig(bench::deviceSpec());
     Rng rng(3);
     constexpr std::size_t kMsg = 16384;
     constexpr int kOffloads = 60;
 
-    const Tick start = rig.events.now();
+    const Tick start = rig.events().now();
     std::uint64_t message_id = 1;
     for (int i = 0; i < kOffloads; ++i) {
         const Addr sbuf =
@@ -36,7 +36,7 @@ main()
         const Addr dbuf = sbuf + 8 * kPageSize;
         std::vector<std::uint8_t> data(kMsg);
         rng.fill(data.data(), data.size());
-        rig.memory->writeSync(sbuf, data.data(), data.size());
+        rig.memory().writeSync(sbuf, data.data(), data.size());
 
         compcpy::CompCpyParams params;
         params.sbuf = sbuf;
@@ -46,13 +46,13 @@ main()
         params.message_id = message_id++;
         rng.fill(params.key, sizeof(params.key));
         rng.fill(params.iv.data(), params.iv.size());
-        rig.engine.run(params);
-        rig.engine.useSync(dbuf, kMsg + kPageSize);
+        rig.slot(0).engine.run(params);
+        rig.slot(0).engine.useSync(dbuf, kMsg + kPageSize);
     }
-    const Tick window = rig.events.now() - start;
+    const Tick window = rig.events().now() - start;
 
     const auto report = smartdimm::estimatePower(
-        rig.dimm, window, rig.memory->dramBytes());
+        rig.slot(0).device, window, rig.memory().dramBytes());
 
     std::printf("%-26s %10s %12s\n", "component", "watts", "fabric_%");
     for (const auto &row : report.rows)

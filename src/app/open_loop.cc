@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "common/stats.h"
 #include "smartdimm/deflate_dsa.h"
 
 namespace sd::app {
@@ -27,16 +28,6 @@ cpuServiceTicks(const OpenLoopConfig &config, std::size_t bytes)
             cpu.deflate_setup_cycles;
     const double ns = cycles / cpu.freq_ghz;
     return static_cast<Tick>(ns * 1000.0);
-}
-
-Tick
-percentile(std::vector<Tick> &sorted, double p)
-{
-    if (sorted.empty())
-        return 0;
-    const auto idx = static_cast<std::size_t>(
-        p * static_cast<double>(sorted.size() - 1) + 0.5);
-    return sorted[std::min(idx, sorted.size() - 1)];
 }
 
 } // namespace
@@ -186,9 +177,9 @@ runOpenLoopServer(const OpenLoopConfig &config)
         static_cast<double>(span);
     std::sort(st.latencies.begin(), st.latencies.end());
     result.p50_us =
-        static_cast<double>(percentile(st.latencies, 0.50)) / 1e6;
+        static_cast<double>(sortedPercentile(st.latencies, 0.50)) / 1e6;
     result.p99_us =
-        static_cast<double>(percentile(st.latencies, 0.99)) / 1e6;
+        static_cast<double>(sortedPercentile(st.latencies, 0.99)) / 1e6;
     result.max_us = st.latencies.empty()
                         ? 0
                         : static_cast<double>(st.latencies.back()) / 1e6;

@@ -7,23 +7,21 @@
 
 namespace sd::cache {
 
-MemorySystem::MemorySystem(EventQueue &events,
-                           const mem::DramGeometry &geometry,
-                           mem::ChannelInterleave interleave,
+MemorySystem::MemorySystem(EventQueue &events, const mem::AddressMap &map,
                            const CacheConfig &cache_config,
                            std::vector<mem::DimmDevice *> devices,
                            const mem::DramTiming &timing,
                            const mem::ControllerConfig &mc_config,
                            const HostLatencies &latencies)
-    : events_(events), map_(geometry, interleave), llc_(cache_config),
-      latencies_(latencies)
+    : events_(events), map_(map), llc_(cache_config), latencies_(latencies)
 {
-    SD_ASSERT(devices.size() == geometry.channels,
+    const unsigned channels = map.geometry().channels;
+    SD_ASSERT(devices.size() == channels,
               "need exactly one device per channel");
-    for (unsigned ch = 0; ch < geometry.channels; ++ch)
+    for (unsigned ch = 0; ch < channels; ++ch)
         controllers_.push_back(std::make_unique<mem::MemoryController>(
             events_, map_, timing, mc_config, ch, *devices[ch]));
-    links_.resize(geometry.channels, nullptr);
+    links_.resize(channels, nullptr);
 }
 
 void

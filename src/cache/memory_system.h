@@ -77,10 +77,11 @@ class MemorySystem
     using Callback = UniqueFunctionT<void(Tick)>;
 
     /**
-     * @param devices one DimmDevice per channel (geometry.channels)
+     * @param map the address layout every channel controller decodes
+     *            with; not owned, must outlive this object
+     * @param devices one DimmDevice per channel (map.geometry().channels)
      */
-    MemorySystem(EventQueue &events, const mem::DramGeometry &geometry,
-                 mem::ChannelInterleave interleave,
+    MemorySystem(EventQueue &events, const mem::AddressMap &map,
                  const CacheConfig &cache_config,
                  std::vector<mem::DimmDevice *> devices,
                  const mem::DramTiming &timing = {},
@@ -129,9 +130,7 @@ class MemorySystem
 
     Cache &llc() { return llc_; }
     const Cache &llc() const { return llc_; }
-    mem::BackingStore &store() { return store_; }
     EventQueue &events() { return events_; }
-    const mem::AddressMap &addressMap() const { return map_; }
     mem::MemoryController &controller(unsigned channel);
     unsigned channels() const
     {
@@ -198,9 +197,8 @@ class MemorySystem
     }
 
     EventQueue &events_;
-    mem::AddressMap map_;
+    const mem::AddressMap &map_;
     Cache llc_;
-    mem::BackingStore store_;
     HostLatencies latencies_;
     std::vector<std::unique_ptr<mem::MemoryController>> controllers_;
     std::vector<mem::CxlLink *> links_; ///< per channel; null = local

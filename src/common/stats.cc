@@ -163,4 +163,14 @@ LogHistogram::percentile(double q) const
     return max_;
 }
 
+Tick
+sortedPercentile(const std::vector<Tick> &sorted, double p)
+{
+    if (sorted.empty())
+        return 0;
+    const auto idx = static_cast<std::size_t>(
+        p * static_cast<double>(sorted.size() - 1) + 0.5);
+    return sorted[std::min(idx, sorted.size() - 1)];
+}
+
 } // namespace sd

@@ -13,6 +13,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/types.h"
+
 namespace sd {
 
 /**
@@ -194,6 +196,12 @@ class Gauge
     std::int64_t value_ = 0;
     std::int64_t peak_ = 0;
 };
+
+/**
+ * The @p p quantile (0..1) of an ascending-sorted sample by rounding
+ * to the nearest index; 0 when empty.
+ */
+Tick sortedPercentile(const std::vector<Tick> &sorted, double p);
 
 } // namespace sd
 

@@ -191,9 +191,6 @@ class CompCpyEngine
 
     const CompCpyStats &stats() const { return stats_; }
 
-    /** Start-to-done latency distribution of completed calls (ticks). */
-    const LogHistogram &callLatency() const { return call_latency_; }
-
     /** Contribute engine counters to a stats dump. */
     void reportStats(trace::StatsBlock &block) const;
 

@@ -81,7 +81,6 @@ class AdaptiveTlsEngine
     /** The dedicated work queue batches offload through. */
     WorkQueue &queue() { return queue_; }
 
-    const CompCpyStats &compcpyStats() const { return compcpy_.stats(); }
     std::uint64_t cpuRecords() const { return cpu_records_; }
     std::uint64_t offloadedRecords() const { return offloaded_records_; }
 

@@ -244,9 +244,6 @@ class WorkQueue
     /** submit→record latency distribution (ticks). */
     const LogHistogram &completionLatency() const { return latency_; }
 
-    /** Occupancy level at each accepted submit (depth utilisation). */
-    const Histogram &occupancyHistogram() const { return occ_hist_; }
-
     /** Peak unrecorded-descriptor occupancy. */
     std::int64_t peakOccupancy() const { return occupancy_.peak(); }
 

@@ -5,9 +5,7 @@
 
 namespace sd::mem {
 
-AddressMap::AddressMap(const DramGeometry &geometry,
-                       ChannelInterleave interleave)
-    : geometry_(geometry), interleave_(interleave)
+AddressMap::AddressMap(const DramGeometry &geometry) : geometry_(geometry)
 {
     // Channel and DIMM counts are extracted by div/mod, so they may be
     // arbitrary; the intra-DIMM fields stay bit-sliced and must be
@@ -36,30 +34,9 @@ AddressMap::decompose(Addr addr) const
     const std::uint64_t channels = geometry_.channels;
     DramCoord coord;
 
-    switch (interleave_) {
-      case ChannelInterleave::kNone:
-        break;
-      case ChannelInterleave::kCapacity:
-        if (channels > 1) {
-            coord.channel = narrowIdx(v / channel_lines_, channels);
-            v %= channel_lines_;
-        }
-        break;
-      case ChannelInterleave::kLine:
-        if (channels > 1) {
-            coord.channel = narrowIdx(v % channels, channels);
-            v /= channels;
-        }
-        break;
-      case ChannelInterleave::kPage:
-        if (channels > 1) {
-            // Rotate whole kLinesPerPage-line pages across channels.
-            const std::uint64_t in_page = bits(v, 0, kPageLineBits);
-            const std::uint64_t page = v >> kPageLineBits;
-            coord.channel = narrowIdx(page % channels, channels);
-            v = ((page / channels) << kPageLineBits) | in_page;
-        }
-        break;
+    if (channels > 1) {
+        coord.channel = narrowIdx(v / channel_lines_, channels);
+        v %= channel_lines_;
     }
 
     if (geometry_.dimms_per_channel > 1) {
@@ -93,27 +70,8 @@ AddressMap::compose(const DramCoord &coord) const
     if (geometry_.dimms_per_channel > 1)
         v += static_cast<std::uint64_t>(coord.dimm) * dimm_lines_;
 
-    switch (interleave_) {
-      case ChannelInterleave::kNone:
-        break;
-      case ChannelInterleave::kCapacity:
-        if (channels > 1)
-            v += static_cast<std::uint64_t>(coord.channel) *
-                 channel_lines_;
-        break;
-      case ChannelInterleave::kLine:
-        if (channels > 1)
-            v = v * channels + coord.channel;
-        break;
-      case ChannelInterleave::kPage:
-        if (channels > 1) {
-            const std::uint64_t in_page = bits(v, 0, kPageLineBits);
-            v = (((v >> kPageLineBits) * channels + coord.channel)
-                 << kPageLineBits) |
-                in_page;
-        }
-        break;
-    }
+    if (channels > 1)
+        v += static_cast<std::uint64_t>(coord.channel) * channel_lines_;
     return v << kLineBits;
 }
 

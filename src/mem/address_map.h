@@ -46,22 +46,20 @@ struct DramCoord
 
 /**
  * Bidirectional address mapper. The layout (from LSB) is:
- *   [6b line offset][channel*][col][bank][bank group][rank][row][dimm]
- * with the channel extracted per the interleave mode (after the line
- * offset for kLine, after the page offset for kPage, as the top-level
- * capacity window for kCapacity, absent for kNone). Channel counts
- * need not be powers of two: channel extraction is div/mod on the
- * line (or page) index, which degenerates to the pow2 bit-slice
- * layout bit-for-bit when the count is a power of two. The DIMM slot
- * is a capacity partition of the channel-local space (each device
- * owns a contiguous dimmBytes() window), sitting above the row bits.
- * Bank bits sit below the row so that sequential 4 KB pages stripe
- * across banks — the open-page-friendly layout servers use.
+ *   [6b line offset][col][bank][bank group][rank][row][dimm][channel]
+ * Each channel owns a contiguous channel_bytes window and each DIMM a
+ * contiguous dimmBytes() window inside it, so every buffer device sees
+ * whole pages of its own window: a CompCpy's sbuf/dbuf pages never
+ * straddle two devices. Channel and DIMM counts need not be powers of
+ * two (both are div/mod capacity partitions); with one channel the
+ * channel field is always 0. Bank bits sit below the row so that
+ * sequential 4 KB pages stripe across banks — the open-page-friendly
+ * layout servers use.
  */
 class AddressMap
 {
   public:
-    AddressMap(const DramGeometry &geometry, ChannelInterleave interleave);
+    explicit AddressMap(const DramGeometry &geometry);
 
     /** Decompose a physical address (line-aligned internally). */
     DramCoord decompose(Addr addr) const;
@@ -73,12 +71,10 @@ class AddressMap
     Addr compose(const DramCoord &coord) const;
 
     const DramGeometry &geometry() const { return geometry_; }
-    ChannelInterleave interleave() const { return interleave_; }
 
   private:
     DramGeometry geometry_;
-    ChannelInterleave interleave_;
-    std::uint64_t channel_lines_; ///< kCapacity window, in lines
+    std::uint64_t channel_lines_; ///< per-channel window, in lines
     std::uint64_t dimm_lines_;    ///< per-DIMM capacity slice, in lines
     unsigned col_bits_;
     unsigned bank_bits_;

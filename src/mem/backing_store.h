@@ -58,9 +58,6 @@ class BackingStore
         }
     }
 
-    /** Number of materialised pages (footprint diagnostics). */
-    std::size_t pageCount() const { return pages_.size(); }
-
   private:
     using Page = std::array<std::uint8_t, kPageSize>;
     std::unordered_map<Addr, std::unique_ptr<Page>> pages_;

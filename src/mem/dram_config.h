@@ -88,15 +88,6 @@ struct ControllerConfig
     Cycles alert_backoff_cap = 8192;  ///< backoff ceiling
 };
 
-/** How physical addresses spread across channels. */
-enum class ChannelInterleave
-{
-    kNone,     ///< one channel owns the whole space (AxDIMM mode)
-    kLine,     ///< consecutive 64 B lines round-robin channels
-    kPage,     ///< consecutive 4 KB pages round-robin channels
-    kCapacity, ///< each channel owns a contiguous channel_bytes window
-};
-
 } // namespace sd::mem
 
 #endif // SD_MEM_DRAM_CONFIG_H

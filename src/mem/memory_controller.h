@@ -122,9 +122,6 @@ class MemoryController
     /** Channel data-bus busy cycles (bandwidth-utilisation metric). */
     std::uint64_t busBusyCycles() const { return bus_busy_cycles_; }
 
-    /** Enqueue-to-data read latency distribution (ticks). */
-    const LogHistogram &readLatency() const { return read_latency_; }
-
     /** Contribute this channel's counters to a stats dump. */
     void reportStats(trace::StatsBlock &block) const;
 
@@ -254,7 +251,7 @@ class MemoryController
     DimmDevice &dimm_;
     CommandObserver *observer_ = nullptr;
     fault::FaultPlan *fault_plan_ = nullptr;
-    ClockDomain clock_{625}; // DDR4-3200 command clock
+    ClockDomain clock_{kDramClockPeriod};
 
     /*
      * Re-entrancy: emit() and the data phases call into the device,

@@ -92,9 +92,6 @@ class Placement
     UlpCost messageCost(Ulp ulp, std::size_t bytes,
                         const LoadContext &ctx) const;
 
-    /** Counters over every messageCost() call so far. */
-    const PlacementEvalStats &evalStats() const { return eval_; }
-
     /** Contribute the evaluation counters to a stats dump. */
     void reportStats(trace::StatsBlock &block) const;
 

@@ -52,22 +52,11 @@ class ClockDomain
     Tick period_;
 };
 
-/**
- * Standard clocks for a DDR4-3200 system: the command/address bus runs
- * at 1600 MHz (data at 3200 MT/s) and the AxDIMM-style buffer device
- * at one quarter of that.
- */
-struct SystemClocks
-{
-    /** DDR4-3200 command clock: 1600 MHz -> 625 ps. */
-    ClockDomain dramClock = ClockDomain(625);
+/** DDR4-3200 command/address clock: 1600 MHz (3200 MT/s) -> 625 ps. */
+inline constexpr Tick kDramClockPeriod = 625;
 
-    /** Buffer device at 1/4 the DRAM clock: 400 MHz -> 2500 ps. */
-    ClockDomain bufferClock = ClockDomain(2500);
-
-    /** Host CPU at 2.8 GHz (Xeon Gold 6242 base clock). */
-    ClockDomain cpuClock = ClockDomain(357);
-};
+/** AxDIMM-style buffer device at 1/4 the DRAM clock: 400 MHz. */
+inline constexpr Tick kBufferClockPeriod = 4 * kDramClockPeriod;
 
 } // namespace sd
 

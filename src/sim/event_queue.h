@@ -97,17 +97,6 @@ class EventQueue
     /** Number of pending (not yet executed) events. */
     std::size_t pending() const { return heap_.size(); }
 
-    /**
-     * Tick of the earliest pending event. Precondition: !empty().
-     * Useful for drivers that interleave simulation with external
-     * work and want to sleep to the next event.
-     */
-    Tick
-    nextAt() const
-    {
-        return heap_.front().when;
-    }
-
     /** Number of events executed so far. */
     std::uint64_t executed() const { return executed_; }
 

@@ -100,22 +100,12 @@ class BufferDevice : public mem::DimmDevice
     const DsaStats &dsaStats() const { return dsa_stats_; }
     const Scratchpad &scratchpad() const { return scratchpad_; }
 
-    /** kQueueStatus contents for queue @p id (zeroes when untracked). */
-    DeviceQueueState
-    queueState(std::size_t id) const
-    {
-        return id < kMaxDeviceQueues ? queues_[id] : DeviceQueueState{};
-    }
-
     /** Contribute arbiter + DSA + scratchpad counters to a dump. */
     void reportStats(trace::StatsBlock &block) const;
     const ConfigMemory &configMemory() const { return config_memory_; }
     const CuckooTable &translationTable() const { return translation_; }
     CuckooTable &translationTable() { return translation_; }
     const SmartDimmConfig &config() const { return config_; }
-
-    /** Hardware deflate pipeline geometry used for new jobs. */
-    compress::HwDeflateConfig &deflateConfig() { return deflate_config_; }
 
     /**
      * Attach a fault plan (not owned; may be null). Device-side sites:
@@ -196,7 +186,7 @@ class BufferDevice : public mem::DimmDevice
     CuckooTable translation_;
     Scratchpad scratchpad_;
     ConfigMemory config_memory_;
-    ClockDomain buffer_clock_{2500}; // 400 MHz
+    ClockDomain buffer_clock_{kBufferClockPeriod};
 
     std::unordered_map<std::uint64_t, SourceEntry> sources_;
     std::unordered_map<std::uint64_t, DestEntry> dests_;

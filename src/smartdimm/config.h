@@ -51,12 +51,6 @@ struct SmartDimmConfig
     {
         return scratchpad_bytes / kPageSize;
     }
-
-    std::size_t
-    configPages() const
-    {
-        return config_memory_bytes / kPageSize;
-    }
 };
 
 /** MMIO register offsets (64-byte-register granularity). */

@@ -50,10 +50,6 @@ class ConfigMemory
     void read(std::uint32_t slot, std::size_t offset, std::uint8_t *dst,
               std::size_t len) const;
 
-    std::size_t freeSlots() const { return free_.size(); }
-    std::size_t capacitySlots() const { return slots_; }
-    std::size_t contextBytes() const { return context_bytes_; }
-
     const ConfigMemoryStats &stats() const { return stats_; }
     void resetStats() { stats_ = ConfigMemoryStats{}; }
 

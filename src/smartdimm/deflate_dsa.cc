@@ -48,8 +48,7 @@ DeflateDsaJob::processLine(unsigned line, const std::uint8_t *data)
         // overlaps this with the line arrivals; the extra latency here
         // models only the pipeline flush.
         result_ = compress::hwDeflateCompress(input_.data(),
-                                              input_.size(), hw_config_,
-                                              &hw_stats_);
+                                              input_.size(), hw_config_);
         SD_ASSERT(result_.size() <= kPageSize,
                   "compressed page exceeded a page (incompressible "
                   "input should use stored blocks)");

@@ -54,9 +54,6 @@ class DeflateDsaJob : public DsaJob
     }
     std::size_t resultBytes() const override;
 
-    /** Pipeline statistics of the finished page. */
-    const compress::HwDeflateStats &hwStats() const { return hw_stats_; }
-
     /** True after an out-of-order line poisoned the stream. */
     bool poisoned() const { return poisoned_; }
 
@@ -67,7 +64,6 @@ class DeflateDsaJob : public DsaJob
     Cycles line_latency_;
     std::vector<std::uint8_t> input_;
     std::vector<std::uint8_t> result_;
-    compress::HwDeflateStats hw_stats_{};
     DsaStats *stats_ = nullptr;
     unsigned next_line_ = 0;
     bool done_ = false;

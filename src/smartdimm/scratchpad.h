@@ -100,8 +100,6 @@ class Scratchpad
     const ScratchpadStats &stats() const { return stats_; }
     void resetStats() { stats_ = ScratchpadStats{}; }
 
-    std::size_t capacityPages() const { return pages_.size(); }
-
   private:
     struct Page
     {

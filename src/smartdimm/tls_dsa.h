@@ -85,9 +85,6 @@ class TlsDsaJob : public DsaJob
     std::uint64_t readyMask() const override;
     std::size_t resultBytes() const override;
 
-    /** Lines of this page that carry message payload. */
-    std::size_t payloadLines() const { return payload_lines_; }
-
   private:
     /** Patch the trailer tag into this page's result bytes (once). */
     void placeTag() const;

@@ -56,25 +56,6 @@ ShardDispatcher::homeSlot(std::uint64_t flow) const
 }
 
 unsigned
-ShardDispatcher::leastLoadedHealthy() const
-{
-    unsigned best = kCpuPath;
-    std::size_t best_occupancy = std::numeric_limits<std::size_t>::max();
-    for (unsigned s = 0; s < topo_.slotCount(); ++s) {
-        if (degraded_[s])
-            continue;
-        const std::size_t occupancy = queues_[s].occupancy();
-        if (occupancy >= config_.queue.depth)
-            continue; // genuinely full — a submit would be rejected
-        if (occupancy < best_occupancy) {
-            best_occupancy = occupancy;
-            best = s;
-        }
-    }
-    return best;
-}
-
-unsigned
 ShardDispatcher::leastLoadedHealthyIn(
     const std::vector<unsigned> &slots) const
 {
@@ -85,7 +66,7 @@ ShardDispatcher::leastLoadedHealthyIn(
             continue;
         const std::size_t occupancy = queues_[s].occupancy();
         if (occupancy >= config_.queue.depth)
-            continue;
+            continue; // genuinely full — a submit would be rejected
         if (occupancy < best_occupancy) {
             best_occupancy = occupancy;
             best = s;
@@ -119,74 +100,48 @@ ShardDispatcher::placeIn(std::uint64_t flow,
 }
 
 unsigned
-ShardDispatcher::placeTiered(std::uint64_t flow, bool hot)
-{
-    // Hot flows home on the local tier, cold flows on the far tier; a
-    // saturated tier sheds into the other one before the CPU path.
-    const auto &preferred = hot ? local_slots_ : far_slots_;
-    const auto &fallback = hot ? far_slots_ : local_slots_;
-    unsigned chosen = placeIn(flow, preferred);
-    if (chosen == kCpuPath && !fallback.empty())
-        chosen = placeIn(flow, fallback);
-    if (chosen == kCpuPath) {
-        ++stats_.shed_to_cpu;
-        return kCpuPath; // not pinned: retry the tiers next op
-    }
-    if (topo_.isFarSlot(chosen))
-        ++stats_.tier_cxl_placements;
-    else
-        ++stats_.tier_local_placements;
-    pins_.emplace(flow, chosen);
-    return chosen;
-}
-
-unsigned
 ShardDispatcher::place(std::uint64_t flow)
 {
-    if (!far_slots_.empty() && !local_slots_.empty()) {
-        const bool hot = heat_.touch(flow);
-        auto pinned = pins_.find(flow);
-        if (pinned != pins_.end()) {
-            const bool far = topo_.isFarSlot(pinned->second);
-            const bool tier_matches = far != hot; // hot<->local
-            if (tier_matches)
-                return pinned->second;
-            // The flow's heat changed since it was pinned: unpin and
-            // re-place it on the matching tier (a migration).
-            pins_.erase(pinned);
-            if (hot)
-                ++stats_.migrations_to_local;
-            else
-                ++stats_.migrations_to_cxl;
-        }
-        ++stats_.placements;
-        return placeTiered(flow, hot);
+    const bool tiered = !far_slots_.empty() && !local_slots_.empty();
+    const bool hot = tiered && heat_.touch(flow);
+    auto pinned = pins_.find(flow);
+    if (pinned != pins_.end()) {
+        // Tiered, a pin holds while its tier matches the heat
+        // (hot<->local); untiered, it always holds.
+        if (!tiered || topo_.isFarSlot(pinned->second) != hot)
+            return pinned->second;
+        // The flow's heat changed since it was pinned: unpin and
+        // re-place it on the matching tier (a migration).
+        pins_.erase(pinned);
+        if (hot)
+            ++stats_.migrations_to_local;
+        else
+            ++stats_.migrations_to_cxl;
     }
 
-    auto pinned = pins_.find(flow);
-    if (pinned != pins_.end())
-        return pinned->second;
-
     ++stats_.placements;
-    const unsigned home = homeSlot(flow);
-    const std::size_t shed_at = std::max<std::size_t>(
-        1, static_cast<std::size_t>(config_.shed_occupancy *
-                                    static_cast<double>(
-                                        config_.queue.depth)));
     unsigned chosen;
-    if (!degraded_[home] && queues_[home].occupancy() < shed_at) {
-        chosen = home;
-        ++stats_.home_hits;
+    if (tiered) {
+        // Hot flows home on the local tier, cold flows on the far
+        // tier; a saturated tier sheds into the other one before the
+        // CPU path.
+        chosen = placeIn(flow, hot ? local_slots_ : far_slots_);
+        if (chosen == kCpuPath)
+            chosen = placeIn(flow, hot ? far_slots_ : local_slots_);
     } else {
-        chosen = leastLoadedHealthy();
-        if (chosen == kCpuPath) {
-            ++stats_.shed_to_cpu;
-            return kCpuPath; // not pinned: retry the DIMMs next op
-        }
-        if (chosen == home)
-            ++stats_.home_hits; // saturated home still least-loaded
+        // One tier holding every slot, so its home is homeSlot(flow).
+        chosen = placeIn(flow,
+                         local_slots_.empty() ? far_slots_ : local_slots_);
+    }
+    if (chosen == kCpuPath) {
+        ++stats_.shed_to_cpu;
+        return kCpuPath; // not pinned: retry the DIMMs next op
+    }
+    if (tiered) {
+        if (topo_.isFarSlot(chosen))
+            ++stats_.tier_cxl_placements;
         else
-            ++stats_.shed_to_sibling;
+            ++stats_.tier_local_placements;
     }
     pins_.emplace(flow, chosen);
     return chosen;

@@ -199,12 +199,9 @@ class ShardDispatcher
     const HeatClassifier &heat() const { return heat_; }
 
   private:
-    unsigned leastLoadedHealthy() const;
-    /** leastLoadedHealthy() restricted to @p slots. */
+    /** Least-occupied healthy, non-full slot of @p slots, or kCpuPath. */
     unsigned
     leastLoadedHealthyIn(const std::vector<unsigned> &slots) const;
-    /** Tier-aware fresh placement of @p flow (pins on success). */
-    unsigned placeTiered(std::uint64_t flow, bool hot);
     /** Home-or-shed within one tier; kCpuPath when saturated. */
     unsigned placeIn(std::uint64_t flow,
                      const std::vector<unsigned> &tier);

@@ -95,9 +95,9 @@ finalizeGeometry(const TopologySpec &spec)
 {
     mem::DramGeometry g = spec.geometry;
     // Far (CXL) channels sit after the local ones in the flat channel
-    // index space; the AddressMap needs no far-awareness because the
-    // capacity interleave already gives every channel a contiguous
-    // window — the CxlLink delays completions, not addressing.
+    // index space; the AddressMap needs no far-awareness because its
+    // layout already gives every channel a contiguous window — the
+    // CxlLink delays completions, not addressing.
     g.channels = spec.totalChannels();
     g.dimms_per_channel = spec.dimms_per_channel;
     return g;
@@ -106,10 +106,7 @@ finalizeGeometry(const TopologySpec &spec)
 } // namespace
 
 Topology::Topology(const TopologySpec &spec)
-    : spec_(spec), geometry_(finalizeGeometry(spec)),
-      map_(geometry_, geometry_.channels > 1 ?
-                          mem::ChannelInterleave::kCapacity :
-                          mem::ChannelInterleave::kNone)
+    : spec_(spec), geometry_(finalizeGeometry(spec)), map_(geometry_)
 {
     SD_ASSERT(geometry_.channels >= 1, "need at least one channel");
     SD_ASSERT(geometry_.dimms_per_channel >= 1, "need at least one DIMM");
@@ -147,12 +144,11 @@ Topology::Topology(const TopologySpec &spec)
             channel_devices.push_back(dimm_slots.front());
     }
 
+    // One map for every decoder: the channel controllers (through the
+    // memory system) and each device's Addr Remap block.
     memory_ = std::make_unique<cache::MemorySystem>(
-        events_, geometry_,
-        channels > 1 ? mem::ChannelInterleave::kCapacity
-                     : mem::ChannelInterleave::kNone,
-        spec_.llc, channel_devices, spec_.timing, spec_.controller,
-        spec_.latencies);
+        events_, map_, spec_.llc, channel_devices, spec_.timing,
+        spec_.controller, spec_.latencies);
 
     // One CXL link per far channel: every DRAM-side access on that
     // channel defers its completion through the link's flit queue.

@@ -5,19 +5,19 @@
  * cuckoo translation tables, config memories, MMIO windows, driver
  * address ranges and CompCpy engines. This factory replaces the
  * implicit single-instance MemorySystem/BufferDevice wiring: every
- * rig — benches, examples, the open-loop server model — builds its
- * system through a Topology, and tools/sdcheck.py bans direct
- * construction elsewhere in src/.
+ * rig — benches, examples, tests, the open-loop server model — builds
+ * its system through a Topology, and tools/sdcheck.py bans direct
+ * construction elsewhere.
  *
- * Address scheme (ChannelInterleave::kCapacity): channel c owns the
+ * Address scheme (the one mem::AddressMap layout): channel c owns the
  * contiguous window [c * channel_bytes, +channel_bytes), and DIMM d
  * within it owns [base + d * dimmBytes(), +dimmBytes()). Contiguous
  * per-device windows are what makes near-memory ULP offload work at
  * all: a CompCpy's source and destination pages must live wholly on
  * one buffer device, since that device's DSA sees only its own
- * channel traffic. Line/page interleave would shred a record across
- * devices. At 1x1 the scheme degenerates to the legacy kNone layout
- * bit-for-bit, so existing golden traces are unaffected.
+ * channel traffic. The factory hands its one AddressMap to the
+ * controllers and to every device's Addr Remap block, so both sides
+ * decode with the same object.
  */
 
 #ifndef SD_TOPO_TOPOLOGY_H
@@ -160,8 +160,6 @@ class Topology
     EventQueue &events() { return events_; }
     cache::MemorySystem &memory() { return *memory_; }
     mem::BackingStore &store() { return store_; }
-    const mem::AddressMap &addressMap() const { return map_; }
-    const mem::DramGeometry &geometry() const { return geometry_; }
     const TopologySpec &spec() const { return spec_; }
 
     /** Flat slot index (channel-major). */

@@ -485,14 +485,4 @@ Tracer::writeJsonFile(const std::string &path,
     return out.good();
 }
 
-bool
-Tracer::writeCsvFile(const std::string &path) const
-{
-    std::ofstream out(path);
-    if (!out)
-        return false;
-    dumpCsv(out);
-    return out.good();
-}
-
 } // namespace sd::trace

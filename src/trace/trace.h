@@ -313,9 +313,6 @@ class Tracer
     bool writeJsonFile(const std::string &path,
                        const StatsRegistry *stats = nullptr) const;
 
-    /** dumpCsv into @p path. @return false on I/O failure. */
-    bool writeCsvFile(const std::string &path) const;
-
   private:
     std::uint32_t spanOfPageLocked(std::uint64_t page) const
         SD_REQUIRES(mu_);

@@ -2,7 +2,7 @@
  * @file
  * MemorySystem facade: cached load/store data integrity through the
  * full controller path, flush-writeback semantics, DMA/DDIO
- * allocation classes, MMIO routing, and multi-channel interleaving.
+ * allocation classes, MMIO routing, and multi-channel routing.
  */
 
 #include <gtest/gtest.h>
@@ -26,16 +26,13 @@ struct Rig
 {
     EventQueue events;
     mem::BackingStore store;
-    mem::DramGeometry geometry;
+    mem::AddressMap map;
     std::vector<std::unique_ptr<PlainDimm>> dimms;
     std::unique_ptr<MemorySystem> memory;
 
-    explicit Rig(unsigned channels = 1,
-                 mem::ChannelInterleave interleave =
-                     mem::ChannelInterleave::kNone,
-                 std::size_t llc_bytes = 1 << 20)
+    explicit Rig(unsigned channels = 1, std::size_t llc_bytes = 1 << 20)
+        : map(makeGeometry(channels))
     {
-        geometry.channels = channels;
         std::vector<mem::DimmDevice *> devices;
         for (unsigned c = 0; c < channels; ++c) {
             dimms.push_back(std::make_unique<PlainDimm>(store));
@@ -43,8 +40,22 @@ struct Rig
         }
         CacheConfig cc;
         cc.size_bytes = llc_bytes;
-        memory = std::make_unique<MemorySystem>(events, geometry,
-                                                interleave, cc, devices);
+        memory = std::make_unique<MemorySystem>(events, map, cc, devices);
+    }
+
+    static mem::DramGeometry
+    makeGeometry(unsigned channels)
+    {
+        mem::DramGeometry g;
+        g.channels = channels;
+        return g;
+    }
+
+    /** First byte of channel @p c's capacity window. */
+    Addr
+    channelBase(unsigned c) const
+    {
+        return static_cast<Addr>(c) * map.geometry().channel_bytes;
     }
 };
 
@@ -82,7 +93,7 @@ TEST(MemorySystem, DirtyDataReachesDramOnlyAfterFlush)
 TEST(MemorySystem, EvictionWritesBackThroughController)
 {
     // Tiny LLC: streaming 4x its capacity forces dirty evictions.
-    Rig rig(1, mem::ChannelInterleave::kNone, 64 * 1024);
+    Rig rig(1, 64 * 1024);
     Rng rng(2);
     std::vector<std::uint8_t> data(256 * 1024);
     rng.fill(data.data(), data.size());
@@ -98,7 +109,7 @@ TEST(MemorySystem, EvictionWritesBackThroughController)
 
 TEST(MemorySystem, ReadBackAfterEvictionIsCoherent)
 {
-    Rig rig(1, mem::ChannelInterleave::kNone, 64 * 1024);
+    Rig rig(1, 64 * 1024);
     Rng rng(3);
     std::vector<std::uint8_t> data(512 * 1024);
     rng.fill(data.data(), data.size());
@@ -155,14 +166,21 @@ TEST(MemorySystem, DmaReadSnoopsCache)
 
 TEST(MemorySystem, MultiChannelLineInterleaveRoundTrip)
 {
-    Rig rig(4, mem::ChannelInterleave::kLine);
+    // One quarter of the data in each channel's capacity window.
+    Rig rig(4);
     Rng rng(4);
     std::vector<std::uint8_t> data(64 * 1024);
     rng.fill(data.data(), data.size());
-    rig.memory->writeSync(0x300000, data.data(), data.size());
-    rig.memory->flushSync(0x300000, data.size());
+    const std::size_t quarter = data.size() / 4;
+    for (unsigned c = 0; c < 4; ++c) {
+        const Addr addr = rig.channelBase(c) + 0x300000;
+        rig.memory->writeSync(addr, data.data() + c * quarter, quarter);
+        rig.memory->flushSync(addr, quarter);
+    }
     std::vector<std::uint8_t> back(data.size());
-    rig.memory->readSync(0x300000, back.data(), back.size());
+    for (unsigned c = 0; c < 4; ++c)
+        rig.memory->readSync(rig.channelBase(c) + 0x300000,
+                             back.data() + c * quarter, quarter);
     EXPECT_EQ(back, data);
 
     // Traffic spread over all four controllers.
@@ -172,10 +190,15 @@ TEST(MemorySystem, MultiChannelLineInterleaveRoundTrip)
 
 TEST(MemorySystem, DramBytesAggregatesChannels)
 {
-    Rig rig(2, mem::ChannelInterleave::kPage);
+    // Half of the data in each of two channel windows.
+    Rig rig(2);
     std::vector<std::uint8_t> data(8 * kPageSize, 0x11);
-    rig.memory->writeSync(0x400000, data.data(), data.size());
-    rig.memory->flushSync(0x400000, data.size());
+    const std::size_t half = data.size() / 2;
+    for (unsigned c = 0; c < 2; ++c) {
+        const Addr addr = rig.channelBase(c) + 0x400000;
+        rig.memory->writeSync(addr, data.data() + c * half, half);
+        rig.memory->flushSync(addr, half);
+    }
     rig.events.run();
     EXPECT_GE(rig.memory->dramBytes(), data.size());
 }

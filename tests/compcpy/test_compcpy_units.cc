@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
 #include "cache/memory_system.h"
@@ -17,6 +16,7 @@
 #include "compcpy/driver.h"
 #include "sim/event_queue.h"
 #include "smartdimm/buffer_device.h"
+#include "topo/topology.h"
 
 namespace {
 
@@ -125,57 +125,27 @@ TEST(AdaptiveProbe, EwmaSmoothsSpikes)
     EXPECT_LT(probe.missRateEwma(), primed + 0.25);
 }
 
-struct EngineRig
+/** One-channel SmartDIMM system: a 1x1 topology with a 4 MB LLC. */
+topo::TopologySpec
+systemSpec()
 {
-    EventQueue events;
-    mem::BackingStore store;
-    mem::DramGeometry geometry;
-    mem::AddressMap map;
-    smartdimm::BufferDevice dimm;
-    std::unique_ptr<cache::MemorySystem> memory;
-    Driver driver;
-    compcpy::CompCpyEngine::SharedState shared;
-    compcpy::CompCpyEngine engine;
-
-    EngineRig()
-        : geometry(makeGeometry()),
-          map(geometry, mem::ChannelInterleave::kNone),
-          dimm(events, map, store), driver(1ULL << 20, 256ULL << 20),
-          engine(makeMemory(), driver, shared)
-    {
-    }
-
-    static mem::DramGeometry
-    makeGeometry()
-    {
-        mem::DramGeometry g;
-        g.channels = 1;
-        return g;
-    }
-
-    cache::MemorySystem &
-    makeMemory()
-    {
-        cache::CacheConfig cc;
-        cc.size_bytes = 4ull << 20;
-        memory = std::make_unique<cache::MemorySystem>(
-            events, geometry, mem::ChannelInterleave::kNone, cc,
-            std::vector<mem::DimmDevice *>{&dimm});
-        return *memory;
-    }
-};
+    topo::TopologySpec spec;
+    spec.llc.size_bytes = 4ull << 20;
+    spec.driver_bytes = 256ULL << 20;
+    return spec;
+}
 
 TEST(CompCpyUnits, StatsTrackCallsAndPages)
 {
-    EngineRig rig;
+    topo::Topology rig(systemSpec());
     Rng rng(3);
     std::vector<std::uint8_t> data(4096);
     rng.fill(data.data(), data.size());
 
     for (int i = 0; i < 3; ++i) {
-        const Addr sbuf = rig.driver.alloc(4096);
-        const Addr dbuf = rig.driver.alloc(8192);
-        rig.memory->writeSync(sbuf, data.data(), data.size());
+        const Addr sbuf = rig.slot(0).driver.alloc(4096);
+        const Addr dbuf = rig.slot(0).driver.alloc(8192);
+        rig.memory().writeSync(sbuf, data.data(), data.size());
         compcpy::CompCpyParams params;
         params.sbuf = sbuf;
         params.dbuf = dbuf;
@@ -183,27 +153,27 @@ TEST(CompCpyUnits, StatsTrackCallsAndPages)
         params.ulp = smartdimm::UlpKind::kTlsEncrypt;
         params.message_id = 10 + static_cast<std::uint64_t>(i);
         rng.fill(params.key, sizeof(params.key));
-        rig.engine.run(params);
-        rig.engine.useSync(dbuf, 8192);
+        rig.slot(0).engine.run(params);
+        rig.slot(0).engine.useSync(dbuf, 8192);
     }
 
-    EXPECT_EQ(rig.engine.stats().calls, 3u);
-    EXPECT_EQ(rig.engine.stats().pages_offloaded, 6u); // 2 per call
-    EXPECT_EQ(rig.engine.stats().lines_copied, 3u * 64u);
-    EXPECT_EQ(rig.dimm.stats().registrations, 6u);
+    EXPECT_EQ(rig.slot(0).engine.stats().calls, 3u);
+    EXPECT_EQ(rig.slot(0).engine.stats().pages_offloaded, 6u); // 2 per call
+    EXPECT_EQ(rig.slot(0).engine.stats().lines_copied, 3u * 64u);
+    EXPECT_EQ(rig.slot(0).device.stats().registrations, 6u);
 }
 
 TEST(CompCpyUnits, FreePagesShadowAvoidsMmioPerCall)
 {
-    EngineRig rig;
+    topo::Topology rig(systemSpec());
     Rng rng(4);
     std::vector<std::uint8_t> data(4096);
     rng.fill(data.data(), data.size());
 
     for (int i = 0; i < 8; ++i) {
-        const Addr sbuf = rig.driver.alloc(4096);
-        const Addr dbuf = rig.driver.alloc(8192);
-        rig.memory->writeSync(sbuf, data.data(), data.size());
+        const Addr sbuf = rig.slot(0).driver.alloc(4096);
+        const Addr dbuf = rig.slot(0).driver.alloc(8192);
+        rig.memory().writeSync(sbuf, data.data(), data.size());
         compcpy::CompCpyParams params;
         params.sbuf = sbuf;
         params.dbuf = dbuf;
@@ -211,13 +181,13 @@ TEST(CompCpyUnits, FreePagesShadowAvoidsMmioPerCall)
         params.ulp = smartdimm::UlpKind::kTlsEncrypt;
         params.message_id = 50 + static_cast<std::uint64_t>(i);
         rng.fill(params.key, sizeof(params.key));
-        rig.engine.run(params);
-        rig.engine.useSync(dbuf, 8192);
+        rig.slot(0).engine.run(params);
+        rig.slot(0).engine.useSync(dbuf, 8192);
     }
     // The lazy refresh (Alg. 2 lines 8-9) touches MMIO only when the
     // shadow runs low — once here, not once per call.
-    EXPECT_LE(rig.engine.stats().freepages_refreshes, 2u);
-    EXPECT_GT(rig.shared.lock_acquisitions, 0u);
+    EXPECT_LE(rig.slot(0).engine.stats().freepages_refreshes, 2u);
+    EXPECT_GT(rig.slot(0).shared.lock_acquisitions, 0u);
 }
 
 TEST(CompCpyUnits, DestPagesAccountsForTagSpill)

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <memory>
 #include <vector>
 
 #include "cache/memory_system.h"
@@ -21,56 +20,25 @@
 #include "crypto/tls_record.h"
 #include "sim/event_queue.h"
 #include "smartdimm/buffer_device.h"
+#include "topo/topology.h"
 
 namespace {
 
 using namespace sd;
 
-/** One-channel SmartDIMM test system. */
-struct System
+/** One-channel SmartDIMM test system: a 1x1 topology, 4 MB LLC. */
+topo::TopologySpec
+systemSpec()
 {
-    EventQueue events;
-    mem::BackingStore store;
-    mem::DramGeometry geometry;
-    mem::AddressMap map;
-    smartdimm::BufferDevice dimm;
-    std::unique_ptr<cache::MemorySystem> memory;
-    compcpy::Driver driver;
-    compcpy::CompCpyEngine::SharedState shared;
-    compcpy::CompCpyEngine engine;
-
-    explicit System(std::size_t llc_mb = 4)
-        : geometry(makeGeometry()),
-          map(geometry, mem::ChannelInterleave::kNone),
-          dimm(events, map, store),
-          driver(/*base=*/1ULL << 20, /*bytes=*/512ULL << 20),
-          engine(makeMemory(llc_mb), driver, shared)
-    {
-    }
-
-    static mem::DramGeometry
-    makeGeometry()
-    {
-        mem::DramGeometry g;
-        g.channels = 1;
-        return g;
-    }
-
-    cache::MemorySystem &
-    makeMemory(std::size_t llc_mb)
-    {
-        cache::CacheConfig cc;
-        cc.size_bytes = llc_mb << 20;
-        memory = std::make_unique<cache::MemorySystem>(
-            events, geometry, mem::ChannelInterleave::kNone, cc,
-            std::vector<mem::DimmDevice *>{&dimm});
-        return *memory;
-    }
-};
+    topo::TopologySpec spec;
+    spec.llc.size_bytes = 4ull << 20;
+    spec.driver_bytes = 512ULL << 20;
+    return spec;
+}
 
 TEST(EndToEnd, TlsOffloadMatchesSoftwareGcm)
 {
-    System sys;
+    topo::Topology sys(systemSpec());
     Rng rng(1);
 
     const std::size_t len = 4096;
@@ -84,9 +52,9 @@ TEST(EndToEnd, TlsOffloadMatchesSoftwareGcm)
 
     // Stage plaintext in the source buffer (through the cache, like an
     // application would).
-    const Addr sbuf = sys.driver.alloc(len);
-    const Addr dbuf = sys.driver.alloc(len + kPageSize); // room for tag
-    sys.memory->writeSync(sbuf, plain.data(), len);
+    const Addr sbuf = sys.slot(0).driver.alloc(len);
+    const Addr dbuf = sys.slot(0).driver.alloc(len + kPageSize); // room for tag
+    sys.memory().writeSync(sbuf, plain.data(), len);
 
     compcpy::CompCpyParams params;
     params.sbuf = sbuf;
@@ -97,9 +65,9 @@ TEST(EndToEnd, TlsOffloadMatchesSoftwareGcm)
     std::memcpy(params.key, key, 16);
     params.iv = iv;
 
-    sys.engine.run(params);
-    sys.engine.useSync(dbuf, divCeil(len + 16, kPageSize) * kPageSize);
-    const auto result = sys.engine.readResult(dbuf, len + 16);
+    sys.slot(0).engine.run(params);
+    sys.slot(0).engine.useSync(dbuf, divCeil(len + 16, kPageSize) * kPageSize);
+    const auto result = sys.slot(0).engine.readResult(dbuf, len + 16);
 
     // Software reference.
     crypto::GcmContext ctx(key, crypto::Aes::KeySize::k128);
@@ -116,7 +84,7 @@ TEST(EndToEnd, TlsOffloadMatchesSoftwareGcm)
 
 TEST(EndToEnd, TlsOffloadMultiPageRecord)
 {
-    System sys;
+    topo::Topology sys(systemSpec());
     Rng rng(2);
 
     const std::size_t len = 3 * 4096 + 1000; // 4 source pages
@@ -129,11 +97,11 @@ TEST(EndToEnd, TlsOffloadMultiPageRecord)
     rng.fill(iv.data(), iv.size());
 
     const std::size_t src_bytes = divCeil(len, kPageSize) * kPageSize;
-    const Addr sbuf = sys.driver.alloc(src_bytes);
-    const Addr dbuf = sys.driver.alloc(src_bytes + kPageSize);
+    const Addr sbuf = sys.slot(0).driver.alloc(src_bytes);
+    const Addr dbuf = sys.slot(0).driver.alloc(src_bytes + kPageSize);
     std::vector<std::uint8_t> staged(src_bytes, 0);
     std::memcpy(staged.data(), plain.data(), len);
-    sys.memory->writeSync(sbuf, staged.data(), staged.size());
+    sys.memory().writeSync(sbuf, staged.data(), staged.size());
 
     compcpy::CompCpyParams params;
     params.sbuf = sbuf;
@@ -144,11 +112,11 @@ TEST(EndToEnd, TlsOffloadMultiPageRecord)
     std::memcpy(params.key, key, 16);
     params.iv = iv;
 
-    sys.engine.run(params);
+    sys.slot(0).engine.run(params);
     const std::size_t dst_bytes =
         divCeil(len + 16, kPageSize) * kPageSize;
-    sys.engine.useSync(dbuf, dst_bytes);
-    const auto result = sys.engine.readResult(dbuf, len + 16);
+    sys.slot(0).engine.useSync(dbuf, dst_bytes);
+    const auto result = sys.slot(0).engine.readResult(dbuf, len + 16);
 
     crypto::GcmContext ctx(key, crypto::Aes::KeySize::k128);
     std::vector<std::uint8_t> expect(len);
@@ -162,7 +130,7 @@ TEST(EndToEnd, TlsOffloadMultiPageRecord)
 TEST(EndToEnd, TlsOffloadExactPageBoundaryTag)
 {
     // message_len % 4096 == 0 forces a tag-only trailer page.
-    System sys;
+    topo::Topology sys(systemSpec());
     Rng rng(3);
 
     const std::size_t len = 8192;
@@ -173,9 +141,9 @@ TEST(EndToEnd, TlsOffloadExactPageBoundaryTag)
     crypto::GcmIv iv{};
     rng.fill(iv.data(), iv.size());
 
-    const Addr sbuf = sys.driver.alloc(len);
-    const Addr dbuf = sys.driver.alloc(len + kPageSize);
-    sys.memory->writeSync(sbuf, plain.data(), len);
+    const Addr sbuf = sys.slot(0).driver.alloc(len);
+    const Addr dbuf = sys.slot(0).driver.alloc(len + kPageSize);
+    sys.memory().writeSync(sbuf, plain.data(), len);
 
     compcpy::CompCpyParams params;
     params.sbuf = sbuf;
@@ -186,9 +154,9 @@ TEST(EndToEnd, TlsOffloadExactPageBoundaryTag)
     std::memcpy(params.key, key, 16);
     params.iv = iv;
 
-    sys.engine.run(params);
-    sys.engine.useSync(dbuf, divCeil(len + 16, kPageSize) * kPageSize);
-    const auto result = sys.engine.readResult(dbuf, len + 16);
+    sys.slot(0).engine.run(params);
+    sys.slot(0).engine.useSync(dbuf, divCeil(len + 16, kPageSize) * kPageSize);
+    const auto result = sys.slot(0).engine.readResult(dbuf, len + 16);
 
     crypto::GcmContext ctx(key, crypto::Aes::KeySize::k128);
     std::vector<std::uint8_t> expect(len);
@@ -200,7 +168,7 @@ TEST(EndToEnd, TlsOffloadExactPageBoundaryTag)
 
 TEST(EndToEnd, DeflateOffloadDecodable)
 {
-    System sys;
+    topo::Topology sys(systemSpec());
     Rng rng(4);
 
     // Compressible page.
@@ -208,11 +176,11 @@ TEST(EndToEnd, DeflateOffloadDecodable)
     for (std::size_t i = 0; i < page.size(); ++i)
         page[i] = static_cast<std::uint8_t>("compressible!"[i % 13]);
 
-    const Addr sbuf = sys.driver.alloc(kPageSize);
-    const Addr dbuf = sys.driver.alloc(kPageSize);
+    const Addr sbuf = sys.slot(0).driver.alloc(kPageSize);
+    const Addr dbuf = sys.slot(0).driver.alloc(kPageSize);
     std::vector<std::uint8_t> staged(kPageSize, 0);
     std::memcpy(staged.data(), page.data(), page.size());
-    sys.memory->writeSync(sbuf, staged.data(), staged.size());
+    sys.memory().writeSync(sbuf, staged.data(), staged.size());
 
     compcpy::CompCpyParams params;
     params.sbuf = sbuf;
@@ -221,9 +189,9 @@ TEST(EndToEnd, DeflateOffloadDecodable)
     params.ordered = true;
     params.ulp = smartdimm::UlpKind::kDeflate;
 
-    sys.engine.run(params);
-    sys.engine.useSync(dbuf, kPageSize);
-    const auto framed = sys.engine.readResult(dbuf, kPageSize);
+    sys.slot(0).engine.run(params);
+    sys.slot(0).engine.useSync(dbuf, kPageSize);
+    const auto framed = sys.slot(0).engine.readResult(dbuf, kPageSize);
 
     // Frame: 2-byte length + deflate stream.
     const std::size_t stream_len = framed[0] | (framed[1] << 8);
@@ -237,7 +205,7 @@ TEST(EndToEnd, DeflateOffloadDecodable)
 
 TEST(EndToEnd, AdaptiveEngineCpuAndOffloadAgree)
 {
-    System sys;
+    topo::Topology sys(systemSpec());
     Rng rng(5);
 
     std::uint8_t key[16];
@@ -245,8 +213,8 @@ TEST(EndToEnd, AdaptiveEngineCpuAndOffloadAgree)
     crypto::GcmIv static_iv{};
     rng.fill(static_iv.data(), static_iv.size());
 
-    compcpy::AdaptiveTlsEngine engine(*sys.memory, sys.driver,
-                                      sys.shared, key, static_iv);
+    compcpy::AdaptiveTlsEngine engine(sys.memory(), sys.slot(0).driver,
+                                      sys.slot(0).shared, key, static_iv);
 
     std::vector<std::uint8_t> msg(4096);
     rng.fill(msg.data(), msg.size());
@@ -282,7 +250,7 @@ TEST(EndToEnd, AdaptiveEngineCpuAndOffloadAgree)
 
 TEST(EndToEnd, SelfRecycleFreesScratchpad)
 {
-    System sys;
+    topo::Topology sys(systemSpec());
     Rng rng(6);
 
     const std::size_t len = 4096;
@@ -292,9 +260,9 @@ TEST(EndToEnd, SelfRecycleFreesScratchpad)
     rng.fill(key, 16);
 
     for (int round = 0; round < 20; ++round) {
-        const Addr sbuf = sys.driver.alloc(len);
-        const Addr dbuf = sys.driver.alloc(len + kPageSize);
-        sys.memory->writeSync(sbuf, plain.data(), len);
+        const Addr sbuf = sys.slot(0).driver.alloc(len);
+        const Addr dbuf = sys.slot(0).driver.alloc(len + kPageSize);
+        sys.memory().writeSync(sbuf, plain.data(), len);
 
         compcpy::CompCpyParams params;
         params.sbuf = sbuf;
@@ -305,18 +273,19 @@ TEST(EndToEnd, SelfRecycleFreesScratchpad)
         std::memcpy(params.key, key, 16);
         params.iv[0] = static_cast<std::uint8_t>(round);
 
-        sys.engine.run(params);
-        sys.engine.useSync(dbuf, divCeil(len + 16, kPageSize) * kPageSize);
-        sys.driver.release(sbuf, len);
-        sys.driver.release(dbuf, len + kPageSize);
+        sys.slot(0).engine.run(params);
+        sys.slot(0).engine.useSync(
+            dbuf, divCeil(len + 16, kPageSize) * kPageSize);
+        sys.slot(0).driver.release(sbuf, len);
+        sys.slot(0).driver.release(dbuf, len + kPageSize);
     }
 
     // Every offload's pages must have recycled via the USE-side
     // flush-induced writebacks.
-    EXPECT_EQ(sys.dimm.scratchpad().livePages(), 0u);
-    EXPECT_GT(sys.dimm.scratchpad().stats().self_recycles, 0u);
-    EXPECT_EQ(sys.dimm.scratchpad().stats().force_recycles, 0u);
-    EXPECT_EQ(sys.engine.stats().force_recycles, 0u);
+    EXPECT_EQ(sys.slot(0).device.scratchpad().livePages(), 0u);
+    EXPECT_GT(sys.slot(0).device.scratchpad().stats().self_recycles, 0u);
+    EXPECT_EQ(sys.slot(0).device.scratchpad().stats().force_recycles, 0u);
+    EXPECT_EQ(sys.slot(0).engine.stats().force_recycles, 0u);
 }
 
 } // namespace

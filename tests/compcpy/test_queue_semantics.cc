@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <memory>
 #include <vector>
 
 #include "cache/memory_system.h"
@@ -22,6 +21,7 @@
 #include "crypto/aes_gcm.h"
 #include "sim/event_queue.h"
 #include "smartdimm/buffer_device.h"
+#include "topo/topology.h"
 
 namespace {
 
@@ -33,47 +33,15 @@ using compcpy::QueueMode;
 using compcpy::WorkQueue;
 using compcpy::WorkQueueConfig;
 
-/** One-channel SmartDIMM rig. */
-struct System
+/** One-channel SmartDIMM rig: a 1x1 topology with a 4 MB LLC. */
+topo::TopologySpec
+systemSpec()
 {
-    EventQueue events;
-    mem::BackingStore store;
-    mem::DramGeometry geometry;
-    mem::AddressMap map;
-    smartdimm::BufferDevice dimm;
-    std::unique_ptr<cache::MemorySystem> memory;
-    compcpy::Driver driver;
-    compcpy::CompCpyEngine::SharedState shared;
-    compcpy::CompCpyEngine engine;
-
-    System()
-        : geometry(makeGeometry()),
-          map(geometry, mem::ChannelInterleave::kNone),
-          dimm(events, map, store),
-          driver(/*base=*/1ULL << 20, /*bytes=*/512ULL << 20),
-          engine(makeMemory(), driver, shared)
-    {
-    }
-
-    static mem::DramGeometry
-    makeGeometry()
-    {
-        mem::DramGeometry g;
-        g.channels = 1;
-        return g;
-    }
-
-    cache::MemorySystem &
-    makeMemory()
-    {
-        cache::CacheConfig cc;
-        cc.size_bytes = 4ull << 20;
-        memory = std::make_unique<cache::MemorySystem>(
-            events, geometry, mem::ChannelInterleave::kNone, cc,
-            std::vector<mem::DimmDevice *>{&dimm});
-        return *memory;
-    }
-};
+    topo::TopologySpec spec;
+    spec.llc.size_bytes = 4ull << 20;
+    spec.driver_bytes = 512ULL << 20;
+    return spec;
+}
 
 /** A staged TLS op plus everything needed to verify its output. */
 struct TlsOp
@@ -87,7 +55,7 @@ struct TlsOp
 
 /** Stage @p len plaintext bytes and build the matching CompCpyParams. */
 TlsOp
-makeTlsOp(System &sys, Rng &rng, std::size_t len, std::uint64_t msg_id)
+makeTlsOp(topo::Topology &sys, Rng &rng, std::size_t len, std::uint64_t msg_id)
 {
     TlsOp op;
     op.plain.resize(len);
@@ -97,11 +65,11 @@ makeTlsOp(System &sys, Rng &rng, std::size_t len, std::uint64_t msg_id)
 
     const std::size_t src_bytes = divCeil(len, kPageSize) * kPageSize;
     op.dst_bytes = divCeil(len + 16, kPageSize) * kPageSize;
-    const Addr sbuf = sys.driver.alloc(src_bytes);
-    const Addr dbuf = sys.driver.alloc(op.dst_bytes);
+    const Addr sbuf = sys.slot(0).driver.alloc(src_bytes);
+    const Addr dbuf = sys.slot(0).driver.alloc(op.dst_bytes);
     std::vector<std::uint8_t> staged(src_bytes, 0);
     std::memcpy(staged.data(), op.plain.data(), len);
-    sys.memory->writeSync(sbuf, staged.data(), staged.size());
+    sys.memory().writeSync(sbuf, staged.data(), staged.size());
 
     op.params.sbuf = sbuf;
     op.params.dbuf = dbuf;
@@ -115,11 +83,11 @@ makeTlsOp(System &sys, Rng &rng, std::size_t len, std::uint64_t msg_id)
 
 /** useSync + readResult + compare against the software GCM. */
 void
-verifyTlsOutput(System &sys, const TlsOp &op)
+verifyTlsOutput(topo::Topology &sys, const TlsOp &op)
 {
-    sys.engine.useSync(op.params.dbuf, op.dst_bytes);
+    sys.slot(0).engine.useSync(op.params.dbuf, op.dst_bytes);
     const auto result =
-        sys.engine.readResult(op.params.dbuf, op.plain.size() + 16);
+        sys.slot(0).engine.readResult(op.params.dbuf, op.plain.size() + 16);
     crypto::GcmContext ctx(op.key, crypto::Aes::KeySize::k128);
     std::vector<std::uint8_t> expect(op.plain.size());
     const crypto::GcmTag tag = ctx.encrypt(op.iv, op.plain.data(),
@@ -134,11 +102,11 @@ verifyTlsOutput(System &sys, const TlsOp &op)
 
 TEST(QueueSemantics, SingleDescriptorLifecycle)
 {
-    System sys;
+    topo::Topology sys(systemSpec());
     WorkQueueConfig cfg;
     cfg.id = 2;
     cfg.depth = 8;
-    WorkQueue queue(sys.engine, cfg);
+    WorkQueue queue(sys.slot(0).engine, cfg);
 
     Rng rng(21);
     TlsOp op = makeTlsOp(sys, rng, 4096, 1);
@@ -174,11 +142,11 @@ TEST(QueueSemantics, SingleDescriptorLifecycle)
 
 TEST(QueueSemantics, FifoDispatchOrderPerQueue)
 {
-    System sys;
+    topo::Topology sys(systemSpec());
     WorkQueueConfig cfg;
     cfg.depth = 16;
     cfg.max_inflight = 4;
-    WorkQueue queue(sys.engine, cfg);
+    WorkQueue queue(sys.slot(0).engine, cfg);
 
     Rng rng(22);
     constexpr int kDescs = 6;
@@ -217,10 +185,10 @@ TEST(QueueSemantics, FifoDispatchOrderPerQueue)
 
 TEST(QueueSemantics, DedicatedQueueRejectsForeignSubmitters)
 {
-    System sys;
+    topo::Topology sys(systemSpec());
     WorkQueueConfig cfg;
     cfg.mode = QueueMode::kDedicated;
-    WorkQueue queue(sys.engine, cfg);
+    WorkQueue queue(sys.slot(0).engine, cfg);
 
     Rng rng(23);
     TlsOp a = makeTlsOp(sys, rng, 4096, 1);
@@ -252,11 +220,11 @@ TEST(QueueSemantics, DedicatedQueueRejectsForeignSubmitters)
 
 TEST(QueueSemantics, SharedQueueArbitratesBySubmissionOrder)
 {
-    System sys;
+    topo::Topology sys(systemSpec());
     WorkQueueConfig cfg;
     cfg.mode = QueueMode::kShared;
     cfg.max_inflight = 2;
-    WorkQueue queue(sys.engine, cfg);
+    WorkQueue queue(sys.slot(0).engine, cfg);
 
     Rng rng(24);
     constexpr int kDescs = 6;
@@ -293,10 +261,10 @@ TEST(QueueSemantics, SharedQueueArbitratesBySubmissionOrder)
 
 TEST(QueueSemantics, QueueFullBackpressure)
 {
-    System sys;
+    topo::Topology sys(systemSpec());
     WorkQueueConfig cfg;
     cfg.depth = 2;
-    WorkQueue queue(sys.engine, cfg);
+    WorkQueue queue(sys.slot(0).engine, cfg);
 
     Rng rng(25);
     TlsOp a = makeTlsOp(sys, rng, 4096, 1);
@@ -329,10 +297,10 @@ TEST(QueueSemantics, QueueFullBackpressure)
 
 TEST(QueueSemantics, BatchDescriptorFanOutFanIn)
 {
-    System sys;
+    topo::Topology sys(systemSpec());
     WorkQueueConfig cfg;
     cfg.max_inflight = 2; // smaller than the batch: fan-out is gated
-    WorkQueue queue(sys.engine, cfg);
+    WorkQueue queue(sys.slot(0).engine, cfg);
 
     Rng rng(26);
     constexpr int kBatch = 4;
@@ -356,7 +324,7 @@ TEST(QueueSemantics, BatchDescriptorFanOutFanIn)
     EXPECT_EQ(queue.stats().submitted_ops,
               static_cast<std::uint64_t>(kBatch));
     EXPECT_EQ(queue.stats().doorbells, 1u);
-    EXPECT_EQ(sys.engine.stats().calls,
+    EXPECT_EQ(sys.slot(0).engine.stats().calls,
               static_cast<std::uint64_t>(kBatch));
 
     // Fan-in happened only after every op's bytes landed.
@@ -366,26 +334,26 @@ TEST(QueueSemantics, BatchDescriptorFanOutFanIn)
 
 TEST(QueueSemantics, SyncFacadeIsSubmitThenPoll)
 {
-    System sys;
+    topo::Topology sys(systemSpec());
     Rng rng(27);
 
     for (int i = 0; i < 3; ++i) {
         TlsOp op = makeTlsOp(sys, rng, 4096, 400 + i);
-        sys.engine.run(op.params);
+        sys.slot(0).engine.run(op.params);
         verifyTlsOutput(sys, op);
     }
 
     // run() executed through the internal queue — one descriptor per
     // call, every record reaped, no second execution path.
-    const auto &qs = sys.engine.syncQueue().stats();
+    const auto &qs = sys.slot(0).engine.syncQueue().stats();
     EXPECT_EQ(qs.submitted, 3u);
     EXPECT_EQ(qs.submitted_ops, 3u);
     EXPECT_EQ(qs.completions, 3u);
     EXPECT_EQ(qs.reaped, 3u);
     EXPECT_EQ(qs.doorbells, 3u);
-    EXPECT_EQ(sys.engine.stats().calls, 3u);
-    EXPECT_EQ(sys.engine.syncQueue().occupancy(), 0u);
-    EXPECT_EQ(sys.engine.syncQueue().config().id, 0u);
+    EXPECT_EQ(sys.slot(0).engine.stats().calls, 3u);
+    EXPECT_EQ(sys.slot(0).engine.syncQueue().occupancy(), 0u);
+    EXPECT_EQ(sys.slot(0).engine.syncQueue().config().id, 0u);
 }
 
 } // namespace

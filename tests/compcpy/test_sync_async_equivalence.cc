@@ -13,7 +13,6 @@
 
 #include <cstring>
 #include <iterator>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -25,6 +24,7 @@
 #include "fault/fault.h"
 #include "sim/event_queue.h"
 #include "smartdimm/buffer_device.h"
+#include "topo/topology.h"
 
 namespace {
 
@@ -35,55 +35,15 @@ using compcpy::QueueMode;
 using compcpy::WorkQueue;
 using compcpy::WorkQueueConfig;
 
-/** One-channel SmartDIMM rig with an attachable fault plan. */
-struct System
+/** One-channel SmartDIMM rig: a 1x1 topology with a 4 MB LLC. */
+topo::TopologySpec
+systemSpec()
 {
-    EventQueue events;
-    mem::BackingStore store;
-    mem::DramGeometry geometry;
-    mem::AddressMap map;
-    smartdimm::BufferDevice dimm;
-    std::unique_ptr<cache::MemorySystem> memory;
-    compcpy::Driver driver;
-    compcpy::CompCpyEngine::SharedState shared;
-    compcpy::CompCpyEngine engine;
-
-    System()
-        : geometry(makeGeometry()),
-          map(geometry, mem::ChannelInterleave::kNone),
-          dimm(events, map, store),
-          driver(/*base=*/1ULL << 20, /*bytes=*/512ULL << 20),
-          engine(makeMemory(), driver, shared)
-    {
-    }
-
-    static mem::DramGeometry
-    makeGeometry()
-    {
-        mem::DramGeometry g;
-        g.channels = 1;
-        return g;
-    }
-
-    cache::MemorySystem &
-    makeMemory()
-    {
-        cache::CacheConfig cc;
-        cc.size_bytes = 4ull << 20;
-        memory = std::make_unique<cache::MemorySystem>(
-            events, geometry, mem::ChannelInterleave::kNone, cc,
-            std::vector<mem::DimmDevice *>{&dimm});
-        return *memory;
-    }
-
-    void
-    attach(fault::FaultPlan *plan)
-    {
-        dimm.setFaultPlan(plan);
-        memory->setFaultPlan(plan);
-        engine.setFaultPlan(plan);
-    }
-};
+    topo::TopologySpec spec;
+    spec.llc.size_bytes = 4ull << 20;
+    spec.driver_bytes = 512ULL << 20;
+    return spec;
+}
 
 /** One scenario of the shared workload (fixed data, Rng(31)). */
 struct Scenario
@@ -113,7 +73,7 @@ struct RunResult
 
 /** Stage one scenario's source buffer and build its params. */
 compcpy::CompCpyParams
-stageScenario(System &sys, const Scenario &sc, Rng &rng,
+stageScenario(topo::Topology &sys, const Scenario &sc, Rng &rng,
               const std::uint8_t key[16], const crypto::GcmIv &iv,
               std::uint64_t msg_id, Addr *dbuf_out,
               std::size_t *dst_bytes_out)
@@ -124,8 +84,8 @@ stageScenario(System &sys, const Scenario &sc, Rng &rng,
         sc.ulp == smartdimm::UlpKind::kTlsEncrypt
             ? divCeil(sc.len + 16, kPageSize) * kPageSize
             : src_bytes;
-    const Addr sbuf = sys.driver.alloc(src_bytes);
-    const Addr dbuf = sys.driver.alloc(dst_bytes);
+    const Addr sbuf = sys.slot(0).driver.alloc(src_bytes);
+    const Addr dbuf = sys.slot(0).driver.alloc(dst_bytes);
 
     std::vector<std::uint8_t> staged(src_bytes, 0);
     if (sc.ulp == smartdimm::UlpKind::kTlsEncrypt) {
@@ -134,7 +94,7 @@ stageScenario(System &sys, const Scenario &sc, Rng &rng,
         for (std::size_t i = 0; i < sc.len; ++i)
             staged[i] = static_cast<std::uint8_t>("equivalence"[i % 11]);
     }
-    sys.memory->writeSync(sbuf, staged.data(), staged.size());
+    sys.memory().writeSync(sbuf, staged.data(), staged.size());
 
     compcpy::CompCpyParams params;
     params.sbuf = sbuf;
@@ -160,9 +120,9 @@ stageScenario(System &sys, const Scenario &sc, Rng &rng,
 RunResult
 runWorkload(bool async, fault::FaultPlan *plan)
 {
-    System sys;
+    topo::Topology sys(systemSpec());
     if (plan)
-        sys.attach(plan);
+        sys.setFaultPlan(plan);
 
     Rng rng(31); // fixed workload data in both modes
     std::uint8_t key[16];
@@ -180,16 +140,16 @@ runWorkload(bool async, fault::FaultPlan *plan)
             const auto params =
                 stageScenario(sys, kScenarios[i], rng, key, iv, i + 1,
                               &dbufs[i], &dst_bytes[i]);
-            sys.engine.run(params);
+            sys.slot(0).engine.run(params);
         }
-        result.queue = sys.engine.syncQueue().stats();
+        result.queue = sys.slot(0).engine.syncQueue().stats();
     } else {
         WorkQueueConfig cfg;
         cfg.id = 3;
         cfg.mode = QueueMode::kShared;
         cfg.depth = 8;
         cfg.max_inflight = 4;
-        WorkQueue queue(sys.engine, cfg);
+        WorkQueue queue(sys.slot(0).engine, cfg);
         for (std::size_t i = 0; i < n; ++i) {
             const auto params =
                 stageScenario(sys, kScenarios[i], rng, key, iv, i + 1,
@@ -205,15 +165,15 @@ runWorkload(bool async, fault::FaultPlan *plan)
     }
 
     for (std::size_t i = 0; i < n; ++i) {
-        sys.engine.useSync(dbufs[i], dst_bytes[i]);
+        sys.slot(0).engine.useSync(dbufs[i], dst_bytes[i]);
         const std::size_t out_len =
             kScenarios[i].ulp == smartdimm::UlpKind::kTlsEncrypt
                 ? kScenarios[i].len + 16
                 : dst_bytes[i];
         result.outputs.push_back(
-            sys.engine.readResult(dbufs[i], out_len));
+            sys.slot(0).engine.readResult(dbufs[i], out_len));
     }
-    result.engine = sys.engine.stats();
+    result.engine = sys.slot(0).engine.stats();
     return result;
 }
 

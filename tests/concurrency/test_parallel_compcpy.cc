@@ -20,7 +20,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -36,6 +35,7 @@
 #include "kernels/dispatch.h"
 #include "sim/event_queue.h"
 #include "smartdimm/buffer_device.h"
+#include "topo/topology.h"
 #include "trace/trace.h"
 
 namespace {
@@ -47,46 +47,14 @@ constexpr unsigned kOpsPerThread = 1000;
 constexpr std::size_t kPayloadBytes = 192; // 3 lines, sub-page
 
 /** One-channel SmartDIMM system, wholly owned by one driver thread. */
-struct System
+topo::TopologySpec
+systemSpec()
 {
-    EventQueue events;
-    mem::BackingStore store;
-    mem::DramGeometry geometry;
-    mem::AddressMap map;
-    smartdimm::BufferDevice dimm;
-    std::unique_ptr<cache::MemorySystem> memory;
-    compcpy::Driver driver;
-    compcpy::CompCpyEngine::SharedState shared;
-    compcpy::CompCpyEngine engine;
-
-    System()
-        : geometry(makeGeometry()),
-          map(geometry, mem::ChannelInterleave::kNone),
-          dimm(events, map, store),
-          driver(/*base=*/1ULL << 20, /*bytes=*/64ULL << 20),
-          engine(makeMemory(), driver, shared)
-    {
-    }
-
-    static mem::DramGeometry
-    makeGeometry()
-    {
-        mem::DramGeometry g;
-        g.channels = 1;
-        return g;
-    }
-
-    cache::MemorySystem &
-    makeMemory()
-    {
-        cache::CacheConfig cc;
-        cc.size_bytes = 1ULL << 20;
-        memory = std::make_unique<cache::MemorySystem>(
-            events, geometry, mem::ChannelInterleave::kNone, cc,
-            std::vector<mem::DimmDevice *>{&dimm});
-        return *memory;
-    }
-};
+    topo::TopologySpec spec;
+    spec.llc.size_bytes = 1ULL << 20;
+    spec.driver_bytes = 64ULL << 20;
+    return spec;
+}
 
 /** Shared accounting every thread hammers concurrently. */
 struct SharedStats
@@ -101,7 +69,7 @@ struct SharedStats
 void
 driverThread(unsigned tid, SharedStats &shared)
 {
-    System sys;
+    topo::Topology sys(systemSpec());
     Rng rng(0x1000 + tid);
 
     // Per-thread op counter surfaced through the shared registry so
@@ -115,7 +83,7 @@ driverThread(unsigned tid, SharedStats &shared)
 
     // The whole batch is one synchronous traced unit of work.
     const std::uint32_t batch_span = SD_SPAN_BEGIN(
-        "stress", 0, 0, kOpsPerThread, sys.events.now());
+        "stress", 0, 0, kOpsPerThread, sys.events().now());
 
     std::vector<std::uint8_t> plain(kPayloadBytes);
     std::uint8_t key[16];
@@ -126,10 +94,10 @@ driverThread(unsigned tid, SharedStats &shared)
         rng.fill(key, sizeof(key));
         rng.fill(iv.data(), iv.size());
 
-        const Addr sbuf = sys.driver.alloc(kPayloadBytes);
+        const Addr sbuf = sys.slot(0).driver.alloc(kPayloadBytes);
         const Addr dbuf =
-            sys.driver.alloc(kPayloadBytes + crypto::kTlsTagSize);
-        sys.memory->writeSync(sbuf, plain.data(), plain.size());
+            sys.slot(0).driver.alloc(kPayloadBytes + crypto::kTlsTagSize);
+        sys.memory().writeSync(sbuf, plain.data(), plain.size());
 
         compcpy::CompCpyParams params;
         params.sbuf = sbuf;
@@ -140,12 +108,12 @@ driverThread(unsigned tid, SharedStats &shared)
         std::memcpy(params.key, key, sizeof(key));
         params.iv = iv;
 
-        const Tick begin = sys.events.now();
-        sys.engine.run(params);
-        sys.engine.useSync(
+        const Tick begin = sys.events().now();
+        sys.slot(0).engine.run(params);
+        sys.slot(0).engine.useSync(
             dbuf, divCeil(kPayloadBytes + crypto::kTlsTagSize, kPageSize) *
                       kPageSize);
-        shared.op_latency.sample(sys.events.now() - begin);
+        shared.op_latency.sample(sys.events().now() - begin);
         shared.ops.inc();
         shared.bytes.inc(kPayloadBytes);
         my_ops.inc();
@@ -154,7 +122,7 @@ driverThread(unsigned tid, SharedStats &shared)
         // first op so a synchronisation bug that corrupts payloads
         // (not just metadata) also fails loudly.
         if (op == 0) {
-            const auto result = sys.engine.readResult(
+            const auto result = sys.slot(0).engine.readResult(
                 dbuf, kPayloadBytes + crypto::kTlsTagSize);
             crypto::GcmContext ctx(key, crypto::Aes::KeySize::k128);
             std::vector<std::uint8_t> expect(kPayloadBytes);
@@ -168,11 +136,11 @@ driverThread(unsigned tid, SharedStats &shared)
                 << "thread " << tid << ": tag mismatch";
         }
 
-        sys.driver.release(sbuf, kPayloadBytes);
-        sys.driver.release(dbuf, kPayloadBytes + crypto::kTlsTagSize);
+        sys.slot(0).driver.release(sbuf, kPayloadBytes);
+        sys.slot(0).driver.release(dbuf, kPayloadBytes + crypto::kTlsTagSize);
     }
 
-    SD_SPAN_END(batch_span, sys.events.now());
+    SD_SPAN_END(batch_span, sys.events().now());
     shared.registry.remove(component);
 }
 

@@ -20,7 +20,6 @@
 
 #include <atomic>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -35,6 +34,7 @@
 #include "crypto/tls_record.h"
 #include "sim/event_queue.h"
 #include "smartdimm/buffer_device.h"
+#include "topo/topology.h"
 #include "trace/trace.h"
 
 namespace {
@@ -52,46 +52,14 @@ constexpr unsigned kSubmitters = 4; // logical ids sharing one SWQ
 constexpr std::size_t kPayloadBytes = 192; // 3 lines, sub-page
 
 /** One-channel SmartDIMM system, wholly owned by one driver thread. */
-struct System
+topo::TopologySpec
+systemSpec()
 {
-    EventQueue events;
-    mem::BackingStore store;
-    mem::DramGeometry geometry;
-    mem::AddressMap map;
-    smartdimm::BufferDevice dimm;
-    std::unique_ptr<cache::MemorySystem> memory;
-    compcpy::Driver driver;
-    compcpy::CompCpyEngine::SharedState shared;
-    compcpy::CompCpyEngine engine;
-
-    System()
-        : geometry(makeGeometry()),
-          map(geometry, mem::ChannelInterleave::kNone),
-          dimm(events, map, store),
-          driver(/*base=*/1ULL << 20, /*bytes=*/64ULL << 20),
-          engine(makeMemory(), driver, shared)
-    {
-    }
-
-    static mem::DramGeometry
-    makeGeometry()
-    {
-        mem::DramGeometry g;
-        g.channels = 1;
-        return g;
-    }
-
-    cache::MemorySystem &
-    makeMemory()
-    {
-        cache::CacheConfig cc;
-        cc.size_bytes = 1ULL << 20;
-        memory = std::make_unique<cache::MemorySystem>(
-            events, geometry, mem::ChannelInterleave::kNone, cc,
-            std::vector<mem::DimmDevice *>{&dimm});
-        return *memory;
-    }
-};
+    topo::TopologySpec spec;
+    spec.llc.size_bytes = 1ULL << 20;
+    spec.driver_bytes = 64ULL << 20;
+    return spec;
+}
 
 /** Shared accounting every thread hammers concurrently. */
 struct SharedStats
@@ -117,7 +85,7 @@ struct InflightOp
 void
 driverThread(unsigned tid, SharedStats &shared)
 {
-    System sys;
+    topo::Topology sys(systemSpec());
     Rng rng(0x2000 + tid);
 
     WorkQueueConfig cfg;
@@ -125,7 +93,7 @@ driverThread(unsigned tid, SharedStats &shared)
     cfg.mode = QueueMode::kShared;
     cfg.depth = 16;
     cfg.max_inflight = 8;
-    WorkQueue queue(sys.engine, cfg);
+    WorkQueue queue(sys.slot(0).engine, cfg);
 
     const std::string component = "qstress.t" + std::to_string(tid);
     Counter my_reaps;
@@ -146,10 +114,9 @@ driverThread(unsigned tid, SharedStats &shared)
         rng.fill(op.plain.data(), op.plain.size());
         rng.fill(op.key, sizeof(op.key));
         rng.fill(op.iv.data(), op.iv.size());
-        op.sbuf = sys.driver.alloc(kPayloadBytes);
-        op.dbuf = sys.driver.alloc(kPayloadBytes + crypto::kTlsTagSize);
-        sys.memory->writeSync(op.sbuf, op.plain.data(),
-                              op.plain.size());
+        op.sbuf = sys.slot(0).driver.alloc(kPayloadBytes);
+        op.dbuf = sys.slot(0).driver.alloc(kPayloadBytes + crypto::kTlsTagSize);
+        sys.memory().writeSync(op.sbuf, op.plain.data(), op.plain.size());
 
         params[i].sbuf = op.sbuf;
         params[i].dbuf = op.dbuf;
@@ -179,7 +146,7 @@ driverThread(unsigned tid, SharedStats &shared)
         }
 
         // Reap side: drive the private simulation to idle, then poll.
-        sys.events.run();
+        sys.events().run();
         for (const auto &rec : queue.poll()) {
             ASSERT_GE(rec.id, 1u);
             ASSERT_LE(rec.id, submitted);
@@ -195,8 +162,8 @@ driverThread(unsigned tid, SharedStats &shared)
             // race that corrupts data (not just metadata) fails loudly.
             if (!verified_one) {
                 verified_one = true;
-                sys.engine.useSync(op.dbuf, kPageSize);
-                const auto result = sys.engine.readResult(
+                sys.slot(0).engine.useSync(op.dbuf, kPageSize);
+                const auto result = sys.slot(0).engine.readResult(
                     op.dbuf, kPayloadBytes + crypto::kTlsTagSize);
                 crypto::GcmContext ctx(op.key,
                                        crypto::Aes::KeySize::k128);
@@ -212,9 +179,9 @@ driverThread(unsigned tid, SharedStats &shared)
                                       tag.data(), tag.size()))
                     << "thread " << tid << ": tag mismatch";
             }
-            sys.driver.release(op.sbuf, kPayloadBytes);
-            sys.driver.release(op.dbuf,
-                               kPayloadBytes + crypto::kTlsTagSize);
+            sys.slot(0).driver.release(op.sbuf, kPayloadBytes);
+            sys.slot(0).driver.release(
+                op.dbuf, kPayloadBytes + crypto::kTlsTagSize);
             ++reaped;
             shared.reaps.inc();
             my_reaps.inc();

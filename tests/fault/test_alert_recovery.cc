@@ -21,7 +21,6 @@ namespace {
 
 using namespace sd;
 using mem::AddressMap;
-using mem::ChannelInterleave;
 using mem::ControllerConfig;
 using mem::DdrCommand;
 using mem::DramGeometry;
@@ -73,7 +72,7 @@ struct Rig
 
     Rig()
         : geometry(makeGeometry()),
-          map(geometry, ChannelInterleave::kNone), dimm(store),
+          map(geometry), dimm(store),
           mc(events, map, DramTiming{}, ControllerConfig{}, 0, dimm)
     {
     }
@@ -167,7 +166,7 @@ TEST(AlertRecovery, BackoffDelaysRetriesBeyondFastWindow)
         mem::BackingStore store;
         DramGeometry g;
         g.channels = 1;
-        AddressMap map(g, ChannelInterleave::kNone);
+        AddressMap map(g);
         AlertingDimm dimm(store);
         ControllerConfig config;
         config.alert_backoff_base = base;
@@ -213,11 +212,11 @@ TEST(AlertRecovery, DegradedStatusSurfacesThroughMemorySystem)
     mem::BackingStore store;
     DramGeometry g;
     g.channels = 1;
+    AddressMap map(g);
     AlertingDimm dimm(store);
     cache::CacheConfig llc;
     llc.size_bytes = 1 << 20;
-    cache::MemorySystem memory(events, g, ChannelInterleave::kNone, llc,
-                               {&dimm});
+    cache::MemorySystem memory(events, map, llc, {&dimm});
 
     dimm.alerts_remaining_ = 1'000'000;
     std::uint8_t buf[64] = {};

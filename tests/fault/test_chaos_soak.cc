@@ -19,7 +19,6 @@
 
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -47,55 +46,15 @@ envU64(const char *name, std::uint64_t dflt)
     return value ? std::strtoull(value, nullptr, 0) : dflt;
 }
 
-/** One-channel SmartDIMM rig with an attachable fault plan. */
-struct System
+/** One-channel SmartDIMM rig: a 1x1 topology with a 4 MB LLC. */
+topo::TopologySpec
+systemSpec()
 {
-    EventQueue events;
-    mem::BackingStore store;
-    mem::DramGeometry geometry;
-    mem::AddressMap map;
-    smartdimm::BufferDevice dimm;
-    std::unique_ptr<cache::MemorySystem> memory;
-    compcpy::Driver driver;
-    compcpy::CompCpyEngine::SharedState shared;
-    compcpy::CompCpyEngine engine;
-
-    System()
-        : geometry(makeGeometry()),
-          map(geometry, mem::ChannelInterleave::kNone),
-          dimm(events, map, store),
-          driver(/*base=*/1ULL << 20, /*bytes=*/512ULL << 20),
-          engine(makeMemory(), driver, shared)
-    {
-    }
-
-    static mem::DramGeometry
-    makeGeometry()
-    {
-        mem::DramGeometry g;
-        g.channels = 1;
-        return g;
-    }
-
-    cache::MemorySystem &
-    makeMemory()
-    {
-        cache::CacheConfig cc;
-        cc.size_bytes = 4ull << 20;
-        memory = std::make_unique<cache::MemorySystem>(
-            events, geometry, mem::ChannelInterleave::kNone, cc,
-            std::vector<mem::DimmDevice *>{&dimm});
-        return *memory;
-    }
-
-    void
-    attach(FaultPlan *plan)
-    {
-        dimm.setFaultPlan(plan);
-        memory->setFaultPlan(plan);
-        engine.setFaultPlan(plan);
-    }
-};
+    topo::TopologySpec spec;
+    spec.llc.size_bytes = 4ull << 20;
+    spec.driver_bytes = 512ULL << 20;
+    return spec;
+}
 
 /** Everything a soak run produces. */
 struct SoakResult
@@ -125,9 +84,9 @@ struct SoakResult
 SoakResult
 runWorkload(FaultPlan *plan)
 {
-    System sys;
+    topo::Topology sys(systemSpec());
     if (plan)
-        sys.attach(plan);
+        sys.setFaultPlan(plan);
 
     Rng rng(99); // workload data is fixed across all soaks
     std::uint8_t key[16];
@@ -140,9 +99,9 @@ runWorkload(FaultPlan *plan)
     auto tls = [&](std::size_t len, std::uint64_t message_id) {
         std::vector<std::uint8_t> plain(len);
         rng.fill(plain.data(), len);
-        const Addr sbuf = sys.driver.alloc(len);
-        const Addr dbuf = sys.driver.alloc(len + kPageSize);
-        sys.memory->writeSync(sbuf, plain.data(), len);
+        const Addr sbuf = sys.slot(0).driver.alloc(len);
+        const Addr dbuf = sys.slot(0).driver.alloc(len + kPageSize);
+        sys.memory().writeSync(sbuf, plain.data(), len);
 
         compcpy::CompCpyParams params;
         params.sbuf = sbuf;
@@ -154,9 +113,10 @@ runWorkload(FaultPlan *plan)
         params.iv = iv;
         params.iv[0] ^= static_cast<std::uint8_t>(message_id);
 
-        sys.engine.run(params);
-        sys.engine.useSync(dbuf, divCeil(len + 16, kPageSize) * kPageSize);
-        return sys.engine.readResult(dbuf, len + 16);
+        sys.slot(0).engine.run(params);
+        sys.slot(0).engine.useSync(
+            dbuf, divCeil(len + 16, kPageSize) * kPageSize);
+        return sys.slot(0).engine.readResult(dbuf, len + 16);
     };
     result.tls_small = tls(4096, 1);
     result.tls_large = tls(8192, 2);
@@ -166,9 +126,9 @@ runWorkload(FaultPlan *plan)
         std::vector<std::uint8_t> staged(kPageSize, 0);
         for (std::size_t i = 0; i < 4000; ++i)
             staged[i] = static_cast<std::uint8_t>("soak data!"[i % 10]);
-        const Addr sbuf = sys.driver.alloc(kPageSize);
-        const Addr dbuf = sys.driver.alloc(kPageSize);
-        sys.memory->writeSync(sbuf, staged.data(), staged.size());
+        const Addr sbuf = sys.slot(0).driver.alloc(kPageSize);
+        const Addr dbuf = sys.slot(0).driver.alloc(kPageSize);
+        sys.memory().writeSync(sbuf, staged.data(), staged.size());
 
         compcpy::CompCpyParams params;
         params.sbuf = sbuf;
@@ -176,18 +136,18 @@ runWorkload(FaultPlan *plan)
         params.size = 4000;
         params.ordered = true;
         params.ulp = smartdimm::UlpKind::kDeflate;
-        sys.engine.run(params);
-        sys.engine.useSync(dbuf, kPageSize);
-        result.deflate_raw = sys.engine.readResult(dbuf, kPageSize);
+        sys.slot(0).engine.run(params);
+        sys.slot(0).engine.useSync(dbuf, kPageSize);
+        result.deflate_raw = sys.slot(0).engine.readResult(dbuf, kPageSize);
     }
 
-    result.ctrl = sys.memory->controller(0).stats();
-    result.arbiter = sys.dimm.stats();
-    result.dsa = sys.dimm.dsaStats();
-    result.cuckoo = sys.dimm.translationTable().stats();
-    result.engine = sys.engine.stats();
-    result.queue = sys.engine.syncQueue().stats();
-    result.degraded_reads = sys.memory->degradedReads();
+    result.ctrl = sys.memory().controller(0).stats();
+    result.arbiter = sys.slot(0).device.stats();
+    result.dsa = sys.slot(0).device.dsaStats();
+    result.cuckoo = sys.slot(0).device.translationTable().stats();
+    result.engine = sys.slot(0).engine.stats();
+    result.queue = sys.slot(0).engine.syncQueue().stats();
+    result.degraded_reads = sys.memory().degradedReads();
     return result;
 }
 

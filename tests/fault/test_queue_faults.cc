@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <memory>
 #include <vector>
 
 #include "cache/memory_system.h"
@@ -23,6 +22,7 @@
 #include "fault/fault.h"
 #include "sim/event_queue.h"
 #include "smartdimm/buffer_device.h"
+#include "topo/topology.h"
 
 namespace {
 
@@ -34,55 +34,15 @@ using compcpy::WorkQueueConfig;
 using fault::FaultPlan;
 using fault::Site;
 
-/** One-channel SmartDIMM rig with an attachable fault plan. */
-struct System
+/** One-channel SmartDIMM rig: a 1x1 topology with a 4 MB LLC. */
+topo::TopologySpec
+systemSpec()
 {
-    EventQueue events;
-    mem::BackingStore store;
-    mem::DramGeometry geometry;
-    mem::AddressMap map;
-    smartdimm::BufferDevice dimm;
-    std::unique_ptr<cache::MemorySystem> memory;
-    compcpy::Driver driver;
-    compcpy::CompCpyEngine::SharedState shared;
-    compcpy::CompCpyEngine engine;
-
-    System()
-        : geometry(makeGeometry()),
-          map(geometry, mem::ChannelInterleave::kNone),
-          dimm(events, map, store),
-          driver(/*base=*/1ULL << 20, /*bytes=*/512ULL << 20),
-          engine(makeMemory(), driver, shared)
-    {
-    }
-
-    static mem::DramGeometry
-    makeGeometry()
-    {
-        mem::DramGeometry g;
-        g.channels = 1;
-        return g;
-    }
-
-    cache::MemorySystem &
-    makeMemory()
-    {
-        cache::CacheConfig cc;
-        cc.size_bytes = 4ull << 20;
-        memory = std::make_unique<cache::MemorySystem>(
-            events, geometry, mem::ChannelInterleave::kNone, cc,
-            std::vector<mem::DimmDevice *>{&dimm});
-        return *memory;
-    }
-
-    void
-    attach(FaultPlan *plan)
-    {
-        dimm.setFaultPlan(plan);
-        memory->setFaultPlan(plan);
-        engine.setFaultPlan(plan);
-    }
-};
+    topo::TopologySpec spec;
+    spec.llc.size_bytes = 4ull << 20;
+    spec.driver_bytes = 512ULL << 20;
+    return spec;
+}
 
 /** A staged 4 KB TLS op plus its software-reference ciphertext. */
 struct TlsOp
@@ -93,7 +53,7 @@ struct TlsOp
 };
 
 TlsOp
-makeTlsOp(System &sys, Rng &rng, std::uint64_t msg_id)
+makeTlsOp(topo::Topology &sys, Rng &rng, std::uint64_t msg_id)
 {
     const std::size_t len = 4096;
     TlsOp op;
@@ -105,9 +65,9 @@ makeTlsOp(System &sys, Rng &rng, std::uint64_t msg_id)
     rng.fill(iv.data(), iv.size());
 
     op.dst_bytes = divCeil(len + 16, kPageSize) * kPageSize;
-    const Addr sbuf = sys.driver.alloc(len);
-    const Addr dbuf = sys.driver.alloc(op.dst_bytes);
-    sys.memory->writeSync(sbuf, plain.data(), len);
+    const Addr sbuf = sys.slot(0).driver.alloc(len);
+    const Addr dbuf = sys.slot(0).driver.alloc(op.dst_bytes);
+    sys.memory().writeSync(sbuf, plain.data(), len);
 
     op.params.sbuf = sbuf;
     op.params.dbuf = dbuf;
@@ -126,24 +86,24 @@ makeTlsOp(System &sys, Rng &rng, std::uint64_t msg_id)
 }
 
 void
-verify(System &sys, const TlsOp &op)
+verify(topo::Topology &sys, const TlsOp &op)
 {
-    sys.engine.useSync(op.params.dbuf, op.dst_bytes);
+    sys.slot(0).engine.useSync(op.params.dbuf, op.dst_bytes);
     const auto result =
-        sys.engine.readResult(op.params.dbuf, op.expect.size());
+        sys.slot(0).engine.readResult(op.params.dbuf, op.expect.size());
     EXPECT_EQ(result, op.expect) << "output must stay bit-exact";
 }
 
 TEST(QueueFaults, InjectedQueueFullRejectsExactlyPerInjection)
 {
-    System sys;
+    topo::Topology sys(systemSpec());
     FaultPlan plan(51);
     plan.add(Site::kQueueFull, 0, /*count=*/2);
-    sys.attach(&plan);
+    sys.setFaultPlan(&plan);
 
     WorkQueueConfig cfg;
     cfg.depth = 8; // room to spare: rejections are purely injected
-    WorkQueue queue(sys.engine, cfg);
+    WorkQueue queue(sys.slot(0).engine, cfg);
 
     Rng rng(52);
     TlsOp op = makeTlsOp(sys, rng, 1);
@@ -167,16 +127,16 @@ TEST(QueueFaults, InjectedQueueFullRejectsExactlyPerInjection)
 
 TEST(QueueFaults, SyncFacadeRetriesThroughInjectedFull)
 {
-    System sys;
+    topo::Topology sys(systemSpec());
     FaultPlan plan(53);
     plan.add(Site::kQueueFull, 0, /*count=*/3);
-    sys.attach(&plan);
+    sys.setFaultPlan(&plan);
 
     Rng rng(54);
     TlsOp op = makeTlsOp(sys, rng, 2);
-    sys.engine.run(op.params); // must not wedge: bounded retry
+    sys.slot(0).engine.run(op.params); // must not wedge: bounded retry
 
-    const auto &qs = sys.engine.syncQueue().stats();
+    const auto &qs = sys.slot(0).engine.syncQueue().stats();
     EXPECT_EQ(plan.injected(Site::kQueueFull), 3u);
     EXPECT_EQ(qs.rejected_full, 3u);
     EXPECT_EQ(qs.submitted, 1u);
@@ -187,16 +147,16 @@ TEST(QueueFaults, SyncFacadeRetriesThroughInjectedFull)
 
 TEST(QueueFaults, LostCompletionRecoveredByWait)
 {
-    System sys;
+    topo::Topology sys(systemSpec());
     FaultPlan plan(55);
     plan.add(Site::kLostCompletion, 0, /*count=*/1);
-    sys.attach(&plan);
+    sys.setFaultPlan(&plan);
 
     Rng rng(56);
     TlsOp op = makeTlsOp(sys, rng, 3);
-    sys.engine.run(op.params); // wait() inside recovers the record
+    sys.slot(0).engine.run(op.params); // wait() inside recovers the record
 
-    const auto &qs = sys.engine.syncQueue().stats();
+    const auto &qs = sys.slot(0).engine.syncQueue().stats();
     EXPECT_EQ(plan.injected(Site::kLostCompletion), 1u);
     EXPECT_EQ(qs.lost_records, 1u);
     EXPECT_EQ(qs.recovered_records, 1u);
@@ -206,21 +166,21 @@ TEST(QueueFaults, LostCompletionRecoveredByWait)
         << "a recoverable drop must not escalate to bailout";
     // Recovery re-derived the loss from the device's kQueueStatus
     // counts, so the device saw both the doorbell and the ack.
-    EXPECT_EQ(sys.dimm.stats().doorbell_rings, 1u);
-    EXPECT_EQ(sys.dimm.stats().completion_acks, 1u);
+    EXPECT_EQ(sys.slot(0).device.stats().doorbell_rings, 1u);
+    EXPECT_EQ(sys.slot(0).device.stats().completion_acks, 1u);
     verify(sys, op);
 }
 
 TEST(QueueFaults, LostCompletionRecoveredByPollTimeout)
 {
-    System sys;
+    topo::Topology sys(systemSpec());
     FaultPlan plan(57);
     plan.add(Site::kLostCompletion, 0, /*count=*/1);
-    sys.attach(&plan);
+    sys.setFaultPlan(&plan);
 
     WorkQueueConfig cfg;
     cfg.poll_timeout = 0; // any executed-but-unrecorded entry is late
-    WorkQueue queue(sys.engine, cfg);
+    WorkQueue queue(sys.slot(0).engine, cfg);
 
     Rng rng(58);
     TlsOp op = makeTlsOp(sys, rng, 4);
@@ -228,13 +188,13 @@ TEST(QueueFaults, LostCompletionRecoveredByPollTimeout)
     ASSERT_TRUE(id.has_value());
 
     // Run the op to completion: the device acked, the record dropped.
-    sys.events.run();
+    sys.events().run();
     EXPECT_EQ(queue.stats().lost_records, 1u);
     EXPECT_EQ(queue.occupancy(), 1u) << "descriptor still unrecorded";
 
     // First poll finds nothing but arms recovery (kQueueStatus read)…
     EXPECT_TRUE(queue.poll().empty());
-    sys.events.run();
+    sys.events().run();
 
     // …and the next poll reaps the synthesised record.
     const auto records = queue.poll();
@@ -252,14 +212,14 @@ TEST(QueueFaults, RepeatedLossesAllRecoverInOneBatch)
 {
     // Three descriptors, every record dropped: one recovery poll can
     // account for all of them (deficit == 3) in submission order.
-    System sys;
+    topo::Topology sys(systemSpec());
     FaultPlan plan(59);
     plan.add(Site::kLostCompletion, 0, /*count=*/3);
-    sys.attach(&plan);
+    sys.setFaultPlan(&plan);
 
     WorkQueueConfig cfg;
     cfg.poll_timeout = 0;
-    WorkQueue queue(sys.engine, cfg);
+    WorkQueue queue(sys.slot(0).engine, cfg);
 
     Rng rng(60);
     std::vector<TlsOp> ops;
@@ -269,11 +229,11 @@ TEST(QueueFaults, RepeatedLossesAllRecoverInOneBatch)
             queue.submit(Descriptor::single(ops.back().params))
                 .has_value());
     }
-    sys.events.run();
+    sys.events().run();
     EXPECT_EQ(queue.stats().lost_records, 3u);
 
     EXPECT_TRUE(queue.poll().empty()); // arms recovery
-    sys.events.run();
+    sys.events().run();
     const auto records = queue.poll();
     ASSERT_EQ(records.size(), 3u);
     for (std::size_t i = 0; i < records.size(); ++i) {

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <memory>
 #include <vector>
 
 #include "cache/memory_system.h"
@@ -23,71 +22,32 @@
 #include "sim/event_queue.h"
 #include "smartdimm/buffer_device.h"
 #include "smartdimm/cuckoo_table.h"
+#include "topo/topology.h"
 
 namespace {
 
 using namespace sd;
 
-/** One-channel SmartDIMM rig with an attachable fault plan. */
-struct System
+/** One-channel SmartDIMM rig: a 1x1 topology with a 4 MB LLC. */
+topo::TopologySpec
+systemSpec()
 {
-    EventQueue events;
-    mem::BackingStore store;
-    mem::DramGeometry geometry;
-    mem::AddressMap map;
-    smartdimm::BufferDevice dimm;
-    std::unique_ptr<cache::MemorySystem> memory;
-    compcpy::Driver driver;
-    compcpy::CompCpyEngine::SharedState shared;
-    compcpy::CompCpyEngine engine;
-
-    System()
-        : geometry(makeGeometry()),
-          map(geometry, mem::ChannelInterleave::kNone),
-          dimm(events, map, store),
-          driver(/*base=*/1ULL << 20, /*bytes=*/512ULL << 20),
-          engine(makeMemory(), driver, shared)
-    {
-    }
-
-    static mem::DramGeometry
-    makeGeometry()
-    {
-        mem::DramGeometry g;
-        g.channels = 1;
-        return g;
-    }
-
-    cache::MemorySystem &
-    makeMemory()
-    {
-        cache::CacheConfig cc;
-        cc.size_bytes = 4ull << 20;
-        memory = std::make_unique<cache::MemorySystem>(
-            events, geometry, mem::ChannelInterleave::kNone, cc,
-            std::vector<mem::DimmDevice *>{&dimm});
-        return *memory;
-    }
-
-    void
-    attach(fault::FaultPlan *plan)
-    {
-        dimm.setFaultPlan(plan);
-        memory->setFaultPlan(plan);
-        engine.setFaultPlan(plan);
-    }
-};
+    topo::TopologySpec spec;
+    spec.llc.size_bytes = 4ull << 20;
+    spec.driver_bytes = 512ULL << 20;
+    return spec;
+}
 
 /** Run one 4 KB TLS CompCpy and return what readResult sees. */
 std::vector<std::uint8_t>
-runTls(System &sys, const std::vector<std::uint8_t> &plain,
+runTls(topo::Topology &sys, const std::vector<std::uint8_t> &plain,
        const std::uint8_t key[16], const crypto::GcmIv &iv,
        std::uint64_t message_id)
 {
     const std::size_t len = plain.size();
-    const Addr sbuf = sys.driver.alloc(len);
-    const Addr dbuf = sys.driver.alloc(len + kPageSize);
-    sys.memory->writeSync(sbuf, plain.data(), len);
+    const Addr sbuf = sys.slot(0).driver.alloc(len);
+    const Addr dbuf = sys.slot(0).driver.alloc(len + kPageSize);
+    sys.memory().writeSync(sbuf, plain.data(), len);
 
     compcpy::CompCpyParams params;
     params.sbuf = sbuf;
@@ -98,9 +58,9 @@ runTls(System &sys, const std::vector<std::uint8_t> &plain,
     std::memcpy(params.key, key, 16);
     params.iv = iv;
 
-    sys.engine.run(params);
-    sys.engine.useSync(dbuf, divCeil(len + 16, kPageSize) * kPageSize);
-    return sys.engine.readResult(dbuf, len + 16);
+    sys.slot(0).engine.run(params);
+    sys.slot(0).engine.useSync(dbuf, divCeil(len + 16, kPageSize) * kPageSize);
+    return sys.slot(0).engine.readResult(dbuf, len + 16);
 }
 
 std::vector<std::uint8_t>
@@ -117,10 +77,10 @@ softwareCiphertext(const std::vector<std::uint8_t> &plain,
 
 TEST(RecoveryPaths, ScratchpadExhaustRejectsAndDegradesGracefully)
 {
-    System sys;
+    topo::Topology sys(systemSpec());
     fault::FaultPlan plan(1);
     plan.add(fault::Site::kScratchpadExhaust, 0, /*count=*/1);
-    sys.attach(&plan);
+    sys.setFaultPlan(&plan);
 
     Rng rng(11);
     std::vector<std::uint8_t> plain(4096);
@@ -135,23 +95,23 @@ TEST(RecoveryPaths, ScratchpadExhaustRejectsAndDegradesGracefully)
     // The data page's registration was rejected, so its lines behaved
     // as plain DRAM: the copy went through unencrypted and the call is
     // flagged degraded instead of aborting.
-    EXPECT_EQ(sys.dimm.stats().rejected_registrations, 1u);
-    EXPECT_EQ(sys.engine.stats().rejected_registrations, 1u);
-    EXPECT_EQ(sys.engine.stats().degraded_calls, 1u);
-    EXPECT_TRUE(sys.engine.lastCallDegraded());
+    EXPECT_EQ(sys.slot(0).device.stats().rejected_registrations, 1u);
+    EXPECT_EQ(sys.slot(0).engine.stats().rejected_registrations, 1u);
+    EXPECT_EQ(sys.slot(0).engine.stats().degraded_calls, 1u);
+    EXPECT_TRUE(sys.slot(0).engine.lastCallDegraded());
     ASSERT_EQ(result.size(), plain.size() + 16);
     EXPECT_EQ(0, std::memcmp(result.data(), plain.data(), plain.size()))
         << "rejected pages must behave as plain DRAM";
     // No scratchpad page leaked by the rollback.
-    EXPECT_LE(sys.dimm.scratchpad().livePages(), 1u);
+    EXPECT_LE(sys.slot(0).device.scratchpad().livePages(), 1u);
 }
 
 TEST(RecoveryPaths, ConfigMemoryExhaustRejectsRegistration)
 {
-    System sys;
+    topo::Topology sys(systemSpec());
     fault::FaultPlan plan(2);
     plan.add(fault::Site::kConfigMemExhaust, 0, /*count=*/1);
-    sys.attach(&plan);
+    sys.setFaultPlan(&plan);
 
     Rng rng(12);
     std::vector<std::uint8_t> plain(4096);
@@ -163,17 +123,17 @@ TEST(RecoveryPaths, ConfigMemoryExhaustRejectsRegistration)
 
     runTls(sys, plain, key, iv, 2);
 
-    EXPECT_EQ(sys.dimm.stats().rejected_registrations, 1u);
-    EXPECT_TRUE(sys.engine.lastCallDegraded());
+    EXPECT_EQ(sys.slot(0).device.stats().rejected_registrations, 1u);
+    EXPECT_TRUE(sys.slot(0).engine.lastCallDegraded());
     EXPECT_EQ(plan.injected(fault::Site::kConfigMemExhaust), 1u);
 }
 
 TEST(RecoveryPaths, CuckooInsertFailureSurfacesAsRejection)
 {
-    System sys;
+    topo::Topology sys(systemSpec());
     fault::FaultPlan plan(3);
     plan.add(fault::Site::kCuckooInsertFail, 0, /*count=*/1);
-    sys.attach(&plan);
+    sys.setFaultPlan(&plan);
 
     Rng rng(13);
     std::vector<std::uint8_t> plain(4096);
@@ -185,9 +145,9 @@ TEST(RecoveryPaths, CuckooInsertFailureSurfacesAsRejection)
 
     runTls(sys, plain, key, iv, 3);
 
-    EXPECT_EQ(sys.dimm.translationTable().stats().failures, 1u);
-    EXPECT_EQ(sys.dimm.stats().rejected_registrations, 1u);
-    EXPECT_TRUE(sys.engine.lastCallDegraded());
+    EXPECT_EQ(sys.slot(0).device.translationTable().stats().failures, 1u);
+    EXPECT_EQ(sys.slot(0).device.stats().rejected_registrations, 1u);
+    EXPECT_TRUE(sys.slot(0).engine.lastCallDegraded());
 }
 
 TEST(RecoveryPaths, ForcedCuckooConflictsStillResolve)
@@ -219,10 +179,10 @@ TEST(RecoveryPaths, ForcedCuckooConflictsStillResolve)
 
 TEST(RecoveryPaths, FreePagesLieDrivesForceRecycleThenRecovers)
 {
-    System sys;
+    topo::Topology sys(systemSpec());
     fault::FaultPlan plan(5);
     plan.add(fault::Site::kFreePagesLie, 0, /*count=*/1);
-    sys.attach(&plan);
+    sys.setFaultPlan(&plan);
 
     Rng rng(14);
     std::vector<std::uint8_t> plain(4096);
@@ -236,19 +196,19 @@ TEST(RecoveryPaths, FreePagesLieDrivesForceRecycleThenRecovers)
 
     // One lie: the engine took Alg. 1, re-read the truth and finished
     // bit-exactly — no degradation.
-    EXPECT_EQ(sys.dimm.stats().freepages_lies, 1u);
-    EXPECT_GE(sys.engine.stats().force_recycles, 1u);
-    EXPECT_EQ(sys.engine.stats().recycle_bailouts, 0u);
-    EXPECT_FALSE(sys.engine.lastCallDegraded());
+    EXPECT_EQ(sys.slot(0).device.stats().freepages_lies, 1u);
+    EXPECT_GE(sys.slot(0).engine.stats().force_recycles, 1u);
+    EXPECT_EQ(sys.slot(0).engine.stats().recycle_bailouts, 0u);
+    EXPECT_FALSE(sys.slot(0).engine.lastCallDegraded());
     EXPECT_EQ(result, softwareCiphertext(plain, key, iv));
 }
 
 TEST(RecoveryPaths, PersistentFreePagesLiesBailOutBounded)
 {
-    System sys;
+    topo::Topology sys(systemSpec());
     fault::FaultPlan plan(6);
     plan.add(fault::Site::kFreePagesLie); // every read lies, forever
-    sys.attach(&plan);
+    sys.setFaultPlan(&plan);
 
     Rng rng(15);
     std::vector<std::uint8_t> plain(4096);
@@ -263,22 +223,16 @@ TEST(RecoveryPaths, PersistentFreePagesLiesBailOutBounded)
     // The Force-Recycle loop is bounded: past the attempt budget the
     // engine proceeds optimistically, and since the scratchpad really
     // had room the offload still completes bit-exactly.
-    EXPECT_EQ(sys.engine.stats().recycle_bailouts, 1u);
-    EXPECT_GE(sys.engine.stats().force_recycles, 1u);
-    EXPECT_GE(sys.dimm.stats().freepages_lies, 1u);
+    EXPECT_EQ(sys.slot(0).engine.stats().recycle_bailouts, 1u);
+    EXPECT_GE(sys.slot(0).engine.stats().force_recycles, 1u);
+    EXPECT_GE(sys.slot(0).device.stats().freepages_lies, 1u);
     EXPECT_EQ(result, softwareCiphertext(plain, key, iv));
 }
 
 TEST(RecoveryPaths, WriteDrainDelayLosesNoWrites)
 {
-    EventQueue events;
-    mem::BackingStore store;
-    mem::DramGeometry g;
-    g.channels = 1;
-    mem::AddressMap map(g, mem::ChannelInterleave::kNone);
-    smartdimm::BufferDevice dimm(events, map, store);
-    mem::MemoryController mc(events, map, mem::DramTiming{},
-                             mem::ControllerConfig{}, 0, dimm);
+    topo::Topology topo;
+    mem::MemoryController &mc = topo.memory().controller(0);
     fault::FaultPlan plan(7);
     plan.add(fault::Site::kWriteDrainDelay, 0, /*count=*/2);
     mc.setFaultPlan(&plan);
@@ -293,14 +247,14 @@ TEST(RecoveryPaths, WriteDrainDelayLosesNoWrites)
     for (int i = 0; i < 8; ++i)
         mc.enqueueRead(0x200000 + i * 64ull, buf,
                        [&](Tick, mem::MemStatus) { ++reads_done; });
-    events.run();
+    topo.events().run();
 
     EXPECT_EQ(writes_done, 56);
     EXPECT_EQ(reads_done, 8);
     EXPECT_EQ(plan.injected(fault::Site::kWriteDrainDelay), 2u);
     // Delayed or not, every queued write eventually hit the DIMM.
     std::uint8_t back[64];
-    store.read(0x80000, back, 64);
+    topo.store().read(0x80000, back, 64);
     EXPECT_EQ(back[0], 0xAB);
 }
 

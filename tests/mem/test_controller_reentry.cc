@@ -26,7 +26,6 @@ namespace {
 
 using namespace sd;
 using mem::AddressMap;
-using mem::ChannelInterleave;
 using mem::ControllerConfig;
 using mem::DdrCommand;
 using mem::DramGeometry;
@@ -103,7 +102,7 @@ class Reentry : public mem::DimmDevice
 {
   public:
     Reentry()
-        : map_(geometry(), ChannelInterleave::kNone),
+        : map_(geometry()),
           mc_(events_, map_, DramTiming{}, ControllerConfig{}, 0, *this),
           bufs_(kMaxRequests)
     {

@@ -20,7 +20,6 @@ namespace {
 
 using namespace sd;
 using mem::AddressMap;
-using mem::ChannelInterleave;
 using mem::ControllerConfig;
 using mem::DdrCommand;
 using mem::DdrCommandType;
@@ -78,7 +77,7 @@ struct Rig
     Tracer tracer;
 
     Rig()
-        : geometry(makeGeometry()), map(geometry, ChannelInterleave::kNone),
+        : geometry(makeGeometry()), map(geometry),
           dimm(store), mc(events, map, DramTiming{}, ControllerConfig{},
                           0, dimm)
     {

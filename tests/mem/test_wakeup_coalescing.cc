@@ -23,7 +23,6 @@ namespace {
 
 using namespace sd;
 using mem::AddressMap;
-using mem::ChannelInterleave;
 using mem::ControllerConfig;
 using mem::DdrCommand;
 using mem::DramGeometry;
@@ -82,7 +81,7 @@ runWorkload(bool coalesce)
     mem::BackingStore store;
     DramGeometry geometry;
     geometry.channels = 1;
-    AddressMap map(geometry, ChannelInterleave::kNone);
+    AddressMap map(geometry);
     Dimm dimm(store);
     MemoryController mc(events, map, DramTiming{}, ControllerConfig{}, 0,
                         dimm);

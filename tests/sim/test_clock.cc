@@ -10,7 +10,8 @@
 namespace {
 
 using sd::ClockDomain;
-using sd::SystemClocks;
+using sd::kBufferClockPeriod;
+using sd::kDramClockPeriod;
 
 TEST(Clock, PeriodAndCycles)
 {
@@ -41,12 +42,11 @@ TEST(Clock, FromMHz)
 
 TEST(Clock, BufferDeviceRunsAtQuarterRate)
 {
-    SystemClocks clocks;
-    EXPECT_EQ(clocks.bufferClock.period(),
-              4 * clocks.dramClock.period());
+    const ClockDomain dram(kDramClockPeriod);
+    const ClockDomain buffer(kBufferClockPeriod);
+    EXPECT_EQ(buffer.period(), 4 * dram.period());
     // Four DRAM command slots fit in one buffer-device cycle.
-    const auto buf_period = clocks.bufferClock.period();
-    EXPECT_EQ(clocks.dramClock.cyclesAt(buf_period), 4u);
+    EXPECT_EQ(dram.cyclesAt(buffer.period()), 4u);
 }
 
 } // namespace

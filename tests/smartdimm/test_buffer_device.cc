@@ -36,7 +36,7 @@ struct Rig
 
     Rig()
         : geometry(makeGeometry()),
-          map(geometry, mem::ChannelInterleave::kNone),
+          map(geometry),
           dev(events, map, store)
     {
     }

@@ -125,22 +125,20 @@ traceGoldenWorkload(cache::MemorySystem &memory, compcpy::Driver &driver,
 
 TEST(TopologyEquivalence, OneByOneReproducesLegacyRigTrace)
 {
-    // Legacy hand-wired rig, exactly as the golden-trace test builds
-    // it (tests may construct devices directly; production code goes
-    // through the factory).
+    // The reference: a hand-wired 1x1 rig. This is one of the few
+    // places that wires devices directly; everything else, the
+    // golden-trace test included, goes through the factory.
     std::string legacy;
     {
         EventQueue events;
         mem::BackingStore dram;
         mem::DramGeometry geometry;
         geometry.channels = 1;
-        mem::AddressMap map(geometry, mem::ChannelInterleave::kNone);
+        mem::AddressMap map(geometry);
         smartdimm::BufferDevice dimm(events, map, dram);
         cache::CacheConfig llc;
         llc.size_bytes = 4ull << 20;
-        cache::MemorySystem memory(events, geometry,
-                                   mem::ChannelInterleave::kNone, llc,
-                                   {&dimm});
+        cache::MemorySystem memory(events, map, llc, {&dimm});
         compcpy::Driver driver(1ULL << 20, 64ULL << 20);
         compcpy::CompCpyEngine::SharedState shared;
         compcpy::CompCpyEngine engine(memory, driver, shared);

@@ -28,6 +28,7 @@
 #include "fault/fault.h"
 #include "sim/event_queue.h"
 #include "smartdimm/buffer_device.h"
+#include "topo/topology.h"
 #include "trace/trace.h"
 
 #ifndef SD_GOLDEN_DIR
@@ -60,30 +61,19 @@ std::string
 runGoldenWorkload(CasCounter *observer,
                   fault::FaultPlan *fault_plan = nullptr)
 {
-    EventQueue events;
-    mem::BackingStore dram;
-    mem::DramGeometry geometry;
-    geometry.channels = 1;
-    mem::AddressMap map(geometry, mem::ChannelInterleave::kNone);
-    smartdimm::BufferDevice dimm(events, map, dram);
-
-    cache::CacheConfig llc;
-    llc.size_bytes = 4ull << 20;
-    cache::MemorySystem memory(events, geometry,
-                               mem::ChannelInterleave::kNone, llc,
-                               {&dimm});
+    topo::TopologySpec spec;
+    spec.llc.size_bytes = 4ull << 20;
+    spec.driver_bytes = 64ULL << 20;
+    topo::Topology topo(spec);
+    cache::MemorySystem &memory = topo.memory();
     if (observer)
         memory.controller(0).setObserver(observer);
 
-    compcpy::Driver driver(/*base=*/1ULL << 20, /*bytes=*/64ULL << 20);
-    compcpy::CompCpyEngine::SharedState shared;
-    compcpy::CompCpyEngine engine(memory, driver, shared);
+    compcpy::Driver &driver = topo.slot(0).driver;
+    compcpy::CompCpyEngine &engine = topo.slot(0).engine;
 
-    if (fault_plan) {
-        dimm.setFaultPlan(fault_plan);
-        memory.setFaultPlan(fault_plan);
-        engine.setFaultPlan(fault_plan);
-    }
+    if (fault_plan)
+        topo.setFaultPlan(fault_plan);
 
     auto &tr = trace::tracer();
     tr.clear();

@@ -15,7 +15,8 @@ Rule catalogue:
 
   per-file        plain regex rules over one file's text, identical
                   under both backends. Scope: src/; the topology-
-                  construction rule also covers bench/ and examples/.
+                  construction rule also covers bench/, examples/ and
+                  tests/ (minus the analyzer's own fixtures).
     determinism     no rand()/srand()/std::random_device: randomness
                     flows through sd::Rng so runs replay from a seed.
     iostream        no <iostream> in headers; sinks take std::ostream&.
@@ -1295,10 +1296,17 @@ WAKEUP_BYPASS_BUDGET = {
 # The factory computes the per-slot capacity windows, rebases each
 # device's MMIO base into its slot, threads fault scopes and keeps the
 # per-device stat names consistent. A hand-wired rig silently gets one
-# global MMIO window and unscoped faults.
+# global MMIO window and unscoped faults. Each test listed here wires
+# components directly because the wiring itself is what it checks.
 TOPOLOGY_CTOR_ALLOWED = {
-    "src/topo/topology.h",
-    "src/topo/topology.cc",
+    "src/topo/topology.h": "the factory itself",
+    "src/topo/topology.cc": "the factory itself",
+    "tests/topo/test_topology.cc":
+        "the hand-wired 1x1 reference the factory must reproduce",
+    "tests/cache/test_memory_system.cc":
+        "MemorySystem over PlainDimms, with no buffer device at all",
+    "tests/fault/test_alert_recovery.cc":
+        "MemorySystem over an AlertingDimm that storms ALERT_N",
 }
 
 
@@ -1330,8 +1338,8 @@ def check_topology_construction(rel: str, clean: str) -> list:
         "topology-construction", rel, clean, TOPOLOGY_CTOR_RE,
         "construct MemorySystem/BufferDevice through the topo::Topology "
         "factory (topo/topology.h): it owns the address windows, rebased "
-        "MMIO bases, fault scopes and stat names; only tests may wire "
-        "bespoke rigs")
+        "MMIO bases, fault scopes and stat names (a test whose subject is "
+        "the wiring itself goes in TOPOLOGY_CTOR_ALLOWED with a reason)")
 
 
 def check_per_file(rel: str, text: str, clean: str) -> list:
@@ -1403,15 +1411,16 @@ def run_analysis(root: pathlib.Path, build: pathlib.Path,
                             lambda _p, c: extract_functions_regex(c),
                             findings)
 
-    # bench/ and examples/ build production-shaped rigs, so the
-    # topology-construction rule (and only it) extends there; tests/
-    # stay free to wire bespoke rigs.
-    for sub in ("bench", "examples"):
+    # bench/, examples/ and tests/ build systems too, so the
+    # topology-construction rule (and only it) extends there. The
+    # analyzer's fixtures are inputs, not rigs.
+    for sub in ("bench", "examples", "tests"):
         for path in sorted((root / sub).rglob("*")):
-            if path.suffix in SRC_EXTS | {".cpp"} and path.is_file():
+            rel = path.relative_to(root).as_posix()
+            if (path.suffix in SRC_EXTS | {".cpp"} and path.is_file() and
+                    not rel.startswith("tests/tools/fixtures/")):
                 findings.extend(check_topology_construction(
-                    path.relative_to(root).as_posix(),
-                    strip_comments_and_strings(path.read_text())))
+                    rel, strip_comments_and_strings(path.read_text())))
 
     # Cross-module rules.
     fault_summary = check_fault_coverage(root, findings)
@@ -1637,6 +1646,12 @@ PER_FILE_SELF_TESTS = [
     ("cache/member_ok",
      "void f() { std::deque<smartdimm::BufferDevice> pool; }", ".cc",
      []),  # container element types are not construction sites
+    ("tests/compcpy/test_end_to_end",
+     "void f() { cache::MemorySystem m(e, map, c, d); }", ".cc",
+     ["topology-construction"]),  # a test rig growing back
+    ("tests/topo/test_topology",
+     "void f() { cache::MemorySystem memory(e, map, c, d); }", ".cc",
+     []),  # the 1x1 equivalence reference
 ]
 
 
@@ -1688,12 +1703,16 @@ def self_test(repo_root: pathlib.Path) -> int:
         else:
             print(f"ok   span-flow/{name}")
 
-    # 2. Embedded per-file corpus.
+    # 2. Embedded per-file corpus. A tests/ case gets only the rule
+    # run_analysis() applies there.
     for name, source, suffix, expected in PER_FILE_SELF_TESTS:
-        rel = f"src/{name}{suffix}" if "/" in name else \
-            f"<self-test:{name}>{suffix}"
-        findings = check_per_file(rel, source,
-                                  strip_comments_and_strings(source))
+        clean = strip_comments_and_strings(source)
+        if name.startswith("tests/"):
+            findings = check_topology_construction(name + suffix, clean)
+        else:
+            rel = f"src/{name}{suffix}" if "/" in name else \
+                f"<self-test:{name}>{suffix}"
+            findings = check_per_file(rel, source, clean)
         got = sorted(f.rule for f in findings)
         if got != sorted(expected):
             failures += 1
