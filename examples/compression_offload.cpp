@@ -55,7 +55,6 @@ main()
     spec.llc.size_bytes = 8ull << 20;
     topo::Topology topo(spec);
     cache::MemorySystem &memory = topo.memory();
-    smartdimm::BufferDevice &device = topo.slot(0u).device;
     compcpy::Driver &driver = topo.slot(0u).driver;
     compcpy::CompCpyEngine &compcpy = topo.slot(0u).engine;
 

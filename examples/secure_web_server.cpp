@@ -31,7 +31,6 @@ main()
                                       // easy to provoke in a demo
     topo::Topology topo(spec);
     cache::MemorySystem &memory = topo.memory();
-    smartdimm::BufferDevice &device = topo.slot(0u).device;
     compcpy::Driver &driver = topo.slot(0u).driver;
     compcpy::CompCpyEngine::SharedState shared;
 

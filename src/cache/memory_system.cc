@@ -38,24 +38,6 @@ MemorySystem::cxlLink(unsigned channel) const
     return links_[channel];
 }
 
-mem::MemCallback
-MemorySystem::linked(Addr addr, mem::MemCallback cb)
-{
-    mem::CxlLink *link = links_[map_.decompose(addr).channel];
-    if (!link)
-        return cb;
-    // The DRAM-side completion rides home over the CXL link: the flit
-    // serializes on the shared wire and the response arrives a round
-    // trip later. LLC hits never reach here.
-    return [link, cb = std::move(cb)](Tick,
-                                      mem::MemStatus status) mutable {
-        link->transfer(kCacheLineSize,
-                       [cb = std::move(cb), status](Tick at) mutable {
-                           cb(at, status);
-                       });
-    };
-}
-
 mem::MemoryController &
 MemorySystem::controller(unsigned channel)
 {
@@ -117,6 +99,58 @@ MemorySystem::writebackVictim(const AccessResult &result)
             .enqueueWrite(*result.writeback, result.writeback_data);
 }
 
+std::uint32_t
+MemorySystem::park(Callback cb)
+{
+    const std::uint32_t slot = ops_.alloc();
+    HostOp &op = ops_[slot];
+    op.cb = std::move(cb);
+    op.fill = nullptr;
+    return slot;
+}
+
+void
+MemorySystem::finishIn(Tick delay, std::uint32_t slot)
+{
+    events_.scheduleIn(delay, [this, slot] {
+        finish(slot, events_.now(), mem::MemStatus::kOk);
+    });
+}
+
+mem::MemCallback
+MemorySystem::dramDone(Addr addr, std::uint32_t slot)
+{
+    mem::CxlLink *link = links_[map_.decompose(addr).channel];
+    if (!link)
+        return [this, slot](Tick at, mem::MemStatus status) {
+            finish(slot, at, status);
+        };
+    // The DRAM-side completion rides home over the CXL link: the flit
+    // serializes on the shared wire and the response arrives a round
+    // trip later. LLC hits never reach here.
+    return [this, link, slot](Tick, mem::MemStatus status) {
+        const Tick at = link->transfer(kCacheLineSize);
+        events_.schedule(at, [this, slot, status, at] {
+            finish(slot, at, status);
+        });
+    };
+}
+
+void
+MemorySystem::finish(std::uint32_t slot, Tick at, mem::MemStatus status)
+{
+    if (status == mem::MemStatus::kDegraded)
+        ++degraded_reads_;
+    HostOp &op = ops_[slot];
+    if (op.fill) {
+        if (std::uint8_t *cached = llc_.dataPtr(op.line))
+            std::memcpy(cached, op.fill, kCacheLineSize);
+    }
+    Callback cb = std::move(op.cb);
+    ops_.free(slot);
+    cb(at);
+}
+
 void
 MemorySystem::readLine(Addr addr, std::uint8_t *dst, Callback cb)
 {
@@ -124,26 +158,18 @@ MemorySystem::readLine(Addr addr, std::uint8_t *dst, Callback cb)
     const auto result = llc_.access(line, false, AllocClass::kCpu);
     if (result.hit) {
         std::memcpy(dst, result.data, kCacheLineSize);
-        events_.scheduleIn(latencies_.llc_hit, [this, cb = std::move(cb)]()
-                               mutable { cb(events_.now()); });
+        finishIn(latencies_.llc_hit, park(std::move(cb)));
         return;
     }
     writebackVictim(result);
-    // Fetch from DRAM; install into the already-allocated line, then
-    // hand the bytes to the caller. The fill buffer rides inside the
-    // (move-only) completion callback.
-    auto fill = std::make_unique<std::array<std::uint8_t, kCacheLineSize>>();
-    std::uint8_t *fill_data = fill->data();
-    route(line).enqueueRead(
-        line, fill_data,
-        linked(line,
-               track([line, dst, fill = std::move(fill),
-                      cb = std::move(cb), this](Tick at) mutable {
-            if (std::uint8_t *slot = llc_.dataPtr(line))
-                std::memcpy(slot, fill->data(), kCacheLineSize);
-            std::memcpy(dst, fill->data(), kCacheLineSize);
-            cb(at);
-        })));
+    // Fetch from DRAM into the caller's buffer, zeroed first so a
+    // degraded read that returns no data reads as zeros; finish()
+    // installs the bytes into the already-allocated line.
+    std::memset(dst, 0, kCacheLineSize);
+    const std::uint32_t slot = park(std::move(cb));
+    ops_[slot].fill = dst;
+    ops_[slot].line = line;
+    route(line).enqueueRead(line, dst, dramDone(line, slot));
 }
 
 void
@@ -154,8 +180,7 @@ MemorySystem::writeLine(Addr addr, const std::uint8_t *src, Callback cb)
         llc_.access(line, true, AllocClass::kCpu, /*full_line_store=*/true);
     writebackVictim(result);
     std::memcpy(result.data, src, kCacheLineSize);
-    events_.scheduleIn(latencies_.store_commit, [this, cb = std::move(cb)]()
-                           mutable { cb(events_.now()); });
+    finishIn(latencies_.store_commit, park(std::move(cb)));
 }
 
 void
@@ -163,27 +188,27 @@ MemorySystem::flushLine(Addr addr, Callback cb)
 {
     const Addr line = lineAlign(addr);
     const auto result = llc_.flush(line);
+    const std::uint32_t slot = park(std::move(cb));
     if (result.dirty) {
         route(line).enqueueWrite(line, result.data.data(),
-                                 linked(line, track(std::move(cb))));
+                                 dramDone(line, slot));
         return;
     }
-    events_.scheduleIn(latencies_.flush_clean, [this, cb = std::move(cb)]()
-                           mutable { cb(events_.now()); });
+    finishIn(latencies_.flush_clean, slot);
 }
 
 void
 MemorySystem::mmioWrite(Addr addr, const std::uint8_t *src, Callback cb)
 {
     route(addr).enqueueWrite(lineAlign(addr), src,
-                             linked(addr, track(std::move(cb))));
+                             dramDone(addr, park(std::move(cb))));
 }
 
 void
 MemorySystem::mmioRead(Addr addr, std::uint8_t *dst, Callback cb)
 {
     route(addr).enqueueRead(lineAlign(addr), dst,
-                            linked(addr, track(std::move(cb))));
+                            dramDone(addr, park(std::move(cb))));
 }
 
 void
@@ -196,8 +221,7 @@ MemorySystem::dmaWriteLine(Addr addr, const std::uint8_t *src, Callback cb)
         llc_.access(line, true, AllocClass::kDdio, /*full_line_store=*/true);
     writebackVictim(result);
     std::memcpy(result.data, src, kCacheLineSize);
-    events_.scheduleIn(latencies_.store_commit, [this, cb = std::move(cb)]()
-                           mutable { cb(events_.now()); });
+    finishIn(latencies_.store_commit, park(std::move(cb)));
 }
 
 void
@@ -206,13 +230,12 @@ MemorySystem::dmaReadLine(Addr addr, std::uint8_t *dst, Callback cb)
     // Device reads snoop the LLC (hit: serve from cache) and otherwise
     // fetch from DRAM without allocating.
     const Addr line = lineAlign(addr);
-    if (const std::uint8_t *slot = llc_.dataPtr(line)) {
-        std::memcpy(dst, slot, kCacheLineSize);
-        events_.scheduleIn(latencies_.llc_hit, [this, cb = std::move(cb)]()
-                               mutable { cb(events_.now()); });
+    if (const std::uint8_t *cached = llc_.dataPtr(line)) {
+        std::memcpy(dst, cached, kCacheLineSize);
+        finishIn(latencies_.llc_hit, park(std::move(cb)));
         return;
     }
-    route(line).enqueueRead(line, dst, linked(line, track(std::move(cb))));
+    route(line).enqueueRead(line, dst, dramDone(line, park(std::move(cb))));
 }
 
 void

@@ -12,7 +12,6 @@
 #define SD_CACHE_MEMORY_SYSTEM_H
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -24,6 +23,7 @@
 #include "mem/memory_controller.h"
 #include "sim/clock.h"
 #include "sim/event_queue.h"
+#include "sim/slot_pool.h"
 #include "trace/trace.h"
 
 namespace sd::mem {
@@ -152,6 +152,9 @@ class MemorySystem
     /** Completions that came back mem::MemStatus::kDegraded. */
     std::uint64_t degradedReads() const { return degraded_reads_; }
 
+    /** Host ops issued whose callback has not started yet. */
+    std::size_t pendingOps() const { return ops_.live(); }
+
     /**
      * Mark @p channel as CXL-attached far memory: every DRAM-side
      * access on it (LLC misses, writebacks with completions, MMIO)
@@ -173,28 +176,43 @@ class MemorySystem
                        const std::string &prefix = "") const;
 
   private:
+    /**
+     * One pending host op. It lives in a pool slot from issue until
+     * just before its callback runs; event, controller and CXL
+     * continuations capture {this, slot} (plus the link and status on
+     * a far channel), which always fits UniqueFunctionT inline.
+     */
+    struct HostOp
+    {
+        Callback cb;
+        /** Set for an LLC fill: DRAM writes the caller's buffer, and
+         *  finish() installs it into the line allocated for `line`. */
+        std::uint8_t *fill = nullptr;
+        Addr line = 0;
+    };
+
     mem::MemoryController &route(Addr addr);
     /** Enqueue the access's dirty victim, if any. Call it before
      *  writing the filled line: the victim's bytes live in that slot. */
     void writebackVictim(const AccessResult &result);
 
-    /**
-     * Route @p cb through the channel's CXL link when the address
-     * lives on a far channel; identity on local channels.
-     */
-    mem::MemCallback linked(Addr addr, mem::MemCallback cb);
+    /** Park @p cb in a fresh slot. */
+    std::uint32_t park(Callback cb);
 
-    /** Wrap a host Callback as a MemCallback that tallies kDegraded. */
-    mem::MemCallback
-    track(Callback cb)
-    {
-        return [this, cb = std::move(cb)](Tick at,
-                                          mem::MemStatus status) mutable {
-            if (status == mem::MemStatus::kDegraded)
-                ++degraded_reads_;
-            cb(at);
-        };
-    }
+    /** Complete @p slot after @p delay (the local-speed paths). */
+    void finishIn(Tick delay, std::uint32_t slot);
+
+    /**
+     * The controller completion for @p slot. On a far channel it ships
+     * the response over the CXL link and finishes on arrival.
+     */
+    mem::MemCallback dramDone(Addr addr, std::uint32_t slot);
+
+    /**
+     * Tally a kDegraded completion, install a fill into the LLC, then
+     * free the slot and run its callback.
+     */
+    void finish(std::uint32_t slot, Tick at, mem::MemStatus status);
 
     EventQueue &events_;
     const mem::AddressMap &map_;
@@ -202,6 +220,7 @@ class MemorySystem
     HostLatencies latencies_;
     std::vector<std::unique_ptr<mem::MemoryController>> controllers_;
     std::vector<mem::CxlLink *> links_; ///< per channel; null = local
+    SlotPool<HostOp> ops_;
     std::uint64_t degraded_reads_ = 0;
 };
 

@@ -29,23 +29,26 @@ constexpr unsigned kMaxRecycleAttempts = 8;
  */
 constexpr unsigned kMaxSubmitRetries = 8;
 
-/** Continuation state of one in-flight CompCpy. */
+/** Lines in flight per round of the unordered copy loop. */
+constexpr std::size_t kCopyWindow = 8;
+
+/** Continuation state of one in-flight CompCpy (a pool slot). */
 struct CompCpyEngine::Flow
 {
     CompCpyParams params;
-    std::function<void(const OpOutcome &)> on_done;
+    OpCallback on_done;
     std::size_t src_pages = 0;
     std::size_t dst_pages = 0;
-    std::size_t cursor = 0;      ///< line/page progress in each stage
-    std::size_t outstanding = 0; ///< fan-out joins
-    std::vector<std::uint8_t> line; ///< 64 B staging for the copy loop
+    std::size_t cursor = 0;  ///< line/page progress in each stage
+    std::size_t pending = 0; ///< join counter of the current fan-out
+    /** Copy-window staging; line 0 also receives MMIO register reads. */
+    std::array<std::array<std::uint8_t, kCacheLineSize>, kCopyWindow>
+        staging;
     std::uint32_t span = 0;      ///< trace span id (0 = untraced)
     Tick begin = 0;              ///< start() tick for call latency
     std::uint64_t degraded_base = 0; ///< degradedReads() at start
     unsigned recycle_attempts = 0;   ///< Force-Recycle rounds so far
     bool bailed = false;             ///< recycle loop hit its bound
-
-    Flow() : line(kCacheLineSize) {}
 };
 
 CompCpyEngine::CompCpyEngine(cache::MemorySystem &memory, Driver &driver,
@@ -125,7 +128,7 @@ CompCpyEngine::run(const CompCpyParams &params)
 
 void
 CompCpyEngine::startOp(const CompCpyParams &params, std::uint32_t span,
-                       std::function<void(const OpOutcome &)> on_done)
+                       OpCallback on_done)
 {
     // Alg. 2 lines 3-6: alignment checks.
     SD_ASSERT(isPageAligned(params.dbuf) && isPageAligned(params.sbuf),
@@ -135,74 +138,77 @@ CompCpyEngine::startOp(const CompCpyParams &params, std::uint32_t span,
         SD_ASSERT(params.size <= smartdimm::kDeflateMaxPayload,
                   "deflate offloads are page-granular");
 
-    auto flow = std::make_shared<Flow>();
-    flow->params = params;
-    flow->on_done = std::move(on_done);
-    flow->src_pages = divCeil(params.size, kPageSize);
-    flow->dst_pages = destPages(params);
-    flow->begin = memory_.events().now();
-    flow->degraded_base = memory_.degradedReads();
-    flow->span = span; // opened by the owning work queue at submit
+    const std::uint32_t id = flows_.alloc();
+    Flow &flow = flows_[id];
+    flow.params = params;
+    flow.on_done = std::move(on_done);
+    flow.src_pages = divCeil(params.size, kPageSize);
+    flow.dst_pages = destPages(params);
+    flow.cursor = 0;
+    flow.pending = 0;
+    flow.span = span; // opened by the owning work queue at submit
+    flow.begin = memory_.events().now();
+    flow.degraded_base = memory_.degradedReads();
+    flow.recycle_attempts = 0;
+    flow.bailed = false;
     ++stats_.calls;
-    stats_.pages_offloaded += flow->dst_pages;
+    stats_.pages_offloaded += flow.dst_pages;
 
-    checkFreePages(flow);
+    checkFreePages(id);
 }
 
 void
-CompCpyEngine::checkFreePages(std::shared_ptr<Flow> flow)
+CompCpyEngine::checkFreePages(std::uint32_t id)
 {
     // Alg. 2 lines 7-17: reserve scratchpad pages under the lock,
     // refreshing the shadow counter lazily from the MMIO register.
     ++shared_.lock_acquisitions;
-    const auto needed =
-        static_cast<std::int64_t>(flow->dst_pages);
+    const auto needed = static_cast<std::int64_t>(flows_[id].dst_pages);
     if (shared_.free_pages > needed) {
         shared_.free_pages -= needed;
-        flushSource(std::move(flow));
+        flushSource(id);
         return;
     }
 
     ++stats_.freepages_refreshes;
-    auto reg = std::make_shared<std::array<std::uint8_t, kCacheLineSize>>();
     memory_.mmioRead(driver_.mmio(smartdimm::MmioReg::kFreePages),
-                     reg->data(), [this, flow, reg, needed](Tick) {
+                     flows_[id].staging[0].data(),
+                     [this, id, needed](Tick) {
+        Flow &flow = flows_[id];
         std::uint64_t hw_free = 0;
-        std::memcpy(&hw_free, reg->data(), sizeof(hw_free));
+        std::memcpy(&hw_free, flow.staging[0].data(), sizeof(hw_free));
         shared_.free_pages = static_cast<std::int64_t>(hw_free);
         if (shared_.free_pages > needed) {
             shared_.free_pages -= needed;
-            flushSource(flow);
+            flushSource(id);
             return;
         }
         // Unlikely path (Alg. 2 line 11): Force-Recycle.
-        if (++flow->recycle_attempts > kMaxRecycleAttempts) {
+        if (++flow.recycle_attempts > kMaxRecycleAttempts) {
             ++stats_.recycle_bailouts;
-            flow->bailed = true;
-            SD_TRACE_EVENT(flow->span, trace::Stage::kFault,
-                           memory_.events().now(), flow->params.dbuf);
-            flushSource(flow);
+            flow.bailed = true;
+            SD_TRACE_EVENT(flow.span, trace::Stage::kFault,
+                           memory_.events().now(), flow.params.dbuf);
+            flushSource(id);
             return;
         }
-        forceRecycle(flow, static_cast<std::size_t>(needed));
+        forceRecycle(id, static_cast<std::size_t>(needed));
     });
 }
 
 void
-CompCpyEngine::forceRecycle(std::shared_ptr<Flow> flow,
-                            std::size_t required_pages)
+CompCpyEngine::forceRecycle(std::uint32_t id, std::size_t required_pages)
 {
     // Algorithm 1: read the pending list, flush those pages so their
     // cached destination lines write back and drain the scratchpad.
     ++stats_.force_recycles;
-    SD_TRACE_EVENT(flow->span, trace::Stage::kForceRecycle,
-                   memory_.events().now(), flow->params.dbuf);
-    auto reg = std::make_shared<std::array<std::uint8_t, kCacheLineSize>>();
+    SD_TRACE_EVENT(flows_[id].span, trace::Stage::kForceRecycle,
+                   memory_.events().now(), flows_[id].params.dbuf);
     memory_.mmioRead(driver_.mmio(smartdimm::MmioReg::kPendingList),
-                     reg->data(),
-                     [this, flow, reg, required_pages](Tick) {
+                     flows_[id].staging[0].data(),
+                     [this, id, required_pages](Tick) {
         std::uint64_t words[8];
-        std::memcpy(words, reg->data(), sizeof(words));
+        std::memcpy(words, flows_[id].staging[0].data(), sizeof(words));
         const std::size_t count =
             std::min<std::uint64_t>(words[0], 7);
         std::size_t to_free =
@@ -216,21 +222,14 @@ CompCpyEngine::forceRecycle(std::shared_ptr<Flow> flow,
         if (to_free == 0) {
             // Nothing pending: the scratchpad will free as in-flight
             // drains land; retry the freePages check shortly.
-            memory_.events().scheduleIn(100'000, [this, flow] {
+            memory_.events().scheduleIn(100'000, [this, id] {
                 shared_.free_pages = -1;
-                checkFreePages(flow);
+                checkFreePages(id);
             });
             return;
         }
 
-        auto remaining =
-            std::make_shared<std::size_t>(to_free * kLinesPerPage);
-        auto finish = [this, flow, remaining] {
-            if (--*remaining == 0) {
-                shared_.free_pages = -1;
-                checkFreePages(flow);
-            }
-        };
+        flows_[id].pending = to_free * kLinesPerPage;
         for (std::size_t i = 0; i < to_free; ++i) {
             const Addr page = words[1 + i];
             for (std::size_t l = 0; l < kLinesPerPage; ++l) {
@@ -238,7 +237,9 @@ CompCpyEngine::forceRecycle(std::shared_ptr<Flow> flow,
                 if (memory_.llc().contains(line)) {
                     // Cached copy exists: a flush generates the wrCAS
                     // that drains the scratchpad line.
-                    memory_.flushLine(line, [finish](Tick) { finish(); });
+                    memory_.flushLine(line, [this, id](Tick) {
+                        recycleLineDone(id);
+                    });
                     continue;
                 }
                 // Uncached: read the line back (served from the
@@ -248,10 +249,10 @@ CompCpyEngine::forceRecycle(std::shared_ptr<Flow> flow,
                 auto staging = std::make_shared<
                     std::array<std::uint8_t, kCacheLineSize>>();
                 memory_.mmioRead(line, staging->data(),
-                                 [this, line, staging, finish](Tick) {
+                                 [this, id, line, staging](Tick) {
                     memory_.mmioWrite(line, staging->data(),
-                                      [finish, staging](Tick) {
-                        finish();
+                                      [this, id](Tick) {
+                        recycleLineDone(id);
                     });
                 });
             }
@@ -260,34 +261,45 @@ CompCpyEngine::forceRecycle(std::shared_ptr<Flow> flow,
 }
 
 void
-CompCpyEngine::flushSource(std::shared_ptr<Flow> flow)
+CompCpyEngine::recycleLineDone(std::uint32_t id)
+{
+    if (--flows_[id].pending == 0) {
+        shared_.free_pages = -1;
+        checkFreePages(id);
+    }
+}
+
+void
+CompCpyEngine::flushSource(std::uint32_t id)
 {
     // Alg. 2 line 19: flush sbuf so rdCAS commands reach the DIMM.
-    const std::size_t lines =
-        divCeil(flow->params.size, kCacheLineSize);
-    auto remaining = std::make_shared<std::size_t>(lines);
+    Flow &flow = flows_[id];
+    const std::size_t lines = divCeil(flow.params.size, kCacheLineSize);
+    const Addr sbuf = flow.params.sbuf;
+    flow.pending = lines;
     for (std::size_t l = 0; l < lines; ++l) {
-        const Addr line = flow->params.sbuf + l * kCacheLineSize;
-        memory_.flushLine(line, [this, flow, remaining, line](Tick at) {
-            SD_TRACE_EVENT(flow->span, trace::Stage::kFlush, at, line);
-            if (--*remaining == 0)
-                registerPages(flow);
+        const Addr line = sbuf + l * kCacheLineSize;
+        memory_.flushLine(line, [this, id, line](Tick at) {
+            SD_TRACE_EVENT(flows_[id].span, trace::Stage::kFlush, at, line);
+            if (--flows_[id].pending == 0)
+                registerPages(id);
         });
     }
 }
 
 void
-CompCpyEngine::registerPages(std::shared_ptr<Flow> flow)
+CompCpyEngine::registerPages(std::uint32_t id)
 {
     // Alg. 2 lines 21-23: one MMIO write per page pair (S17).
-    const CompCpyParams &p = flow->params;
-    if (flow->cursor >= flow->dst_pages) {
-        flow->cursor = 0;
-        copyLines(flow);
+    Flow &flow = flows_[id];
+    const CompCpyParams &p = flow.params;
+    if (flow.cursor >= flow.dst_pages) {
+        flow.cursor = 0;
+        copyLines(id);
         return;
     }
 
-    const std::size_t page = flow->cursor++;
+    const std::size_t page = flow.cursor++;
     std::array<std::uint8_t, kCacheLineSize> burst{};
 
     if (p.ulp == smartdimm::UlpKind::kTlsEncrypt) {
@@ -295,7 +307,7 @@ CompCpyEngine::registerPages(std::shared_ptr<Flow> flow)
         reg.page_index = static_cast<std::uint16_t>(page);
         reg.message_len = static_cast<std::uint32_t>(p.size);
         reg.message_id = p.message_id;
-        const bool tag_only = page >= flow->src_pages;
+        const bool tag_only = page >= flow.src_pages;
         reg.sbuf_page = tag_only
                             ? (p.dbuf / kPageSize + page)
                             : (p.sbuf / kPageSize + page);
@@ -311,29 +323,29 @@ CompCpyEngine::registerPages(std::shared_ptr<Flow> flow)
         reg.pack(burst.data());
     }
 
-    auto data = std::make_shared<std::array<std::uint8_t, kCacheLineSize>>(
-        burst);
+    // The controller copies the burst at enqueue, as on the wire.
     const Addr reg_addr = driver_.mmio(smartdimm::MmioReg::kRegister);
-    memory_.mmioWrite(reg_addr, data->data(),
-                      [this, flow, data, reg_addr](Tick at) {
-        SD_TRACE_EVENT(flow->span, trace::Stage::kRegister, at, reg_addr);
-        registerPages(flow);
+    memory_.mmioWrite(reg_addr, burst.data(), [this, id, reg_addr](Tick at) {
+        SD_TRACE_EVENT(flows_[id].span, trace::Stage::kRegister, at,
+                       reg_addr);
+        registerPages(id);
     });
 }
 
 void
-CompCpyEngine::copyLines(std::shared_ptr<Flow> flow)
+CompCpyEngine::copyLines(std::uint32_t id)
 {
     // Alg. 2 lines 24-30: the memcpy. Ordered mode fences between
     // 64-byte copies (one line strictly after another); unordered mode
     // still serialises read->write per line but lets the memory system
     // pipeline across lines via a small window.
-    const CompCpyParams &p = flow->params;
+    Flow &flow = flows_[id];
+    const CompCpyParams &p = flow.params;
     const std::size_t lines = divCeil(p.size, kCacheLineSize);
 
-    if (flow->cursor >= lines) {
-        flow->cursor = 0;
-        zeroTrailer(flow);
+    if (flow.cursor >= lines) {
+        flow.cursor = 0;
+        zeroTrailer(id);
         return;
     }
 
@@ -345,114 +357,122 @@ CompCpyEngine::copyLines(std::shared_ptr<Flow> flow)
     bool fence_violation = false;
     std::size_t window;
     if (p.ordered) {
-        fence_violation = lines - flow->cursor >= 2 &&
+        fence_violation = lines - flow.cursor >= 2 &&
                           injectFault(fault::Site::kOrderedFence);
         window = fence_violation ? 2 : 1;
         if (fence_violation) {
             ++stats_.fence_violations;
-            SD_TRACE_EVENT(flow->span, trace::Stage::kFault,
+            SD_TRACE_EVENT(flow.span, trace::Stage::kFault,
                            memory_.events().now(),
-                           p.sbuf + flow->cursor * kCacheLineSize);
+                           p.sbuf + flow.cursor * kCacheLineSize);
         }
     } else {
-        window = std::min<std::size_t>(8, lines - flow->cursor);
+        window = std::min<std::size_t>(kCopyWindow, lines - flow.cursor);
     }
 
-    auto joined = std::make_shared<std::size_t>(window);
+    const std::size_t first = flow.cursor;
+    const Addr sbuf = p.sbuf;
+    const Addr dbuf = p.dbuf;
+    flow.cursor += window;
+    flow.pending = window;
     for (std::size_t w = 0; w < window; ++w) {
         const std::size_t issue = fence_violation ? window - 1 - w : w;
-        const std::size_t line_index = flow->cursor + issue;
-        const Addr src = p.sbuf + line_index * kCacheLineSize;
-        const Addr dst = p.dbuf + line_index * kCacheLineSize;
-        auto staging = std::make_shared<
-            std::array<std::uint8_t, kCacheLineSize>>();
-        memory_.readLine(src, staging->data(),
-                         [this, flow, joined, dst, staging](Tick) {
+        const std::size_t line_index = first + issue;
+        const Addr src = sbuf + line_index * kCacheLineSize;
+        const Addr dst = dbuf + line_index * kCacheLineSize;
+        // writeLine() copies the staged line into the LLC at once, so
+        // the slot's staging is free again before the next window.
+        memory_.readLine(src, flows_[id].staging[w].data(),
+                         [this, id, w, dst](Tick) {
             ++stats_.lines_copied;
-            memory_.writeLine(dst, staging->data(),
-                              [this, flow, joined, dst, staging](Tick at) {
-                SD_TRACE_EVENT(flow->span, trace::Stage::kCopy, at, dst);
-                if (--*joined == 0)
-                    copyLines(flow);
+            memory_.writeLine(dst, flows_[id].staging[w].data(),
+                              [this, id, dst](Tick at) {
+                SD_TRACE_EVENT(flows_[id].span, trace::Stage::kCopy, at,
+                               dst);
+                if (--flows_[id].pending == 0)
+                    copyLines(id);
             });
         });
     }
-    flow->cursor += window;
 }
 
 void
-CompCpyEngine::zeroTrailer(std::shared_ptr<Flow> flow)
+CompCpyEngine::zeroTrailer(std::uint32_t id)
 {
     // TLS only: the record trailer (tag space) belongs to dbuf but is
     // never written by the memcpy; writing zeros makes those lines
     // dirty so LLC writebacks self-recycle them like any other line.
-    const CompCpyParams &p = flow->params;
+    Flow &flow = flows_[id];
+    const CompCpyParams &p = flow.params;
     const std::size_t payload_lines = divCeil(p.size, kCacheLineSize);
     const std::size_t total_lines =
         p.ulp == smartdimm::UlpKind::kTlsEncrypt
-            ? flow->dst_pages * kLinesPerPage
+            ? flow.dst_pages * kLinesPerPage
             : payload_lines;
 
     if (payload_lines >= total_lines) {
-        finishFlow(flow);
+        finishFlow(id);
         return;
     }
 
-    auto remaining =
-        std::make_shared<std::size_t>(total_lines - payload_lines);
+    const Addr dbuf = p.dbuf;
+    flow.pending = total_lines - payload_lines;
     static const std::array<std::uint8_t, kCacheLineSize> kZeros{};
     for (std::size_t l = payload_lines; l < total_lines; ++l) {
-        memory_.writeLine(p.dbuf + l * kCacheLineSize, kZeros.data(),
-                          [this, flow, remaining](Tick) {
-            if (--*remaining == 0)
-                finishFlow(flow);
+        memory_.writeLine(dbuf + l * kCacheLineSize, kZeros.data(),
+                          [this, id](Tick) {
+            if (--flows_[id].pending == 0)
+                finishFlow(id);
         });
     }
 }
 
 void
-CompCpyEngine::finishFlow(const std::shared_ptr<Flow> &flow)
+CompCpyEngine::finishFlow(std::uint32_t id)
 {
     if (!fault_plan_) {
-        completeFlow(flow, 0);
+        completeFlow(id, 0);
         return;
     }
     // With a fault plan attached, poll the device's fault-status
     // register so rejected registrations surface as a degraded call
     // (the fault-free path issues no extra MMIO traffic).
-    auto reg = std::make_shared<std::array<std::uint8_t, kCacheLineSize>>();
     memory_.mmioRead(driver_.mmio(smartdimm::MmioReg::kFaultStatus),
-                     reg->data(), [this, flow, reg](Tick) {
+                     flows_[id].staging[0].data(), [this, id](Tick) {
         std::uint64_t rejected = 0;
-        std::memcpy(&rejected, reg->data(), sizeof(rejected));
+        std::memcpy(&rejected, flows_[id].staging[0].data(),
+                    sizeof(rejected));
         const std::uint64_t fresh =
             rejected >= seen_rejections_ ? rejected - seen_rejections_
                                          : 0;
         seen_rejections_ = std::max(seen_rejections_, rejected);
-        completeFlow(flow, fresh);
+        completeFlow(id, fresh);
     });
 }
 
 void
-CompCpyEngine::completeFlow(const std::shared_ptr<Flow> &flow,
-                            std::uint64_t fresh_rejections)
+CompCpyEngine::completeFlow(std::uint32_t id, std::uint64_t fresh_rejections)
 {
+    Flow &flow = flows_[id];
     const std::uint64_t degraded =
-        memory_.degradedReads() - flow->degraded_base;
+        memory_.degradedReads() - flow.degraded_base;
     stats_.rejected_registrations += fresh_rejections;
     last_call_degraded_ = fresh_rejections > 0 || degraded > 0;
     if (last_call_degraded_) {
         ++stats_.degraded_calls;
-        SD_TRACE_EVENT(flow->span, trace::Stage::kFault,
-                       memory_.events().now(), flow->params.dbuf);
+        SD_TRACE_EVENT(flow.span, trace::Stage::kFault,
+                       memory_.events().now(), flow.params.dbuf);
     }
-    call_latency_.sample(memory_.events().now() - flow->begin);
+    call_latency_.sample(memory_.events().now() - flow.begin);
 
     OpOutcome outcome;
     outcome.degraded = degraded > 0;
     outcome.rejected = fresh_rejections > 0;
-    outcome.bailout = flow->bailed;
-    flow->on_done(outcome);
+    outcome.bailout = flow.bailed;
+    // Free the slot first: the callback may start the queue's next op.
+    auto on_done = std::move(flow.on_done);
+    flows_.free(id);
+    on_done(outcome);
 }
 
 void
@@ -460,17 +480,28 @@ CompCpyEngine::use(Addr dbuf, std::size_t bytes,
                    std::function<void()> on_done)
 {
     const std::size_t lines = divCeil(bytes, kCacheLineSize);
-    auto remaining = std::make_shared<std::size_t>(lines);
-    auto done = std::make_shared<std::function<void()>>(std::move(on_done));
+    const std::uint32_t id = uses_.alloc();
+    uses_[id].on_done = std::move(on_done);
+    uses_[id].pending = lines;
     for (std::size_t l = 0; l < lines; ++l) {
         const Addr line = dbuf + l * kCacheLineSize;
-        memory_.flushLine(line, [remaining, done, line](Tick at) {
+        memory_.flushLine(line, [this, id, line](Tick at) {
             SD_TRACE_PAGE_EVENT(line / kPageSize, trace::Stage::kUse, at,
                                 line);
-            if (--*remaining == 0)
-                (*done)();
+            useLineDone(id);
         });
     }
+}
+
+void
+CompCpyEngine::useLineDone(std::uint32_t id)
+{
+    UseOp &op = uses_[id];
+    if (--op.pending != 0)
+        return;
+    auto on_done = std::move(op.on_done);
+    uses_.free(id);
+    on_done();
 }
 
 void

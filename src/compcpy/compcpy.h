@@ -23,8 +23,9 @@
 #include "common/stats.h"
 #include "common/types.h"
 #include "compcpy/driver.h"
-#include "fault/fault.h"
 #include "crypto/aes_gcm.h"
+#include "fault/fault.h"
+#include "sim/slot_pool.h"
 #include "smartdimm/dsa.h"
 #include "smartdimm/mmio_layout.h"
 #include "trace/trace.h"
@@ -204,6 +205,9 @@ class CompCpyEngine
 
     struct Flow; ///< per-invocation continuation state
 
+    /** An op's completion (move-only; its captures stay inline). */
+    using OpCallback = UniqueFunctionT<void(const OpOutcome &)>;
+
     /**
      * Execute one op of a dispatched descriptor: the full Algorithm 2
      * sequence (freePages check, Force-Recycle, flush, registration,
@@ -213,18 +217,27 @@ class CompCpyEngine
      * @p span is the trace span the owning queue opened at submit.
      */
     void startOp(const CompCpyParams &params, std::uint32_t span,
-                 std::function<void(const OpOutcome &)> on_done);
+                 OpCallback on_done);
 
-    void checkFreePages(std::shared_ptr<Flow> flow);
-    void forceRecycle(std::shared_ptr<Flow> flow,
-                      std::size_t required_pages);
-    void flushSource(std::shared_ptr<Flow> flow);
-    void registerPages(std::shared_ptr<Flow> flow);
-    void copyLines(std::shared_ptr<Flow> flow);
-    void zeroTrailer(std::shared_ptr<Flow> flow);
-    void finishFlow(const std::shared_ptr<Flow> &flow);
-    void completeFlow(const std::shared_ptr<Flow> &flow,
-                      std::uint64_t fresh_rejections);
+    /** A pending use(): its callback and outstanding flushes. */
+    struct UseOp
+    {
+        std::function<void()> on_done;
+        std::size_t pending = 0;
+    };
+
+    // Every stage takes the flow's pool id; continuations capture
+    // {this, id}. No Flow & is held across a MemorySystem call.
+    void checkFreePages(std::uint32_t id);
+    void forceRecycle(std::uint32_t id, std::size_t required_pages);
+    void recycleLineDone(std::uint32_t id);
+    void flushSource(std::uint32_t id);
+    void registerPages(std::uint32_t id);
+    void copyLines(std::uint32_t id);
+    void zeroTrailer(std::uint32_t id);
+    void finishFlow(std::uint32_t id);
+    void completeFlow(std::uint32_t id, std::uint64_t fresh_rejections);
+    void useLineDone(std::uint32_t id);
     bool injectFault(fault::Site site);
 
     cache::MemorySystem &memory_;
@@ -238,6 +251,8 @@ class CompCpyEngine
     bool last_call_degraded_ = false;
     CompCpyStats stats_;
     LogHistogram call_latency_;
+    SlotPool<Flow> flows_;
+    SlotPool<UseOp> uses_;
     std::unique_ptr<WorkQueue> sync_queue_; ///< start()/run() facade
 };
 

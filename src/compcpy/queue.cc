@@ -170,13 +170,13 @@ WorkQueue::ringDoorbell(const std::shared_ptr<Pending> &p)
     db.submitter = p->submitter;
     db.ops = static_cast<std::uint32_t>(p->desc.ops.size());
     db.seq = p->id;
-    auto burst =
-        std::make_shared<std::array<std::uint8_t, kCacheLineSize>>();
-    db.pack(burst->data());
+    std::array<std::uint8_t, kCacheLineSize> burst{};
+    db.pack(burst.data());
     ++stats_.doorbells;
+    // The controller copies the burst at enqueue, as on the wire.
     engine_.memory().mmioWrite(
         engine_.driver().mmio(smartdimm::MmioReg::kQueueDoorbell),
-        burst->data(), [this, p, burst](Tick) {
+        burst.data(), [this, p](Tick) {
             p->doorbell_landed = true;
             tryDispatch();
         });
@@ -251,12 +251,11 @@ WorkQueue::descriptorExecuted(const std::shared_ptr<Pending> &p)
     qc.status = static_cast<std::uint16_t>(statusOf(*p));
     qc.ops = static_cast<std::uint32_t>(p->desc.ops.size());
     qc.seq = p->id;
-    auto burst =
-        std::make_shared<std::array<std::uint8_t, kCacheLineSize>>();
-    qc.pack(burst->data());
+    std::array<std::uint8_t, kCacheLineSize> burst{};
+    qc.pack(burst.data());
     engine_.memory().mmioWrite(
         engine_.driver().mmio(smartdimm::MmioReg::kQueueComplete),
-        burst->data(), [this, p, burst](Tick) {
+        burst.data(), [this, p](Tick) {
             if (p->recorded)
                 return;
             if (config_.signal == CompletionSignal::kWithheldResponse) {

@@ -28,8 +28,8 @@ CxlLink::CxlLink(EventQueue &events, const CxlLinkConfig &config)
     stall_ticks_ = nsToTicks(config_.stall_ns);
 }
 
-void
-CxlLink::transfer(std::size_t bytes, UniqueFunctionT<void(Tick)> fn)
+Tick
+CxlLink::transfer(std::size_t bytes)
 {
     const Tick now = events_.now();
     // One byte takes 1000/gbps ps at `gbps` GB/s; a zero-byte control
@@ -56,10 +56,7 @@ CxlLink::transfer(std::size_t bytes, UniqueFunctionT<void(Tick)> fn)
     stats_.bytes += bytes;
     stats_.busy_ticks += ser;
 
-    const Tick done = free_at_ + round_trip_ticks_;
-    events_.schedule(done, [fn = std::move(fn), done]() mutable {
-        fn(done);
-    });
+    return free_at_ + round_trip_ticks_;
 }
 
 void

@@ -4,9 +4,9 @@
  * far channel's memory controller and charges every DRAM-side access
  * the link's round-trip flight time plus payload serialization at the
  * configured line rate. Flits serialize in FIFO order on one shared
- * link, so back-to-back transfers queue behind each other — the model
- * reuses the pool-backed EventQueue rather than keeping its own timer
- * wheel.
+ * link, so back-to-back transfers queue behind each other. The link
+ * only computes arrival ticks; the caller schedules the delivery on
+ * the pool-backed EventQueue with its own (inline) continuation.
  *
  * The link is also a fault-injection point: kCxlLinkStall adds a
  * configurable retry penalty to one transfer (a CRC retry episode on
@@ -20,6 +20,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "common/cxl_defaults.h"
 #include "common/types.h"
 #include "fault/fault.h"
 #include "sim/event_queue.h"
@@ -30,9 +31,9 @@ namespace sd::mem {
 /** Link timing knobs (defaults: mid-range CXL 2.0 switch hop). */
 struct CxlLinkConfig
 {
-    double round_trip_ns = 600.0; ///< request + response flight time
-    double gbps = 32.0;           ///< payload serialization rate
-    double stall_ns = 250.0;      ///< injected CRC-retry episode penalty
+    double round_trip_ns = kCxlRoundTripNs; ///< request + response flight
+    double gbps = kCxlLinkGbps;             ///< payload serialization rate
+    double stall_ns = 250.0; ///< injected CRC-retry episode penalty
 };
 
 /**
@@ -56,11 +57,13 @@ class CxlLink
     CxlLink(EventQueue &events, const CxlLinkConfig &config);
 
     /**
-     * Ship @p bytes across the link and run @p fn when the response
-     * lands (round trip + serialization + any queueing/stall delay).
-     * @p fn receives the delivery tick.
+     * Ship @p bytes across the link. @return the tick the response
+     * lands (round trip + serialization + any queueing/stall delay);
+     * the caller schedules its own delivery event there. Returned
+     * ticks strictly increase across calls: the wire's free time only
+     * grows and the round trip is constant, so deliveries stay FIFO.
      */
-    void transfer(std::size_t bytes, UniqueFunctionT<void(Tick)> fn);
+    Tick transfer(std::size_t bytes);
 
     /** Round-trip flight time in ticks (no payload, no queueing). */
     Tick roundTripTicks() const { return round_trip_ticks_; }

@@ -12,7 +12,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/stats.h"
@@ -23,6 +22,7 @@
 #include "mem/dram_command.h"
 #include "sim/clock.h"
 #include "sim/event_queue.h"
+#include "sim/slot_pool.h"
 #include "sim/unique_function.h"
 #include "trace/trace.h"
 
@@ -163,58 +163,6 @@ class MemoryController
     };
     static_assert(sizeof(Key) == 16, "queue keys stay 16-byte PODs");
 
-    /**
-     * Chunked request pool with a free list. Chunks are never
-     * reallocated, so a slot's address is stable while device code
-     * re-enters enqueueRead()/enqueueWrite() and grows the pool.
-     */
-    class RequestPool
-    {
-      public:
-        Request &
-        operator[](std::uint32_t slot)
-        {
-            return chunks_[slot >> kChunkBits][slot & (kChunkSize - 1)];
-        }
-
-        std::uint32_t
-        alloc()
-        {
-            if (free_.empty())
-                grow();
-            const std::uint32_t slot = free_.back();
-            free_.pop_back();
-            return slot;
-        }
-
-        void free(std::uint32_t slot) { free_.push_back(slot); }
-
-        /** Slots currently holding a request. */
-        std::size_t
-        live() const
-        {
-            return chunks_.size() * kChunkSize - free_.size();
-        }
-
-      private:
-        static constexpr unsigned kChunkBits = 6;
-        static constexpr std::uint32_t kChunkSize = 1u << kChunkBits;
-
-        void
-        grow()
-        {
-            const auto base =
-                static_cast<std::uint32_t>(chunks_.size() * kChunkSize);
-            chunks_.push_back(std::make_unique<Request[]>(kChunkSize));
-            // Reverse order: the chunk's lowest slot is handed out first.
-            for (std::uint32_t i = kChunkSize; i-- > 0;)
-                free_.push_back(base + i);
-        }
-
-        std::vector<std::unique_ptr<Request[]>> chunks_;
-        std::vector<std::uint32_t> free_;
-    };
-
     void kick();           ///< request a pass at the next clock edge
     /**
      * The coalesced wakeup helper: every scheduler wakeup flows
@@ -258,7 +206,7 @@ class MemoryController
      * which may enqueue. No Request& is held across such a call; the
      * slot is looked up again after it.
      */
-    RequestPool pool_;
+    SlotPool<Request> pool_;
     std::vector<Key> read_q_;  ///< age-ordered
     std::vector<Key> write_q_; ///< age-ordered
     BankStateSoA banks_;

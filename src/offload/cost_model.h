@@ -20,6 +20,8 @@
 
 #include <cstddef>
 
+#include "common/cxl_defaults.h"
+
 namespace sd::offload {
 
 /** Host CPU parameters (Xeon Gold 6242 class, Sec. VI). */
@@ -152,12 +154,11 @@ struct SmartDimmParams
 /** CXL.mem-attached SmartDIMM (far-memory tier, ISSUE 10). */
 struct CxlParams
 {
-    /** Link round trip, request to response (CXL 2.0 switch-hop class
-     *  latencies span roughly 300-1500 ns; 600 is a mid-range hop). */
-    double round_trip_ns = 600.0;
+    /** Link round trip, request to response (common/cxl_defaults.h). */
+    double round_trip_ns = kCxlRoundTripNs;
 
-    /** Flex-bus payload rate per direction (GB/s, x8 CXL 2.0). */
-    double link_gbps = 32.0;
+    /** Flex-bus payload rate per direction (GB/s). */
+    double link_gbps = kCxlLinkGbps;
 
     /** Control-path round trips per offload: the doorbell write plus
      *  the withheld completion read the controller holds open. */

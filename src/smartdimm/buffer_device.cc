@@ -353,14 +353,12 @@ BufferDevice::feedDsa(std::uint64_t sbuf_page, unsigned line,
     // The DSA transform is functionally immediate; its latency is
     // modelled by deferring the Scratchpad materialisation, so a too-
     // early rdCAS/wrCAS of the destination line sees S13/S7.
-    std::vector<std::uint8_t> copy(data, data + kCacheLineSize);
-    auto job = entry.job;
     const std::uint64_t dbuf_page = entry.dbuf_page;
     SD_TRACE_PAGE_EVENT(sbuf_page, trace::Stage::kTransform,
                         events_.now(),
                         sbuf_page * kPageSize + line * kCacheLineSize);
 
-    const Cycles busy = job->processLine(line, copy.data());
+    const Cycles busy = entry.job->processLine(line, data);
     const Tick ready_at =
         events_.now() + buffer_clock_.toTicks(
                             busy ? busy : config_.dsa_line_latency);

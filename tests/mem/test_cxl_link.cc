@@ -19,6 +19,18 @@ using namespace sd;
 using mem::CxlLink;
 using mem::CxlLinkConfig;
 
+/**
+ * Ship @p bytes over @p link and run @p fn with the arrival tick as an
+ * event at that tick — the way MemorySystem delivers far completions.
+ */
+template <typename Fn>
+void
+ship(EventQueue &events, CxlLink &link, std::size_t bytes, Fn fn)
+{
+    const Tick at = link.transfer(bytes);
+    events.schedule(at, [fn, at]() mutable { fn(at); });
+}
+
 TEST(CxlLink, ChargesRoundTripPlusSerialization)
 {
     EventQueue events;
@@ -31,7 +43,7 @@ TEST(CxlLink, ChargesRoundTripPlusSerialization)
     EXPECT_EQ(link.roundTripTicks(), 600'000);
 
     Tick delivered = 0;
-    link.transfer(kCacheLineSize, [&](Tick at) { delivered = at; });
+    ship(events, link, kCacheLineSize, [&](Tick at) { delivered = at; });
     events.run();
     EXPECT_EQ(delivered, 600'000 + 2'000);
     EXPECT_EQ(link.stats().transfers, 1u);
@@ -50,8 +62,8 @@ TEST(CxlLink, FasterLinkSerializesSooner)
     CxlLink fast_link(events, fast);
 
     Tick slow_at = 0, fast_at = 0;
-    slow_link.transfer(4096, [&](Tick at) { slow_at = at; });
-    fast_link.transfer(4096, [&](Tick at) { fast_at = at; });
+    ship(events, slow_link, 4096, [&](Tick at) { slow_at = at; });
+    ship(events, fast_link, 4096, [&](Tick at) { fast_at = at; });
     events.run();
     EXPECT_GT(slow_at, fast_at);
 }
@@ -66,7 +78,7 @@ TEST(CxlLink, BackToBackTransfersQueueFifoOnTheWire)
 
     std::vector<Tick> deliveries;
     for (int i = 0; i < 3; ++i)
-        link.transfer(kCacheLineSize,
+        ship(events, link, kCacheLineSize,
                       [&](Tick at) { deliveries.push_back(at); });
     events.run();
 
@@ -78,6 +90,41 @@ TEST(CxlLink, BackToBackTransfersQueueFifoOnTheWire)
     EXPECT_EQ(link.stats().queued, 2u);
     EXPECT_EQ(link.stats().queue_ticks, 2'000 + 4'000);
     EXPECT_EQ(link.stats().busy_ticks, 3 * 2'000);
+}
+
+TEST(CxlLink, StallMidBurstKeepsArrivalsFifo)
+{
+    EventQueue events;
+    CxlLinkConfig config;
+    config.round_trip_ns = 300.0;
+    config.gbps = 32.0;
+    config.stall_ns = 250.0;
+    CxlLink link(events, config);
+
+    // The third of six back-to-back flits hits a CRC-retry episode.
+    fault::FaultPlan plan(5);
+    plan.add(fault::Site::kCxlLinkStall, /*skip=*/2, /*count=*/1);
+    link.setFaultPlan(&plan);
+
+    std::vector<Tick> returned;
+    std::vector<int> order;
+    for (int i = 0; i < 6; ++i) {
+        returned.push_back(link.transfer(kCacheLineSize));
+        const Tick at = returned.back();
+        events.schedule(at, [&order, i] { order.push_back(i); });
+    }
+    events.run();
+
+    ASSERT_EQ(link.stats().injected_stalls, 1u);
+    // Arrival ticks strictly increase: the stall delays its own flit
+    // and every flit queued behind it, never reordering them, so the
+    // delivery events run in issue order.
+    for (int i = 1; i < 6; ++i)
+        EXPECT_LT(returned[i - 1], returned[i]) << "flit " << i;
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+    EXPECT_EQ(returned[1] - returned[0], 2'000);
+    EXPECT_EQ(returned[2] - returned[1], 250'000 + 2'000);
+    EXPECT_EQ(returned[3] - returned[2], 2'000);
 }
 
 TEST(CxlLink, StallFaultAddsPenaltyAndCounts)
@@ -94,9 +141,9 @@ TEST(CxlLink, StallFaultAddsPenaltyAndCounts)
     link.setFaultPlan(&plan);
 
     Tick stalled = 0, clean = 0;
-    link.transfer(kCacheLineSize, [&](Tick at) { stalled = at; });
+    ship(events, link, kCacheLineSize, [&](Tick at) { stalled = at; });
     events.run();
-    link.transfer(kCacheLineSize, [&](Tick at) { clean = at; });
+    ship(events, link, kCacheLineSize, [&](Tick at) { clean = at; });
     events.run();
 
     // The stalled transfer pays exactly one 250 ns retry episode on
@@ -118,7 +165,7 @@ TEST(CxlLink, ScopedRuleRespectsChannelScope)
     auto plan = fault::FaultPlan::fromSpec("cxl[1]/cxl_link_stall", 3);
     ASSERT_TRUE(plan.has_value());
     link.setFaultPlan(&*plan);
-    link.transfer(kCacheLineSize, [](Tick) {});
+    ship(events, link, kCacheLineSize, [](Tick) {});
     events.run();
     EXPECT_EQ(link.stats().injected_stalls, 0u)
         << "a rule scoped to channel 1 must not fire on channel 2";
@@ -126,7 +173,7 @@ TEST(CxlLink, ScopedRuleRespectsChannelScope)
     auto hit = fault::FaultPlan::fromSpec("cxl[2]/cxl_link_stall", 3);
     ASSERT_TRUE(hit.has_value());
     link.setFaultPlan(&*hit);
-    link.transfer(kCacheLineSize, [](Tick) {});
+    ship(events, link, kCacheLineSize, [](Tick) {});
     events.run();
     EXPECT_EQ(link.stats().injected_stalls, 1u);
 }

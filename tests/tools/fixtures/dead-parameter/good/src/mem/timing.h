@@ -1,0 +1,16 @@
+#ifndef SD_MEM_TIMING_H
+#define SD_MEM_TIMING_H
+
+struct LinkTiming
+{
+    long round_trip = 600'000; ///< ticks
+    long burst = 4;
+};
+
+enum class DdrCommandType
+{
+    kActivate,
+    kReadCas,
+};
+
+#endif

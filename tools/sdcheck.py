@@ -69,6 +69,11 @@ Rule catalogue:
                   (kCacheLineSize/kLineBits/kLinesPerPage/...), and
                   line-unit and byte-unit quantities must not be mixed
                   additively in one expression.
+  dead-parameter  every field of a *Config/*Params/*Timing/*Spec/
+                  *Geometry/*Model struct in src/, and every
+                  DdrCommandType enumerator, is read somewhere in src/
+                  (a write such as `cfg.x = 3` is not a read). The
+                  parameters not enforced yet are an exact budget.
 
 Findings are emitted as JSON ({"rule","file","line","context","msg"})
 and compared against the committed baseline tools/sdcheck_baseline.json
@@ -90,6 +95,7 @@ import json
 import pathlib
 import re
 import sys
+from collections import Counter
 
 SRC_EXTS = {".h", ".cc"}
 
@@ -105,6 +111,11 @@ def is_fixture(rel: str) -> bool:
 # --------------------------------------------------------------------------
 # Shared text utilities
 # --------------------------------------------------------------------------
+
+
+# A quote inside a number (100'000, 0xFFFF'FFFF) separates digits; it
+# does not open a character literal.
+DIGIT_SEPARATOR_RE = re.compile(r"\b\d\w*$")
 
 
 def strip_comments_and_strings(text: str) -> str:
@@ -132,7 +143,8 @@ def strip_comments_and_strings(text: str) -> str:
                 out.append(" ")
                 i += 1
                 continue
-            if c == "'":
+            if c == "'" and not DIGIT_SEPARATOR_RE.search(
+                    text, max(0, i - 40), i):
                 state = "chr"
                 out.append(" ")
                 i += 1
@@ -1228,6 +1240,126 @@ def check_addr_arith(root: pathlib.Path, findings: list, read=None,
 
 
 # --------------------------------------------------------------------------
+# Rule: dead-parameter — config fields and DDR commands nothing reads
+# --------------------------------------------------------------------------
+
+PARAM_STRUCT_RE = re.compile(
+    r"\bstruct\s+(\w*(?:Config|Params|Timing|Spec|Geometry|Model))\b"
+    r"[^;{()]*\{")
+DDR_COMMAND_ENUM_RE = re.compile(r"\benum\s+class\s+DdrCommandType\b[^;{]*\{")
+NOT_A_FIELD_RE = re.compile(
+    r"^\s*(?:static|using|friend|template|typedef|struct|class|enum|"
+    r"union)\b")
+ACCESS_RE = re.compile(r"\b(?:public|private|protected)\s*:(?!:)")
+
+# Parameters declared but not yet read, each with the reason. The list
+# is exact: a fourth unread parameter is a finding, and so is an entry
+# whose parameter gains a reader or disappears, so it only shrinks.
+# ROADMAP item 2 (enforce the DDR4 timing model) empties it.
+DEAD_PARAMETER_BUDGET = {
+    "DramTiming::tCCD_S": "tCCD_L applies per bank whatever the group",
+    "DramTiming::tWR": "write recovery before PRE is not enforced",
+    "DdrCommandType::kRefresh": "the controller never refreshes",
+}
+
+
+def _is_function(stmt: str) -> bool:
+    paren, eq = stmt.find("("), stmt.find("=")
+    return paren >= 0 and (eq < 0 or paren < eq)
+
+
+def _struct_fields(body: str) -> list:
+    """(name, offset in body) of each data member declared at the top
+    level of a struct body; member functions, nested types and static
+    members are skipped."""
+    flat, depth, closes = list(body), 0, set()
+    for i, c in enumerate(body):
+        if c == "{":
+            depth += 1
+        elif c == "}":
+            depth -= 1
+            if depth == 0:
+                closes.add(i)
+        elif depth == 0 or c == "\n":
+            continue
+        flat[i] = " "
+    flat = "".join(flat)
+    fields, start = [], 0
+    for i, c in enumerate(flat):
+        if c != ";" and i not in closes:
+            continue
+        stmt = ACCESS_RE.sub(" ", flat[start:i])
+        if c != ";" and not _is_function(stmt):
+            continue  # a brace initializer: the ';' ends the member
+        stmt_start, start = start, i + 1
+        if not stmt.strip() or NOT_A_FIELD_RE.match(stmt) or \
+                _is_function(stmt):
+            continue
+        decl = re.sub(r"\[[^\]]*\]", " ", stmt.split("=")[0])
+        decl = re.sub(r"\s:\s*\d+\s*$", " ", decl)  # bit-field width
+        m = re.search(r"\S\s*[&*\s]\s*(\w+)\s*$", decl)
+        if m:
+            fields.append((m.group(1), stmt_start + stmt.find(m.group(1))))
+    return fields
+
+
+def dead_parameter_findings(files: dict, budget: dict) -> list:
+    """@p files maps repo-relative paths to comment-stripped source."""
+    declared = []  # (qualified name, bare name, rel, line)
+    for rel, clean in sorted(files.items()):
+        for m in PARAM_STRUCT_RE.finditer(clean):
+            close = _matching_brace(clean, m.end() - 1)
+            if close is None:
+                continue
+            for name, off in _struct_fields(clean[m.end():close]):
+                declared.append((f"{m.group(1)}::{name}", name, rel,
+                                 line_of(clean, m.end() + off)))
+        for m in DDR_COMMAND_ENUM_RE.finditer(clean):
+            close = _matching_brace(clean, m.end() - 1)
+            body = clean[m.end():close]
+            for e in re.finditer(r"(?:^|,)\s*(k\w+)", body):
+                declared.append((f"DdrCommandType::{e.group(1)}",
+                                 e.group(1), rel,
+                                 line_of(clean, m.end() + e.start(1))))
+
+    text = "\n".join(files.values())
+    uses = Counter(re.findall(r"\w+", text))
+    writes = Counter(re.findall(r"(?:\.|->)\s*(\w+)\s*=(?!=)", text))
+    decls = Counter(name for _, name, _, _ in declared)
+    findings, seen = [], set()
+    for qual, name, rel, line in declared:
+        seen.add(qual)
+        read = uses[name] - writes[name] - decls[name] > 0
+        if not read and qual not in budget:
+            findings.append(Finding(
+                "dead-parameter", rel, line, qual,
+                f"{qual} is declared but nothing in src/ reads it: "
+                "enforce it or delete it (a parameter that is declared "
+                "and never read is a bug)"))
+        elif read and qual in budget:
+            findings.append(Finding(
+                "dead-parameter", rel, line, qual,
+                f"{qual} is read now: remove it from "
+                "DEAD_PARAMETER_BUDGET in tools/sdcheck.py"))
+    for qual in sorted(set(budget) - seen):
+        findings.append(Finding(
+            "dead-parameter", "tools/sdcheck.py", 1, qual,
+            f"DEAD_PARAMETER_BUDGET lists {qual}, which is no longer "
+            "declared: remove the entry"))
+    return findings
+
+
+def check_dead_parameters(root: pathlib.Path, findings: list,
+                          budget: dict = DEAD_PARAMETER_BUDGET):
+    files = {
+        p.relative_to(root).as_posix():
+            strip_comments_and_strings(p.read_text())
+        for p in sorted((root / "src").rglob("*"))
+        if p.suffix in SRC_EXTS and p.is_file()}
+    findings.extend(dead_parameter_findings(files, budget))
+
+
+# --------------------------------------------------------------------------
 # Rule family: per-file — plain regex rules over one file's text
 # --------------------------------------------------------------------------
 
@@ -1269,7 +1401,7 @@ RECOVERABLE_ASSERT_BUDGET = {
     "src/smartdimm/bank_table.h": 1,
     "src/compcpy/compcpy.cc": 3,
     "src/compcpy/offload_engine.cc": 2,
-    "src/compcpy/queue.cc": 5,
+    "src/compcpy/queue.cc": 6,
     "src/compcpy/driver.h": 2,
     "src/net/tcp_stream.cc": 1,
 }
@@ -1427,6 +1559,7 @@ def run_analysis(root: pathlib.Path, build: pathlib.Path,
     check_stat_registry(root, findings)
     check_mmio_map(root, findings)
     check_addr_arith(root, findings)
+    check_dead_parameters(root, findings)
     return findings, backend, fault_summary
 
 
@@ -1577,6 +1710,8 @@ PER_FILE_SELF_TESTS = [
      '#ifndef SD_X_H\n#define SD_X_H\nconst char *k = "rand()";\n#endif',
      ".h", []),
     ("rand-substring", "int grand() { return strand(); }", ".cc", []),
+    ("digit-separator", "long n = 100'000;\nint f() { return rand(); }",
+     ".cc", ["determinism"]),  # the quote opens no char literal
     ("iostream-header",
      "#ifndef SD_A_H\n#define SD_A_H\n#include <iostream>\n#endif", ".h",
      ["iostream"]),
@@ -1597,7 +1732,7 @@ PER_FILE_SELF_TESTS = [
     # queue-bypass
     ("compcpy/rogue_caller", "void f() { engine.startOp(p, s, cb); }",
      ".cc", ["queue-bypass"]),
-    ("compcpy/queue", _sites(5) + "void f() { engine_.startOp(p, s, cb); }",
+    ("compcpy/queue", _sites(6) + "void f() { engine_.startOp(p, s, cb); }",
      ".cc", []),  # the queue is the blessed dispatcher
     ("compcpy/compcpy", _sites(3) + "void f() { startOp(p, s, cb); }",
      ".cc", []),  # the engine's own sync facade
@@ -1655,6 +1790,62 @@ PER_FILE_SELF_TESTS = [
 ]
 
 
+DEAD_PARAMETER_SELF_TESTS = [
+    # (name, {path: source}, budget, expected finding contexts)
+    ("field-read",
+     {"src/a/cfg.h": "struct FooConfig { int a = 1; };",
+      "src/a/use.cc": "int f(const FooConfig &c) { return c.a; }"},
+     {}, []),
+    ("field-unread",
+     {"src/a/cfg.h": "struct FooConfig { int a = 1; int b = 2; };",
+      "src/a/use.cc": "int f(const FooConfig &c) { return c.a; }"},
+     {}, ["FooConfig::b"]),
+    ("write-is-not-a-read",
+     {"src/a/cfg.h": "struct BarParams { int a = 1; int b = 2; };",
+      "src/a/use.cc": "void f(BarParams &p) { p.b = 3; p.a = 4; }\n"
+                      "int g(const BarParams *p) { return p->a; }"},
+     {}, ["BarParams::b"]),
+    ("compare-is-a-read",
+     {"src/a/cfg.h": "struct BarSpec { int b = 2; };",
+      "src/a/use.cc": "bool f(const BarSpec &s) { return s.b == 3; }"},
+     {}, []),
+    ("members-not-fields",
+     {"src/a/cfg.h":
+         "struct FooTiming {\n  static constexpr int kMax = 1;\n"
+         "  enum class Mode { kA, kB };\n  int x{0};\n"
+         "  int twice() const { return x * 2; }\n"
+         "  unsigned flags : 3;\n  std::uint8_t key[16] = {};\n};",
+      "src/a/use.cc": "int f(const FooTiming &t) { return t.flags +"
+                      " t.key[0]; }"},
+     {}, []),  # x is read by twice(); kMax, Mode and twice are skipped
+    ("other-structs-ignored",
+     {"src/a/cfg.h": "struct FooState { int unused = 0; };"}, {}, []),
+    ("digit-separator",
+     {"src/a/cfg.h": "struct FooConfig { long t = 100'000; long u = 2; };",
+      "src/a/use.cc": "long f(const FooConfig &c) { return c.t + c.u; }"},
+     {}, []),  # the quote must not swallow the rest of the file
+    ("ddr-command-unread",
+     {"src/mem/cmd.h":
+         "enum class DdrCommandType : int { kActivate, kRefresh };",
+      "src/mem/mc.cc": "auto t = DdrCommandType::kActivate;"},
+     {}, ["DdrCommandType::kRefresh"]),
+    # Both sides of the exact budget.
+    ("budgeted-dead-parameter",
+     {"src/mem/cmd.h":
+         "enum class DdrCommandType : int { kActivate, kRefresh };",
+      "src/mem/mc.cc": "auto t = DdrCommandType::kActivate;"},
+     {"DdrCommandType::kRefresh": "not modelled"}, []),
+    ("budgeted-parameter-now-read",
+     {"src/a/cfg.h": "struct FooConfig { int a = 1; };",
+      "src/a/use.cc": "int f(const FooConfig &c) { return c.a; }"},
+     {"FooConfig::a": "not enforced"}, ["FooConfig::a"]),
+    ("budget-entry-gone",
+     {"src/a/cfg.h": "struct FooConfig { int a = 1; };",
+      "src/a/use.cc": "int f(const FooConfig &c) { return c.a; }"},
+     {"FooConfig::gone": "deleted"}, ["FooConfig::gone"]),
+]
+
+
 def run_fixture(root: pathlib.Path, rule: str) -> list:
     """Run exactly one rule family over a fixture tree."""
     findings = []
@@ -1678,6 +1869,8 @@ def run_fixture(root: pathlib.Path, rule: str) -> list:
             for p in sorted((root / "src").rglob("*"))
             if p.suffix in SRC_EXTS and p.is_file())
         check_addr_arith(root, findings, audited=audited)
+    elif rule == "dead-parameter":
+        check_dead_parameters(root, findings, budget={})
     else:
         raise ValueError(f"unknown fixture rule {rule}")
     return findings
@@ -1723,7 +1916,20 @@ def self_test(repo_root: pathlib.Path) -> int:
         else:
             print(f"ok   per-file/{name}")
 
-    # 3. On-disk fixtures: tests/tools/fixtures/<rule>/{good,bad}/ —
+    # 3. Embedded dead-parameter corpus, budget included.
+    for name, sources, budget, expected in DEAD_PARAMETER_SELF_TESTS:
+        files = {rel: strip_comments_and_strings(src)
+                 for rel, src in sources.items()}
+        got = sorted(f.context
+                     for f in dead_parameter_findings(files, budget))
+        if got != sorted(expected):
+            failures += 1
+            print(f"FAIL dead-parameter/{name}: expected "
+                  f"{sorted(expected)}, got {got}")
+        else:
+            print(f"ok   dead-parameter/{name}")
+
+    # 4. On-disk fixtures: tests/tools/fixtures/<rule>/{good,bad}/ —
     # good trees must be clean, bad trees must raise >= 1 finding of
     # their rule.
     fixtures = repo_root / "tests" / "tools" / "fixtures"
@@ -1755,7 +1961,7 @@ def self_test(repo_root: pathlib.Path) -> int:
         failures += 1
         print(f"FAIL fixtures directory missing: {fixtures}")
 
-    # 4. Baseline mechanics.
+    # 5. Baseline mechanics.
     fs = [Finding("r", "f.cc", 1, "ctx", "m"),
           Finding("r", "f.cc", 2, "ctx", "m"),
           Finding("r2", "g.cc", 3, "other", "m")]
