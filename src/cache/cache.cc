@@ -1,9 +1,12 @@
 #include "cache/cache.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <bit>
 #include <cstring>
 
+#include "common/bitops.h"
 #include "common/log.h"
 
 namespace sd::cache {
@@ -72,48 +75,112 @@ pickVictim(std::uint64_t stack, std::uint16_t valid, std::uint16_t eligible,
     return 0;
 }
 
+/** @return bit i set where byte i of @p word equals @p fp (8 bits). */
+unsigned
+matchBytes(std::uint64_t word, std::uint8_t fp)
+{
+    constexpr std::uint64_t kByteLsb = 0x0101'0101'0101'0101ULL;
+    constexpr std::uint64_t kLow7 = 0x7F7F'7F7F'7F7F'7F7FULL;
+    const std::uint64_t x = word ^ (fp * kByteLsb);
+    // Exact zero-byte test (no borrow between bytes): bit 7 of a byte
+    // survives only when the byte is zero.
+    const std::uint64_t zero = ~(((x & kLow7) + kLow7) | x | kLow7);
+    // Gather the eight flags (now at bits 0, 8, ..., 56) into the top
+    // byte: the multiplier's terms never collide, so nothing carries.
+    return static_cast<unsigned>(((zero >> 7) * 0x0102'0408'1020'4080ULL) >>
+                                 56);
+}
+
+/** (line mod d) for any 64-bit @p line, given M = ceil(2^128 / d)
+ *  (Lemire, Kaser and Kurz, "Faster remainder by direct computation"). */
+std::size_t
+fastmod(std::uint64_t line, unsigned __int128 reciprocal, std::uint64_t d)
+{
+    using U128 = unsigned __int128;
+    // The low 128 bits of M * line are the fraction line / d; scaling
+    // it by d leaves the remainder in bits [128, 192).
+    const U128 low = reciprocal * line;
+    const U128 bottom = U128{static_cast<std::uint64_t>(low)} * d;
+    const U128 top = U128{static_cast<std::uint64_t>(low >> 64)} * d;
+    return static_cast<std::size_t>((top + (bottom >> 64)) >> 64);
+}
+
 } // namespace
+
+std::uint8_t
+lineFingerprint(Addr line)
+{
+    // Fibonacci hashing: the top byte of the line number times 2^64/phi.
+    return static_cast<std::uint8_t>(
+        ((line >> kLineBits) * 0x9E37'79B9'7F4A'7C15ULL) >> 56);
+}
 
 Cache::Cache(const CacheConfig &config)
     : config_(config), sets_(config.sets()),
-      set_mask_((sets_ & (sets_ - 1)) == 0 ? sets_ - 1 : 0),
+      sets_pow2_(isPowerOf2(sets_)),
+      initial_stack_(initialStack(config.ways)),
       cpu_eligible_(wayRange(
           0, std::max(1u, std::min(config.cpu_ways, config.ways)))),
       ddio_eligible_(
           wayRange(config.ways - config.ddio_ways, config.ways)),
-      tags_(sets_ * config.ways, kInvalidTag),
-      state_(sets_, SetState{initialStack(config.ways), 0, 0}),
-      data_(tags_.size() * kCacheLineSize, 0)
+      map_bytes_(sets_ * (sizeof(SetState) +
+                          config.ways * (kCacheLineSize + sizeof(Addr))))
 {
     SD_ASSERT(sets_ > 0, "cache smaller than one set");
     SD_ASSERT(config.ways <= 16, "recency stack holds at most 16 ways");
     SD_ASSERT(config.ddio_ways >= 1 && config.ddio_ways <= config.ways,
               "DDIO ways outside [1, associativity]");
+    if (!sets_pow2_)
+        set_reciprocal_ = ~static_cast<unsigned __int128>(0) / sets_ + 1;
+    // Anonymous pages read as zero until first written, and only
+    // written pages are committed. An all-zero SetState is an empty set.
+    void *map = mmap(nullptr, map_bytes_, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    SD_ASSERT(map != MAP_FAILED, "cannot map %zu bytes of LLC state",
+              map_bytes_);
+    data_ = static_cast<std::uint8_t *>(map);
+    state_ = reinterpret_cast<SetState *>(
+        data_ + sets_ * config.ways * kCacheLineSize);
+    tags_ = reinterpret_cast<Addr *>(state_ + sets_);
+}
+
+Cache::~Cache()
+{
+    munmap(data_, map_bytes_);
 }
 
 std::size_t
 Cache::setIndex(Addr addr) const
 {
-    const Addr line = addr / kCacheLineSize;
+    const Addr line = addr >> kLineBits;
     // Power-of-two set counts (the common geometry) probe with a
-    // mask; the general case pays the modulo.
-    return set_mask_ ? (line & set_mask_) : (line % sets_);
+    // mask; the general case multiplies by a precomputed reciprocal.
+    return sets_pow2_ ? (line & (sets_ - 1))
+                      : fastmod(line, set_reciprocal_, sets_);
 }
 
 unsigned
 Cache::findWay(std::size_t set, Addr line) const
 {
-    const Addr *tags = tags_.data() + set * config_.ways;
-    unsigned w = 0;
-    while (w < config_.ways && tags[w] != line)
-        ++w;
-    return w;
+    // A line lives in at most one way, so only valid ways whose
+    // fingerprint matches need their full tag compared.
+    const SetState &state = state_[set];
+    const std::uint8_t fp = lineFingerprint(line);
+    unsigned candidates = (matchBytes(state.fingerprints[0], fp) |
+                           matchBytes(state.fingerprints[1], fp) << 8) &
+                          state.valid;
+    for (; candidates != 0; candidates &= candidates - 1) {
+        const auto way = static_cast<unsigned>(std::countr_zero(candidates));
+        if (tags_[slot(set, way)] == line)
+            return way;
+    }
+    return config_.ways;
 }
 
 std::uint8_t *
 Cache::slotData(std::size_t set, unsigned way)
 {
-    return data_.data() + (set * config_.ways + way) * kCacheLineSize;
+    return data_ + slot(set, way) * kCacheLineSize;
 }
 
 AccessResult
@@ -146,7 +213,7 @@ Cache::access(Addr addr, bool is_write, AllocClass cls,
         cls == AllocClass::kDdio ? ddio_eligible_ : cpu_eligible_,
         config_.ways);
     const auto bit = static_cast<std::uint16_t>(1u << way);
-    Addr &tag = tags_[set * config_.ways + way];
+    Addr &tag = tags_[slot(set, way)];
     result.data = slotData(set, way);
 
     if (state.dirty & bit) {
@@ -156,6 +223,14 @@ Cache::access(Addr addr, bool is_write, AllocClass cls,
     }
 
     tag = line_addr;
+    std::uint64_t &fps = state.fingerprints[way / 8];
+    const unsigned shift = 8 * (way % 8);
+    fps = (fps & ~(std::uint64_t{0xFF} << shift)) |
+          (std::uint64_t{lineFingerprint(line_addr)} << shift);
+    // The order of invalid ways never matters, so an empty set (a
+    // zero page reads as stack 0) may start over from any permutation.
+    if (state.valid == 0)
+        state.stack = initial_stack_;
     state.valid |= bit;
     state.dirty = static_cast<std::uint16_t>(
         is_write ? state.dirty | bit : state.dirty & ~bit);
@@ -184,7 +259,6 @@ Cache::flush(Addr addr)
         ++stats_.flush_dirty;
         std::memcpy(result.data.data(), slotData(set, way), kCacheLineSize);
     }
-    tags_[set * config_.ways + way] = kInvalidTag;
     state.valid &= static_cast<std::uint16_t>(~bit);
     state.dirty &= static_cast<std::uint16_t>(~bit);
     return result;

@@ -13,7 +13,6 @@
 #include <array>
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "common/types.h"
 
@@ -87,6 +86,12 @@ struct AccessResult
 };
 
 /**
+ * One-byte multiplicative hash of a line address. Each set keeps one
+ * per way, so a lookup compares a full tag only where this matches.
+ */
+std::uint8_t lineFingerprint(Addr line);
+
+/**
  * The LLC model. It tracks tags, dirtiness and exact LRU per set, and
  * holds 64 bytes per resident line: the MemorySystem keeps a line's
  * newest data here while it is cached and writes it back to DRAM on
@@ -96,11 +101,18 @@ struct AccessResult
  * Exact LRU is a packed recency stack, one 64-bit word per set: up to
  * 16 four-bit way ids ordered MRU (low nibble) to LRU, so
  * associativity is capped at 16 ways.
+ *
+ * Set state, line slots and tags live in one demand-zero anonymous
+ * mapping, so construction writes nothing proportional to capacity
+ * and pages no access reaches are never committed.
  */
 class Cache
 {
   public:
     explicit Cache(const CacheConfig &config);
+    ~Cache();
+    Cache(const Cache &) = delete;
+    Cache &operator=(const Cache &) = delete;
 
     /**
      * Access one line.
@@ -155,38 +167,52 @@ class Cache
     double probeMissRate();
 
   private:
-    /** Tag slot value marking an invalid way (real tags are
-     *  line-aligned addresses and can never equal ~0). */
-    static constexpr Addr kInvalidTag = ~Addr{0};
-
-    /** Per-set replacement and line-state bits. */
-    struct SetState
+    /**
+     * Per-set replacement and line-state bits, one 32-byte block per
+     * set; all zeros is an empty set. A lookup reads only this block
+     * unless a fingerprint matches.
+     */
+    struct alignas(32) SetState
     {
-        std::uint64_t stack; ///< way ids, nibble 0 = MRU, 4 bits each
-        std::uint16_t valid; ///< bit w: tag w is not kInvalidTag
+        /** Way ids, nibble 0 = MRU, 4 bits each; set at first fill. */
+        std::uint64_t stack;
+        std::uint16_t valid; ///< bit w: way w holds a line
         std::uint16_t dirty; ///< bit w: way w is dirty (implies valid)
+        /** Way w's lineFingerprint() in byte w % 8 (from the least
+         *  significant) of word w / 8; meaningless while w is invalid. */
+        std::array<std::uint64_t, 2> fingerprints;
     };
+    static_assert(sizeof(SetState) == 32, "one SetState per half line");
 
     std::size_t setIndex(Addr addr) const;
     /** @return the way holding @p line in @p set, or config_.ways. */
     unsigned findWay(std::size_t set, Addr line) const;
+    /** Way-major slot number of (set, way), into tags_ and data_. */
+    std::size_t slot(std::size_t set, unsigned way) const
+    {
+        return way * sets_ + set;
+    }
     std::uint8_t *slotData(std::size_t set, unsigned way);
 
     CacheConfig config_;
-    std::size_t sets_;     ///< cached config_.sets()
-    std::size_t set_mask_; ///< sets_ - 1 when a power of two, else 0
+    std::size_t sets_; ///< cached config_.sets()
+    bool sets_pow2_;   ///< index with a mask instead of fastmod
+    /** Lemire fastmod reciprocal, ceil(2^128 / sets_). */
+    unsigned __int128 set_reciprocal_ = 0;
+    std::uint64_t initial_stack_; ///< an empty set's way order
     std::uint16_t cpu_eligible_;  ///< ways [0, cpu_ways) as a bitmask
     std::uint16_t ddio_eligible_; ///< the last ddio_ways ways
     /**
-     * Structure-of-arrays line state. The tag probe — the hottest loop
-     * in the memory system — touches only tags_ (sets x ways,
-     * row-major): 16 ways x 8 B = two cache lines, with invalid ways
-     * holding kInvalidTag so a probe needs no validity check. Victim
-     * choice reads only the set's 16-byte SetState.
+     * One anonymous mapping of map_bytes_: data_ (64 B per slot, line
+     * aligned), then state_ (one SetState per set), then tags_ (one
+     * line address per slot). Slots are way-major, so a run that fills
+     * only low ways commits only their planes. A tag is read only when
+     * its way is valid, so zero pages need no invalid-tag sentinel.
      */
-    std::vector<Addr> tags_;
-    std::vector<SetState> state_;
-    std::vector<std::uint8_t> data_; ///< 64 B per line slot
+    std::size_t map_bytes_;
+    std::uint8_t *data_;
+    SetState *state_;
+    Addr *tags_;
     CacheStats stats_;
     std::uint64_t probe_hits_ = 0;
     std::uint64_t probe_misses_ = 0;

@@ -1,12 +1,16 @@
 /**
  * @file
  * LLC model: hits/misses, LRU, writebacks, CAT way partitioning, DDIO
- * restricted allocation, flush semantics, and the miss-rate probe.
+ * restricted allocation, flush semantics, the miss-rate probe, lines
+ * whose fingerprints collide, and on-demand commit of the line store.
  */
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstring>
+#include <fstream>
 
 #include "cache/cache.h"
 #include "common/random.h"
@@ -214,6 +218,87 @@ TEST(Cache, DataPtrRoundTrip)
     std::memset(slot, 0x42, kCacheLineSize);
     EXPECT_EQ(cache.dataPtr(0x6000)[63], 0x42);
     EXPECT_EQ(cache.dataPtr(0x9999), nullptr);
+}
+
+TEST(Cache, FingerprintCollisionsStayDistinct)
+{
+    const CacheConfig cfg = smallConfig();
+    const Addr stride = cfg.sets() * kCacheLineSize; // same set
+    const Addr a = 5 * kCacheLineSize;
+    Addr b = 0;
+    Addr c = 0;
+    for (Addr x = a + stride; c == 0; x += stride) {
+        if (cache::lineFingerprint(x) != cache::lineFingerprint(a))
+            continue;
+        if (b == 0)
+            b = x;
+        else
+            c = x;
+    }
+
+    Cache cache(cfg);
+    cache.access(a, true, AllocClass::kCpu, true);
+    std::memset(cache.dataPtr(a), 0xa1, kCacheLineSize);
+    cache.access(b, false, AllocClass::kCpu);
+    std::memset(cache.dataPtr(b), 0xb2, kCacheLineSize);
+
+    EXPECT_TRUE(cache.access(a, false, AllocClass::kCpu).hit);
+    EXPECT_TRUE(cache.access(b, false, AllocClass::kCpu).hit);
+    EXPECT_TRUE(cache.contains(a));
+    EXPECT_TRUE(cache.contains(b));
+    EXPECT_FALSE(cache.contains(c)) << "a third colliding line is absent";
+    EXPECT_TRUE(cache.isDirty(a));
+    EXPECT_FALSE(cache.isDirty(b));
+    ASSERT_NE(cache.dataPtr(a), cache.dataPtr(b));
+    EXPECT_EQ(cache.dataPtr(a)[0], 0xa1);
+    EXPECT_EQ(cache.dataPtr(b)[0], 0xb2);
+    EXPECT_EQ(cache.dataPtr(c), nullptr);
+
+    const auto flushed = cache.flush(a);
+    EXPECT_TRUE(flushed.present);
+    EXPECT_TRUE(flushed.dirty);
+    EXPECT_EQ(flushed.data[0], 0xa1);
+    EXPECT_FALSE(cache.contains(a));
+    EXPECT_TRUE(cache.contains(b));
+    EXPECT_EQ(cache.dataPtr(b)[0], 0xb2);
+    EXPECT_EQ(cache.stats().hits, 2u);
+}
+
+/** Resident set size of this process, from /proc/self/statm. */
+std::size_t
+residentBytes()
+{
+    std::ifstream statm("/proc/self/statm");
+    std::size_t size_pages = 0;
+    std::size_t resident_pages = 0;
+    statm >> size_pages >> resident_pages;
+    EXPECT_TRUE(statm) << "cannot read /proc/self/statm";
+    return resident_pages * static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+}
+
+TEST(Cache, StorageIsCommittedOnDemand)
+{
+    // 256 MB of lines maps 296 MB of set state, slots and tags. None
+    // of it may commit up front, and 1,000 lines touch about 100 KB;
+    // the bound leaves room for transparent huge pages and would still
+    // catch one zero-filled array of slots or tags.
+    CacheConfig cfg = smallConfig();
+    cfg.size_bytes = std::size_t{256} << 20;
+    constexpr std::size_t kBound = std::size_t{32} << 20;
+
+    const std::size_t before = residentBytes();
+    Cache cache(cfg);
+    const std::size_t constructed = residentBytes();
+    for (Addr line = 0; line < 1000; ++line) {
+        const auto result = cache.access(line * kCacheLineSize, true,
+                                         AllocClass::kCpu, true);
+        result.data[0] = 1;
+    }
+    const std::size_t touched = residentBytes();
+
+    EXPECT_LT(constructed - std::min(before, constructed), kBound);
+    EXPECT_LT(touched - std::min(before, touched), kBound);
+    EXPECT_EQ(cache.stats().fills, 1000u);
 }
 
 } // namespace

@@ -3,7 +3,9 @@
  * Exact-LRU oracle: the packed-recency-stack Cache against a reference
  * model that keeps a 64-bit timestamp per way and scans for the
  * oldest, driven in lockstep by seeded random streams of CPU and DDIO
- * accesses, flushes and CAT mask changes.
+ * accesses, flushes and CAT mask changes. The reference indexes sets
+ * with a plain modulo and scans every tag, so it also checks the
+ * fingerprint lookup and the reciprocal set index.
  */
 
 #include <gtest/gtest.h>
@@ -170,19 +172,25 @@ struct Shape
 {
     unsigned ways;
     std::size_t sets;
+    unsigned ddio_ways = 0;         ///< 0: drawn from the seed
+    Addr base = 0;                  ///< added to every address
+    std::uint64_t line_stride = 1;  ///< lines between stream lines
 };
 
 void
 runLockstep(const Shape &shape, std::uint64_t seed, unsigned steps)
 {
-    SCOPED_TRACE(testing::Message() << shape.ways << " ways x "
-                                    << shape.sets << " sets, seed "
-                                    << seed);
+    SCOPED_TRACE(testing::Message()
+                 << shape.ways << " ways x " << shape.sets << " sets, base 0x"
+                 << std::hex << shape.base << std::dec << ", line stride "
+                 << shape.line_stride << ", seed " << seed);
     Rng rng(seed);
     CacheConfig cfg;
     cfg.ways = shape.ways;
     cfg.size_bytes = shape.sets * shape.ways * kCacheLineSize;
     cfg.ddio_ways = static_cast<unsigned>(rng.range(1, shape.ways));
+    if (shape.ddio_ways != 0)
+        cfg.ddio_ways = shape.ddio_ways;
     cfg.cpu_ways = shape.ways;
     Cache cache(cfg);
     ReferenceCache ref(cfg);
@@ -191,8 +199,10 @@ runLockstep(const Shape &shape, std::uint64_t seed, unsigned steps)
     const std::uint64_t lines = shape.sets * shape.ways * 3;
     for (unsigned step = 0; step < steps; ++step) {
         SCOPED_TRACE(testing::Message() << "step " << step);
-        const Addr addr = rng.below(lines) * kCacheLineSize +
-                          rng.below(kCacheLineSize);
+        const Addr addr =
+            shape.base +
+            rng.below(lines) * shape.line_stride * kCacheLineSize +
+            rng.below(kCacheLineSize);
         const unsigned op = static_cast<unsigned>(rng.below(100));
         if (op < 8) {
             const auto got = cache.flush(addr);
@@ -232,10 +242,11 @@ runLockstep(const Shape &shape, std::uint64_t seed, unsigned steps)
         ASSERT_EQ(cache.isDirty(addr), ref.isDirty(addr));
     }
 
-    for (std::uint64_t l = 0; l < lines; ++l)
-        ASSERT_EQ(cache.contains(l * kCacheLineSize),
-                  ref.contains(l * kCacheLineSize))
-            << "line " << l;
+    for (std::uint64_t l = 0; l < lines; ++l) {
+        const Addr addr =
+            shape.base + l * shape.line_stride * kCacheLineSize;
+        ASSERT_EQ(cache.contains(addr), ref.contains(addr)) << "line " << l;
+    }
     const CacheStats &got = cache.stats();
     const CacheStats &want = ref.stats();
     EXPECT_EQ(got.hits, want.hits);
@@ -255,6 +266,30 @@ TEST(CacheOracle, MatchesTimestampLruOnRandomStreams)
                 if (HasFatalFailure())
                     return;
             }
+}
+
+TEST(CacheOracle, MatchesOnContentionProbeGeometry)
+{
+    // app::measureContention's LLC: 6,912 sets (not a power of two, so
+    // the set index takes the reciprocal path) x 16 ways, DDIO 2. The
+    // base pushes line numbers past 32 bits. A window of consecutive
+    // lines only rotates the sets of an inexact reciprocal, which no
+    // lookup can see, so the last run also spreads its lines up to
+    // 2^57: a 64-bit reciprocal, exact only while line x sets < 2^64,
+    // then splits lines that share a set. The stride is coprime to
+    // 6,912, so every set still gets its share.
+    const Addr wide = (Addr{1} << 40) + 0x1234'5000;
+    const Shape runs[] = {
+        {16, 6912, 2, 0},
+        {16, 6912, 2, wide},
+        {16, 6912, 2, wide, (std::uint64_t{1} << 39) + 5},
+    };
+    for (const Shape &shape : runs)
+        for (const std::uint64_t seed : {1u, 2u}) {
+            runLockstep(shape, seed, 300000);
+            if (HasFatalFailure())
+                return;
+        }
 }
 
 } // namespace

@@ -134,9 +134,10 @@ TEST(DeflateFault, TruncationsAlwaysReject)
         for (std::size_t len = 0; len < stream.bytes.size(); ++len) {
             const auto out =
                 deflateTryDecompress(stream.bytes.data(), len, 1 << 20);
-            if (out.has_value())
+            if (out.has_value()) {
                 EXPECT_LT(out->size(), sample.size())
                     << "truncated to " << len;
+            }
         }
     }
 }
@@ -149,8 +150,9 @@ TEST(DeflateFault, RandomGarbageNeverCrashes)
         rng.fill(garbage.data(), garbage.size());
         const auto out =
             deflateTryDecompress(garbage.data(), garbage.size(), 1 << 16);
-        if (out.has_value())
+        if (out.has_value()) {
             EXPECT_LE(out->size(), std::size_t{1} << 16);
+        }
     }
 }
 

@@ -76,8 +76,9 @@ TEST(HwDeflate, DistancesRespectHistoryWindow)
     HwDeflateConfig cfg;
     const auto tokens = hwDeflateTokens(data.data(), data.size(), cfg);
     for (const auto &tok : tokens)
-        if (tok.is_match)
+        if (tok.is_match) {
             EXPECT_LE(tok.distance, cfg.history);
+        }
 }
 
 TEST(HwDeflate, PagedStreamDecodable)

@@ -117,8 +117,9 @@ TEST(Lz77, WindowLimitIsHonoured)
     const auto data = mixedCorpus(1 << 14, 6);
     const auto tokens = lz77Compress(data.data(), data.size(), cfg);
     for (const auto &tok : tokens)
-        if (tok.is_match)
+        if (tok.is_match) {
             EXPECT_LE(tok.distance, 256);
+        }
     EXPECT_EQ(lz77Decompress(tokens), data);
 }
 

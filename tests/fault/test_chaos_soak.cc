@@ -293,8 +293,9 @@ TEST(ChaosSoak, ScriptedNetworkFaultsConserve)
         // segment, and each lost segment is retransmitted once.
         EXPECT_EQ(result.retransmits, plan.injected(Site::kNetLoss));
         EXPECT_GE(plan.injected(Site::kNetLoss), 1u);
-        if (plan.injected(Site::kNetReorder) > 0)
+        if (plan.injected(Site::kNetReorder) > 0) {
             EXPECT_GE(result.reorder_events, 1u);
+        }
         EXPECT_GT(result.goodput_gbps, 0.0);
     }
 }

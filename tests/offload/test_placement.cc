@@ -83,8 +83,9 @@ TEST_P(EveryPlacement, CyclesMonotoneInMessageSize)
                                       ctxAt(0.5));
     const auto big = p->messageCost(Ulp::kTlsEncrypt, 65536,
                                     ctxAt(0.5));
-    if (small.supported && big.supported)
+    if (small.supported && big.supported) {
         EXPECT_GT(big.cpu_cycles, small.cpu_cycles) << p->name();
+    }
 }
 
 TEST_P(EveryPlacement, FarMemoryNeverMakesAnythingCheaper)
@@ -95,9 +96,10 @@ TEST_P(EveryPlacement, FarMemoryNeverMakesAnythingCheaper)
     far.far_mem_extra_ns = 1500.0;
     const auto near_cost = p->messageCost(Ulp::kTlsEncrypt, 16384, near);
     const auto far_cost = p->messageCost(Ulp::kTlsEncrypt, 16384, far);
-    if (near_cost.supported)
+    if (near_cost.supported) {
         EXPECT_GE(far_cost.cpu_cycles, near_cost.cpu_cycles)
             << p->name();
+    }
 }
 
 TEST(Placement, CpuCostGrowsWithContention)

@@ -93,10 +93,11 @@ TEST(CuckooTable, LowOccupancyInsertsNeedAtMostOneDisplacement)
                       static_cast<double>(stats.inserts),
                   0.95);
         // Average displacements per displaced insert stays tiny.
-        if (stats.displaced_inserts > 0)
+        if (stats.displaced_inserts > 0) {
             EXPECT_LT(static_cast<double>(stats.displacements) /
                           static_cast<double>(stats.inserts),
                       0.1);
+        }
     }
 }
 
