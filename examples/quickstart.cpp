@@ -112,9 +112,6 @@ main()
                 trace::tracer().spans().size(),
                 trace::tracer().events().size());
     bool all_stages = true;
-#ifdef SD_TRACE_DISABLED
-    std::printf("  (stage events compiled out: SD_TRACE_DISABLED)\n");
-#else
     for (auto stage :
          {trace::Stage::kFlush, trace::Stage::kRegister,
           trace::Stage::kCopy, trace::Stage::kTransform,
@@ -127,7 +124,6 @@ main()
                     seen ? "seen" : "MISSING");
         all_stages = all_stages && seen;
     }
-#endif
 
     std::printf("\nsimulated time: %.2f us\n",
                 static_cast<double>(topo.events().now()) / 1e6);

@@ -187,8 +187,8 @@ CompCpyEngine::checkFreePages(std::uint32_t id)
         if (++flow.recycle_attempts > kMaxRecycleAttempts) {
             ++stats_.recycle_bailouts;
             flow.bailed = true;
-            SD_TRACE_EVENT(flow.span, trace::Stage::kFault,
-                           memory_.events().now(), flow.params.dbuf);
+            trace::tracer().event(flow.span, trace::Stage::kFault,
+                                  memory_.events().now(), flow.params.dbuf);
             flushSource(id);
             return;
         }
@@ -202,8 +202,8 @@ CompCpyEngine::forceRecycle(std::uint32_t id, std::size_t required_pages)
     // Algorithm 1: read the pending list, flush those pages so their
     // cached destination lines write back and drain the scratchpad.
     ++stats_.force_recycles;
-    SD_TRACE_EVENT(flows_[id].span, trace::Stage::kForceRecycle,
-                   memory_.events().now(), flows_[id].params.dbuf);
+    trace::tracer().event(flows_[id].span, trace::Stage::kForceRecycle,
+                          memory_.events().now(), flows_[id].params.dbuf);
     memory_.mmioRead(driver_.mmio(smartdimm::MmioReg::kPendingList),
                      flows_[id].staging[0].data(),
                      [this, id, required_pages](Tick) {
@@ -280,7 +280,8 @@ CompCpyEngine::flushSource(std::uint32_t id)
     for (std::size_t l = 0; l < lines; ++l) {
         const Addr line = sbuf + l * kCacheLineSize;
         memory_.flushLine(line, [this, id, line](Tick at) {
-            SD_TRACE_EVENT(flows_[id].span, trace::Stage::kFlush, at, line);
+            trace::tracer().event(flows_[id].span, trace::Stage::kFlush, at,
+                                  line);
             if (--flows_[id].pending == 0)
                 registerPages(id);
         });
@@ -326,8 +327,8 @@ CompCpyEngine::registerPages(std::uint32_t id)
     // The controller copies the burst at enqueue, as on the wire.
     const Addr reg_addr = driver_.mmio(smartdimm::MmioReg::kRegister);
     memory_.mmioWrite(reg_addr, burst.data(), [this, id, reg_addr](Tick at) {
-        SD_TRACE_EVENT(flows_[id].span, trace::Stage::kRegister, at,
-                       reg_addr);
+        trace::tracer().event(flows_[id].span, trace::Stage::kRegister, at,
+                              reg_addr);
         registerPages(id);
     });
 }
@@ -362,9 +363,9 @@ CompCpyEngine::copyLines(std::uint32_t id)
         window = fence_violation ? 2 : 1;
         if (fence_violation) {
             ++stats_.fence_violations;
-            SD_TRACE_EVENT(flow.span, trace::Stage::kFault,
-                           memory_.events().now(),
-                           p.sbuf + flow.cursor * kCacheLineSize);
+            trace::tracer().event(flow.span, trace::Stage::kFault,
+                                  memory_.events().now(),
+                                  p.sbuf + flow.cursor * kCacheLineSize);
         }
     } else {
         window = std::min<std::size_t>(kCopyWindow, lines - flow.cursor);
@@ -387,8 +388,8 @@ CompCpyEngine::copyLines(std::uint32_t id)
             ++stats_.lines_copied;
             memory_.writeLine(dst, flows_[id].staging[w].data(),
                               [this, id, dst](Tick at) {
-                SD_TRACE_EVENT(flows_[id].span, trace::Stage::kCopy, at,
-                               dst);
+                trace::tracer().event(flows_[id].span, trace::Stage::kCopy, at,
+                                      dst);
                 if (--flows_[id].pending == 0)
                     copyLines(id);
             });
@@ -460,8 +461,8 @@ CompCpyEngine::completeFlow(std::uint32_t id, std::uint64_t fresh_rejections)
     last_call_degraded_ = fresh_rejections > 0 || degraded > 0;
     if (last_call_degraded_) {
         ++stats_.degraded_calls;
-        SD_TRACE_EVENT(flow.span, trace::Stage::kFault,
-                       memory_.events().now(), flow.params.dbuf);
+        trace::tracer().event(flow.span, trace::Stage::kFault,
+                              memory_.events().now(), flow.params.dbuf);
     }
     call_latency_.sample(memory_.events().now() - flow.begin);
 
@@ -486,8 +487,8 @@ CompCpyEngine::use(Addr dbuf, std::size_t bytes,
     for (std::size_t l = 0; l < lines; ++l) {
         const Addr line = dbuf + l * kCacheLineSize;
         memory_.flushLine(line, [this, id, line](Tick at) {
-            SD_TRACE_PAGE_EVENT(line / kPageSize, trace::Stage::kUse, at,
-                                line);
+            trace::tracer().pageEvent(line / kPageSize, trace::Stage::kUse, at,
+                                      line);
             useLineDone(id);
         });
     }

@@ -86,9 +86,9 @@ WorkQueue::submit(const Descriptor &desc, std::uint16_t submitter,
     if (genuinely_full || injected_full) {
         ++stats_.rejected_full;
         if (injected_full)
-            SD_TRACE_FAULT_EVENT(desc.ops[0].dbuf / kPageSize,
-                                 engine_.memory().events().now(),
-                                 desc.ops[0].dbuf);
+            trace::tracer().faultEvent(desc.ops[0].dbuf / kPageSize,
+                                       engine_.memory().events().now(),
+                                       desc.ops[0].dbuf);
         return std::nullopt;
     }
 
@@ -140,7 +140,7 @@ WorkQueue::accept(const Descriptor &desc, std::uint16_t submitter,
             for (std::size_t pg = 0; pg < dst_pages; ++pg)
                 tr.bindPage(op.dbuf / kPageSize + pg, span);
         }
-        SD_TRACE_EVENT(span, trace::Stage::kSubmit, now, op.dbuf);
+        tr.event(span, trace::Stage::kSubmit, now, op.dbuf);
         p->spans.push_back(span);
     }
 
@@ -270,7 +270,7 @@ WorkQueue::descriptorExecuted(const std::shared_ptr<Pending> &p)
                     // comes back degraded and the dispatcher falls
                     // back to the CPU/local path for the flow.
                     p->degraded = true;
-                    SD_TRACE_FAULT_EVENT(
+                    trace::tracer().faultEvent(
                         p->desc.ops[0].dbuf / kPageSize,
                         engine_.memory().events().now(),
                         p->desc.ops[0].dbuf);
@@ -288,9 +288,9 @@ WorkQueue::descriptorExecuted(const std::shared_ptr<Pending> &p)
             }
             if (injectFault(fault::Site::kLostCompletion)) {
                 ++stats_.lost_records;
-                SD_TRACE_FAULT_EVENT(p->desc.ops[0].dbuf / kPageSize,
-                                     engine_.memory().events().now(),
-                                     p->desc.ops[0].dbuf);
+                trace::tracer().faultEvent(p->desc.ops[0].dbuf / kPageSize,
+                                           engine_.memory().events().now(),
+                                           p->desc.ops[0].dbuf);
                 return; // poll-timeout recovery synthesises it
             }
             writeRecord(p, /*recovered=*/false);
@@ -340,12 +340,12 @@ WorkQueue::writeRecord(const std::shared_ptr<Pending> &p, bool recovered)
         }
     }
 
-    // Raw endSpan (not SD_SPAN_END): these spans opened asynchronously
-    // at submit time, so begin/end do not balance within one function.
+    // These spans opened at submit time (accept()); close them here.
+    auto &tr = trace::tracer();
     for (std::size_t i = 0; i < p->spans.size(); ++i) {
-        SD_TRACE_EVENT(p->spans[i], trace::Stage::kComplete, now,
-                       p->desc.ops[i].dbuf);
-        trace::tracer().endSpan(p->spans[i], now);
+        tr.event(p->spans[i], trace::Stage::kComplete, now,
+                 p->desc.ops[i].dbuf);
+        tr.endSpan(p->spans[i], now);
     }
 
     if (p->on_complete)

@@ -327,7 +327,8 @@ MemoryController::retryAlert(std::uint32_t slot, bool spurious)
     ++stats_.alert_retries;
     if (spurious) {
         ++stats_.spurious_alerts;
-        SD_TRACE_FAULT_EVENT(req.addr / kPageSize, events_.now(), req.addr);
+        trace::tracer().faultEvent(req.addr / kPageSize, events_.now(),
+                                   req.addr);
     }
 
     const unsigned attempt = req.retries + 1;
@@ -336,7 +337,8 @@ MemoryController::retryAlert(std::uint32_t slot, bool spurious)
         // as degraded instead of wedging the channel. The host stack
         // decides how to recover (Sec. IV-D's fallback path).
         ++stats_.degraded_reads;
-        SD_TRACE_FAULT_EVENT(req.addr / kPageSize, events_.now(), req.addr);
+        trace::tracer().faultEvent(req.addr / kPageSize, events_.now(),
+                                   req.addr);
         ++stats_.reads;
         read_latency_.sample(events_.now() - req.enqueued);
         complete(slot, MemStatus::kDegraded);

@@ -57,7 +57,7 @@ BufferDevice::rejectRegistration(std::uint64_t dbuf_page)
     // behave as plain DRAM. The host polls kFaultStatus and treats the
     // affected CompCpy as degraded instead of trusting a raw copy.
     ++stats_.rejected_registrations;
-    SD_TRACE_FAULT_EVENT(dbuf_page, events_.now(), dbuf_page * kPageSize);
+    trace::tracer().faultEvent(dbuf_page, events_.now(), dbuf_page * kPageSize);
 }
 
 void
@@ -75,7 +75,7 @@ BufferDevice::handleMmioRead(Addr addr, std::uint8_t *data)
             // small workload would rarely exercise.
             free = 0;
             ++stats_.freepages_lies;
-            SD_TRACE_FAULT_EVENT(addr / kPageSize, events_.now(), addr);
+            trace::tracer().faultEvent(addr / kPageSize, events_.now(), addr);
         }
         std::memcpy(data, &free, sizeof(free));
         break;
@@ -326,10 +326,10 @@ BufferDevice::materializeResults(std::uint64_t dbuf_page)
             continue;
         entry.staged |= std::uint64_t{1} << line;
         scratchpad_.writeLine(entry.scratch_page, line, line_data);
-        SD_TRACE_PAGE_EVENT(dbuf_page, trace::Stage::kStage,
-                            events_.now(),
-                            dbuf_page * kPageSize +
-                                line * kCacheLineSize);
+        trace::tracer().pageEvent(dbuf_page, trace::Stage::kStage,
+                                  events_.now(),
+                                  dbuf_page * kPageSize +
+                                      line * kCacheLineSize);
     }
 }
 
@@ -354,9 +354,9 @@ BufferDevice::feedDsa(std::uint64_t sbuf_page, unsigned line,
     // modelled by deferring the Scratchpad materialisation, so a too-
     // early rdCAS/wrCAS of the destination line sees S13/S7.
     const std::uint64_t dbuf_page = entry.dbuf_page;
-    SD_TRACE_PAGE_EVENT(sbuf_page, trace::Stage::kTransform,
-                        events_.now(),
-                        sbuf_page * kPageSize + line * kCacheLineSize);
+    trace::tracer().pageEvent(sbuf_page, trace::Stage::kTransform,
+                              events_.now(),
+                              sbuf_page * kPageSize + line * kCacheLineSize);
 
     const Cycles busy = entry.job->processLine(line, data);
     const Tick ready_at =
@@ -461,7 +461,7 @@ BufferDevice::onRead(const mem::DdrCommand &cmd, std::uint8_t *data)
     }
     // S13: computation pending — ALERT_N retry.
     ++stats_.alert_n;
-    SD_TRACE_PAGE_EVENT(page, trace::Stage::kAlert, events_.now(), addr);
+    trace::tracer().pageEvent(page, trace::Stage::kAlert, events_.now(), addr);
     return mem::ReadResponse::kAlertN;
 }
 
@@ -517,8 +517,8 @@ BufferDevice::onWrite(const mem::DdrCommand &cmd, const std::uint8_t *data)
         scratchpad_.drainLine(dest->second.scratch_page, line, staged);
     store_.write(addr, staged, kCacheLineSize);
     ++stats_.dbuf_recycles;
-    SD_TRACE_PAGE_EVENT(page, trace::Stage::kRecycle, events_.now(),
-                        addr);
+    trace::tracer().pageEvent(page, trace::Stage::kRecycle, events_.now(),
+                              addr);
     if (page_freed)
         retirePage(page);
 }

@@ -1,36 +1,64 @@
 #include "topo/topology.h"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "common/log.h"
 
 namespace sd::topo {
 
+namespace {
+
+/**
+ * Parse a digit-led unsigned count at @p text; @p end receives the
+ * first unparsed character. strtoul silently accepts signs and
+ * whitespace, and its unsigned long would wrap when narrowed, so the
+ * count must start with a digit and fit in `unsigned` without ERANGE.
+ */
+std::optional<unsigned>
+parseCount(const char *text, char **end)
+{
+    if (std::isdigit(static_cast<unsigned char>(*text)) == 0)
+        return std::nullopt;
+    errno = 0;
+    const unsigned long value = std::strtoul(text, end, 10);
+    if (errno == ERANGE || value > std::numeric_limits<unsigned>::max())
+        return std::nullopt;
+    return static_cast<unsigned>(value);
+}
+
+/** Digit-led, finite, strictly positive double (a latency or a rate). */
+std::optional<double>
+parsePositive(const char *text, char **end)
+{
+    if (std::isdigit(static_cast<unsigned char>(*text)) == 0)
+        return std::nullopt;
+    const double value = std::strtod(text, end);
+    if (!std::isfinite(value) || value <= 0.0)
+        return std::nullopt;
+    return value;
+}
+
+} // namespace
+
 std::optional<TopologySpec>
 TopologySpec::parse(const std::string &text)
 {
-    // strtoul silently accepts signs and whitespace; the knob grammar
-    // is strictly digits, so require a leading digit on each count.
-    if (text.empty() || std::isdigit(static_cast<unsigned char>(text[0])) == 0)
-        return std::nullopt;
-    unsigned long channels = 0;
-    unsigned long dimms = 1;
     char *end = nullptr;
-    channels = std::strtoul(text.c_str(), &end, 10);
-    if (end == text.c_str())
+    const std::optional<unsigned> channels = parseCount(text.c_str(), &end);
+    if (!channels.has_value())
         return std::nullopt;
-    if (*end == 'x' || *end == 'X') {
-        const char *dimm_text = end + 1;
-        if (std::isdigit(static_cast<unsigned char>(*dimm_text)) == 0)
-            return std::nullopt;
-        dimms = std::strtoul(dimm_text, &end, 10);
-    }
-    if (*end != '\0' || channels == 0 || dimms == 0)
+    std::optional<unsigned> dimms = 1;
+    if (*end == 'x' || *end == 'X')
+        dimms = parseCount(end + 1, &end);
+    if (!dimms.has_value() || *end != '\0' || *channels == 0 || *dimms == 0)
         return std::nullopt;
     TopologySpec spec;
-    spec.channels = static_cast<unsigned>(channels);
-    spec.dimms_per_channel = static_cast<unsigned>(dimms);
+    spec.channels = *channels;
+    spec.dimms_per_channel = *dimms;
     return spec;
 }
 
@@ -39,27 +67,23 @@ TopologySpec::parseCxl(const std::string &text, const TopologySpec &base)
 {
     // Grammar: "N[@ns[@gbps]]" — strictly digit-led fields like the
     // topology grammar; latency/rate parse as doubles.
-    if (text.empty() || std::isdigit(static_cast<unsigned char>(text[0])) == 0)
-        return std::nullopt;
     char *end = nullptr;
-    const unsigned long count = std::strtoul(text.c_str(), &end, 10);
+    const std::optional<unsigned> count = parseCount(text.c_str(), &end);
+    if (!count.has_value())
+        return std::nullopt;
     TopologySpec spec = base;
-    spec.cxl_channels = static_cast<unsigned>(count);
+    spec.cxl_channels = *count;
     if (*end == '@') {
-        const char *lat_text = end + 1;
-        if (std::isdigit(static_cast<unsigned char>(*lat_text)) == 0)
+        const std::optional<double> ns = parsePositive(end + 1, &end);
+        if (!ns.has_value())
             return std::nullopt;
-        spec.cxl_link.round_trip_ns = std::strtod(lat_text, &end);
-        if (spec.cxl_link.round_trip_ns <= 0.0)
-            return std::nullopt;
+        spec.cxl_link.round_trip_ns = *ns;
     }
     if (*end == '@') {
-        const char *rate_text = end + 1;
-        if (std::isdigit(static_cast<unsigned char>(*rate_text)) == 0)
+        const std::optional<double> gbps = parsePositive(end + 1, &end);
+        if (!gbps.has_value())
             return std::nullopt;
-        spec.cxl_link.gbps = std::strtod(rate_text, &end);
-        if (spec.cxl_link.gbps <= 0.0)
-            return std::nullopt;
+        spec.cxl_link.gbps = *gbps;
     }
     if (*end != '\0')
         return std::nullopt;

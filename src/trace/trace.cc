@@ -279,15 +279,6 @@ Tracer::pageEvent(std::uint64_t page, Stage stage, Tick tick, Addr addr)
 }
 
 void
-Tracer::ddrEvent(Stage stage, Tick tick, Addr addr)
-{
-    if (!ddrCapture())
-        return;
-    MutexLock lock(mu_);
-    recordLocked(spanOfPageLocked(addr / kPageSize), stage, tick, addr);
-}
-
-void
 Tracer::ddrEvents(const DdrRecord *recs, std::size_t n)
 {
     if (n == 0 || !ddrCapture())

@@ -19,11 +19,10 @@
  *    emit scalar and Histogram/LogHistogram summaries on demand;
  *    the harness dumps everything as JSON or CSV after a run.
  *
- * Cost model: every recording entry point begins with a single
- * predictable branch on `enabled_`, so a disabled tracer adds
- * near-zero overhead to the simulation hot paths. Defining
- * SD_TRACE_DISABLED at build time additionally compiles the recording
- * macros out entirely.
+ * Recording is a direct `tracer().<entry>()` call. Cost model: every
+ * recording entry point begins with a single predictable branch on
+ * `enabled_`, the one off switch, so a disabled tracer adds near-zero
+ * overhead to the simulation hot paths.
  *
  * Concurrency contract: the Tracer and StatsRegistry are the two
  * pieces of genuinely process-shared state in the stack (many driver
@@ -254,9 +253,6 @@ class Tracer
     void pageEvent(std::uint64_t page, Stage stage, Tick tick,
                    Addr addr = 0);
 
-    /** Mirror one DDR command (recorded even when unattributed). */
-    void ddrEvent(Stage stage, Tick tick, Addr addr);
-
     /** One buffered DDR-mirror record (see DdrBatch). */
     struct DdrRecord
     {
@@ -267,8 +263,8 @@ class Tracer
 
     /**
      * Mirror @p n DDR commands in one lock acquisition, in array
-     * order. Equivalent to n ddrEvent() calls with no interleaved
-     * recording from other entry points.
+     * order. Each is recorded even when unattributed (its page has no
+     * bound span).
      */
     void ddrEvents(const DdrRecord *recs, std::size_t n);
 
@@ -381,32 +377,5 @@ class DdrBatch
 };
 
 } // namespace sd::trace
-
-// Recording macros: compiled out entirely under SD_TRACE_DISABLED,
-// otherwise a single branch on the enabled flag.
-//
-// SD_SPAN_BEGIN/SD_SPAN_END delimit a synchronous traced unit of
-// work; tools/sdcheck.py checks that every path through a function
-// balances them.
-// Asynchronous flows whose span outlives the opening function (the
-// CompCpy engine) use the raw beginSpan()/endSpan() API instead.
-#ifdef SD_TRACE_DISABLED
-#define SD_TRACE_EVENT(span, stage, tick, addr) ((void)0)
-#define SD_TRACE_PAGE_EVENT(page, stage, tick, addr) ((void)0)
-#define SD_TRACE_FAULT_EVENT(page, tick, addr) ((void)0)
-#define SD_SPAN_BEGIN(kind, sbuf, dbuf, bytes, now) (std::uint32_t{0})
-#define SD_SPAN_END(span, tick) ((void)(span))
-#else
-#define SD_TRACE_EVENT(span, stage, tick, addr)                             \
-    ::sd::trace::tracer().event((span), (stage), (tick), (addr))
-#define SD_TRACE_PAGE_EVENT(page, stage, tick, addr)                        \
-    ::sd::trace::tracer().pageEvent((page), (stage), (tick), (addr))
-#define SD_TRACE_FAULT_EVENT(page, tick, addr)                              \
-    ::sd::trace::tracer().faultEvent((page), (tick), (addr))
-#define SD_SPAN_BEGIN(kind, sbuf, dbuf, bytes, now)                         \
-    ::sd::trace::tracer().beginSpan((kind), (sbuf), (dbuf), (bytes), (now))
-#define SD_SPAN_END(span, tick)                                             \
-    ::sd::trace::tracer().endSpan((span), (tick))
-#endif
 
 #endif // SD_TRACE_TRACE_H

@@ -82,8 +82,9 @@ driverThread(unsigned tid, SharedStats &shared)
     });
 
     // The whole batch is one synchronous traced unit of work.
-    const std::uint32_t batch_span = SD_SPAN_BEGIN(
-        "stress", 0, 0, kOpsPerThread, sys.events().now());
+    auto &tr = trace::tracer();
+    const std::uint32_t batch_span =
+        tr.beginSpan("stress", 0, 0, kOpsPerThread, sys.events().now());
 
     std::vector<std::uint8_t> plain(kPayloadBytes);
     std::uint8_t key[16];
@@ -140,7 +141,7 @@ driverThread(unsigned tid, SharedStats &shared)
         sys.slot(0).driver.release(dbuf, kPayloadBytes + crypto::kTlsTagSize);
     }
 
-    SD_SPAN_END(batch_span, sys.events().now());
+    tr.endSpan(batch_span, sys.events().now());
     shared.registry.remove(component);
 }
 
@@ -191,9 +192,8 @@ TEST(ParallelCompCpy, EightDriverThreadsShareTracerAndRegistry)
     EXPECT_GT(shared.op_latency.min(), 0u);
     EXPECT_GE(shared.op_latency.max(), shared.op_latency.min());
 
-#if !defined(SD_TRACE_DISABLED)
     // Every op opened an engine span; every thread opened one batch
-    // span and closed it via SD_SPAN_END.
+    // span and closed it with endSpan().
     const auto spans = tr.spans();
     std::uint64_t tls_spans = 0;
     std::uint64_t batch_spans = 0;
@@ -202,7 +202,7 @@ TEST(ParallelCompCpy, EightDriverThreadsShareTracerAndRegistry)
             ++tls_spans;
         else if (std::string_view(s.kind) == "stress") {
             ++batch_spans;
-            EXPECT_GT(s.end, 0u) << "batch span missing SD_SPAN_END";
+            EXPECT_GT(s.end, 0u) << "batch span never closed";
         }
     }
     EXPECT_EQ(tls_spans, total);
@@ -220,7 +220,6 @@ TEST(ParallelCompCpy, EightDriverThreadsShareTracerAndRegistry)
         EXPECT_FALSE(seen[s.id]) << "duplicate span id " << s.id;
         seen[s.id] = true;
     }
-#endif // !SD_TRACE_DISABLED
 
     tr.clear();
     tr.setMaxEvents(std::size_t{1} << 20); // restore default cap

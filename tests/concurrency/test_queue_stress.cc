@@ -239,7 +239,6 @@ TEST(QueueStress, EightThreadsPipelineSharedQueues)
     EXPECT_EQ(shared.registry.size(), 0u);
     EXPECT_GT(collected_rows, 0u);
 
-#if !defined(SD_TRACE_DISABLED)
     // The queue opened one "tls" span per op at submit and closed
     // every one at record write — across all threads, concurrently,
     // through the one process-wide tracer.
@@ -253,7 +252,6 @@ TEST(QueueStress, EightThreadsPipelineSharedQueues)
                              << " never closed at record write";
     }
     EXPECT_EQ(tls_spans, total);
-#endif // !SD_TRACE_DISABLED
 
     tr.clear();
     tr.setMaxEvents(std::size_t{1} << 20); // restore default cap

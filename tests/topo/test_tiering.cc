@@ -63,7 +63,12 @@ TEST(CxlSpec, RejectsMalformedSpecs)
 {
     const TopologySpec base;
     for (const char *bad : {"", "x", "@600", "1@", "1@0", "1@600@",
-                            "1@600@0", "1@-3", "1 @600", "1@600@32@9"})
+                            "1@600@0", "1@-3", "1 @600", "1@600@32@9",
+                            // wrapped or out-of-range count, infinite
+                            // latency or rate
+                            "4294967297", "4294967297@600",
+                            "99999999999999999999999", "1@1e999",
+                            "1@600@1e999"})
         EXPECT_FALSE(TopologySpec::parseCxl(bad, base).has_value())
             << bad;
 }

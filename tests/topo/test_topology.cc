@@ -79,7 +79,10 @@ TEST(TopologySpec, BareCountMeansOneDimmPerChannel)
 TEST(TopologySpec, RejectsMalformedShapes)
 {
     for (const char *bad :
-         {"", "x", "0x2", "2x0", "axb", "2x2x2", "2x", "-1x2", "2 x2"})
+         {"", "x", "0x2", "2x0", "axb", "2x2x2", "2x", "-1x2", "2 x2",
+          // counts that wrap when narrowed to unsigned, or set ERANGE
+          "4294967296", "4294967297x1", "1x4294967297",
+          "99999999999999999999999x1"})
         EXPECT_FALSE(TopologySpec::parse(bad).has_value()) << bad;
 }
 

@@ -174,11 +174,22 @@ struct TracerTest : ::testing::Test
 
 TEST_F(TracerTest, DisabledRecordsNothing)
 {
+    // The enabled flag is the one off switch: every recording entry
+    // point must honour it, DDR mirroring included after a disable().
+    tr.enable(/*capture_ddr=*/true);
+    tr.disable();
     EXPECT_EQ(tr.beginSpan("tls", 0, 0, 4096, 10), 0u);
+    tr.endSpan(1, 20);
+    tr.bindPage(5, 1);
     tr.event(1, Stage::kCopy, 10, 0);
     tr.pageEvent(5, Stage::kUse, 10, 0);
+    tr.faultEvent(5, 10, 5 * sd::kPageSize);
+    const Tracer::DdrRecord ddr[] = {{Stage::kDdrRead, 10, 0x40},
+                                     {Stage::kDdrWrite, 11, 0x80}};
+    tr.ddrEvents(ddr, 2);
     EXPECT_TRUE(tr.spans().empty());
     EXPECT_TRUE(tr.events().empty());
+    EXPECT_EQ(tr.spanOfPage(5), 0u);
 }
 
 TEST_F(TracerTest, SpanLifecycleAndStageQueries)
@@ -217,12 +228,13 @@ TEST_F(TracerTest, PageBindingAttributesDeviceEvents)
 
 TEST_F(TracerTest, DdrMirrorIsOptInAndKeepsUnattributed)
 {
+    const Tracer::DdrRecord rd{Stage::kDdrRead, 10, 0x40};
     tr.enable(/*capture_ddr=*/false);
-    tr.ddrEvent(Stage::kDdrRead, 10, 0x40);
+    tr.ddrEvents(&rd, 1);
     EXPECT_TRUE(tr.events().empty());
 
     tr.enable(/*capture_ddr=*/true);
-    tr.ddrEvent(Stage::kDdrRead, 10, 0x40);
+    tr.ddrEvents(&rd, 1);
     ASSERT_EQ(tr.events().size(), 1u);
     EXPECT_EQ(tr.events()[0].span, 0u); // recorded though unattributed
 }

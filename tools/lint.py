@@ -3,9 +3,10 @@
 
 Runs, in order:
 
-  1. sdcheck   project-invariant rules (per-file conventions, span
-               dataflow, fault-site coverage, stat registry, MMIO map,
-               address arithmetic) against the committed baseline
+  1. sdcheck   project-invariant rules (per-file conventions,
+               fault-site coverage, stat registry, MMIO map, address
+               arithmetic, dead parameters) against the committed
+               baseline
   2. clang-tidy (via tools/run_tidy.sh) over compile_commands.json,
                enforcing — skipped when clang-tidy is not installed
                or with --fast
@@ -16,9 +17,9 @@ pre-commit, the ctest registrations and the CI lint jobs alike.
 Usage:
   tools/lint.py [--root DIR] [--build DIR] [--fast]
 
---fast is the pre-commit profile: sdcheck in --regex-only mode (no
-libclang parse, no compile_commands.json needed) and no clang-tidy.
-Full runs want a configured build directory.
+--fast is the pre-commit profile: it skips clang-tidy, so no
+compile_commands.json is needed. Full runs want a configured build
+directory (--build) for clang-tidy; sdcheck reads only the sources.
 """
 
 from __future__ import annotations
@@ -48,8 +49,7 @@ def main() -> int:
                         help="build dir with compile_commands.json "
                              "(default: ROOT/build)")
     parser.add_argument("--fast", action="store_true",
-                        help="pre-commit profile: regex-only sdcheck, "
-                             "skip clang-tidy")
+                        help="pre-commit profile: skip clang-tidy")
     args = parser.parse_args()
 
     root = args.root.resolve()
@@ -59,11 +59,7 @@ def main() -> int:
 
     failures = []
 
-    sdcheck_cmd = [py, tools / "sdcheck.py", "--root", root,
-                   "--build", build]
-    if args.fast:
-        sdcheck_cmd.append("--regex-only")
-    if not run_step("sdcheck", sdcheck_cmd):
+    if not run_step("sdcheck", [py, tools / "sdcheck.py", "--root", root]):
         failures.append("sdcheck")
 
     if args.fast:

@@ -2,21 +2,16 @@
 """sdcheck — the SmartDIMM static analyzer for project invariants.
 
 It checks the contracts generic tools (clang-tidy, compiler warnings)
-cannot express: plain per-file text rules, control-flow-aware dataflow
-inside function bodies, and cross-translation-unit joins over
-registries that span src/, tests/ and bench/baselines/. Function
-extents come from libclang over the CMake-exported
-compile_commands.json when the bindings are installed (the CI job
-installs python3-clang); without them a conservative tokenizer with
-the same rule semantics takes over, so developer machines never
-silently skip a rule.
+cannot express: plain per-file text rules and cross-translation-unit
+joins over registries that span src/, tests/ and bench/baselines/. It
+needs nothing beyond the Python standard library.
 
 Rule catalogue:
 
-  per-file        plain regex rules over one file's text, identical
-                  under both backends. Scope: src/; the topology-
-                  construction rule also covers bench/, examples/ and
-                  tests/ (minus the analyzer's own fixtures).
+  per-file        plain regex rules over one file's text. Scope:
+                  src/; the topology-construction rule also covers
+                  bench/, examples/ and tests/ (minus the analyzer's
+                  own fixtures).
     determinism     no rand()/srand()/std::random_device: randomness
                     flows through sd::Rng so runs replay from a seed.
     iostream        no <iostream> in headers; sinks take std::ostream&.
@@ -32,14 +27,6 @@ Rule catalogue:
                     MemorySystem/BufferDevice are constructed only by
                     the topo::Topology factory, which owns each DIMM's
                     address window and MMIO base.
-  span-flow       every SD_SPAN_BEGIN reaches a matching SD_SPAN_END on
-                  *all* paths through the function — early returns,
-                  error branches, loops. A path-sensitive dataflow over
-                  a block tree replaces a linear BEGIN/END count (which
-                  both missed early-return leaks and mis-flagged the
-                  branch-balanced if/else form). Async flows that hand a
-                  span across functions use the raw Tracer API, which
-                  the rule deliberately ignores.
   fault-coverage  every fault::Site enum member must be (a) injected
                   somewhere in src/ outside src/fault/, (b) named in the
                   kSiteNames stats table in positional (snake_case)
@@ -75,16 +62,15 @@ Rule catalogue:
                   (a write such as `cfg.x = 3` is not a read). The
                   parameters not enforced yet are an exact budget.
 
-Findings are emitted as JSON ({"rule","file","line","context","msg"})
-and compared against the committed baseline tools/sdcheck_baseline.json
-with the same contract as tools/bench_gate.py: unbaselined findings
-fail, stale baseline entries warn, --update-baseline adopts the
-current set. The clean-tree contract is an *empty* baseline — fix
-findings instead of baselining them.
+Findings ({rule, file, line, context, msg}) are compared against the
+committed baseline tools/sdcheck_baseline.json with the same contract
+as tools/bench_gate.py: unbaselined findings fail, stale baseline
+entries warn, --update-baseline adopts the current set. The clean-tree
+contract is an *empty* baseline — fix findings instead of baselining
+them.
 
 Usage:
-  tools/sdcheck.py [--root DIR] [--build DIR] [--json OUT]
-                   [--regex-only] [--update-baseline]
+  tools/sdcheck.py [--root DIR] [--baseline FILE] [--update-baseline]
   tools/sdcheck.py --self-test [--root DIR]
 """
 
@@ -194,6 +180,19 @@ def blank_preprocessor(clean: str) -> str:
     return "\n".join(lines)
 
 
+def _matching_brace(clean: str, open_pos: int):
+    """Offset of the '}' closing the '{' at @p open_pos, or None."""
+    depth = 0
+    for i in range(open_pos, len(clean)):
+        if clean[i] == "{":
+            depth += 1
+        elif clean[i] == "}":
+            depth -= 1
+            if depth == 0:
+                return i
+    return None
+
+
 def string_literals(text: str) -> list:
     """All double-quoted literals with their offsets (comment-stripped
     first so commented-out names don't count)."""
@@ -290,438 +289,8 @@ class Finding:
     def key(self) -> tuple:
         return (self.rule, self.file, self.context)
 
-    def as_json(self) -> dict:
-        return {"rule": self.rule, "file": self.file, "line": self.line,
-                "context": self.context, "msg": self.msg}
-
     def __repr__(self):
         return f"{self.file}:{self.line}: [{self.rule}] {self.msg}"
-
-
-# --------------------------------------------------------------------------
-# Function extraction — libclang backend with tokenizer fallback
-# --------------------------------------------------------------------------
-
-
-class FunctionBody:
-    def __init__(self, name: str, body: str, body_offset: int):
-        self.name = name
-        self.body = body  # text inside the braces, comment-stripped
-        self.body_offset = body_offset  # offset of '{' in the file
-
-
-FUNC_OPEN_RE = re.compile(
-    r"\)\s*(?:const|noexcept|override|final|mutable|->\s*[\w:<>&*\s]+)*\s*$")
-CONTROL_RE = re.compile(r"\b(?:if|for|while|switch|catch)\s*\($")
-FUNC_NAME_RE = re.compile(r"([~\w:]+)\s*\([^()]*$")
-
-
-def _matching_brace(clean: str, open_pos: int):
-    depth = 0
-    for i in range(open_pos, len(clean)):
-        if clean[i] == "{":
-            depth += 1
-        elif clean[i] == "}":
-            depth -= 1
-            if depth == 0:
-                return i
-    return None
-
-
-def extract_functions_regex(clean: str) -> list:
-    """Heuristic function-definition finder: a '{' whose preceding text
-    ends in a parameter list plus optional qualifiers opens a function
-    body; control-statement parens do not match."""
-    funcs = []
-    i = 0
-    n = len(clean)
-    while i < n:
-        if clean[i] != "{":
-            i += 1
-            continue
-        before = clean[max(0, i - 240):i]
-        if FUNC_OPEN_RE.search(before) and not CONTROL_RE.search(
-                before.rstrip()[:-1].rstrip() + "("):
-            close = _matching_brace(clean, i)
-            if close is None:
-                break
-            # Function name: identifier before the last '(' run.
-            header = before
-            paren = header.rfind("(")
-            name = "?"
-            if paren > 0:
-                m = FUNC_NAME_RE.search(header[:paren + 1])
-                if m:
-                    name = m.group(1)
-            funcs.append(FunctionBody(name, clean[i + 1:close], i))
-            i = close + 1
-        else:
-            i += 1
-    return funcs
-
-
-class ClangBackend:
-    """Thin libclang wrapper: precise function extents per file. The
-    analyses themselves run on the extracted body text, so the regex
-    and clang backends report identical rule semantics — clang only
-    removes the function-boundary heuristic."""
-
-    def __init__(self, root: pathlib.Path, build: pathlib.Path):
-        import clang.cindex as ci  # noqa: raises ImportError when absent
-        self.ci = ci
-        self.index = ci.Index.create()
-        self.root = root
-        self.comp_db = None
-        db_dir = build if (build / "compile_commands.json").is_file() else None
-        if db_dir is not None:
-            self.comp_db = ci.CompilationDatabase.fromDirectory(str(db_dir))
-
-    def args_for(self, path: pathlib.Path) -> list:
-        if self.comp_db is not None:
-            cmds = self.comp_db.getCompileCommands(str(path))
-            if cmds:
-                args = list(cmds[0].arguments)[1:-1]
-                # Drop output/input artefacts; keep -I/-D/-std.
-                keep, skip_next = [], False
-                for a in args:
-                    if skip_next:
-                        skip_next = False
-                        continue
-                    if a in ("-o", "-c"):
-                        skip_next = a == "-o"
-                        continue
-                    keep.append(a)
-                return keep
-        return [f"-I{self.root}/src", "-std=c++20"]
-
-    def functions(self, path: pathlib.Path, clean: str) -> list:
-        ci = self.ci
-        tu = self.index.parse(
-            str(path), args=self.args_for(path),
-            options=ci.TranslationUnit.PARSE_SKIP_FUNCTION_BODIES * 0)
-        funcs = []
-        kinds = (ci.CursorKind.FUNCTION_DECL, ci.CursorKind.CXX_METHOD,
-                 ci.CursorKind.CONSTRUCTOR, ci.CursorKind.DESTRUCTOR,
-                 ci.CursorKind.FUNCTION_TEMPLATE)
-
-        def walk(cur):
-            for child in cur.get_children():
-                if (child.kind in kinds and child.is_definition() and
-                        child.location.file and
-                        pathlib.Path(str(child.location.file.name)) == path):
-                    ext = child.extent
-                    start = ext.start.offset
-                    end = min(ext.end.offset, len(clean))
-                    open_pos = clean.find("{", start, end)
-                    if open_pos >= 0:
-                        close = _matching_brace(clean, open_pos)
-                        if close is not None and close <= end:
-                            funcs.append(FunctionBody(
-                                child.spelling or "?",
-                                clean[open_pos + 1:close], open_pos))
-                walk(child)
-
-        walk(tu.cursor)
-        return funcs
-
-
-def make_backend(root: pathlib.Path, build: pathlib.Path,
-                 regex_only: bool):
-    """@return (functions_fn, backend_name)."""
-    if not regex_only:
-        try:
-            clang = ClangBackend(root, build)
-
-            def clang_functions(path, clean):
-                try:
-                    funcs = clang.functions(path, clean)
-                    if funcs:
-                        return funcs
-                except Exception:
-                    pass
-                return extract_functions_regex(clean)
-
-            return clang_functions, "libclang"
-        except Exception:
-            pass
-    return (lambda path, clean: extract_functions_regex(clean)), "regex"
-
-
-# --------------------------------------------------------------------------
-# Rule: span-flow — path-sensitive SD_SPAN_BEGIN/END balance
-# --------------------------------------------------------------------------
-
-# The block tree is built from a statement-level tokenizer; the
-# dataflow tracks the *set of possible open-span counts* at each
-# program point. Sets stay tiny (functions open at most a couple of
-# spans), so exactness is cheap.
-
-SPAN_TOKEN_RE = re.compile(
-    r"\bSD_SPAN_(BEGIN|END)\b|\breturn\b|\bthrow\b|\bif\b|\belse\b"
-    r"|\bfor\b|\bwhile\b|\bdo\b|\bswitch\b|\bcase\b|\bdefault\b"
-    r"|\bbreak\b|\bcontinue\b|[{}();]")
-
-
-class _Tok:
-    def __init__(self, kind, pos):
-        self.kind = kind
-        self.pos = pos
-
-    def __repr__(self):
-        return f"<{self.kind}@{self.pos}>"
-
-
-def _span_tokens(body: str) -> list:
-    toks = []
-    for m in SPAN_TOKEN_RE.finditer(body):
-        t = m.group(0)
-        if t.startswith("SD_SPAN_"):
-            toks.append(_Tok("begin" if m.group(1) == "BEGIN" else "end",
-                             m.start()))
-        else:
-            toks.append(_Tok(t, m.start()))
-    return toks
-
-
-class _SpanParser:
-    """Recursive-descent parser producing a nested block structure:
-    ('seq', [nodes]) | ('if', then, else|None) | ('loop', body) |
-    ('switch', [segments]) | ('begin'|'end'|'return'|'throw'|
-    'break'|'continue', pos)."""
-
-    def __init__(self, toks):
-        self.toks = toks
-        self.i = 0
-
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def next(self):
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def skip_parens(self):
-        """Consume a balanced (...) group if one is next."""
-        if self.peek() and self.peek().kind == "(":
-            depth = 0
-            while self.peek():
-                t = self.next()
-                if t.kind == "(":
-                    depth += 1
-                elif t.kind == ")":
-                    depth -= 1
-                    if depth == 0:
-                        return
-
-    def parse_seq(self, stop_on_close: bool) -> list:
-        nodes = []
-        while self.peek():
-            t = self.peek()
-            if t.kind == "}":
-                if stop_on_close:
-                    self.next()
-                return nodes
-            nodes.append(self.parse_stmt())
-        return nodes
-
-    def parse_block_or_stmt(self):
-        """A brace block, or a single statement (unbraced if-body)."""
-        if self.peek() and self.peek().kind == "{":
-            self.next()
-            return ("seq", self.parse_seq(stop_on_close=True))
-        return ("seq", [self.parse_stmt()] if self.peek() else [])
-
-    def parse_stmt(self):
-        t = self.next()
-        k = t.kind
-        if k == "{":
-            return ("seq", self.parse_seq(stop_on_close=True))
-        if k == "if":
-            self.skip_parens()
-            then = self.parse_block_or_stmt()
-            els = None
-            if self.peek() and self.peek().kind == "else":
-                self.next()
-                els = self.parse_block_or_stmt()
-            return ("if", then, els)
-        if k in ("for", "while"):
-            self.skip_parens()
-            return ("loop", self.parse_block_or_stmt())
-        if k == "do":
-            body = self.parse_block_or_stmt()
-            # trailing while(...) ;
-            if self.peek() and self.peek().kind == "while":
-                self.next()
-                self.skip_parens()
-            return ("loop", body)
-        if k == "switch":
-            self.skip_parens()
-            if self.peek() and self.peek().kind == "{":
-                self.next()
-                return self.parse_switch()
-            return ("seq", [])
-        if k in ("begin", "end", "return", "throw", "break", "continue"):
-            # Consume the rest of the statement so e.g. a call in a
-            # return expression is not re-parsed; nested begins inside
-            # the expression still surface as their own tokens first
-            # because the regex tokenizer runs positionally — so scan
-            # forward to the ';' collecting span tokens.
-            extra = []
-            depth = 0
-            while self.peek():
-                nt = self.peek()
-                if nt.kind == "(":
-                    depth += 1
-                elif nt.kind == ")":
-                    depth -= 1
-                elif nt.kind == ";" and depth <= 0:
-                    self.next()
-                    break
-                elif nt.kind in ("begin", "end"):
-                    extra.append((nt.kind, nt.pos))
-                elif nt.kind in ("{", "}"):
-                    break
-                self.next()
-            node = (k, t.pos)
-            if extra:
-                return ("seq", [(kind, pos) for kind, pos in extra] +
-                        [node])
-            return node
-        # case/default labels, parens, semicolons: structural noise.
-        return ("nop", t.pos)
-
-    def parse_switch(self):
-        """Split the switch body into case segments; each segment is an
-        alternative (fallthrough is modelled by also offering the
-        concatenation-free union, which is conservative for span
-        counting in practice)."""
-        segments = []
-        current = []
-        depth = 0
-        while self.peek():
-            t = self.peek()
-            if t.kind == "}" and depth == 0:
-                self.next()
-                break
-            if t.kind in ("case", "default") and depth == 0:
-                self.next()
-                if current:
-                    segments.append(("seq", current))
-                    current = []
-                continue
-            if t.kind == "{":
-                depth += 1
-            elif t.kind == "}":
-                depth -= 1
-            current.append(self.parse_stmt())
-        if current:
-            segments.append(("seq", current))
-        return ("switch", segments)
-
-
-class _SpanFlow:
-    """Dataflow over the block tree. States are frozensets of possible
-    open-span counts; an empty set means every path already left the
-    function."""
-
-    MAX_OPEN = 8
-
-    def __init__(self, fn: FunctionBody, clean: str, path: str,
-                 findings: list, rule: str = "span-flow"):
-        self.fn = fn
-        self.clean = clean
-        self.path = path
-        self.findings = findings
-        self.rule = rule
-        self.loop_exits = []  # stack of sets collected from break/continue
-        self.reported = set()
-
-    def report(self, pos: int, msg: str):
-        line = line_of(self.clean, self.fn.body_offset + 1 + pos)
-        key = (msg,)
-        if key in self.reported:
-            return
-        self.reported.add(key)
-        self.findings.append(Finding(
-            self.rule, self.path, line, self.fn.name, msg))
-
-    def run(self):
-        toks = _span_tokens(self.fn.body)
-        if not any(t.kind in ("begin", "end") for t in toks):
-            return
-        tree = ("seq", _SpanParser(toks).parse_seq(stop_on_close=False))
-        exit_set = self.eval(tree, frozenset([0]))
-        for open_count in exit_set:
-            if open_count > 0:
-                self.report(
-                    len(self.fn.body) - 1,
-                    f"function '{self.fn.name}' can fall off the end "
-                    f"with {open_count} SD_SPAN_BEGIN span(s) still "
-                    "open; close them with SD_SPAN_END on every path")
-                break
-
-    def eval(self, node, state: frozenset) -> frozenset:
-        kind = node[0]
-        if not state and kind not in ("seq",):
-            return state
-        if kind == "seq":
-            for child in node[1]:
-                state = self.eval(child, state)
-                if not state:
-                    break
-            return state
-        if kind == "begin":
-            return frozenset(min(s + 1, self.MAX_OPEN) for s in state)
-        if kind == "end":
-            if state and min(state) == 0:
-                self.report(node[1],
-                            "SD_SPAN_END with no SD_SPAN_BEGIN open on "
-                            "some path")
-            return frozenset(max(s - 1, 0) for s in state)
-        if kind in ("return", "throw"):
-            leaked = [s for s in state if s > 0]
-            if leaked:
-                what = "return" if kind == "return" else "throw"
-                self.report(node[1],
-                            f"early {what} leaks {max(leaked)} open "
-                            "SD_SPAN_BEGIN span(s); SD_SPAN_END before "
-                            "leaving the function")
-            return frozenset()
-        if kind in ("break", "continue"):
-            if self.loop_exits:
-                self.loop_exits[-1] |= state
-            return frozenset()
-        if kind == "if":
-            then_out = self.eval(node[1], state)
-            if node[2] is not None:
-                else_out = self.eval(node[2], state)
-            else:
-                else_out = state
-            return then_out | else_out
-        if kind == "loop":
-            self.loop_exits.append(set())
-            body_out = self.eval(node[1], state)
-            breaks = frozenset(self.loop_exits.pop())
-            grew = {s for s in body_out if s not in state}
-            if grew:
-                self.report(
-                    0, "span opened inside a loop body is not closed "
-                       "within the same iteration")
-            return state | body_out | breaks
-        if kind == "switch":
-            out = state  # no case taken
-            for seg in node[1]:
-                out = out | self.eval(seg, state)
-            return out
-        return state  # nop
-
-
-def check_span_flow(path_label: str, clean: str, functions,
-                    findings: list):
-    body_clean = blank_preprocessor(clean)
-    for fn in functions(None, body_clean):
-        _SpanFlow(fn, body_clean, path_label, findings).run()
 
 
 # --------------------------------------------------------------------------
@@ -737,7 +306,7 @@ SITE_NAMES_ARRAY_RE = re.compile(
 
 def check_fault_coverage(root: pathlib.Path, findings: list,
                          read=None) -> dict:
-    """@return summary dict (used by --json and the acceptance test)."""
+    """@return summary dict (the coverage line main() prints)."""
     read = read or (lambda p: p.read_text())
     fault_h = root / "src" / "fault" / "fault.h"
     fault_cc = root / "src" / "fault" / "fault.cc"
@@ -1519,13 +1088,11 @@ def check_per_file(rel: str, text: str, clean: str) -> list:
 # --------------------------------------------------------------------------
 
 
-def run_analysis(root: pathlib.Path, build: pathlib.Path,
-                 regex_only: bool):
-    """@return (findings, backend_name, fault_summary)."""
-    functions, backend = make_backend(root, build, regex_only)
+def run_analysis(root: pathlib.Path):
+    """@return (findings, fault_summary)."""
     findings = []
 
-    # Per-file rules and span-flow over every src/ translation unit.
+    # Per-file rules over every src/ translation unit.
     for path in sorted((root / "src").rglob("*")):
         if path.suffix not in SRC_EXTS or not path.is_file():
             continue
@@ -1533,15 +1100,6 @@ def run_analysis(root: pathlib.Path, build: pathlib.Path,
         text = path.read_text()
         clean = strip_comments_and_strings(text)
         findings.extend(check_per_file(rel, text, clean))
-        if backend == "libclang":
-            fns = functions(path, blank_preprocessor(clean))
-            for fn in fns:
-                _SpanFlow(fn, blank_preprocessor(clean), rel,
-                          findings).run()
-        else:
-            check_span_flow(rel, clean,
-                            lambda _p, c: extract_functions_regex(c),
-                            findings)
 
     # bench/, examples/ and tests/ build systems too, so the
     # topology-construction rule (and only it) extends there. The
@@ -1550,7 +1108,7 @@ def run_analysis(root: pathlib.Path, build: pathlib.Path,
         for path in sorted((root / sub).rglob("*")):
             rel = path.relative_to(root).as_posix()
             if (path.suffix in SRC_EXTS | {".cpp"} and path.is_file() and
-                    not rel.startswith("tests/tools/fixtures/")):
+                    not is_fixture(rel)):
                 findings.extend(check_topology_construction(
                     rel, strip_comments_and_strings(path.read_text())))
 
@@ -1560,7 +1118,7 @@ def run_analysis(root: pathlib.Path, build: pathlib.Path,
     check_mmio_map(root, findings)
     check_addr_arith(root, findings)
     check_dead_parameters(root, findings)
-    return findings, backend, fault_summary
+    return findings, fault_summary
 
 
 # --------------------------------------------------------------------------
@@ -1602,91 +1160,6 @@ def write_baseline(findings: list, path: pathlib.Path):
 # --------------------------------------------------------------------------
 # Self test — embedded corpus + on-disk fixtures (tests/tools/fixtures)
 # --------------------------------------------------------------------------
-
-SPAN_SELF_TESTS = [
-    # (name, body source, expected finding count)
-    ("balanced",
-     "void f() { auto s = SD_SPAN_BEGIN(\"x\",0,0,0,0);"
-     " SD_SPAN_END(s,1); }", 0),
-    ("leaked-at-end",
-     "void f() { auto s = SD_SPAN_BEGIN(\"x\",0,0,0,0); }", 1),
-    ("early-return-leak",
-     "int f(bool b) {\n"
-     "  auto s = SD_SPAN_BEGIN(\"x\",0,0,0,0);\n"
-     "  if (b) return -1;\n"
-     "  SD_SPAN_END(s,1);\n"
-     "  return 0;\n"
-     "}", 1),
-    ("early-return-clean",
-     "int f(bool b) {\n"
-     "  auto s = SD_SPAN_BEGIN(\"x\",0,0,0,0);\n"
-     "  if (b) { SD_SPAN_END(s,1); return -1; }\n"
-     "  SD_SPAN_END(s,1);\n"
-     "  return 0;\n"
-     "}", 0),
-    ("branch-balanced-both-arms",
-     "void f(bool b) {\n"
-     "  auto s = SD_SPAN_BEGIN(\"x\",0,0,0,0);\n"
-     "  if (b) { SD_SPAN_END(s,1); } else { SD_SPAN_END(s,2); }\n"
-     "}", 0),  # the form the old linear rule mis-flagged
-    ("if-no-else-leak",
-     "void f(bool b) {\n"
-     "  auto s = SD_SPAN_BEGIN(\"x\",0,0,0,0);\n"
-     "  if (b) { SD_SPAN_END(s,1); }\n"
-     "}", 1),
-    ("end-without-begin",
-     "void f() { SD_SPAN_END(0,1); }", 1),
-    ("loop-balanced",
-     "void f(int n) {\n"
-     "  for (int i = 0; i < n; ++i) {\n"
-     "    auto s = SD_SPAN_BEGIN(\"x\",0,0,0,0);\n"
-     "    SD_SPAN_END(s,1);\n"
-     "  }\n"
-     "}", 0),
-    ("loop-leak",
-     "void f(int n) {\n"
-     "  for (int i = 0; i < n; ++i) {\n"
-     "    auto s = SD_SPAN_BEGIN(\"x\",0,0,0,0);\n"
-     "    if (i == 3) continue;\n"
-     "    SD_SPAN_END(s,1);\n"
-     "  }\n"
-     "}", 1),
-    ("throw-leak",
-     "void f(bool b) {\n"
-     "  auto s = SD_SPAN_BEGIN(\"x\",0,0,0,0);\n"
-     "  if (b) throw 1;\n"
-     "  SD_SPAN_END(s,1);\n"
-     "}", 1),
-    ("switch-per-case-balanced",
-     "void f(int k) {\n"
-     "  auto s = SD_SPAN_BEGIN(\"x\",0,0,0,0);\n"
-     "  switch (k) {\n"
-     "    case 0: SD_SPAN_END(s,1); break;\n"
-     "    default: SD_SPAN_END(s,2); break;\n"
-     "  }\n"
-     "}", 1),  # no-case-taken path leaks (no default coverage proof)
-    ("two-functions-independent",
-     "void f() { auto s = SD_SPAN_BEGIN(\"x\",0,0,0,0);"
-     " SD_SPAN_END(s,1); }\n"
-     "void g() { SD_SPAN_END(0,1); }", 1),
-    ("raw-api-ignored",
-     "void f() { span_ = tracer().beginSpan(\"x\",0,0,0,0); }", 0),
-    ("macro-def-ignored",
-     "#define SD_SPAN_BEGIN(k,s,d,b,n) x\nint f() { return 0; }", 0),
-    ("nested-scope-balanced",
-     "void f(bool b) {\n"
-     "  auto s = SD_SPAN_BEGIN(\"x\",0,0,0,0);\n"
-     "  { int y = 0; (void)y; }\n"
-     "  SD_SPAN_END(s,1);\n"
-     "}", 0),
-    ("multiple-spans-one-leak",
-     "void f() {\n"
-     "  auto a = SD_SPAN_BEGIN(\"x\",0,0,0,0);\n"
-     "  auto b = SD_SPAN_BEGIN(\"y\",0,0,0,0);\n"
-     "  SD_SPAN_END(a,1);\n"
-     "}", 1),
-]
-
 
 def _sites(asserts: int = 0, wakeups: int = 0) -> str:
     """Source with @p asserts SD_ASSERTs and @p wakeups direct
@@ -1849,15 +1322,7 @@ DEAD_PARAMETER_SELF_TESTS = [
 def run_fixture(root: pathlib.Path, rule: str) -> list:
     """Run exactly one rule family over a fixture tree."""
     findings = []
-    if rule == "span-flow":
-        for path in sorted((root / "src").rglob("*")):
-            if path.suffix in SRC_EXTS and path.is_file():
-                clean = strip_comments_and_strings(path.read_text())
-                check_span_flow(path.relative_to(root).as_posix(),
-                                clean,
-                                lambda _p, c: extract_functions_regex(c),
-                                findings)
-    elif rule == "fault-coverage":
+    if rule == "fault-coverage":
         check_fault_coverage(root, findings)
     elif rule == "stat-registry":
         check_stat_registry(root, findings)
@@ -1879,24 +1344,7 @@ def run_fixture(root: pathlib.Path, rule: str) -> list:
 def self_test(repo_root: pathlib.Path) -> int:
     failures = 0
 
-    # 1. Embedded span-flow corpus.
-    for name, source, expected in SPAN_SELF_TESTS:
-        findings = []
-        clean = strip_comments_and_strings(source)
-        check_span_flow(f"<self-test:{name}>", clean,
-                        lambda _p, c: extract_functions_regex(c),
-                        findings)
-        got = len(findings)
-        if got != expected:
-            failures += 1
-            print(f"FAIL span-flow/{name}: expected {expected} "
-                  f"finding(s), got {got}")
-            for f in findings:
-                print(f"    {f}")
-        else:
-            print(f"ok   span-flow/{name}")
-
-    # 2. Embedded per-file corpus. A tests/ case gets only the rule
+    # 1. Embedded per-file corpus. A tests/ case gets only the rule
     # run_analysis() applies there.
     for name, source, suffix, expected in PER_FILE_SELF_TESTS:
         clean = strip_comments_and_strings(source)
@@ -1916,7 +1364,7 @@ def self_test(repo_root: pathlib.Path) -> int:
         else:
             print(f"ok   per-file/{name}")
 
-    # 3. Embedded dead-parameter corpus, budget included.
+    # 2. Embedded dead-parameter corpus, budget included.
     for name, sources, budget, expected in DEAD_PARAMETER_SELF_TESTS:
         files = {rel: strip_comments_and_strings(src)
                  for rel, src in sources.items()}
@@ -1929,7 +1377,7 @@ def self_test(repo_root: pathlib.Path) -> int:
         else:
             print(f"ok   dead-parameter/{name}")
 
-    # 4. On-disk fixtures: tests/tools/fixtures/<rule>/{good,bad}/ —
+    # 3. On-disk fixtures: tests/tools/fixtures/<rule>/{good,bad}/ —
     # good trees must be clean, bad trees must raise >= 1 finding of
     # their rule.
     fixtures = repo_root / "tests" / "tools" / "fixtures"
@@ -1961,7 +1409,7 @@ def self_test(repo_root: pathlib.Path) -> int:
         failures += 1
         print(f"FAIL fixtures directory missing: {fixtures}")
 
-    # 5. Baseline mechanics.
+    # 4. Baseline mechanics.
     fs = [Finding("r", "f.cc", 1, "ctx", "m"),
           Finding("r", "f.cc", 2, "ctx", "m"),
           Finding("r2", "g.cc", 3, "other", "m")]
@@ -1999,16 +1447,9 @@ def main() -> int:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--root", type=pathlib.Path, default=repo,
                         help="repository root")
-    parser.add_argument("--build", type=pathlib.Path, default=None,
-                        help="build dir holding compile_commands.json "
-                             "(default: ROOT/build)")
     parser.add_argument("--baseline", type=pathlib.Path, default=None,
                         help="baseline JSON (default: "
                              "tools/sdcheck_baseline.json)")
-    parser.add_argument("--json", type=pathlib.Path, default=None,
-                        help="write findings JSON to this path")
-    parser.add_argument("--regex-only", action="store_true",
-                        help="skip libclang even when installed")
     parser.add_argument("--update-baseline", action="store_true",
                         help="adopt current findings as the baseline")
     parser.add_argument("--self-test", action="store_true",
@@ -2019,25 +1460,16 @@ def main() -> int:
         return self_test(args.root)
 
     root = args.root.resolve()
-    build = (args.build or root / "build").resolve()
     baseline_path = args.baseline or root / "tools" / \
         "sdcheck_baseline.json"
 
-    findings, backend, fault_summary = run_analysis(
-        root, build, args.regex_only)
-    print(f"sdcheck: backend={backend}, {len(findings)} raw finding(s)")
+    findings, fault_summary = run_analysis(root)
+    print(f"sdcheck: {len(findings)} raw finding(s)")
 
     covered = fault_summary.get("covered", 0)
     total = len(fault_summary.get("sites", []))
     print(f"sdcheck: fault-site coverage {covered}/{total} sites have "
           "injection + stats + test")
-
-    if args.json:
-        args.json.write_text(json.dumps({
-            "backend": backend,
-            "fault_coverage": fault_summary,
-            "findings": [f.as_json() for f in findings],
-        }, indent=2) + "\n")
 
     if args.update_baseline:
         write_baseline(findings, baseline_path)
