@@ -115,8 +115,21 @@ lineFingerprint(Addr line)
         ((line >> kLineBits) * 0x9E37'79B9'7F4A'7C15ULL) >> 56);
 }
 
+const CacheConfig &
+checkedConfig(const CacheConfig &config)
+{
+    SD_ASSERT(config.ways >= 1, "cache needs at least one way");
+    SD_ASSERT(config.ways <= 16, "recency stack holds at most 16 ways");
+    SD_ASSERT(config.ddio_ways >= 1 && config.ddio_ways <= config.ways,
+              "DDIO ways outside [1, associativity]");
+    SD_ASSERT(config.sets() > 0, "cache smaller than one set");
+    return config;
+}
+
+// config_ is declared first, so checkedConfig() runs before any other
+// initializer derives a value from the geometry.
 Cache::Cache(const CacheConfig &config)
-    : config_(config), sets_(config.sets()),
+    : config_(checkedConfig(config)), sets_(config_.sets()),
       sets_pow2_(isPowerOf2(sets_)),
       initial_stack_(initialStack(config.ways)),
       cpu_eligible_(wayRange(
@@ -126,10 +139,6 @@ Cache::Cache(const CacheConfig &config)
       map_bytes_(sets_ * (sizeof(SetState) +
                           config.ways * (kCacheLineSize + sizeof(Addr))))
 {
-    SD_ASSERT(sets_ > 0, "cache smaller than one set");
-    SD_ASSERT(config.ways <= 16, "recency stack holds at most 16 ways");
-    SD_ASSERT(config.ddio_ways >= 1 && config.ddio_ways <= config.ways,
-              "DDIO ways outside [1, associativity]");
     if (!sets_pow2_)
         set_reciprocal_ = ~static_cast<unsigned __int128>(0) / sets_ + 1;
     // Anonymous pages read as zero until first written, and only

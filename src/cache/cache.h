@@ -41,6 +41,14 @@ struct CacheConfig
     }
 };
 
+/**
+ * Panics unless @p config is a buildable geometry: 1 to 16 ways, 1 to
+ * `ways` DDIO ways and at least one set. Nothing derived from the
+ * config (sets(), way masks) is defined before this passes.
+ * @return @p config
+ */
+const CacheConfig &checkedConfig(const CacheConfig &config);
+
 /** Aggregate statistics plus a windowed miss-rate probe. */
 struct CacheStats
 {

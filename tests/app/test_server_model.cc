@@ -58,19 +58,21 @@ TEST(Contention, AntagonistRaisesLeak)
     EXPECT_GT(corun, solo);
 }
 
-TEST(Contention, Deterministic)
-{
-    ContentionWorkload w;
-    w.connections = 1024;
-    EXPECT_DOUBLE_EQ(measureContention(w).leak_fraction,
-                     measureContention(w).leak_fraction);
-}
-
 /** The IEEE-754 bit pattern of @p value. */
 std::uint64_t
 bitsOf(double value)
 {
     return std::bit_cast<std::uint64_t>(value);
+}
+
+TEST(Contention, Deterministic)
+{
+    ContentionWorkload w;
+    w.connections = 1024;
+    const auto first = measureContention(w);
+    const auto second = measureContention(w);
+    EXPECT_EQ(bitsOf(first.leak_fraction), bitsOf(second.leak_fraction));
+    EXPECT_EQ(bitsOf(first.miss_rate), bitsOf(second.miss_rate));
 }
 
 TEST(Contention, PinnedOutputBits)
@@ -106,6 +108,51 @@ TEST(Contention, PinnedOutputBits)
             << pin.message_bytes << " B, antagonist " << pin.antagonist_mb;
         EXPECT_EQ(bitsOf(got.miss_rate), pin.miss_rate)
             << pin.message_bytes << " B, antagonist " << pin.antagonist_mb;
+    }
+}
+
+TEST(Contention, ShardCountInvariant)
+{
+    // Each shard replays the whole stream into a private cache and
+    // issues only its own sets' accesses, so any split must give the
+    // serial probe's bits. Shard counts 3, 5 and 7 leave ranges that
+    // do not divide the set count evenly.
+    struct Case
+    {
+        std::size_t llc_mb;
+        std::size_t message_bytes;
+        std::size_t antagonist_mb;
+        unsigned antagonist_instances;
+        std::uint64_t seed;
+    };
+    const Case cases[] = {
+        {27, 4096, 0, 0, 7},
+        {27, 16384, 0, 0, 7},
+        {27, 65536, 0, 0, 7},
+        {27, 4096, 1800, 10, 7},
+        {0, 4096, 0, 0, 11}, // the 64 KB (64-set) floor
+    };
+    for (const Case &k : cases) {
+        ContentionWorkload w;
+        w.connections = 1024;
+        w.per_connection_kb = 64;
+        w.llc_mb = k.llc_mb;
+        w.message_bytes = k.message_bytes;
+        w.antagonist_mb = k.antagonist_mb;
+        w.antagonist_instances = k.antagonist_instances;
+        const auto serial =
+            app::detail::measureContentionShards(w, k.seed, 1);
+        for (const unsigned shards : {2u, 3u, 5u, 7u}) {
+            const auto got =
+                app::detail::measureContentionShards(w, k.seed, shards);
+            EXPECT_EQ(bitsOf(got.leak_fraction),
+                      bitsOf(serial.leak_fraction))
+                << k.llc_mb << " MB, " << k.message_bytes << " B, "
+                << shards << " shards";
+            EXPECT_EQ(bitsOf(got.miss_rate), bitsOf(serial.miss_rate))
+                << k.llc_mb << " MB, " << k.message_bytes << " B, "
+                << shards << " shards";
+        }
     }
 }
 

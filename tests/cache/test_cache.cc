@@ -2,7 +2,8 @@
  * @file
  * LLC model: hits/misses, LRU, writebacks, CAT way partitioning, DDIO
  * restricted allocation, flush semantics, the miss-rate probe, lines
- * whose fingerprints collide, and on-demand commit of the line store.
+ * whose fingerprints collide, on-demand commit of the line store, and
+ * the geometry checks that run before anything derives from a config.
  */
 
 #include <gtest/gtest.h>
@@ -300,5 +301,44 @@ TEST(Cache, StorageIsCommittedOnDemand)
     EXPECT_LT(touched - std::min(before, touched), kBound);
     EXPECT_EQ(cache.stats().fills, 1000u);
 }
+
+#if !defined(__SANITIZE_THREAD__)
+// Each bad geometry below is undefined behaviour (a division by zero
+// or an oversized shift) once an initializer derives sets() or a way
+// mask from it, so the checks must fire first.
+TEST(CacheDeath, ZeroWaysPanics)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    CacheConfig cfg = smallConfig();
+    cfg.ways = 0;
+    EXPECT_DEATH({ Cache cache(cfg); }, "cache needs at least one way");
+}
+
+TEST(CacheDeath, MoreThanSixteenWaysPanics)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    CacheConfig cfg = smallConfig();
+    cfg.ways = 17;
+    EXPECT_DEATH({ Cache cache(cfg); },
+                 "recency stack holds at most 16 ways");
+}
+
+TEST(CacheDeath, DdioWaysAboveAssociativityPanics)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    CacheConfig cfg = smallConfig();
+    cfg.ddio_ways = cfg.ways + 1;
+    EXPECT_DEATH({ Cache cache(cfg); },
+                 "DDIO ways outside \\[1, associativity\\]");
+}
+
+TEST(CacheDeath, SizeBelowOneSetPanics)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    CacheConfig cfg = smallConfig();
+    cfg.size_bytes = cfg.ways * kCacheLineSize - 1;
+    EXPECT_DEATH({ Cache cache(cfg); }, "cache smaller than one set");
+}
+#endif
 
 } // namespace
