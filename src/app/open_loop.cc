@@ -138,11 +138,13 @@ runOpenLoopServer(const OpenLoopConfig &config)
                                payload.size());
             ++st.outstanding[r.flow];
 
-            auto done = [&, r, params, dbytes](
+            // Release into the slot that allocated the buffers: the
+            // flow's pin can move to another tier (or lapse) while
+            // this op is in flight.
+            auto done = [&, r, slot, params, dbytes](
                             const compcpy::CompletionRecord &) {
                 record(r.arrival, true);
-                topo::Topology::Slot &owner =
-                    topo.slot(*dispatcher.pinnedSlot(r.flow));
+                topo::Topology::Slot &owner = topo.slot(slot);
                 owner.driver.release(params.sbuf, params.size);
                 owner.driver.release(params.dbuf, dbytes);
                 if (--st.outstanding[r.flow] == 0)

@@ -330,8 +330,24 @@ TEST(OpenLoop, DeterministicInSeed)
     EXPECT_EQ(a.dimm_ops, b.dimm_ops);
     EXPECT_EQ(a.cpu_ops, b.cpu_ops);
     EXPECT_EQ(a.shed_to_sibling, b.shed_to_sibling);
-    EXPECT_DOUBLE_EQ(a.achieved_ops_per_sec, b.achieved_ops_per_sec);
-    EXPECT_DOUBLE_EQ(a.p99_us, b.p99_us);
+    EXPECT_EQ(bitsOf(a.achieved_ops_per_sec),
+              bitsOf(b.achieved_ops_per_sec));
+    EXPECT_EQ(bitsOf(a.p99_us), bitsOf(b.p99_us));
+}
+
+TEST(OpenLoop, TieredTopologyCompletesEveryArrival)
+{
+    // With a far tier the dispatcher migrates pinned flows between
+    // tiers (and leaves them unpinned when both are saturated) while
+    // their ops are in flight; every op must still complete and free
+    // its buffers on the slot that allocated them.
+    for (const double rate : {800e3, 3e6}) {
+        app::OpenLoopConfig cfg = openLoopPoint(1, 1, rate);
+        cfg.topology.cxl_channels = 1;
+        const app::OpenLoopResult r = app::runOpenLoopServer(cfg);
+        EXPECT_EQ(r.completed, 256u) << rate;
+        EXPECT_EQ(r.dimm_ops + r.cpu_ops, r.completed) << rate;
+    }
 }
 
 TEST(OpenLoop, ScaleOutAbsorbsOverload)

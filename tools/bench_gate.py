@@ -1,13 +1,19 @@
 #!/usr/bin/env python3
-"""bench_gate — performance-regression gate over BENCH_*.json files.
+"""bench_gate — performance-regression gate over benchmark result files.
 
-The micro benchmarks (micro_sim, micro_crypto, micro_deflate,
-micro_queue) each emit a BENCH_*.json describing simulator-
-implementation throughput. This tool compares a fresh set of those
-files against the baselines committed under bench/baselines/ and fails
-when a gated metric regresses past the tolerance — so an event-queue,
-scheduler or kernel slowdown fails CI instead of silently taxing every
-fleet-scale sweep.
+The micro benchmarks (micro_crypto, micro_deflate, micro_queue,
+micro_topology, micro_cxl) each emit a BENCH_*.json describing
+simulator-implementation throughput, and perfbench's traced
+tls_closed_1x1 run writes the simulator's own wall-clock speed to
+tls_closed_1x1.seed1.trace.json. This tool compares a fresh set of
+those files against the baselines committed under bench/baselines/ and
+fails when a gated metric regresses past the tolerance — so an event-
+queue, scheduler or kernel slowdown fails CI instead of silently taxing
+every fleet-scale sweep.
+
+A perfbench result file holds one run: its "end_to_end" and
+"per_layer" metric values are lifted into one row keyed by "workload",
+and its "kernel_tier" stands in for the micro benches' "kernel".
 
 Rows are matched by their identity fields (e.g. "name", or
 mode/depth/batch for the queue bench); metrics are direction-aware
@@ -36,11 +42,11 @@ import tempfile
 # metrics are gated with which direction. Files not listed here are
 # ignored (artefacts may carry extra JSON).
 GATES = {
-    "BENCH_sim.json": {
-        "keys": ("name",),
+    "tls_closed_1x1.seed1.trace.json": {
+        "keys": ("workload",),
         "metrics": {
-            "sim_cycles_per_sec": "higher",
-            "events_per_sec": "higher",
+            "wall_s": "lower",
+            "trace.overhead_ratio": "lower",
         },
     },
     "BENCH_crypto.json": {
@@ -91,11 +97,24 @@ def index_rows(doc: dict, keys: tuple) -> dict:
     return {row_key(r, keys): r for r in doc.get("results", [])}
 
 
+def as_bench_doc(doc: dict) -> dict:
+    """A perfbench result file in the BENCH_*.json shape; others as is."""
+    if "end_to_end" not in doc:
+        return doc
+    row = {"workload": doc.get("workload")}
+    for section in ("end_to_end", "per_layer"):
+        row.update({metric: m["value"]
+                    for metric, m in doc.get(section, {}).items()})
+    return {"kernel": doc.get("kernel_tier"), "results": [row]}
+
+
 def compare_file(name: str, current: dict, baseline: dict,
                  tolerance: float) -> list:
     """@return list of human-readable failure strings."""
     gate = GATES[name]
     failures = []
+    current = as_bench_doc(current)
+    baseline = as_bench_doc(baseline)
 
     # Kernel-tier artefacts are only comparable within a tier.
     cur_tier = current.get("kernel")
@@ -187,7 +206,8 @@ def update_baselines(results_dir: pathlib.Path,
         print(f"bench_gate: baseline {name} <- {cur_path}")
         updated += 1
     if not updated:
-        print("bench_gate: no BENCH_*.json found to adopt", file=sys.stderr)
+        print("bench_gate: no gated result file found to adopt",
+              file=sys.stderr)
         return 1
     return 0
 
@@ -200,35 +220,41 @@ def _doc(rows, **top):
     return {**top, "results": rows}
 
 
+def _topo(name="1x1", ops=20.0, speedup=4.0):
+    return {"name": name, "ops_per_sec": ops, "speedup_vs_1x1": speedup}
+
+
+def _perfbench(wall_s=0.6, overhead=1.0, tier="table", drop=None):
+    """A perfbench result file; @p drop names a metric to leave out."""
+    e2e = {"wall_s": {"value": wall_s, "unit": "s", "clock": "host"},
+           "setup_s": {"value": 0.004, "unit": "s", "clock": "host"}}
+    layer = {"trace.overhead_ratio": {"value": overhead, "unit": "ratio",
+                                      "clock": "host"}}
+    e2e.pop(drop, None)
+    layer.pop(drop, None)
+    return {"workload": "tls_closed_1x1", "seed": 1, "kernel_tier": tier,
+            "correct": True, "end_to_end": e2e, "per_layer": layer}
+
+
+PERFBENCH = "tls_closed_1x1.seed1.trace.json"
+
 SELF_TESTS = [
     # (name, file, current, baseline, tolerance, expect_failures)
     ("identical",
-     "BENCH_sim.json",
-     _doc([{"name": "trace_off", "sim_cycles_per_sec": 20.0,
-            "events_per_sec": 4e6}]),
-     _doc([{"name": "trace_off", "sim_cycles_per_sec": 20.0,
-            "events_per_sec": 4e6}]),
+     "BENCH_topology.json",
+     _doc([_topo()]), _doc([_topo()]),
      0.5, 0),
     ("within-tolerance",
-     "BENCH_sim.json",
-     _doc([{"name": "trace_off", "sim_cycles_per_sec": 11.0,
-            "events_per_sec": 2.1e6}]),
-     _doc([{"name": "trace_off", "sim_cycles_per_sec": 20.0,
-            "events_per_sec": 4e6}]),
+     "BENCH_topology.json",
+     _doc([_topo(ops=11.0, speedup=2.1)]), _doc([_topo()]),
      0.5, 0),
     ("throughput-regression",
-     "BENCH_sim.json",
-     _doc([{"name": "trace_off", "sim_cycles_per_sec": 9.0,
-            "events_per_sec": 4e6}]),
-     _doc([{"name": "trace_off", "sim_cycles_per_sec": 20.0,
-            "events_per_sec": 4e6}]),
+     "BENCH_topology.json",
+     _doc([_topo(ops=9.0)]), _doc([_topo()]),
      0.5, 1),
     ("improvement-passes",
-     "BENCH_sim.json",
-     _doc([{"name": "trace_off", "sim_cycles_per_sec": 100.0,
-            "events_per_sec": 9e6}]),
-     _doc([{"name": "trace_off", "sim_cycles_per_sec": 20.0,
-            "events_per_sec": 4e6}]),
+     "BENCH_topology.json",
+     _doc([_topo(ops=100.0, speedup=9.0)]), _doc([_topo()]),
      0.5, 0),
     ("latency-regression",
      "BENCH_crypto.json",
@@ -252,22 +278,14 @@ SELF_TESTS = [
           kernel="native"),
      0.5, 1),
     ("missing-row",
-     "BENCH_sim.json",
-     _doc([{"name": "trace_off", "sim_cycles_per_sec": 20.0,
-            "events_per_sec": 4e6}]),
-     _doc([{"name": "trace_off", "sim_cycles_per_sec": 20.0,
-            "events_per_sec": 4e6},
-           {"name": "trace_ddr", "sim_cycles_per_sec": 18.0,
-            "events_per_sec": 3e6}]),
+     "BENCH_topology.json",
+     _doc([_topo()]),
+     _doc([_topo(), _topo(name="4x2", ops=18.0, speedup=3.0)]),
      0.5, 1),
     ("extra-current-row-ignored",
-     "BENCH_sim.json",
-     _doc([{"name": "trace_off", "sim_cycles_per_sec": 20.0,
-            "events_per_sec": 4e6},
-           {"name": "experimental", "sim_cycles_per_sec": 0.1,
-            "events_per_sec": 1.0}]),
-     _doc([{"name": "trace_off", "sim_cycles_per_sec": 20.0,
-            "events_per_sec": 4e6}]),
+     "BENCH_topology.json",
+     _doc([_topo(), _topo(name="experimental", ops=0.1, speedup=0.1)]),
+     _doc([_topo()]),
      0.5, 0),
     ("composite-key",
      "BENCH_queue.json",
@@ -281,19 +299,29 @@ SELF_TESTS = [
             "offloads_per_sec": 1000.0, "p99_us": 50.0}]),
      0.5, 1),  # only the depth-16 row regressed
     ("zero-baseline-skipped",
-     "BENCH_sim.json",
-     _doc([{"name": "trace_off", "sim_cycles_per_sec": 1.0,
-            "events_per_sec": 1.0}]),
-     _doc([{"name": "trace_off", "sim_cycles_per_sec": 0.0,
-            "events_per_sec": 0.0}]),
+     "BENCH_topology.json",
+     _doc([_topo(ops=1.0, speedup=1.0)]),
+     _doc([_topo(ops=0.0, speedup=0.0)]),
      0.5, 0),
     ("tight-tolerance",
-     "BENCH_sim.json",
-     _doc([{"name": "trace_off", "sim_cycles_per_sec": 18.0,
-            "events_per_sec": 4e6}]),
-     _doc([{"name": "trace_off", "sim_cycles_per_sec": 20.0,
-            "events_per_sec": 4e6}]),
+     "BENCH_topology.json",
+     _doc([_topo(ops=18.0)]), _doc([_topo()]),
      0.05, 1),
+    ("perfbench-identical",
+     PERFBENCH, _perfbench(), _perfbench(),
+     0.5, 0),
+    ("perfbench-wall-regression",
+     PERFBENCH, _perfbench(wall_s=0.96), _perfbench(),
+     0.5, 1),
+    ("perfbench-overhead-regression",
+     PERFBENCH, _perfbench(overhead=1.6), _perfbench(),
+     0.5, 1),
+    ("perfbench-kernel-tier-mismatch",
+     PERFBENCH, _perfbench(tier="native"), _perfbench(),
+     0.5, 1),
+    ("perfbench-missing-metric",
+     PERFBENCH, _perfbench(drop="trace.overhead_ratio"), _perfbench(),
+     0.5, 1),
 ]
 
 
@@ -315,16 +343,15 @@ def self_test() -> int:
         root = pathlib.Path(tmp)
         (root / "base").mkdir()
         (root / "res").mkdir()
-        doc = _doc([{"name": "trace_off", "sim_cycles_per_sec": 20.0,
-                     "events_per_sec": 4e6}])
-        (root / "base" / "BENCH_sim.json").write_text(json.dumps(doc))
-        (root / "res" / "BENCH_sim.json").write_text(json.dumps(doc))
+        doc = _doc([_topo()])
+        (root / "base" / "BENCH_topology.json").write_text(json.dumps(doc))
+        (root / "res" / "BENCH_topology.json").write_text(json.dumps(doc))
         if run_gate(root / "res", root / "base", 0.5, False) != 0:
             failures += 1
             print("FAIL end-to-end-pass: expected exit 0")
         else:
             print("ok   end-to-end-pass")
-        (root / "res" / "BENCH_sim.json").unlink()
+        (root / "res" / "BENCH_topology.json").unlink()
         if run_gate(root / "res", root / "base", 0.5, False) != 1:
             failures += 1
             print("FAIL end-to-end-missing: expected exit 1")
@@ -349,7 +376,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--results-dir", type=pathlib.Path,
                         default=pathlib.Path.cwd(),
-                        help="directory holding fresh BENCH_*.json "
+                        help="directory holding fresh result files "
                              "(default: cwd)")
     parser.add_argument("--baselines", type=pathlib.Path,
                         default=repo / "bench" / "baselines",
