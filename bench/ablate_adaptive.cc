@@ -12,6 +12,7 @@
 
 #include "app/server_model.h"
 #include "bench/bench_util.h"
+#include "compcpy/adaptive.h"
 
 using namespace sd;
 
@@ -54,8 +55,8 @@ main()
             rpsAt(offload::PlacementKind::kSmartDimm, conns);
         const double leak = leakAt(conns);
         // The probe offloads when the smoothed miss rate crosses the
-        // threshold (default 0.30) — mirror that decision here.
-        const bool offload = leak > 0.30;
+        // policy's default threshold — mirror that decision here.
+        const bool offload = leak > compcpy::AdaptiveConfig{}.threshold;
         const double adaptive = offload ? dimm : cpu;
         std::printf("%-12u %8.2f %12.0f %14.0f %12.0f %10s\n", conns,
                     leak, cpu, dimm, adaptive,

@@ -35,16 +35,14 @@ header(const char *artifact, const char *description)
 
 /**
  * Spec of the one-channel SmartDIMM system the device-level benches
- * run on: a 1x1 Topology with an LLC of @p llc_bytes and @p llc_ways
- * ways, all of them open to the CPU.
+ * run on: a 1x1 Topology with an LLC of @p llc_bytes and the default
+ * 16 ways, all of them open to the CPU.
  */
 inline topo::TopologySpec
-deviceSpec(std::size_t llc_bytes = 32ull << 20, unsigned llc_ways = 16)
+deviceSpec(std::size_t llc_bytes = 32ull << 20)
 {
     topo::TopologySpec spec;
     spec.llc.size_bytes = llc_bytes;
-    spec.llc.ways = llc_ways;
-    spec.llc.cpu_ways = llc_ways;
     return spec;
 }
 

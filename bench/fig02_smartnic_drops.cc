@@ -10,9 +10,10 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "app/server_model.h"
 #include "bench/bench_util.h"
+#include "crypto/tls_record.h"
 #include "net/tcp_stream.h"
+#include "offload/placement.h"
 
 using namespace sd;
 
@@ -33,7 +34,7 @@ goodputGbps(offload::PlacementKind placement, double drop_prob)
     const auto xfer = net::tcpTransfer(kTransfer, tcp, loss, 42);
 
     // Messages of one TLS record (16 KB) stream over the connection.
-    const std::size_t record = 16384;
+    const std::size_t record = crypto::kTlsMaxFragment;
     const double messages =
         static_cast<double>(kTransfer) / static_cast<double>(record);
     const double loss_events_per_message =
@@ -46,9 +47,8 @@ goodputGbps(offload::PlacementKind placement, double drop_prob)
             ? loss_events_per_message
             : 0.0; // CPU crypto is oblivious to losses
     offload::CostModel model;
-    const auto p = offload::makePlacement(placement, model);
-    const auto cost = p->messageCost(offload::Ulp::kTlsEncrypt, record,
-                                     ctx);
+    const auto cost = offload::messageCost(
+        placement, offload::Ulp::kTlsEncrypt, record, ctx, model);
 
     // Single-core sender: crypto/bookkeeping cycles cap the rate.
     const double cycles_per_record =

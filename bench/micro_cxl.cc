@@ -65,17 +65,16 @@ modeledSpeedup(double link_ns)
     model.cxl.round_trip_ns = link_ns > 0 ? link_ns : 100.0;
     offload::LoadContext ctx;
     ctx.far_mem_extra_ns = link_ns; // data homed on the far tier
-    const auto cpu =
-        offload::makePlacement(offload::PlacementKind::kCpu, model);
-    const auto tier = offload::makePlacement(
-        link_ns > 0 ? offload::PlacementKind::kCxlMem
-                    : offload::PlacementKind::kSmartDimm,
-        model);
+    const auto tier = link_ns > 0 ? offload::PlacementKind::kCxlMem
+                                  : offload::PlacementKind::kSmartDimm;
     const double cpu_cycles =
-        cpu->messageCost(offload::Ulp::kTlsEncrypt, kRecordBytes, ctx)
+        offload::messageCost(offload::PlacementKind::kCpu,
+                             offload::Ulp::kTlsEncrypt, kRecordBytes, ctx,
+                             model)
             .cpu_cycles;
     const double tier_cycles =
-        tier->messageCost(offload::Ulp::kTlsEncrypt, kRecordBytes, ctx)
+        offload::messageCost(tier, offload::Ulp::kTlsEncrypt,
+                             kRecordBytes, ctx, model)
             .cpu_cycles;
     return cpu_cycles / tier_cycles;
 }

@@ -11,6 +11,9 @@ namespace sd::app {
 
 namespace {
 
+/** Associativity of the modelled LLC. */
+constexpr unsigned kLlcWays = 16;
+
 /** The probe's geometry and address layout; every shard reads it. */
 struct ProbeLayout
 {
@@ -39,9 +42,9 @@ layoutFor(const ContentionWorkload &workload)
     p.cfg.size_bytes =
         std::max<std::size_t>((workload.llc_mb << 20) / kScale,
                               64 * 1024);
-    p.cfg.ways = workload.llc_ways;
+    p.cfg.ways = kLlcWays;
     p.cfg.ddio_ways = 2;
-    p.cfg.cpu_ways = workload.llc_ways;
+    p.cfg.cpu_ways = kLlcWays;
     p.sets = cache::checkedConfig(p.cfg).sets();
 
     p.connections = std::max(1u, workload.connections / kScale);

@@ -33,7 +33,6 @@ struct ContentionWorkload
     std::size_t message_bytes = 4096;
     double per_connection_kb = 64.0;
     std::size_t llc_mb = 28;
-    unsigned llc_ways = 16;
     /** Extra cache-hostile co-runner footprint (mcf-like), bytes. */
     std::size_t antagonist_mb = 0;
 

@@ -6,10 +6,17 @@
 #include "app/antagonist.h"
 #include "common/log.h"
 #include "common/types.h"
+#include "net/tcp_stream.h"
 
 namespace sd::app {
 
 namespace {
+
+/** nginx worker threads of the paper's server. */
+constexpr unsigned kWorkerThreads = 10;
+
+/** NIC line rate, Gb/s. */
+constexpr double kLinkGbps = 100.0;
 
 /** Compression ratio the Deflate DSA achieves on web responses. */
 constexpr double kWebCompressRatio = 0.38; // output/input
@@ -60,16 +67,14 @@ evaluateServer(const ServerConfig &config)
     // ---- 2. Per-request resource vector ----------------------------------
     offload::LoadContext ctx;
     ctx.leak_fraction = contention.leak_fraction;
-    ctx.loss_events_per_message = config.loss_events_per_message;
     ctx.output_ratio = config.ulp == offload::Ulp::kDeflate
                            ? kWebCompressRatio
                            : 1.0;
 
-    const auto placement =
-        offload::makePlacement(config.placement, model_adj);
-    const offload::UlpCost ulp_cost =
-        placement->messageCost(config.ulp, config.message_bytes, ctx);
-    result.placement_name = placement->name();
+    const offload::UlpCost ulp_cost = offload::messageCost(
+        config.placement, config.ulp, config.message_bytes, ctx,
+        model_adj);
+    result.placement_name = offload::placementName(config.placement);
     if (!ulp_cost.supported) {
         result.supported = false;
         return result;
@@ -89,7 +94,8 @@ evaluateServer(const ServerConfig &config)
     // placement slows somewhat when the LLC is stolen.
     const double wire_bytes =
         static_cast<double>(config.message_bytes) * ctx.output_ratio;
-    const double segments = std::max(1.0, wire_bytes / 1448.0);
+    const double segments =
+        std::max(1.0, wire_bytes / static_cast<double>(net::kTcpMss));
     const double base_cycles =
         m.cpu.base_request_cycles +
         segments * m.cpu.per_segment_cycles +
@@ -103,11 +109,11 @@ evaluateServer(const ServerConfig &config)
 
     // ---- 3. Capacity fixed point ------------------------------------------
     const double cpu_capacity =
-        m.cpu.freq_ghz * 1e9 * config.worker_threads;
+        m.cpu.freq_ghz * 1e9 * kWorkerThreads;
     const double mem_capacity =
         std::max(1.0, (m.memory.peak_bw_gbps - antagonist_bw_gbps)) *
         1e9;
-    const double net_capacity = config.link_gbps * 1e9 / 8.0;
+    const double net_capacity = kLinkGbps * 1e9 / 8.0;
 
     const double rps_cpu = cpu_capacity / cycles_per_req;
     const double rps_mem = mem_capacity / std::max(1.0, dram_per_req);

@@ -1,13 +1,13 @@
 /**
  * @file
  * Request-level web-server system model (the Fig. 3/11/12/Table-I
- * engine): an nginx-like server with T worker threads serving a
+ * engine): an nginx-like server with 10 worker threads serving a
  * closed-loop wrk-like generator over C persistent connections.
- * Each request flows storage-DMA -> ULP (via a Placement) -> TCP
- * send -> NIC DMA; the model resolves the achieved requests/second
- * against three coupled capacities — CPU cycles, DRAM bandwidth and
- * NIC line rate — with LLC contention measured by the real cache
- * substrate.
+ * Each request flows storage-DMA -> ULP (priced by
+ * offload::messageCost) -> TCP send -> NIC DMA; the model resolves
+ * the achieved requests/second against three coupled capacities —
+ * CPU cycles, DRAM bandwidth and NIC line rate — with LLC contention
+ * measured by the real cache substrate.
  */
 
 #ifndef SD_APP_SERVER_MODEL_H
@@ -24,13 +24,10 @@ namespace sd::app {
 /** One evaluation point. */
 struct ServerConfig
 {
-    unsigned worker_threads = 10;  ///< paper: 10 nginx threads
     unsigned connections = 1024;   ///< paper: 1024 wrk connections
     std::size_t message_bytes = 4096;
     offload::Ulp ulp = offload::Ulp::kTlsEncrypt;
     offload::PlacementKind placement = offload::PlacementKind::kCpu;
-    double link_gbps = 100.0;
-    double loss_events_per_message = 0.0; ///< for Fig. 2 style runs
     std::size_t antagonist_mb = 0;        ///< mcf-like co-runner
     unsigned antagonist_instances = 0;
     offload::CostModel model;

@@ -17,12 +17,16 @@
 
 namespace sd::net {
 
+/** TCP payload bytes per segment on a 1500-byte-MTU Ethernet link
+ *  (IPv4 + TCP with timestamps). */
+inline constexpr std::size_t kTcpMss = 1448;
+
 /** Link and protocol parameters. */
 struct TcpConfig
 {
     double link_gbps = 100.0;   ///< bottleneck rate
     double rtt_us = 50.0;       ///< propagation + switching RTT
-    std::size_t mss = 1448;     ///< payload bytes per segment
+    std::size_t mss = kTcpMss;  ///< payload bytes per segment
     std::size_t init_cwnd = 10; ///< segments
     std::size_t max_cwnd = 1024; ///< receive-window clamp (segments)
     double rto_ms = 4.0;        ///< retransmission timeout

@@ -34,19 +34,27 @@ designSpace(const CostModel &model)
 {
     constexpr std::size_t kMsg = 16384;
 
-    struct Eval
+    // Structural criteria are fixed by the architecture. The SmartNIC
+    // is a below-the-stack placement: size-preserving ULPs only, with
+    // speculative state tied to TCP behaviour. The CXL.mem tier keeps
+    // the local SmartDIMM's above-the-stack CompCpy interface: the far
+    // link changes timing, not protocol.
+    struct Option
     {
         PlacementKind kind;
         const char *name;
+        double transport_compat;
+        double ulp_diversity;
+        double transport_flexibility;
     };
-    const Eval evals[] = {
-        {PlacementKind::kCpu, "CPU"},
-        {PlacementKind::kSmartNic, "SmartNIC (autonomous)"},
-        {PlacementKind::kQuickAssist, "PCIe accelerator"},
-        {PlacementKind::kSmartDimm, "SmartDIMM"},
-        {PlacementKind::kCxlMem, "CXL.mem SmartDIMM"},
+    const Option options[] = {
+        {PlacementKind::kCpu, "CPU", 5, 5, 5},
+        {PlacementKind::kSmartNic, "SmartNIC (autonomous)", 3, 2, 4},
+        {PlacementKind::kQuickAssist, "PCIe accelerator", 5, 4, 5},
+        {PlacementKind::kSmartDimm, "SmartDIMM", 5, 4, 5},
+        {PlacementKind::kCxlMem, "CXL.mem SmartDIMM", 5, 4, 5},
     };
-    constexpr std::size_t kOptions = std::size(evals);
+    constexpr std::size_t kOptions = std::size(options);
 
     LoadContext quiet;
     quiet.leak_fraction = 0.05;
@@ -64,21 +72,16 @@ designSpace(const CostModel &model)
     std::array<double, kOptions> lossy_cycles{};
     std::array<double, kOptions> lossless_cycles{};
     for (std::size_t i = 0; i < kOptions; ++i) {
-        const auto p = makePlacement(evals[i].kind, model);
-        quiet_cycles[i] =
-            p->messageCost(Ulp::kTlsEncrypt, kMsg, quiet).cpu_cycles +
-            model.cpu.base_request_cycles;
-        contended_cycles[i] =
-            p->messageCost(Ulp::kTlsEncrypt, kMsg, contended)
-                .cpu_cycles +
-            model.cpu.base_request_cycles;
-        lossy_cycles[i] =
-            p->messageCost(Ulp::kTlsEncrypt, kMsg, lossy).cpu_cycles +
-            model.cpu.base_request_cycles;
-        lossless_cycles[i] =
-            p->messageCost(Ulp::kTlsEncrypt, kMsg, lossless)
-                .cpu_cycles +
-            model.cpu.base_request_cycles;
+        const auto cycles = [&](const LoadContext &ctx) {
+            return messageCost(options[i].kind, Ulp::kTlsEncrypt, kMsg,
+                               ctx, model)
+                       .cpu_cycles +
+                   model.cpu.base_request_cycles;
+        };
+        quiet_cycles[i] = cycles(quiet);
+        contended_cycles[i] = cycles(contended);
+        lossy_cycles[i] = cycles(lossy);
+        lossless_cycles[i] = cycles(lossless);
     }
     const double best_quiet =
         *std::min_element(quiet_cycles.begin(), quiet_cycles.end());
@@ -88,7 +91,7 @@ designSpace(const CostModel &model)
     std::vector<DesignPoint> points;
     for (std::size_t i = 0; i < kOptions; ++i) {
         DesignPoint point;
-        point.option = evals[i].name;
+        point.option = options[i].name;
         point.scores[static_cast<std::size_t>(
             Criterion::kLowContentionPerf)] =
             throughputScore(quiet_cycles[i], best_quiet);
@@ -102,53 +105,13 @@ designSpace(const CostModel &model)
             std::clamp(5.0 * lossless_cycles[i] / lossy_cycles[i], 0.0,
                        5.0);
 
-        // Structural criteria.
-        switch (evals[i].kind) {
-          case PlacementKind::kCpu:
-            point.scores[static_cast<std::size_t>(
-                Criterion::kTransportCompat)] = 5;
-            point.scores[static_cast<std::size_t>(
-                Criterion::kUlpDiversity)] = 5;
-            point.scores[static_cast<std::size_t>(
-                Criterion::kTransportFlexibility)] = 5;
-            break;
-          case PlacementKind::kSmartNic:
-            // Below-the-stack placement: size-preserving ULPs only,
-            // speculative state tied to TCP behaviour.
-            point.scores[static_cast<std::size_t>(
-                Criterion::kTransportCompat)] = 3;
-            point.scores[static_cast<std::size_t>(
-                Criterion::kUlpDiversity)] = 2;
-            point.scores[static_cast<std::size_t>(
-                Criterion::kTransportFlexibility)] = 4;
-            break;
-          case PlacementKind::kQuickAssist:
-            point.scores[static_cast<std::size_t>(
-                Criterion::kTransportCompat)] = 5;
-            point.scores[static_cast<std::size_t>(
-                Criterion::kUlpDiversity)] = 4;
-            point.scores[static_cast<std::size_t>(
-                Criterion::kTransportFlexibility)] = 5;
-            break;
-          case PlacementKind::kSmartDimm:
-            point.scores[static_cast<std::size_t>(
-                Criterion::kTransportCompat)] = 5;
-            point.scores[static_cast<std::size_t>(
-                Criterion::kUlpDiversity)] = 4;
-            point.scores[static_cast<std::size_t>(
-                Criterion::kTransportFlexibility)] = 5;
-            break;
-          case PlacementKind::kCxlMem:
-            // Same above-the-stack CompCpy interface as the local
-            // SmartDIMM; the far tier changes timing, not protocol.
-            point.scores[static_cast<std::size_t>(
-                Criterion::kTransportCompat)] = 5;
-            point.scores[static_cast<std::size_t>(
-                Criterion::kUlpDiversity)] = 4;
-            point.scores[static_cast<std::size_t>(
-                Criterion::kTransportFlexibility)] = 5;
-            break;
-        }
+        point.scores[static_cast<std::size_t>(
+            Criterion::kTransportCompat)] = options[i].transport_compat;
+        point.scores[static_cast<std::size_t>(
+            Criterion::kUlpDiversity)] = options[i].ulp_diversity;
+        point.scores[static_cast<std::size_t>(
+            Criterion::kTransportFlexibility)] =
+            options[i].transport_flexibility;
         points.push_back(point);
     }
     return points;

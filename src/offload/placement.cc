@@ -5,18 +5,18 @@
 
 #include "common/log.h"
 #include "common/types.h"
+#include "crypto/tls_record.h"
+#include "net/tcp_stream.h"
 
 namespace sd::offload {
 
 namespace {
 
-/** TLS 1.3 maximum plaintext fragment -> records per message. */
-constexpr std::size_t kTlsRecordMax = 16384;
-
+/** TLS records per message. */
 double
 records(std::size_t bytes)
 {
-    return static_cast<double>(divCeil(bytes, kTlsRecordMax));
+    return static_cast<double>(divCeil(bytes, crypto::kTlsMaxFragment));
 }
 
 double
@@ -55,335 +55,252 @@ missCycles(const CostModel &m, const LoadContext &ctx)
 }
 
 /** CPU placement: everything on-core (AES-NI / software deflate). */
-class CpuPlacement final : public Placement
+UlpCost
+cpuCost(Ulp ulp, std::size_t bytes, const LoadContext &ctx,
+        const CostModel &m)
 {
-  public:
-    explicit CpuPlacement(const CostModel &m) : m_(m) {}
-
-    std::string name() const override { return "CPU"; }
-    PlacementKind kind() const override { return PlacementKind::kCpu; }
-
-    UlpCost
-    computeCost(Ulp ulp, std::size_t bytes, const LoadContext &ctx)
-        const override
-    {
-        UlpCost cost;
-        const double b = static_cast<double>(bytes);
-        if (ulp == Ulp::kNone)
-            return cost;
-
-        double compute = 0;
-        double traffic = 0;
-        if (ulp == Ulp::kTlsEncrypt) {
-            compute = b * m_.cpu.aesni_cycles_per_byte +
-                      records(bytes) * m_.cpu.tls_record_cycles;
-            // Obs. 3: at contention the transform's streams round-trip
-            // DRAM — plaintext re-read, destination RFO + writeback,
-            // NIC fetch of the ciphertext, and evicted re-reads:
-            // ~5 line passes scaled by the leak fraction.
-            traffic = b * 7.0 * ctx.leak_fraction;
-        } else {
-            compute = b * m_.cpu.deflate_cycles_per_byte +
-                      pages(bytes) * m_.cpu.deflate_setup_cycles;
-            // Deflate additionally churns its window + hash tables:
-            // a few random accesses per input byte, all missing under
-            // contention (the dominant term of Fig. 12's bandwidth).
-            traffic = b * 25.0 * ctx.leak_fraction;
-        }
-
-        const double stalls =
-            missStalls(traffic, missCycles(m_, ctx), bytes);
-
-        cost.cpu_cycles = compute + stalls;
-        cost.dram_bytes = traffic;
-        cost.latency_us = cost.cpu_cycles / (m_.cpu.freq_ghz * 1e3);
+    UlpCost cost;
+    const double b = static_cast<double>(bytes);
+    if (ulp == Ulp::kNone)
         return cost;
+
+    double compute = 0;
+    double traffic = 0;
+    if (ulp == Ulp::kTlsEncrypt) {
+        compute = b * m.cpu.aesni_cycles_per_byte +
+                  records(bytes) * m.cpu.tls_record_cycles;
+        // Obs. 3: at contention the transform's streams round-trip
+        // DRAM — plaintext re-read, destination RFO + writeback,
+        // NIC fetch of the ciphertext, and evicted re-reads:
+        // ~5 line passes scaled by the leak fraction.
+        traffic = b * 7.0 * ctx.leak_fraction;
+    } else {
+        compute = b * m.cpu.deflate_cycles_per_byte +
+                  pages(bytes) * m.cpu.deflate_setup_cycles;
+        // Deflate additionally churns its window + hash tables:
+        // a few random accesses per input byte, all missing under
+        // contention (the dominant term of Fig. 12's bandwidth).
+        traffic = b * 25.0 * ctx.leak_fraction;
     }
 
-  private:
-    CostModel m_;
-};
+    const double stalls =
+        missStalls(traffic, missCycles(m, ctx), bytes);
+
+    cost.cpu_cycles = compute + stalls;
+    cost.dram_bytes = traffic;
+    cost.latency_us = cost.cpu_cycles / (m.cpu.freq_ghz * 1e3);
+    return cost;
+}
 
 /** SmartNIC autonomous offload (TLS only, size-preserving). */
-class SmartNicPlacement final : public Placement
+UlpCost
+smartNicCost(Ulp ulp, std::size_t bytes, const LoadContext &ctx,
+             const CostModel &m)
 {
-  public:
-    explicit SmartNicPlacement(const CostModel &m) : m_(m) {}
-
-    std::string name() const override { return "SmartNIC"; }
-    PlacementKind kind() const override
-    {
-        return PlacementKind::kSmartNic;
-    }
-
-    UlpCost
-    computeCost(Ulp ulp, std::size_t bytes, const LoadContext &ctx)
-        const override
-    {
-        UlpCost cost;
-        if (ulp == Ulp::kNone)
-            return cost;
-        if (ulp == Ulp::kDeflate) {
-            // Non-size-preserving ULPs break the TCP state machine
-            // when transformed below the stack (Obs. 1).
-            cost.supported = false;
-            return cost;
-        }
-
-        const double b = static_cast<double>(bytes);
-        const double segments = std::max(1.0, b / 1448.0);
-
-        // Crypto moves to the NIC, but the driver tracks every record
-        // and marks every segment for the inline engine — fixed taxes
-        // that erase the benefit for small records (Fig. 11 @ 4 KB).
-        double cycles = records(bytes) * m_.smartnic.record_skip_cycles +
-                        segments * m_.smartnic.per_segment_cycles;
-
-        // The plaintext still streams through host memory to the NIC
-        // (fewer passes than on-CPU crypto: no ciphertext copy).
-        double traffic = b * 1.2 * ctx.leak_fraction;
-        cycles += missStalls(traffic, missCycles(m_, ctx), bytes);
-
-        // Loss/reorder resynchronisation: driver sync + software
-        // fallback crypto for in-flight records (Fig. 2's collapse).
-        if (ctx.loss_events_per_message > 0) {
-            const double fallback_bytes =
-                m_.smartnic.fallback_records *
-                std::min<double>(b, kTlsRecordMax);
-            cycles += ctx.loss_events_per_message *
-                      (m_.smartnic.resync_us * m_.cpu.freq_ghz * 1e3 +
-                       fallback_bytes * m_.cpu.aesni_cycles_per_byte);
-            traffic += ctx.loss_events_per_message * fallback_bytes *
-                       ctx.leak_fraction * 2.0;
-        }
-
-        cost.cpu_cycles = cycles;
-        cost.dram_bytes = traffic;
-        cost.latency_us =
-            b / (m_.smartnic.nic_crypto_gbps * 1e3) +
-            cycles / (m_.cpu.freq_ghz * 1e3);
+    UlpCost cost;
+    if (ulp == Ulp::kNone)
+        return cost;
+    if (ulp == Ulp::kDeflate) {
+        // Non-size-preserving ULPs break the TCP state machine
+        // when transformed below the stack (Obs. 1).
+        cost.supported = false;
         return cost;
     }
 
-  private:
-    CostModel m_;
-};
+    const double b = static_cast<double>(bytes);
+    const double segments =
+        std::max(1.0, b / static_cast<double>(net::kTcpMss));
+
+    // Crypto moves to the NIC, but the driver tracks every record
+    // and marks every segment for the inline engine — fixed taxes
+    // that erase the benefit for small records (Fig. 11 @ 4 KB).
+    double cycles = records(bytes) * m.smartnic.record_skip_cycles +
+                    segments * m.smartnic.per_segment_cycles;
+
+    // The plaintext still streams through host memory to the NIC
+    // (fewer passes than on-CPU crypto: no ciphertext copy).
+    double traffic = b * 1.2 * ctx.leak_fraction;
+    cycles += missStalls(traffic, missCycles(m, ctx), bytes);
+
+    // Loss/reorder resynchronisation: driver sync + software
+    // fallback crypto for in-flight records (Fig. 2's collapse).
+    if (ctx.loss_events_per_message > 0) {
+        const double fallback_bytes =
+            m.smartnic.fallback_records *
+            std::min<double>(b, crypto::kTlsMaxFragment);
+        cycles += ctx.loss_events_per_message *
+                  (m.smartnic.resync_us * m.cpu.freq_ghz * 1e3 +
+                   fallback_bytes * m.cpu.aesni_cycles_per_byte);
+        traffic += ctx.loss_events_per_message * fallback_bytes *
+                   ctx.leak_fraction * 2.0;
+    }
+
+    cost.cpu_cycles = cycles;
+    cost.dram_bytes = traffic;
+    cost.latency_us =
+        b / (m.smartnic.nic_crypto_gbps * 1e3) +
+        cycles / (m.cpu.freq_ghz * 1e3);
+    return cost;
+}
 
 /** PCIe QuickAssist placement, synchronous-offload configuration. */
-class QatPlacement final : public Placement
+UlpCost
+qatCost(Ulp ulp, std::size_t bytes, const LoadContext &ctx,
+        const CostModel &m)
 {
-  public:
-    explicit QatPlacement(const CostModel &m) : m_(m) {}
-
-    std::string name() const override { return "QuickAssist"; }
-    PlacementKind kind() const override
-    {
-        return PlacementKind::kQuickAssist;
-    }
-
-    UlpCost
-    computeCost(Ulp ulp, std::size_t bytes, const LoadContext &ctx)
-        const override
-    {
-        UlpCost cost;
-        if (ulp == Ulp::kNone)
-            return cost;
-        const double b = static_cast<double>(bytes);
-
-        // The worker blocks on each offload (descriptor setup, PCIe
-        // transfer, accelerator time, completion wake-up) — the
-        // fine-grain-offload tax of Obs. 2. TLS offloads per record;
-        // compression offloads per 4 KB page.
-        const double jobs = ulp == Ulp::kTlsEncrypt ? records(bytes)
-                                                    : pages(bytes);
-        const double rate = ulp == Ulp::kTlsEncrypt
-                                ? m_.qat.crypto_gbps
-                                : m_.qat.compress_gbps;
-        const double block_us =
-            jobs * (ulp == Ulp::kTlsEncrypt
-                        ? m_.qat.crypto_block_us
-                        : m_.qat.compress_block_us) +
-            2.0 * b / (m_.qat.pcie_gbps * 1e3) + b / (rate * 1e3);
-
-        double cycles = jobs * m_.qat.mgmt_cycles +
-                        block_us * m_.cpu.freq_ghz * 1e3;
-
-        // Bounce buffers + descriptor rings double-move the payload
-        // through DRAM regardless of cache state.
-        const double traffic = b * m_.qat.dram_traffic_factor +
-                               b * 2.0 * ctx.leak_fraction;
-        cycles += missStalls(traffic, missCycles(m_, ctx), bytes);
-
-        cost.cpu_cycles = cycles;
-        cost.dram_bytes = traffic;
-        cost.latency_us = block_us + jobs * m_.qat.mgmt_cycles /
-                                         (m_.cpu.freq_ghz * 1e3);
+    UlpCost cost;
+    if (ulp == Ulp::kNone)
         return cost;
-    }
+    const double b = static_cast<double>(bytes);
 
-  private:
-    CostModel m_;
-};
+    // The worker blocks on each offload (descriptor setup, PCIe
+    // transfer, accelerator time, completion wake-up) — the
+    // fine-grain-offload tax of Obs. 2. TLS offloads per record;
+    // compression offloads per 4 KB page.
+    const double jobs = ulp == Ulp::kTlsEncrypt ? records(bytes)
+                                                : pages(bytes);
+    const double rate = ulp == Ulp::kTlsEncrypt
+                            ? m.qat.crypto_gbps
+                            : m.qat.compress_gbps;
+    const double block_us =
+        jobs * (ulp == Ulp::kTlsEncrypt
+                    ? m.qat.crypto_block_us
+                    : m.qat.compress_block_us) +
+        2.0 * b / (m.qat.pcie_gbps * 1e3) + b / (rate * 1e3);
+
+    double cycles = jobs * m.qat.mgmt_cycles +
+                    block_us * m.cpu.freq_ghz * 1e3;
+
+    // Bounce buffers + descriptor rings double-move the payload
+    // through DRAM regardless of cache state.
+    const double traffic = b * m.qat.dram_traffic_factor +
+                           b * 2.0 * ctx.leak_fraction;
+    cycles += missStalls(traffic, missCycles(m, ctx), bytes);
+
+    cost.cpu_cycles = cycles;
+    cost.dram_bytes = traffic;
+    cost.latency_us = block_us + jobs * m.qat.mgmt_cycles /
+                                     (m.cpu.freq_ghz * 1e3);
+    return cost;
+}
 
 /** SmartDIMM CompCpy placement (Sec. IV/V). */
-class SmartDimmPlacement final : public Placement
+UlpCost
+smartDimmCost(Ulp ulp, std::size_t bytes, const LoadContext &ctx,
+              const CostModel &m)
 {
-  public:
-    explicit SmartDimmPlacement(const CostModel &m) : m_(m) {}
-
-    std::string name() const override { return "SmartDIMM"; }
-    PlacementKind kind() const override
-    {
-        return PlacementKind::kSmartDimm;
-    }
-
-    UlpCost
-    computeCost(Ulp ulp, std::size_t bytes, const LoadContext &ctx)
-        const override
-    {
-        UlpCost cost;
-        if (ulp == Ulp::kNone)
-            return cost;
-        const double b = static_cast<double>(bytes);
-
-        // CompCpy software: freePages bookkeeping + registration MMIO
-        // writes per page, clflush of sbuf, the 64 B-stride copy, and
-        // the USE-side flush of the (ratio-scaled) output.
-        double cycles =
-            records(bytes) * m_.smartdimm.bookkeeping_cycles +
-            pages(bytes) * m_.smartdimm.register_cycles +
-            lines(bytes) * m_.smartdimm.flush_line_cycles +
-            b / m_.cpu.memcpy_bytes_per_cycle +
-            lines(static_cast<std::size_t>(b * ctx.output_ratio)) *
-                m_.smartdimm.flush_line_cycles;
-        if (ulp == Ulp::kDeflate)
-            cycles += lines(bytes) * m_.smartdimm.fence_cycles;
-
-        // The copy's reads come from DRAM (sbuf was flushed) but
-        // stream with deep MLP. Far-homed sources pay the link here.
-        cycles += lines(bytes) * missCycles(m_, ctx) * 0.12;
-
-        // Inline transform: exactly one channel pass in (the rdCAS
-        // the DSA taps) and one out (the self-recycled wrCAS) — no
-        // contention-dependent re-reads.
-        const double traffic = b + b * ctx.output_ratio;
-
-        cost.cpu_cycles = cycles;
-        cost.dram_bytes = traffic;
-        cost.latency_us = cycles / (m_.cpu.freq_ghz * 1e3);
+    UlpCost cost;
+    if (ulp == Ulp::kNone)
         return cost;
-    }
+    const double b = static_cast<double>(bytes);
 
-  private:
-    CostModel m_;
-};
+    // CompCpy software: freePages bookkeeping + registration MMIO
+    // writes per page, clflush of sbuf, the 64 B-stride copy, and
+    // the USE-side flush of the (ratio-scaled) output.
+    double cycles =
+        records(bytes) * m.smartdimm.bookkeeping_cycles +
+        pages(bytes) * m.smartdimm.register_cycles +
+        lines(bytes) * m.smartdimm.flush_line_cycles +
+        b / m.cpu.memcpy_bytes_per_cycle +
+        lines(static_cast<std::size_t>(b * ctx.output_ratio)) *
+            m.smartdimm.flush_line_cycles;
+    if (ulp == Ulp::kDeflate)
+        cycles += lines(bytes) * m.smartdimm.fence_cycles;
+
+    // The copy's reads come from DRAM (sbuf was flushed) but
+    // stream with deep MLP. Far-homed sources pay the link here.
+    cycles += lines(bytes) * missCycles(m, ctx) * 0.12;
+
+    // Inline transform: exactly one channel pass in (the rdCAS
+    // the DSA taps) and one out (the self-recycled wrCAS) — no
+    // contention-dependent re-reads.
+    const double traffic = b + b * ctx.output_ratio;
+
+    cost.cpu_cycles = cycles;
+    cost.dram_bytes = traffic;
+    cost.latency_us = cycles / (m.cpu.freq_ghz * 1e3);
+    return cost;
+}
 
 /**
- * SmartDIMM behind a CXL.mem link (the far-memory tier of ISSUE 10).
- * The transform runs near the data on the far device, so the
+ * SmartDIMM behind a CXL.mem link (the far-memory tier, DESIGN.md
+ * §15). The transform runs near the data on the far device, so the
  * contention-dependent re-read traffic of the host placements never
  * crosses the link — only the control path (per-page registration
  * MMIO, the doorbell, and the withheld completion read) pays round
  * trips, and the streamed copy exposes a small pipelined share of the
  * flight time per line.
  */
-class CxlMemPlacement final : public Placement
-{
-  public:
-    explicit CxlMemPlacement(const CostModel &m) : m_(m) {}
-
-    std::string name() const override { return "CXL.mem"; }
-    PlacementKind kind() const override
-    {
-        return PlacementKind::kCxlMem;
-    }
-
-    UlpCost
-    computeCost(Ulp ulp, std::size_t bytes, const LoadContext &ctx)
-        const override
-    {
-        UlpCost cost;
-        if (ulp == Ulp::kNone)
-            return cost;
-        const double b = static_cast<double>(bytes);
-        const double rt_cycles =
-            m_.cxl.round_trip_ns * m_.cpu.freq_ghz;
-
-        // CompCpy software as on the local SmartDIMM, with the MMIO
-        // registration writes now crossing the link (one round trip
-        // per page pair) plus the doorbell + withheld completion read.
-        double cycles =
-            records(bytes) * m_.smartdimm.bookkeeping_cycles +
-            pages(bytes) * (m_.smartdimm.register_cycles + rt_cycles) +
-            lines(bytes) * m_.smartdimm.flush_line_cycles +
-            b / m_.cpu.memcpy_bytes_per_cycle +
-            lines(static_cast<std::size_t>(b * ctx.output_ratio)) *
-                m_.smartdimm.flush_line_cycles +
-            m_.cxl.doorbell_round_trips * rt_cycles;
-        if (ulp == Ulp::kDeflate)
-            cycles += lines(bytes) * m_.smartdimm.fence_cycles;
-
-        // The copy streams over the flex-bus: deep MLP hides most of
-        // each line's flight time; serialization bounds the rest.
-        cycles += lines(bytes) * rt_cycles * m_.cxl.mlp_exposure;
-
-        // Near-data transform: the in/out passes stay on the far
-        // device's channel. Host DRAM sees only the source read.
-        const double traffic = b;
-
-        cost.cpu_cycles = cycles;
-        cost.dram_bytes = traffic;
-        cost.latency_us = cycles / (m_.cpu.freq_ghz * 1e3) +
-                          b / (m_.cxl.link_gbps * 1e3);
-        return cost;
-    }
-
-  private:
-    CostModel m_;
-};
-
-} // namespace
-
 UlpCost
-Placement::messageCost(Ulp ulp, std::size_t bytes,
-                       const LoadContext &ctx) const
+cxlMemCost(Ulp ulp, std::size_t bytes, const LoadContext &ctx,
+           const CostModel &m)
 {
-    const UlpCost cost = computeCost(ulp, bytes, ctx);
-    ++eval_.evaluations;
-    if (!cost.supported) {
-        ++eval_.unsupported;
+    UlpCost cost;
+    if (ulp == Ulp::kNone)
         return cost;
-    }
-    eval_.bytes += static_cast<double>(bytes);
-    eval_.cpu_cycles += cost.cpu_cycles;
-    eval_.dram_bytes += cost.dram_bytes;
+    const double b = static_cast<double>(bytes);
+    const double rt_cycles =
+        m.cxl.round_trip_ns * m.cpu.freq_ghz;
+
+    // CompCpy software as on the local SmartDIMM, with the MMIO
+    // registration writes now crossing the link (one round trip
+    // per page pair) plus the doorbell + withheld completion read.
+    double cycles =
+        records(bytes) * m.smartdimm.bookkeeping_cycles +
+        pages(bytes) * (m.smartdimm.register_cycles + rt_cycles) +
+        lines(bytes) * m.smartdimm.flush_line_cycles +
+        b / m.cpu.memcpy_bytes_per_cycle +
+        lines(static_cast<std::size_t>(b * ctx.output_ratio)) *
+            m.smartdimm.flush_line_cycles +
+        m.cxl.doorbell_round_trips * rt_cycles;
+    if (ulp == Ulp::kDeflate)
+        cycles += lines(bytes) * m.smartdimm.fence_cycles;
+
+    // The copy streams over the flex-bus: deep MLP hides most of
+    // each line's flight time; serialization bounds the rest.
+    cycles += lines(bytes) * rt_cycles * m.cxl.mlp_exposure;
+
+    // Near-data transform: the in/out passes stay on the far
+    // device's channel. Host DRAM sees only the source read.
+    const double traffic = b;
+
+    cost.cpu_cycles = cycles;
+    cost.dram_bytes = traffic;
+    cost.latency_us = cycles / (m.cpu.freq_ghz * 1e3) +
+                      b / (m.cxl.link_gbps * 1e3);
     return cost;
 }
 
-void
-Placement::reportStats(trace::StatsBlock &block) const
+} // namespace
+
+const char *
+placementName(PlacementKind kind)
 {
-    block.scalar("evaluations", static_cast<double>(eval_.evaluations));
-    block.scalar("unsupported", static_cast<double>(eval_.unsupported));
-    block.scalar("bytes", eval_.bytes);
-    block.scalar("cpu_cycles", eval_.cpu_cycles);
-    block.scalar("dram_bytes", eval_.dram_bytes);
+    switch (kind) {
+      case PlacementKind::kCpu: return "CPU";
+      case PlacementKind::kSmartNic: return "SmartNIC";
+      case PlacementKind::kQuickAssist: return "QuickAssist";
+      case PlacementKind::kSmartDimm: return "SmartDIMM";
+      case PlacementKind::kCxlMem: return "CXL.mem";
+    }
+    SD_PANIC("unknown placement kind");
 }
 
-std::unique_ptr<Placement>
-makePlacement(PlacementKind kind, const CostModel &model)
+UlpCost
+messageCost(PlacementKind kind, Ulp ulp, std::size_t bytes,
+            const LoadContext &ctx, const CostModel &model)
 {
     switch (kind) {
       case PlacementKind::kCpu:
-        return std::make_unique<CpuPlacement>(model);
+        return cpuCost(ulp, bytes, ctx, model);
       case PlacementKind::kSmartNic:
-        return std::make_unique<SmartNicPlacement>(model);
+        return smartNicCost(ulp, bytes, ctx, model);
       case PlacementKind::kQuickAssist:
-        return std::make_unique<QatPlacement>(model);
+        return qatCost(ulp, bytes, ctx, model);
       case PlacementKind::kSmartDimm:
-        return std::make_unique<SmartDimmPlacement>(model);
+        return smartDimmCost(ulp, bytes, ctx, model);
       case PlacementKind::kCxlMem:
-        return std::make_unique<CxlMemPlacement>(model);
+        return cxlMemCost(ulp, bytes, ctx, model);
     }
     SD_PANIC("unknown placement kind");
 }

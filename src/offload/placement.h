@@ -1,8 +1,9 @@
 /**
  * @file
- * Accelerator-placement interface. Each placement converts "process
- * one ULP message of S bytes" into the three resources the server
- * simulation arbitrates: CPU cycles, DRAM bytes, and added latency.
+ * Accelerator-placement cost functions. Each placement converts
+ * "process one ULP message of S bytes" into the three resources the
+ * server simulation arbitrates: CPU cycles, DRAM bytes, and added
+ * latency. They are analytic functions of the CostModel constants.
  * The LLC leak fraction (how much of the streamed message spills to
  * DRAM, Obs. 3) couples the placements to cache contention.
  */
@@ -10,12 +11,10 @@
 #ifndef SD_OFFLOAD_PLACEMENT_H
 #define SD_OFFLOAD_PLACEMENT_H
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <string>
 
 #include "offload/cost_model.h"
-#include "trace/trace.h"
 
 namespace sd::offload {
 
@@ -68,45 +67,15 @@ struct LoadContext
     double far_mem_extra_ns = 0.0;
 };
 
-/** Evaluation counters accumulated across messageCost() calls. */
-struct PlacementEvalStats
-{
-    std::uint64_t evaluations = 0;  ///< cost-model queries
-    std::uint64_t unsupported = 0;  ///< queries the placement rejected
-    double bytes = 0;               ///< message bytes evaluated
-    double cpu_cycles = 0;          ///< summed predicted on-core work
-    double dram_bytes = 0;          ///< summed predicted DRAM traffic
-};
+/** Short name of @p kind for report rows. */
+const char *placementName(PlacementKind kind);
 
-/** One accelerator placement. */
-class Placement
-{
-  public:
-    virtual ~Placement() = default;
-
-    /** Short name for report rows. */
-    virtual std::string name() const = 0;
-    virtual PlacementKind kind() const = 0;
-
-    /** Resource cost of processing one @p bytes message of @p ulp. */
-    UlpCost messageCost(Ulp ulp, std::size_t bytes,
-                        const LoadContext &ctx) const;
-
-    /** Contribute the evaluation counters to a stats dump. */
-    void reportStats(trace::StatsBlock &block) const;
-
-  protected:
-    /** Per-placement cost model, wrapped by messageCost(). */
-    virtual UlpCost computeCost(Ulp ulp, std::size_t bytes,
-                                const LoadContext &ctx) const = 0;
-
-  private:
-    mutable PlacementEvalStats eval_;
-};
-
-/** Factory over the placements of the evaluation. */
-std::unique_ptr<Placement> makePlacement(PlacementKind kind,
-                                         const CostModel &model = {});
+/**
+ * Resource cost of processing one @p bytes message of @p ulp on the
+ * @p kind placement, priced with @p model.
+ */
+UlpCost messageCost(PlacementKind kind, Ulp ulp, std::size_t bytes,
+                    const LoadContext &ctx, const CostModel &model = {});
 
 } // namespace sd::offload
 
