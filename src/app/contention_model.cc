@@ -5,6 +5,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/bitops.h"
 #include "common/types.h"
 
 namespace sd::app {
@@ -19,6 +20,7 @@ struct ProbeLayout
 {
     cache::CacheConfig cfg;
     std::size_t sets = 0;
+    unsigned __int128 set_reciprocal = 0; ///< fastmodReciprocal(sets)
     unsigned connections = 0;
     std::size_t conn_bytes = 0;
     std::size_t message_bytes = 0;
@@ -46,6 +48,7 @@ layoutFor(const ContentionWorkload &workload)
     p.cfg.ddio_ways = 2;
     p.cfg.cpu_ways = kLlcWays;
     p.sets = cache::checkedConfig(p.cfg).sets();
+    p.set_reciprocal = fastmodReciprocal(p.sets);
 
     p.connections = std::max(1u, workload.connections / kScale);
     p.conn_bytes =
@@ -77,12 +80,66 @@ struct ShardCounts
     std::uint64_t misses = 0;
 };
 
+/** @return how many 64 B lines a walk of @p bytes touches. */
+std::size_t
+linesIn(std::size_t bytes)
+{
+    return static_cast<std::size_t>(divCeil(bytes, kCacheLineSize));
+}
+
 /**
- * Replay the probe's whole access stream, issuing to a private LLC
- * only the accesses whose set lies in [first_set, end_set). A set's
- * LRU state depends only on the accesses mapped to it, in order, and
- * no RNG draw depends on a cache outcome, so each set here ends
- * exactly as it would in one cache that saw every access.
+ * The lines of one contiguous walk whose sets lie in a shard's range
+ * [first_set, first_set + span), as ascending runs of line offsets.
+ * Line k of a walk whose line 0 maps to set s0 maps to set
+ * (s0 + k) mod sets, so the range meets a walk of n lines in at most
+ * ceil(n / sets) + 1 runs, `sets` offsets apart, found with no
+ * per-line test.
+ */
+class OwnRuns
+{
+  public:
+    OwnRuns(std::size_t s0, std::size_t lines, std::size_t sets,
+            std::size_t first_set, std::size_t span)
+        : lines_(lines), sets_(sets), gap_(sets - span)
+    {
+        // How far s0 lies past first_set, mod sets.
+        const std::size_t ahead =
+            s0 >= first_set ? s0 - first_set : s0 + sets - first_set;
+        if (ahead < span) {
+            // Line 0 is ours: the first run is cut short at its start.
+            begin_ = 0;
+            end_ = span - ahead;
+        } else {
+            begin_ = sets - ahead;
+            end_ = begin_ + span;
+        }
+    }
+
+    bool done() const { return begin_ >= lines_; }
+    std::size_t begin() const { return begin_; }
+    std::size_t end() const { return std::min(end_, lines_); }
+
+    void next()
+    {
+        begin_ = end_ + gap_;
+        end_ += sets_;
+    }
+
+  private:
+    std::size_t lines_;
+    std::size_t sets_;
+    std::size_t gap_; ///< offsets from one run's end to the next's start
+    std::size_t begin_ = 0;
+    std::size_t end_ = 0; ///< may pass lines_; end() clips it
+};
+
+/**
+ * Replay the probe's access stream into a private LLC, issuing only
+ * the accesses whose set lies in [first_set, end_set): each walk is
+ * enumerated as the runs of its lines that map there. A set's LRU
+ * state depends only on the accesses mapped to it, in order, and no
+ * RNG draw depends on a cache outcome, so each set here ends exactly
+ * as it would in one cache that saw every access.
  */
 ShardCounts
 replayShard(const ProbeLayout &p, std::uint64_t seed, std::size_t first_set,
@@ -93,15 +150,21 @@ replayShard(const ProbeLayout &p, std::uint64_t seed, std::size_t first_set,
     ShardCounts counts;
 
     const std::size_t span = end_set - first_set;
+    const std::size_t msg_lines = linesIn(p.message_bytes);
     const auto setOf = [&](Addr addr) {
-        return static_cast<std::size_t>((addr >> kLineBits) % p.sets);
+        return static_cast<std::size_t>(
+            fastmod(addr >> kLineBits, p.set_reciprocal, p.sets));
+    };
+    // The runs of the walk of @p lines from @p base that are ours.
+    const auto runsOf = [&](Addr base, std::size_t lines) {
+        return OwnRuns(setOf(base), lines, p.sets, first_set, span);
     };
     // Unsigned wrap makes sets below first_set fail the test too.
     const auto mine = [&](std::size_t set) {
         return set - first_set < span;
     };
-    const auto nextSet = [&](std::size_t set) {
-        return set + 1 == p.sets ? 0 : set + 1;
+    const auto line = [](Addr base, std::size_t k) {
+        return base + static_cast<Addr>(k) * kCacheLineSize;
     };
     const auto msgOf = [&](unsigned c) {
         return p.msg_base + static_cast<Addr>(c) * p.message_bytes;
@@ -123,11 +186,9 @@ replayShard(const ProbeLayout &p, std::uint64_t seed, std::size_t first_set,
         // Phase A: storage DMAs land for every connection (DDIO).
         for (unsigned c = 0; c < p.connections; ++c) {
             const Addr msg = msgOf(c);
-            std::size_t set = setOf(msg);
-            for (std::size_t off = 0; off < p.message_bytes;
-                 off += kCacheLineSize, set = nextSet(set))
-                if (mine(set))
-                    llc.access(msg + off, true, cache::AllocClass::kDdio,
+            for (OwnRuns r = runsOf(msg, msg_lines); !r.done(); r.next())
+                for (std::size_t k = r.begin(); k < r.end(); ++k)
+                    llc.access(line(msg, k), true, cache::AllocClass::kDdio,
                                true);
         }
 
@@ -144,11 +205,12 @@ replayShard(const ProbeLayout &p, std::uint64_t seed, std::size_t first_set,
             const std::size_t touched = static_cast<std::size_t>(
                 static_cast<double>(p.conn_bytes) *
                 (0.15 + 0.7 * rng.uniform()));
-            std::size_t set = setOf(state);
-            for (std::size_t off = 0; off < touched;
-                 off += kCacheLineSize, set = nextSet(set))
-                if (mine(set))
-                    llc.access(state + off, (off & 256) != 0,
+            // Bytes [256, 512) of every 512 are written: line k is a
+            // write when bit 2 of k is set.
+            for (OwnRuns r = runsOf(state, linesIn(touched)); !r.done();
+                 r.next())
+                for (std::size_t k = r.begin(); k < r.end(); ++k)
+                    llc.access(line(state, k), (k & 4) != 0,
                                cache::AllocClass::kCpu);
             if (p.antagonist_bytes == 0)
                 continue;
@@ -164,27 +226,40 @@ replayShard(const ProbeLayout &p, std::uint64_t seed, std::size_t first_set,
         }
 
         // Phase C: the ULP stage reads each inbound message (a miss
-        // is a spill) and writes the outbound response.
+        // is a spill) and writes the outbound response. The two walks
+        // interleave line by line, so their runs are merged: each set
+        // sees its accesses in stream order, by offset and with the
+        // read before the write at the same offset.
         for (unsigned c = 0; c < p.connections; ++c) {
             const Addr msg = msgOf(c);
             const Addr out = outOf(c);
-            std::size_t msg_set = setOf(msg);
-            std::size_t out_set = setOf(out);
-            for (std::size_t off = 0; off < p.message_bytes;
-                 off += kCacheLineSize, msg_set = nextSet(msg_set),
-                             out_set = nextSet(out_set)) {
-                if (mine(msg_set)) {
+            OwnRuns in_runs = runsOf(msg, msg_lines);
+            OwnRuns out_runs = runsOf(out, msg_lines);
+            // Offsets at or past msg_lines mean the walk is done.
+            std::size_t in_k = in_runs.begin();
+            std::size_t out_k = out_runs.begin();
+            while (in_k < msg_lines || out_k < msg_lines) {
+                if (in_k <= out_k) {
                     const bool hit =
-                        llc.access(msg + off, false, cache::AllocClass::kCpu)
+                        llc.access(line(msg, in_k), false,
+                                   cache::AllocClass::kCpu)
                             .hit;
                     if (measure) {
                         ++counts.in_lines;
                         counts.in_leaked += hit ? 0 : 1;
                     }
+                    if (++in_k == in_runs.end()) {
+                        in_runs.next();
+                        in_k = in_runs.begin();
+                    }
+                } else {
+                    llc.access(line(out, out_k), true,
+                               cache::AllocClass::kCpu, true);
+                    if (++out_k == out_runs.end()) {
+                        out_runs.next();
+                        out_k = out_runs.begin();
+                    }
                 }
-                if (mine(out_set))
-                    llc.access(out + off, true, cache::AllocClass::kCpu,
-                               true);
             }
         }
     }
@@ -195,13 +270,10 @@ replayShard(const ProbeLayout &p, std::uint64_t seed, std::size_t first_set,
     // state, so only the measured lap's fetch needs replaying.
     for (unsigned c = 0; c < p.connections; ++c) {
         const Addr out = outOf(c);
-        std::size_t set = setOf(out);
-        for (std::size_t off = 0; off < p.message_bytes;
-             off += kCacheLineSize, set = nextSet(set)) {
-            if (mine(set)) {
-                ++counts.out_lines;
-                counts.out_leaked += llc.contains(out + off) ? 0 : 1;
-            }
+        for (OwnRuns r = runsOf(out, msg_lines); !r.done(); r.next()) {
+            counts.out_lines += r.end() - r.begin();
+            for (std::size_t k = r.begin(); k < r.end(); ++k)
+                counts.out_leaked += llc.contains(line(out, k)) ? 0 : 1;
         }
     }
 

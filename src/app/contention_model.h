@@ -8,12 +8,13 @@
  *
  * The replay is split by cache set across the host's cores. Each
  * shard owns a private Cache of the full geometry and a contiguous
- * range of its sets, replays the whole access stream from the same
- * seed, and issues only the accesses that map to its sets. An LRU set
- * evolves only from its own accesses, in order, and no random draw
- * depends on a cache outcome, so every set ends exactly as in one
- * serial replay. Shards return integer counts, whose sums give the
- * result: it is bit-identical for any shard count.
+ * range of its sets. It makes every random draw from the same seed,
+ * but of each contiguous walk it visits only the runs of lines that
+ * map to its sets, in stream order. An LRU set evolves only from its
+ * own accesses, in order, and no random draw depends on a cache
+ * outcome, so every set ends exactly as in one serial replay. Shards
+ * return integer counts, whose sums give the result: it is
+ * bit-identical for any shard count.
  */
 
 #ifndef SD_APP_CONTENTION_MODEL_H

@@ -91,20 +91,6 @@ matchBytes(std::uint64_t word, std::uint8_t fp)
                                  56);
 }
 
-/** (line mod d) for any 64-bit @p line, given M = ceil(2^128 / d)
- *  (Lemire, Kaser and Kurz, "Faster remainder by direct computation"). */
-std::size_t
-fastmod(std::uint64_t line, unsigned __int128 reciprocal, std::uint64_t d)
-{
-    using U128 = unsigned __int128;
-    // The low 128 bits of M * line are the fraction line / d; scaling
-    // it by d leaves the remainder in bits [128, 192).
-    const U128 low = reciprocal * line;
-    const U128 bottom = U128{static_cast<std::uint64_t>(low)} * d;
-    const U128 top = U128{static_cast<std::uint64_t>(low >> 64)} * d;
-    return static_cast<std::size_t>((top + (bottom >> 64)) >> 64);
-}
-
 } // namespace
 
 std::uint8_t
@@ -140,7 +126,7 @@ Cache::Cache(const CacheConfig &config)
                           config.ways * (kCacheLineSize + sizeof(Addr))))
 {
     if (!sets_pow2_)
-        set_reciprocal_ = ~static_cast<unsigned __int128>(0) / sets_ + 1;
+        set_reciprocal_ = fastmodReciprocal(sets_);
     // Anonymous pages read as zero until first written, and only
     // written pages are committed. An all-zero SetState is an empty set.
     void *map = mmap(nullptr, map_bytes_, PROT_READ | PROT_WRITE,

@@ -205,7 +205,7 @@ class Cache
     CacheConfig config_;
     std::size_t sets_; ///< cached config_.sets()
     bool sets_pow2_;   ///< index with a mask instead of fastmod
-    /** Lemire fastmod reciprocal, ceil(2^128 / sets_). */
+    /** fastmodReciprocal(sets_), for setIndex(). */
     unsigned __int128 set_reciprocal_ = 0;
     std::uint64_t initial_stack_; ///< an empty set's way order
     std::uint16_t cpu_eligible_;  ///< ways [0, cpu_ways) as a bitmask

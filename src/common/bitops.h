@@ -1,7 +1,8 @@
 /**
  * @file
  * Bit-field extraction helpers used by the DDR address mapper and the
- * SmartDIMM slot decoder.
+ * SmartDIMM slot decoder, and the exact remainder the LLC and the
+ * contention probe map lines to sets with.
  */
 
 #ifndef SD_COMMON_BITOPS_H
@@ -66,6 +67,34 @@ constexpr bool
 isPowerOf2(std::uint64_t x)
 {
     return x != 0 && (x & (x - 1)) == 0;
+}
+
+/**
+ * @return M = ceil(2^128 / d), the reciprocal fastmod() takes; @p d
+ * must be non-zero. For d = 1, M is 2^128 and wraps to 0, which
+ * fastmod() turns into the right remainder, 0.
+ */
+constexpr unsigned __int128
+fastmodReciprocal(std::uint64_t d)
+{
+    return ~static_cast<unsigned __int128>(0) / d + 1;
+}
+
+/**
+ * (n mod d) for any 64-bit @p n and non-zero @p d, given
+ * M = fastmodReciprocal(d): three multiplies instead of a divide
+ * (Lemire, Kaser and Kurz, "Faster remainder by direct computation").
+ */
+constexpr std::uint64_t
+fastmod(std::uint64_t n, unsigned __int128 reciprocal, std::uint64_t d)
+{
+    using U128 = unsigned __int128;
+    // The low 128 bits of M * n are the fraction n / d; scaling it by
+    // d leaves the remainder in bits [128, 192).
+    const U128 low = reciprocal * n;
+    const U128 bottom = U128{static_cast<std::uint64_t>(low)} * d;
+    const U128 top = U128{static_cast<std::uint64_t>(low >> 64)} * d;
+    return static_cast<std::uint64_t>((top + (bottom >> 64)) >> 64);
 }
 
 } // namespace sd

@@ -9,6 +9,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <ostream>
 
 #include "app/antagonist.h"
 #include "app/contention_model.h"
@@ -75,83 +76,92 @@ TEST(Contention, Deterministic)
     EXPECT_EQ(bitsOf(first.miss_rate), bitsOf(second.miss_rate));
 }
 
+/** A probe workload and its output bits, printed from the line-by-line
+ *  replay the set-range enumeration replaced. */
+struct ProbePin
+{
+    unsigned connections;
+    std::size_t llc_mb;
+    std::size_t message_bytes;
+    double per_connection_kb;
+    std::size_t antagonist_mb;
+    unsigned antagonist_instances;
+    std::uint64_t seed;
+    std::uint64_t leak_fraction;
+    std::uint64_t miss_rate;
+
+    ContentionWorkload workload() const
+    {
+        ContentionWorkload w;
+        w.connections = connections;
+        w.llc_mb = llc_mb;
+        w.message_bytes = message_bytes;
+        w.per_connection_kb = per_connection_kb;
+        w.antagonist_mb = antagonist_mb;
+        w.antagonist_instances = antagonist_instances;
+        return w;
+    }
+};
+
+std::ostream &
+operator<<(std::ostream &os, const ProbePin &pin)
+{
+    return os << pin.connections << " conns, " << pin.llc_mb << " MB, "
+              << pin.message_bytes << " B, " << pin.per_connection_kb
+              << " KB/conn, antagonist " << pin.antagonist_mb << " MB x"
+              << pin.antagonist_instances << ", seed " << pin.seed;
+}
+
+// The first four are evaluateServer's probe settings for the distinct
+// server_sweep workloads: any change to the LLC model's hit/evict
+// decisions moves their bits, and with them every Fig. 11/12 and
+// Table I number. The rest stress the set-range arithmetic: walks
+// that lap the 64 KB (64-set) floor cache 4 and 16 times, message and
+// state sizes that are not whole lines on a 768-set cache (not a power
+// of two) and on the floor, and co-runs on the floor.
+const ProbePin kProbePins[] = {
+    {1024, 27, 4096, 64, 0, 0, 7, 0x3fdea90000000000, 0x3feddb45b6064e6b},
+    {1024, 27, 16384, 64, 0, 0, 7, 0x3fe2800000000000, 0x3feccac8cedd0a23},
+    {1024, 27, 65536, 64, 0, 0, 7, 0x3feca00000000000, 0x3feee04e6d430970},
+    {1024, 27, 4096, 64, 1800, 10, 7, 0x3fe0000000000000,
+     0x3feee0e086c77e38},
+    {1024, 0, 4096, 64, 0, 0, 11, 0x3fef800000000000, 0x3feff258fde64028},
+    {8, 0, 16384, 4, 0, 0, 7, 0x3fa8800000000000, 0x3fe175bcea87f3d2},
+    {4, 0, 65536, 4, 0, 0, 7, 0x3fe8000000000000, 0x3fecdd4f7a82daad},
+    {2048, 3, 1000, 0.7, 0, 0, 7, 0x3fe2518000000000, 0x3fead0c414720d2e},
+    {256, 0, 1000, 0.7, 0, 0, 7, 0x3fe7700000000000, 0x3fec97f0d5e107e7},
+    {16, 0, 4096, 4, 1800, 10, 7, 0x3fe0000000000000, 0x3fee6adee3ef48d2},
+    {8, 0, 1000, 0.7, 1800, 10, 7, 0x3fd9000000000000, 0x3fef430b70ceab7d},
+};
+
 TEST(Contention, PinnedOutputBits)
 {
-    // evaluateServer's probe settings for the four distinct
-    // server_sweep workloads. Any change to the LLC model's hit/evict
-    // decisions moves these bits, and with them every Fig. 11/12 and
-    // Table I number.
-    struct Pin
-    {
-        std::size_t message_bytes;
-        std::size_t antagonist_mb;
-        unsigned antagonist_instances;
-        std::uint64_t leak_fraction;
-        std::uint64_t miss_rate;
-    };
-    const Pin pins[] = {
-        {4096, 0, 0, 0x3fdea90000000000, 0x3feddb45b6064e6b},
-        {16384, 0, 0, 0x3fe2800000000000, 0x3feccac8cedd0a23},
-        {65536, 0, 0, 0x3feca00000000000, 0x3feee04e6d430970},
-        {4096, 1800, 10, 0x3fe0000000000000, 0x3feee0e086c77e38},
-    };
-    for (const Pin &pin : pins) {
-        ContentionWorkload w;
-        w.connections = 1024;
-        w.per_connection_kb = 64;
-        w.llc_mb = 27;
-        w.message_bytes = pin.message_bytes;
-        w.antagonist_mb = pin.antagonist_mb;
-        w.antagonist_instances = pin.antagonist_instances;
-        const auto got = measureContention(w, 7);
-        EXPECT_EQ(bitsOf(got.leak_fraction), pin.leak_fraction)
-            << pin.message_bytes << " B, antagonist " << pin.antagonist_mb;
-        EXPECT_EQ(bitsOf(got.miss_rate), pin.miss_rate)
-            << pin.message_bytes << " B, antagonist " << pin.antagonist_mb;
+    for (const ProbePin &pin : kProbePins) {
+        const auto got = measureContention(pin.workload(), pin.seed);
+        EXPECT_EQ(bitsOf(got.leak_fraction), pin.leak_fraction) << pin;
+        EXPECT_EQ(bitsOf(got.miss_rate), pin.miss_rate) << pin;
     }
 }
 
 TEST(Contention, ShardCountInvariant)
 {
-    // Each shard replays the whole stream into a private cache and
-    // issues only its own sets' accesses, so any split must give the
+    // Each shard enumerates only the lines of each walk that map to its
+    // sets, as runs, into a private cache, so any split must give the
     // serial probe's bits. Shard counts 3, 5 and 7 leave ranges that
-    // do not divide the set count evenly.
-    struct Case
-    {
-        std::size_t llc_mb;
-        std::size_t message_bytes;
-        std::size_t antagonist_mb;
-        unsigned antagonist_instances;
-        std::uint64_t seed;
-    };
-    const Case cases[] = {
-        {27, 4096, 0, 0, 7},
-        {27, 16384, 0, 0, 7},
-        {27, 65536, 0, 0, 7},
-        {27, 4096, 1800, 10, 7},
-        {0, 4096, 0, 0, 11}, // the 64 KB (64-set) floor
-    };
-    for (const Case &k : cases) {
-        ContentionWorkload w;
-        w.connections = 1024;
-        w.per_connection_kb = 64;
-        w.llc_mb = k.llc_mb;
-        w.message_bytes = k.message_bytes;
-        w.antagonist_mb = k.antagonist_mb;
-        w.antagonist_instances = k.antagonist_instances;
+    // do not divide the set count evenly; 64 gives each set of the
+    // floor cache its own shard.
+    for (const ProbePin &pin : kProbePins) {
+        const ContentionWorkload w = pin.workload();
         const auto serial =
-            app::detail::measureContentionShards(w, k.seed, 1);
-        for (const unsigned shards : {2u, 3u, 5u, 7u}) {
+            app::detail::measureContentionShards(w, pin.seed, 1);
+        for (const unsigned shards : {2u, 3u, 5u, 7u, 64u}) {
             const auto got =
-                app::detail::measureContentionShards(w, k.seed, shards);
+                app::detail::measureContentionShards(w, pin.seed, shards);
             EXPECT_EQ(bitsOf(got.leak_fraction),
                       bitsOf(serial.leak_fraction))
-                << k.llc_mb << " MB, " << k.message_bytes << " B, "
-                << shards << " shards";
+                << pin << ", " << shards << " shards";
             EXPECT_EQ(bitsOf(got.miss_rate), bitsOf(serial.miss_rate))
-                << k.llc_mb << " MB, " << k.message_bytes << " B, "
-                << shards << " shards";
+                << pin << ", " << shards << " shards";
         }
     }
 }

@@ -1,11 +1,13 @@
 /**
  * @file
- * Bit-field helpers used by the address mapper.
+ * Bit-field helpers used by the address mapper, and the exact
+ * remainder the cache and the contention probe index sets with.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/bitops.h"
+#include "common/random.h"
 
 namespace {
 
@@ -50,6 +52,23 @@ TEST(Bitops, PowerOfTwo)
     EXPECT_TRUE(isPowerOf2(64));
     EXPECT_FALSE(isPowerOf2(0));
     EXPECT_FALSE(isPowerOf2(48));
+}
+
+TEST(Bitops, FastmodMatchesRemainder)
+{
+    Rng rng(3);
+    for (const std::uint64_t d :
+         {1ULL, 3ULL, 64ULL, 6912ULL, (1ULL << 32) + 1, ~0ULL}) {
+        const unsigned __int128 m = fastmodReciprocal(d);
+        const std::uint64_t edges[] = {0, 1, d - 1, d, d + 1, ~0ULL - 1,
+                                       ~0ULL};
+        for (const std::uint64_t n : edges)
+            EXPECT_EQ(fastmod(n, m, d), n % d) << n << " mod " << d;
+        for (int i = 0; i < 10000; ++i) {
+            const std::uint64_t n = rng.next();
+            EXPECT_EQ(fastmod(n, m, d), n % d) << n << " mod " << d;
+        }
+    }
 }
 
 } // namespace
