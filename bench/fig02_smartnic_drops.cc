@@ -28,10 +28,9 @@ goodputGbps(offload::PlacementKind placement, double drop_prob)
     // loss-recovery episode count; the placement model turns recovery
     // episodes into CPU-side resync costs that throttle the sender.
     constexpr std::size_t kTransfer = 64ull << 20; // 64 MB stream
-    net::TcpConfig tcp;
     net::LossConfig loss;
     loss.drop_prob = drop_prob;
-    const auto xfer = net::tcpTransfer(kTransfer, tcp, loss, 42);
+    const auto xfer = net::tcpTransfer(kTransfer, loss, 42);
 
     // Messages of one TLS record (16 KB) stream over the connection.
     const std::size_t record = crypto::kTlsMaxFragment;

@@ -31,8 +31,7 @@ main()
                                       // easy to provoke in a demo
     topo::Topology topo(spec);
     cache::MemorySystem &memory = topo.memory();
-    compcpy::Driver &driver = topo.slot(0u).driver;
-    compcpy::CompCpyEngine::SharedState shared;
+    topo::Topology::Slot &slot = topo.slot(0u);
 
     Rng rng(7);
     std::uint8_t key[16];
@@ -40,10 +39,8 @@ main()
     crypto::GcmIv static_iv{};
     rng.fill(static_iv.data(), static_iv.size());
 
-    compcpy::AdaptiveConfig policy;
-    policy.threshold = 0.30;
-    compcpy::AdaptiveTlsEngine engine(memory, driver, shared, key,
-                                      static_iv, policy);
+    compcpy::AdaptiveTlsEngine engine(memory, slot.driver, slot.shared,
+                                      key, static_iv);
 
     // A client-side session with the same keys verifies every record.
     crypto::GcmContext client(key, crypto::Aes::KeySize::k128);
@@ -74,17 +71,14 @@ main()
                                                      : phase_dimm)++;
 
             // Client-side verification.
-            crypto::GcmIv nonce = static_iv;
             const std::uint64_t seq =
                 engine.cpuRecords() + engine.offloadedRecords() - 1;
-            for (int i = 0; i < 8; ++i)
-                nonce[4 + i] ^=
-                    static_cast<std::uint8_t>(seq >> (56 - 8 * i));
             crypto::GcmTag tag;
             std::memcpy(tag.data(),
                         record.body.data() + page.size(), 16);
             std::vector<std::uint8_t> plain(page.size());
-            if (client.decrypt(nonce, record.body.data(), page.size(),
+            if (client.decrypt(crypto::tlsNonce(static_iv, seq),
+                               record.body.data(), page.size(),
                                tag, plain.data()) &&
                 plain == page)
                 ++verified;

@@ -15,9 +15,6 @@ namespace {
 /** nginx worker threads of the paper's server. */
 constexpr unsigned kWorkerThreads = 10;
 
-/** NIC line rate, Gb/s. */
-constexpr double kLinkGbps = 100.0;
-
 /** Compression ratio the Deflate DSA achieves on web responses. */
 constexpr double kWebCompressRatio = 0.38; // output/input
 
@@ -113,7 +110,7 @@ evaluateServer(const ServerConfig &config)
     const double mem_capacity =
         std::max(1.0, (m.memory.peak_bw_gbps - antagonist_bw_gbps)) *
         1e9;
-    const double net_capacity = kLinkGbps * 1e9 / 8.0;
+    const double net_capacity = net::kLinkGbps * 1e9 / 8.0;
 
     const double rps_cpu = cpu_capacity / cycles_per_req;
     const double rps_mem = mem_capacity / std::max(1.0, dram_per_req);

@@ -9,18 +9,15 @@ namespace sd::cache {
 
 MemorySystem::MemorySystem(EventQueue &events, const mem::AddressMap &map,
                            const CacheConfig &cache_config,
-                           std::vector<mem::DimmDevice *> devices,
-                           const mem::DramTiming &timing,
-                           const mem::ControllerConfig &mc_config,
-                           const HostLatencies &latencies)
-    : events_(events), map_(map), llc_(cache_config), latencies_(latencies)
+                           std::vector<mem::DimmDevice *> devices)
+    : events_(events), map_(map), llc_(cache_config)
 {
     const unsigned channels = map.geometry().channels;
     SD_ASSERT(devices.size() == channels,
               "need exactly one device per channel");
     for (unsigned ch = 0; ch < channels; ++ch)
         controllers_.push_back(std::make_unique<mem::MemoryController>(
-            events_, map_, timing, mc_config, ch, *devices[ch]));
+            events_, map_, ch, *devices[ch]));
     links_.resize(channels, nullptr);
 }
 
@@ -158,7 +155,7 @@ MemorySystem::readLine(Addr addr, std::uint8_t *dst, Callback cb)
     const auto result = llc_.access(line, false, AllocClass::kCpu);
     if (result.hit) {
         std::memcpy(dst, result.data, kCacheLineSize);
-        finishIn(latencies_.llc_hit, park(std::move(cb)));
+        finishIn(kLlcHitLatency, park(std::move(cb)));
         return;
     }
     writebackVictim(result);
@@ -180,7 +177,7 @@ MemorySystem::writeLine(Addr addr, const std::uint8_t *src, Callback cb)
         llc_.access(line, true, AllocClass::kCpu, /*full_line_store=*/true);
     writebackVictim(result);
     std::memcpy(result.data, src, kCacheLineSize);
-    finishIn(latencies_.store_commit, park(std::move(cb)));
+    finishIn(kStoreCommitLatency, park(std::move(cb)));
 }
 
 void
@@ -194,7 +191,7 @@ MemorySystem::flushLine(Addr addr, Callback cb)
                                  dramDone(line, slot));
         return;
     }
-    finishIn(latencies_.flush_clean, slot);
+    finishIn(kFlushCleanLatency, slot);
 }
 
 void
@@ -221,7 +218,7 @@ MemorySystem::dmaWriteLine(Addr addr, const std::uint8_t *src, Callback cb)
         llc_.access(line, true, AllocClass::kDdio, /*full_line_store=*/true);
     writebackVictim(result);
     std::memcpy(result.data, src, kCacheLineSize);
-    finishIn(latencies_.store_commit, park(std::move(cb)));
+    finishIn(kStoreCommitLatency, park(std::move(cb)));
 }
 
 void
@@ -232,7 +229,7 @@ MemorySystem::dmaReadLine(Addr addr, std::uint8_t *dst, Callback cb)
     const Addr line = lineAlign(addr);
     if (const std::uint8_t *cached = llc_.dataPtr(line)) {
         std::memcpy(dst, cached, kCacheLineSize);
-        finishIn(latencies_.llc_hit, park(std::move(cb)));
+        finishIn(kLlcHitLatency, park(std::move(cb)));
         return;
     }
     route(line).enqueueRead(line, dst, dramDone(line, park(std::move(cb))));

@@ -32,13 +32,13 @@ class CxlLink;
 
 namespace sd::cache {
 
-/** Fixed host-side latencies (ticks = ps). */
-struct HostLatencies
-{
-    Tick llc_hit = 14'000;     ///< ~14 ns LLC round trip
-    Tick flush_clean = 4'000;  ///< clflush of an absent/clean line
-    Tick store_commit = 2'000; ///< store visible to the cache
-};
+// Fixed host-side latencies (ticks = ps).
+/** ~14 ns LLC round trip. */
+inline constexpr Tick kLlcHitLatency = 14'000;
+/** clflush of an absent/clean line. */
+inline constexpr Tick kFlushCleanLatency = 4'000;
+/** Store visible to the cache. */
+inline constexpr Tick kStoreCommitLatency = 2'000;
 
 /** A plain (non-accelerating) DIMM: DRAM backed by the BackingStore. */
 class PlainDimm : public mem::DimmDevice
@@ -83,10 +83,7 @@ class MemorySystem
      */
     MemorySystem(EventQueue &events, const mem::AddressMap &map,
                  const CacheConfig &cache_config,
-                 std::vector<mem::DimmDevice *> devices,
-                 const mem::DramTiming &timing = {},
-                 const mem::ControllerConfig &mc_config = {},
-                 const HostLatencies &latencies = {});
+                 std::vector<mem::DimmDevice *> devices);
 
     // ----- cached (CPU) path ------------------------------------------------
 
@@ -217,7 +214,6 @@ class MemorySystem
     EventQueue &events_;
     const mem::AddressMap &map_;
     Cache llc_;
-    HostLatencies latencies_;
     std::vector<std::unique_ptr<mem::MemoryController>> controllers_;
     std::vector<mem::CxlLink *> links_; ///< per channel; null = local
     SlotPool<HostOp> ops_;

@@ -51,12 +51,15 @@ std::uint64_t
 Rng::below(std::uint64_t bound)
 {
     SD_ASSERT(bound > 0, "Rng::below requires a positive bound");
-    // Rejection sampling to avoid modulo bias.
-    const std::uint64_t threshold = -bound % bound;
+    // Rejection sampling to avoid modulo bias: draws below
+    // -bound % bound are rejected. That threshold is less than bound,
+    // so it is computed only for a draw below bound.
     for (;;) {
         const std::uint64_t r = next();
-        if (r >= threshold)
+        if (r >= bound)
             return r % bound;
+        if (r >= -bound % bound)
+            return r;
     }
 }
 

@@ -78,20 +78,15 @@ AdaptiveTlsEngine::protectRecords(
     std::vector<EngineRecord> records;
     records.reserve(plains.size());
 
-    // Per-record nonces: static IV XOR big-endian sequence number,
-    // the same derivation the software record layer uses.
+    // Per-record nonces: the same derivation the software record
+    // layer uses.
     std::vector<crypto::GcmIv> nonces;
     nonces.reserve(plains.size());
     for (std::size_t i = 0; i < plains.size(); ++i) {
         SD_ASSERT(plains[i].second > 0 &&
                       plains[i].second <= crypto::kTlsMaxFragment,
                   "record size out of range");
-        crypto::GcmIv nonce = static_iv_;
-        const std::uint64_t seq = seq_++;
-        for (int b = 0; b < 8; ++b)
-            nonce[4 + b] ^=
-                static_cast<std::uint8_t>(seq >> (56 - 8 * b));
-        nonces.push_back(nonce);
+        nonces.push_back(crypto::tlsNonce(static_iv_, seq_++));
     }
 
     if (target == ProcessedOn::kCpu) {

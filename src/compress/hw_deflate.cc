@@ -34,7 +34,7 @@ std::vector<Lz77Token>
 hwDeflateTokens(const std::uint8_t *data, std::size_t len,
                 const HwDeflateConfig &config, HwDeflateStats *stats)
 {
-    SD_ASSERT(config.parallel_window >= 1 && config.banks >= 1,
+    SD_ASSERT(config.parallel_window >= 1,
               "degenerate hardware deflate config");
 
     HwDeflateStats local{};
@@ -45,13 +45,13 @@ hwDeflateTokens(const std::uint8_t *data, std::size_t len,
     // entries. Each (bank, set) holds a single candidate — the paper's
     // fixed-size table with oldest-replacement degenerates to direct
     // mapped per set; overflow replaces the older entry.
-    std::vector<Slot> table(config.banks * config.entries_per_bank);
+    std::vector<Slot> table(kHwBanks * kHwEntriesPerBank);
     std::uint64_t age = 0;
 
     // Per-step bank arbitration, epoch-stamped: a bank is busy this
     // step iff its stamp equals the current epoch. O(1) per probe with
     // no per-step clearing or allocation.
-    std::vector<std::uint64_t> bank_epoch(config.banks, 0);
+    std::vector<std::uint64_t> bank_epoch(kHwBanks, 0);
     std::uint64_t epoch = 0;
     std::vector<std::int64_t> lane_candidate(config.parallel_window);
 
@@ -73,9 +73,8 @@ hwDeflateTokens(const std::uint8_t *data, std::size_t len,
             if (p + 4 > len)
                 break;
             const std::uint32_t h = hash4(data + p);
-            const std::size_t bank = h % config.banks;
-            const std::size_t set =
-                (h / config.banks) % config.entries_per_bank;
+            const std::size_t bank = h % kHwBanks;
+            const std::size_t set = (h / kHwBanks) % kHwEntriesPerBank;
             ++local.candidates;
 
             if (config.drop_on_conflict && bank_epoch[bank] == epoch) {
@@ -84,10 +83,10 @@ hwDeflateTokens(const std::uint8_t *data, std::size_t len,
             }
             bank_epoch[bank] = epoch;
 
-            Slot &slot = table[bank * config.entries_per_bank + set];
+            Slot &slot = table[bank * kHwEntriesPerBank + set];
             if (slot.valid &&
                 pos + lane >= slot.position &&
-                pos + lane - slot.position <= config.history)
+                pos + lane - slot.position <= kHwHistory)
                 lane_candidate[lane] =
                     static_cast<std::int64_t>(slot.position);
 
@@ -109,7 +108,7 @@ hwDeflateTokens(const std::uint8_t *data, std::size_t len,
                 const auto cpos =
                     static_cast<std::size_t>(lane_candidate[lane]);
                 const std::size_t limit =
-                    std::min(config.max_match, len - p);
+                    std::min(kMaxMatch, len - p);
                 // Comparing input against input handles overlapping
                 // (distance < length) matches correctly by induction,
                 // the same shift-register trick the pipeline uses.
@@ -121,7 +120,7 @@ hwDeflateTokens(const std::uint8_t *data, std::size_t len,
                 }
             }
             if (match_len >= kMinMatch && dist >= 1 &&
-                dist <= config.history) {
+                dist <= kHwHistory) {
                 tokens.push_back(Lz77Token::match(
                     static_cast<std::uint16_t>(match_len),
                     static_cast<std::uint16_t>(dist)));

@@ -21,24 +21,22 @@
 
 namespace sd::compress {
 
-/** Geometry and policy of the hardware match pipeline. */
+/** Candidate-memory banks with single-access-per-step ports
+ *  relevant to conflicts (paper: 8 banks). */
+inline constexpr std::size_t kHwBanks = 8;
+
+/** Entries per bank (hash-table ways share a bank row). */
+inline constexpr std::size_t kHwEntriesPerBank = 512;
+
+/** History window the DSA can reference (paper: 4 KB). */
+inline constexpr std::size_t kHwHistory = 4096;
+
+/** Policy of the hardware match pipeline. The pipeline can merge
+ *  matches up to the Deflate format's kMaxMatch per step chain. */
 struct HwDeflateConfig
 {
     /** Bytes consumed per pipeline step (paper: 8). */
     std::size_t parallel_window = 8;
-
-    /** Candidate-memory banks with single-access-per-step ports
-     *  relevant to conflicts (paper: 8 banks). */
-    std::size_t banks = 8;
-
-    /** Entries per bank (hash-table ways share a bank row). */
-    std::size_t entries_per_bank = 512;
-
-    /** History window the DSA can reference (paper: 4 KB). */
-    std::size_t history = 4096;
-
-    /** Maximum match length the pipeline can merge per step chain. */
-    std::size_t max_match = kMaxMatch;
 
     /** When true, bank conflicts drop the younger candidate
      *  (the paper's best-effort policy); when false, an idealised

@@ -23,6 +23,9 @@ hash3(const std::uint8_t *p)
 constexpr std::size_t kHashBuckets = 1u << 15;
 constexpr std::int64_t kNoPos = -1;
 
+/** Hash-chain probe limit. */
+constexpr std::size_t kMaxChain = 64;
+
 /** Chained-hash match finder state. */
 struct Matcher
 {
@@ -63,7 +66,7 @@ struct Matcher
         std::int64_t cand = head[hash3(data + pos)];
         std::size_t chain = 0;
 
-        while (cand != kNoPos && chain++ < cfg.max_chain) {
+        while (cand != kNoPos && chain++ < kMaxChain) {
             const auto cpos = static_cast<std::size_t>(cand);
             if (cpos >= pos || pos - cpos > window)
                 break;

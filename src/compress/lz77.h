@@ -46,7 +46,6 @@ struct Lz77Token
 struct Lz77Config
 {
     std::size_t window = kMaxDistance; ///< history window in bytes
-    std::size_t max_chain = 64;        ///< hash-chain probe limit
     bool lazy = true;                  ///< one-token lazy matching
 };
 

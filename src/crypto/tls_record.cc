@@ -29,10 +29,9 @@ TlsSession::TlsSession(const std::uint8_t key[16], const GcmIv &static_iv)
 }
 
 GcmIv
-TlsSession::nonceFor(std::uint64_t seq) const
+tlsNonce(const GcmIv &static_iv, std::uint64_t seq)
 {
-    GcmIv nonce = static_iv_;
-    // XOR the big-endian sequence number into the low 8 bytes.
+    GcmIv nonce = static_iv;
     for (int i = 0; i < 8; ++i)
         nonce[4 + i] ^= static_cast<std::uint8_t>(seq >> (56 - 8 * i));
     return nonce;

@@ -26,6 +26,10 @@ inline constexpr std::size_t kTlsTagSize = 16;
 /** Maximum plaintext fragment per record (TLS 1.3 limit). */
 inline constexpr std::size_t kTlsMaxFragment = 16384;
 
+/** Per-record nonce: @p static_iv XOR the big-endian sequence number
+ *  @p seq in its low 8 bytes. */
+GcmIv tlsNonce(const GcmIv &static_iv, std::uint64_t seq);
+
 /** A protected record: header || ciphertext || tag. */
 struct TlsRecord
 {
@@ -47,8 +51,11 @@ class TlsSession
     /** Derive a session from key material (AES-128-GCM suite). */
     TlsSession(const std::uint8_t key[16], const GcmIv &static_iv);
 
-    /** Per-record nonce: static IV XOR big-endian sequence number. */
-    GcmIv nonceFor(std::uint64_t seq) const;
+    /** Per-record nonce (tlsNonce of the static IV). */
+    GcmIv nonceFor(std::uint64_t seq) const
+    {
+        return tlsNonce(static_iv_, seq);
+    }
 
     /** Protect @p len bytes of plaintext into a full record. */
     TlsRecord protect(const std::uint8_t *plain, std::size_t len);

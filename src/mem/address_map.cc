@@ -5,26 +5,30 @@
 
 namespace sd::mem {
 
+namespace {
+
+// Channel and DIMM counts are extracted by div/mod, so they may be
+// arbitrary; the intra-DIMM fields stay bit-sliced and must be powers
+// of two.
+static_assert(isPowerOf2(kRanks) && isPowerOf2(kBankGroups) &&
+                  isPowerOf2(kBanksPerGroup) && isPowerOf2(kRowBytes),
+              "DRAM geometry fields must be powers of two");
+
+constexpr unsigned kColBits = floorLog2(kLinesPerRow);
+constexpr unsigned kBankBits = floorLog2(kBanksPerGroup);
+constexpr unsigned kBgBits = floorLog2(kBankGroups);
+constexpr unsigned kRankBits = floorLog2(kRanks);
+
+} // namespace
+
 AddressMap::AddressMap(const DramGeometry &geometry) : geometry_(geometry)
 {
-    // Channel and DIMM counts are extracted by div/mod, so they may be
-    // arbitrary; the intra-DIMM fields stay bit-sliced and must be
-    // powers of two.
-    SD_ASSERT(isPowerOf2(geometry.ranks) &&
-                  isPowerOf2(geometry.bank_groups) &&
-                  isPowerOf2(geometry.banks_per_group) &&
-                  isPowerOf2(geometry.row_bytes),
-              "DRAM geometry fields must be powers of two");
     SD_ASSERT(geometry.channels >= 1 && geometry.dimms_per_channel >= 1,
               "geometry needs at least one channel and one DIMM");
     SD_ASSERT(geometry.channel_bytes % geometry.dimms_per_channel == 0,
               "channel capacity must split evenly across DIMM slots");
     channel_lines_ = geometry.channel_bytes / kCacheLineSize;
     dimm_lines_ = geometry.dimmBytes() / kCacheLineSize;
-    col_bits_ = floorLog2(geometry.linesPerRow());
-    bank_bits_ = floorLog2(geometry.banks_per_group);
-    bg_bits_ = floorLog2(geometry.bank_groups);
-    rank_bits_ = geometry.ranks > 1 ? floorLog2(geometry.ranks) : 0;
 }
 
 DramCoord
@@ -45,14 +49,14 @@ AddressMap::decompose(Addr addr) const
         v %= dimm_lines_;
     }
 
-    coord.col = bits(v, 0, col_bits_);
-    v >>= col_bits_;
-    coord.bank = static_cast<unsigned>(bits(v, 0, bank_bits_));
-    v >>= bank_bits_;
-    coord.bank_group = static_cast<unsigned>(bits(v, 0, bg_bits_));
-    v >>= bg_bits_;
-    coord.rank = static_cast<unsigned>(bits(v, 0, rank_bits_));
-    v >>= rank_bits_;
+    coord.col = bits(v, 0, kColBits);
+    v >>= kColBits;
+    coord.bank = static_cast<unsigned>(bits(v, 0, kBankBits));
+    v >>= kBankBits;
+    coord.bank_group = static_cast<unsigned>(bits(v, 0, kBgBits));
+    v >>= kBgBits;
+    coord.rank = static_cast<unsigned>(bits(v, 0, kRankBits));
+    v >>= kRankBits;
     coord.row = v;
     return coord;
 }
@@ -62,10 +66,10 @@ AddressMap::compose(const DramCoord &coord) const
 {
     const std::uint64_t channels = geometry_.channels;
     std::uint64_t v = coord.row;
-    v = (v << rank_bits_) | coord.rank;
-    v = (v << bg_bits_) | coord.bank_group;
-    v = (v << bank_bits_) | coord.bank;
-    v = (v << col_bits_) | coord.col;
+    v = (v << kRankBits) | coord.rank;
+    v = (v << kBgBits) | coord.bank_group;
+    v = (v << kBankBits) | coord.bank;
+    v = (v << kColBits) | coord.col;
 
     if (geometry_.dimms_per_channel > 1)
         v += static_cast<std::uint64_t>(coord.dimm) * dimm_lines_;

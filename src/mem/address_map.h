@@ -36,10 +36,10 @@ struct DramCoord
      * controller's bank state must not alias banks across DIMM slots.
      */
     unsigned
-    flatBank(const DramGeometry &g) const
+    flatBank() const
     {
-        return ((dimm * g.ranks + rank) * g.bank_groups + bank_group) *
-                   g.banks_per_group +
+        return ((dimm * kRanks + rank) * kBankGroups + bank_group) *
+                   kBanksPerGroup +
                bank;
     }
 };
@@ -76,10 +76,6 @@ class AddressMap
     DramGeometry geometry_;
     std::uint64_t channel_lines_; ///< per-channel window, in lines
     std::uint64_t dimm_lines_;    ///< per-DIMM capacity slice, in lines
-    unsigned col_bits_;
-    unsigned bank_bits_;
-    unsigned bg_bits_;
-    unsigned rank_bits_;
 };
 
 } // namespace sd::mem

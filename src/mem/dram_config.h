@@ -1,7 +1,8 @@
 /**
  * @file
- * DDR4 geometry and timing parameters. Defaults approximate a DDR4-3200
- * RDIMM (the paper's testbed runs 6x 16 GB DIMMs at 3200 MT/s).
+ * DDR4 geometry and timing parameters. The fixed values approximate a
+ * DDR4-3200 RDIMM (the paper's testbed runs 6x 16 GB DIMMs at
+ * 3200 MT/s).
  */
 
 #ifndef SD_MEM_DRAM_CONFIG_H
@@ -13,22 +14,24 @@
 
 namespace sd::mem {
 
-/**
- * Geometry of one memory channel. A rank is composed of bank groups x
- * banks; each row holds `row_bytes` and columns are addressed at
- * 64-byte burst granularity.
- */
+/** Rank shape of every DIMM: one rank of bank groups x banks. The
+ *  address map bit-slices each of these, so each is a power of two. */
+inline constexpr unsigned kRanks = 1;
+inline constexpr unsigned kBankGroups = 4;
+inline constexpr unsigned kBanksPerGroup = 4;
+
+/** Per-bank row buffer; columns are addressed at 64-byte burst
+ *  granularity. */
+inline constexpr std::uint64_t kRowBytes = 8192;
+inline constexpr std::uint64_t kLinesPerRow = kRowBytes / kCacheLineSize;
+
+/** Shape of the memory system: channels x DIMMs, and each channel's
+ *  capacity. */
 struct DramGeometry
 {
     unsigned channels = 1;
     unsigned dimms_per_channel = 1; ///< buffer devices sharing one bus
-    unsigned ranks = 1;
-    unsigned bank_groups = 4;
-    unsigned banks_per_group = 4;
-    std::uint64_t row_bytes = 8192;           ///< per-bank row buffer
     std::uint64_t channel_bytes = 16ULL << 30; ///< capacity per channel
-
-    unsigned banksPerRank() const { return bank_groups * banks_per_group; }
 
     /**
      * Flat bank-state size per channel controller. Each DIMM on the
@@ -38,10 +41,8 @@ struct DramGeometry
     unsigned
     totalBanks() const
     {
-        return dimms_per_channel * ranks * banksPerRank();
+        return dimms_per_channel * kRanks * kBankGroups * kBanksPerGroup;
     }
-
-    std::uint64_t linesPerRow() const { return row_bytes / kCacheLineSize; }
 
     /** Capacity slice owned by one DIMM within its channel window. */
     std::uint64_t
@@ -70,23 +71,8 @@ struct DramTiming
     Cycles tWTR = 18;  ///< write-to-read bus turnaround
 };
 
-/** Memory-controller queueing policy. */
-struct ControllerConfig
-{
-    unsigned write_high_watermark = 48; ///< enter write-drain mode
-    unsigned write_low_watermark = 16;  ///< leave write-drain mode
-
-    // ALERT_N retry policy. Retries up to `alert_fast_retries` requeue
-    // immediately (the common S13 case resolves within a few rdCAS
-    // round trips); past that each requeue backs off exponentially so a
-    // wedged DSA cannot monopolise the channel; at `alert_max_retries`
-    // the read completes with MemStatus::kDegraded instead of aborting
-    // the simulation.
-    unsigned alert_fast_retries = 8;
-    unsigned alert_max_retries = 64;
-    Cycles alert_backoff_base = 64;   ///< first backoff (command clocks)
-    Cycles alert_backoff_cap = 8192;  ///< backoff ceiling
-};
+/** The timing every channel controller schedules with. */
+inline constexpr DramTiming kDramTiming{};
 
 } // namespace sd::mem
 

@@ -7,11 +7,8 @@
 namespace sd::mem {
 
 MemoryController::MemoryController(EventQueue &events, const AddressMap &map,
-                                   const DramTiming &timing,
-                                   const ControllerConfig &config,
                                    unsigned channel, DimmDevice &dimm)
-    : events_(events), map_(map), timing_(timing), config_(config),
-      channel_(channel), dimm_(dimm),
+    : events_(events), map_(map), channel_(channel), dimm_(dimm),
       banks_(map.geometry().totalBanks())
 {
 }
@@ -23,7 +20,7 @@ MemoryController::admit(Addr line_addr, MemCallback cb)
     Request &req = pool_[slot];
     req.addr = line_addr;
     req.coord = map_.decompose(line_addr);
-    req.flat_bank = req.coord.flatBank(map_.geometry());
+    req.flat_bank = req.coord.flatBank();
     req.cb = std::move(cb);
     req.enqueued = events_.now();
     req.retries = 0;
@@ -199,9 +196,9 @@ MemoryController::issueRequest(std::vector<Key> &queue, std::size_t index,
         if (banks_.open(bank)) {
             // PRE then ACT. Respect tRAS since the last ACT.
             when = std::max(when,
-                            banks_.actAt(bank) + timing_.tRAS * period);
+                            banks_.actAt(bank) + kDramTiming.tRAS * period);
             emit(DdrCommandType::kPrecharge, key.slot, when);
-            when += timing_.tRP * period;
+            when += kDramTiming.tRP * period;
             ++stats_.row_conflicts;
         } else {
             ++stats_.row_misses;
@@ -209,7 +206,7 @@ MemoryController::issueRequest(std::vector<Key> &queue, std::size_t index,
         emit(DdrCommandType::kActivate, key.slot, when);
         pool_[key.slot].needed_act = true;
         banks_.activate(bank, key.row, /*act_at=*/when,
-                        /*ready_at=*/when + timing_.tRCD * period);
+                        /*ready_at=*/when + kDramTiming.tRCD * period);
         // Re-run the scheduler when the bank becomes ready.
         requestPass(banks_.readyAt(bank));
         return false; // CAS not issued this pass
@@ -226,7 +223,7 @@ MemoryController::issueRequest(std::vector<Key> &queue, std::size_t index,
         earliest = std::max(
             earliest,
             bus_free_at_ +
-                (is_write ? timing_.tRTW : timing_.tWTR) * period);
+                (is_write ? kDramTiming.tRTW : kDramTiming.tWTR) * period);
     const Tick cas_at = clock_.nextEdge(std::max(earliest, now));
 
     if (cas_at > now) {
@@ -246,15 +243,15 @@ MemoryController::issueRequest(std::vector<Key> &queue, std::size_t index,
     req.cas_at = cas_at;
     queue.erase(queue.begin() + static_cast<long>(index));
 
-    const Cycles cas_latency = is_write ? timing_.tCWL : timing_.tCL;
+    const Cycles cas_latency = is_write ? kDramTiming.tCWL : kDramTiming.tCL;
     const Tick data_start = cas_at + cas_latency * period;
-    const Tick data_end = data_start + timing_.tBL * period;
+    const Tick data_end = data_start + kDramTiming.tBL * period;
 
-    banks_.setReadyAt(bank, cas_at + timing_.tCCD_L * period);
+    banks_.setReadyAt(bank, cas_at + kDramTiming.tCCD_L * period);
     bus_free_at_ = data_end;
     last_was_write_ = is_write;
     cas_issued_ = true;
-    bus_busy_cycles_ += timing_.tBL;
+    bus_busy_cycles_ += kDramTiming.tBL;
 
     // The data-phase event captures {this, slot} only, so it always
     // fits UniqueFunction's inline buffer.
@@ -332,7 +329,7 @@ MemoryController::retryAlert(std::uint32_t slot, bool spurious)
     }
 
     const unsigned attempt = req.retries + 1;
-    if (attempt >= config_.alert_max_retries) {
+    if (attempt >= kAlertMaxRetries) {
         // Retry budget exhausted: hand the (possibly stale) line back
         // as degraded instead of wedging the channel. The host stack
         // decides how to recover (Sec. IV-D's fallback path).
@@ -349,7 +346,7 @@ MemoryController::retryAlert(std::uint32_t slot, bool spurious)
     // kept, so the latency sample spans all retries.
     req.retries = attempt;
     req.needed_act = false;
-    if (attempt <= config_.alert_fast_retries) {
+    if (attempt <= kAlertFastRetries) {
         queueRead(slot);
         return;
     }
@@ -357,10 +354,10 @@ MemoryController::retryAlert(std::uint32_t slot, bool spurious)
     // Exponential backoff past the fast window, capped so a long storm
     // stays polling rather than effectively parked.
     ++stats_.alert_backoffs;
-    const unsigned excess = attempt - config_.alert_fast_retries - 1;
+    const unsigned excess = attempt - kAlertFastRetries - 1;
     const unsigned shift = std::min(excess, 20u);
-    const Cycles backoff = std::min(config_.alert_backoff_base << shift,
-                                    config_.alert_backoff_cap);
+    const Cycles backoff = std::min(kAlertBackoffBase << shift,
+                                    kAlertBackoffCap);
     events_.schedule(events_.now() + backoff * clock_.period(),
                      [this, slot] { queueRead(slot); });
 }
@@ -368,7 +365,7 @@ MemoryController::retryAlert(std::uint32_t slot, bool spurious)
 void
 MemoryController::updateWriteDrain()
 {
-    if (write_q_.size() >= config_.write_high_watermark) {
+    if (write_q_.size() >= kWriteHighWatermark) {
         // kWriteDrainDelay: suppress the drain transition this pass so
         // the write queue keeps backing up (exercises queue-pressure
         // paths above the high watermark).
@@ -380,7 +377,7 @@ MemoryController::updateWriteDrain()
         if (!delayed)
             write_drain_ = true;
     }
-    if (write_q_.size() <= config_.write_low_watermark)
+    if (write_q_.size() <= kWriteLowWatermark)
         write_drain_ = false;
 }
 

@@ -48,6 +48,24 @@ enum class MemStatus : std::uint8_t
  */
 using MemCallback = UniqueFunctionT<void(Tick, MemStatus)>;
 
+/** Write-drain watermarks: enter drain mode at the high mark, leave
+ *  it at the low one. */
+inline constexpr unsigned kWriteHighWatermark = 48;
+inline constexpr unsigned kWriteLowWatermark = 16;
+
+// ALERT_N retry policy. Retries up to `kAlertFastRetries` requeue
+// immediately (the common S13 case resolves within a few rdCAS round
+// trips); past that each requeue backs off exponentially so a wedged
+// DSA cannot monopolise the channel; at `kAlertMaxRetries` the read
+// completes with MemStatus::kDegraded instead of aborting the
+// simulation.
+inline constexpr unsigned kAlertFastRetries = 8;
+inline constexpr unsigned kAlertMaxRetries = 64;
+/** First backoff, in command clocks. */
+inline constexpr Cycles kAlertBackoffBase = 64;
+/** Backoff ceiling, in command clocks. */
+inline constexpr Cycles kAlertBackoffCap = 8192;
+
 /** Controller statistics. */
 struct ControllerStats
 {
@@ -81,9 +99,7 @@ class MemoryController
 {
   public:
     MemoryController(EventQueue &events, const AddressMap &map,
-                     const DramTiming &timing,
-                     const ControllerConfig &config, unsigned channel,
-                     DimmDevice &dimm);
+                     unsigned channel, DimmDevice &dimm);
 
     /**
      * Enqueue a 64-byte read. @p data must stay valid until the
@@ -193,8 +209,6 @@ class MemoryController
 
     EventQueue &events_;
     const AddressMap &map_;
-    DramTiming timing_;
-    ControllerConfig config_;
     unsigned channel_;
     DimmDevice &dimm_;
     CommandObserver *observer_ = nullptr;

@@ -6,9 +6,17 @@
 
 namespace sd::net {
 
+namespace {
+
+constexpr double kRttUs = 50.0;         ///< propagation + switching RTT
+constexpr std::size_t kInitCwnd = 10;   ///< segments
+constexpr std::size_t kMaxCwnd = 1024;  ///< receive-window clamp (segments)
+constexpr double kRtoMs = 4.0;          ///< retransmission timeout
+
+} // namespace
+
 TcpTransferResult
-tcpTransfer(std::size_t bytes, const TcpConfig &config,
-            const LossConfig &loss, std::uint64_t seed,
+tcpTransfer(std::size_t bytes, const LossConfig &loss, std::uint64_t seed,
             fault::FaultPlan *fault_plan)
 {
     SD_ASSERT(bytes > 0, "empty transfer");
@@ -16,20 +24,19 @@ tcpTransfer(std::size_t bytes, const TcpConfig &config,
     injector.setFaultPlan(fault_plan);
 
     TcpTransferResult result;
-    const double rtt_s = config.rtt_us * 1e-6;
+    const double rtt_s = kRttUs * 1e-6;
     const double link_segs_per_rtt =
-        config.link_gbps * 1e9 / 8.0 / static_cast<double>(config.mss) *
-        rtt_s;
+        kLinkGbps * 1e9 / 8.0 / static_cast<double>(kTcpMss) * rtt_s;
 
-    std::size_t remaining = divCeil(bytes, config.mss);
-    double cwnd = static_cast<double>(config.init_cwnd);
-    double ssthresh = static_cast<double>(config.max_cwnd);
+    std::size_t remaining = divCeil(bytes, kTcpMss);
+    double cwnd = static_cast<double>(kInitCwnd);
+    double ssthresh = static_cast<double>(kMaxCwnd);
     double time_s = 0.0;
 
     while (remaining > 0) {
         // Segments attempted this round: window, link and data bound.
         const std::size_t window = static_cast<std::size_t>(std::min(
-            {cwnd, static_cast<double>(config.max_cwnd),
+            {cwnd, static_cast<double>(kMaxCwnd),
              link_segs_per_rtt}));
         const std::size_t attempt =
             std::min<std::size_t>(std::max<std::size_t>(window, 1),
@@ -50,10 +57,9 @@ tcpTransfer(std::size_t bytes, const TcpConfig &config,
             ++result.reorder_events;
 
         // Serialisation + propagation for the round.
-        const double serialize_s =
-            static_cast<double>(attempt) *
-            static_cast<double>(config.mss) * 8.0 /
-            (config.link_gbps * 1e9);
+        const double serialize_s = static_cast<double>(attempt) *
+                                   static_cast<double>(kTcpMss) * 8.0 /
+                                   (kLinkGbps * 1e9);
         time_s += std::max(rtt_s, serialize_s);
 
         remaining -= std::min(delivered, remaining);
@@ -64,7 +70,7 @@ tcpTransfer(std::size_t bytes, const TcpConfig &config,
                 cwnd = std::min(cwnd * 2.0, ssthresh);
             else
                 cwnd += 1.0;
-            cwnd = std::min(cwnd, static_cast<double>(config.max_cwnd));
+            cwnd = std::min(cwnd, static_cast<double>(kMaxCwnd));
             continue;
         }
 
@@ -79,8 +85,8 @@ tcpTransfer(std::size_t bytes, const TcpConfig &config,
         } else {
             ++result.timeouts;
             ssthresh = std::max(cwnd / 2.0, 2.0);
-            cwnd = static_cast<double>(config.init_cwnd);
-            time_s += config.rto_ms * 1e-3;
+            cwnd = static_cast<double>(kInitCwnd);
+            time_s += kRtoMs * 1e-3;
         }
     }
 

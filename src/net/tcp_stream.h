@@ -21,16 +21,8 @@ namespace sd::net {
  *  (IPv4 + TCP with timestamps). */
 inline constexpr std::size_t kTcpMss = 1448;
 
-/** Link and protocol parameters. */
-struct TcpConfig
-{
-    double link_gbps = 100.0;   ///< bottleneck rate
-    double rtt_us = 50.0;       ///< propagation + switching RTT
-    std::size_t mss = kTcpMss;  ///< payload bytes per segment
-    std::size_t init_cwnd = 10; ///< segments
-    std::size_t max_cwnd = 1024; ///< receive-window clamp (segments)
-    double rto_ms = 4.0;        ///< retransmission timeout
-};
+/** Bottleneck link rate, Gb/s: the server's 100 GbE NIC. */
+inline constexpr double kLinkGbps = 100.0;
 
 /** Result of one bulk transfer. */
 struct TcpTransferResult
@@ -58,8 +50,7 @@ struct TcpTransferResult
  * window (fast recovery) or collapse it (timeout when the whole
  * window was lost).
  */
-TcpTransferResult tcpTransfer(std::size_t bytes, const TcpConfig &config,
-                              const LossConfig &loss,
+TcpTransferResult tcpTransfer(std::size_t bytes, const LossConfig &loss,
                               std::uint64_t seed = 1,
                               fault::FaultPlan *fault_plan = nullptr);
 

@@ -30,7 +30,7 @@ class BankTable
 {
   public:
     explicit BankTable(const mem::DramGeometry &geometry)
-        : geometry_(geometry), rows_(geometry.totalBanks())
+        : rows_(geometry.totalBanks())
     {
     }
 
@@ -39,7 +39,7 @@ class BankTable
     onCommand(const mem::DdrCommand &cmd)
     {
         owner_.check();
-        const unsigned bank = cmd.coord.flatBank(geometry_);
+        const unsigned bank = cmd.coord.flatBank();
         switch (cmd.type) {
           case mem::DdrCommandType::kActivate:
             rows_[bank] = cmd.coord.row;
@@ -56,14 +56,13 @@ class BankTable
     std::uint64_t
     activeRow(const mem::DramCoord &coord) const
     {
-        const unsigned bank = coord.flatBank(geometry_);
+        const unsigned bank = coord.flatBank();
         SD_ASSERT(rows_[bank].has_value(),
                   "CAS to a closed bank %u — controller bug", bank);
         return *rows_[bank];
     }
 
   private:
-    mem::DramGeometry geometry_;
     /** Runtime spot-check of the single-owner contract. */
     SingleOwnerChecker owner_;
     std::vector<std::optional<std::uint64_t>> rows_;

@@ -14,9 +14,9 @@ BufferDevice::BufferDevice(EventQueue &events, const mem::AddressMap &map,
                            const SmartDimmConfig &config)
     : events_(events), map_(map), store_(store), config_(config),
       bank_table_(map.geometry()),
-      translation_(config.translation_entries, config.cam_entries),
+      translation_(kTranslationEntries, kCamEntries),
       scratchpad_(config.scratchpadPages()),
-      config_memory_(config.config_memory_bytes, config.context_bytes)
+      config_memory_(kConfigMemoryBytes, kContextBytes)
 {
 }
 
@@ -169,8 +169,7 @@ BufferDevice::registerTls(const std::uint8_t *data)
                 crypto::GcmIv iv{};
                 std::memcpy(iv.data(), reg.iv, iv.size());
                 return iv;
-            }(), reg.message_len, config_.dsa_line_latency,
-            &dsa_stats_);
+            }(), reg.message_len, &dsa_stats_);
 
     auto job = std::make_shared<TlsDsaJob>(state, reg.page_index);
 
@@ -258,8 +257,7 @@ BufferDevice::registerDeflate(const std::uint8_t *data)
     }
 
     auto job = std::make_shared<DeflateDsaJob>(
-        reg.payload_bytes, deflate_config_, config_.dsa_line_latency,
-        &dsa_stats_);
+        reg.payload_bytes, deflate_config_, &dsa_stats_);
     sources_[reg.sbuf_page] = SourceEntry{job, reg.dbuf_page, *slot};
     dests_[reg.dbuf_page] = DestEntry{job, reg.sbuf_page, *scratch};
 
@@ -361,7 +359,7 @@ BufferDevice::feedDsa(std::uint64_t sbuf_page, unsigned line,
     const Cycles busy = entry.job->processLine(line, data);
     const Tick ready_at =
         events_.now() + buffer_clock_.toTicks(
-                            busy ? busy : config_.dsa_line_latency);
+                            busy ? busy : kDsaLineLatency);
     events_.schedule(ready_at,
                      [this, dbuf_page] { materializeResults(dbuf_page); });
 

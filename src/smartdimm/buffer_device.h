@@ -139,7 +139,7 @@ class BufferDevice : public mem::DimmDevice
     isMmio(Addr addr) const
     {
         return addr >= config_.mmio_base &&
-               addr < config_.mmio_base + config_.mmio_bytes;
+               addr < config_.mmio_base + kMmioBytes;
     }
 
   private:

@@ -15,36 +15,36 @@
 
 namespace sd::smartdimm {
 
-/** Geometry and policy of one SmartDIMM buffer device. */
+/** Config Memory capacity (paper: 8 MB). */
+inline constexpr std::size_t kConfigMemoryBytes = 8ULL << 20;
+
+/** Per-source-page context slot (paper: 1 KB for TLS). */
+inline constexpr std::size_t kContextBytes = 1024;
+
+/** Translation Table entries (3x the 4096 required -> <33% load). */
+inline constexpr std::size_t kTranslationEntries = 12288;
+
+/** Fast-insert CAM entries in front of the cuckoo table. */
+inline constexpr std::size_t kCamEntries = 8;
+
+/**
+ * DSA latency per 64-byte cacheline in buffer-device cycles.
+ * Measured slack on AxDIMM exceeds 1 us (Sec. IV-D), so anything
+ * well under 400 cycles (1 us at 400 MHz) never stalls the host.
+ */
+inline constexpr Cycles kDsaLineLatency = 24;
+
+/** Size of the MMIO config window. */
+inline constexpr std::size_t kMmioBytes = 1ULL << 20;
+
+/** The per-device settings a rig may vary. */
 struct SmartDimmConfig
 {
     /** Scratchpad capacity (paper: 8 MB = 2048 pages). */
     std::size_t scratchpad_bytes = 8ULL << 20;
 
-    /** Config Memory capacity (paper: 8 MB). */
-    std::size_t config_memory_bytes = 8ULL << 20;
-
-    /** Per-source-page context slot (paper: 1 KB for TLS). */
-    std::size_t context_bytes = 1024;
-
-    /** Translation Table entries (3x the 4096 required -> <33% load). */
-    std::size_t translation_entries = 12288;
-
-    /** Fast-insert CAM entries in front of the cuckoo table. */
-    std::size_t cam_entries = 8;
-
-    /**
-     * DSA latency per 64-byte cacheline in buffer-device cycles.
-     * Measured slack on AxDIMM exceeds 1 us (Sec. IV-D), so anything
-     * well under 400 cycles (1 us at 400 MHz) never stalls the host.
-     */
-    Cycles dsa_line_latency = 24;
-
     /** Base of the MMIO config window within the DIMM address range. */
     Addr mmio_base = 0xF000'0000ULL;
-
-    /** Size of the MMIO config window. */
-    std::size_t mmio_bytes = 1ULL << 20;
 
     std::size_t
     scratchpadPages() const

@@ -3,15 +3,16 @@
 #include <cstring>
 
 #include "common/log.h"
+#include "smartdimm/config.h"
 
 namespace sd::smartdimm {
 
 DeflateDsaJob::DeflateDsaJob(std::size_t payload_bytes,
                              const compress::HwDeflateConfig &hw_config,
-                             Cycles line_latency, DsaStats *stats)
+                             DsaStats *stats)
     : payload_bytes_(payload_bytes),
       payload_lines_(divCeil(payload_bytes, kCacheLineSize)),
-      hw_config_(hw_config), line_latency_(line_latency), stats_(stats)
+      hw_config_(hw_config), stats_(stats)
 {
     SD_ASSERT(payload_bytes_ >= 1 &&
                   payload_bytes_ <= kDeflateMaxPayload,
@@ -24,7 +25,7 @@ Cycles
 DeflateDsaJob::processLine(unsigned line, const std::uint8_t *data)
 {
     if (poisoned_)
-        return line_latency_;
+        return kDsaLineLatency;
     if (line != next_line_) {
         // Fence violation: the streaming pipeline cannot reorder, so
         // the hardware poisons the job instead of emitting a corrupt
@@ -34,7 +35,7 @@ DeflateDsaJob::processLine(unsigned line, const std::uint8_t *data)
         poisoned_ = true;
         if (stats_)
             ++stats_->deflate_order_faults;
-        return line_latency_;
+        return kDsaLineLatency;
     }
     ++next_line_;
 
@@ -61,9 +62,9 @@ DeflateDsaJob::processLine(unsigned line, const std::uint8_t *data)
     }
     if (stats_) {
         ++stats_->deflate_lines;
-        stats_->deflate_busy_cycles += line_latency_;
+        stats_->deflate_busy_cycles += kDsaLineLatency;
     }
-    return line_latency_;
+    return kDsaLineLatency;
 }
 
 bool

@@ -32,13 +32,13 @@ class DeflateDsaJob : public DsaJob
   public:
     /**
      * @param payload_bytes valid bytes within the source page
-     * @param hw_config pipeline geometry (8-byte window, 8 banks...)
-     * @param line_latency busy cycles per consumed source line
+     * @param hw_config pipeline policy (8-byte window, best-effort
+     *        bank arbitration)
      * @param stats optional aggregate counters (buffer-device owned)
      */
     DeflateDsaJob(std::size_t payload_bytes,
                   const compress::HwDeflateConfig &hw_config,
-                  Cycles line_latency, DsaStats *stats = nullptr);
+                  DsaStats *stats = nullptr);
 
     UlpKind kind() const override { return UlpKind::kDeflate; }
     bool ordered() const override { return true; }
@@ -61,7 +61,6 @@ class DeflateDsaJob : public DsaJob
     std::size_t payload_bytes_;
     std::size_t payload_lines_;
     compress::HwDeflateConfig hw_config_;
-    Cycles line_latency_;
     std::vector<std::uint8_t> input_;
     std::vector<std::uint8_t> result_;
     DsaStats *stats_ = nullptr;

@@ -6,6 +6,14 @@ namespace sd::smartdimm {
 
 namespace {
 
+// Per-event dynamic energies (picojoules).
+constexpr double kTranslationLookupPj = 180.0; ///< 3 hash probes + CAM (FPGA)
+constexpr double kScratchpadAccessPj = 840.0;  ///< 64 B SRAM r/w
+constexpr double kConfigAccessPj = 640.0;      ///< context slot access
+/** 4 AES rounds pipe + GHASH; charged for every DSA line, any ULP. */
+constexpr double kDsaTlsLinePj = 21000.0;
+constexpr double kPhyPassthroughPj = 360.0; ///< DDR PHY + slot decode
+
 /** DDR4-3200 single-channel peak: 25.6 GB/s. */
 constexpr double kChannelPeakBytesPerSec = 25.6e9;
 
@@ -28,7 +36,7 @@ constexpr FabricShare kFabric[] = {
 } // namespace
 
 double
-peakDynamicWatts(const EnergyModel &energy)
+peakDynamicWatts()
 {
     // At full channel rate every 64-byte slot carries a CAS: one
     // translation lookup + PHY passthrough, and (worst case for the
@@ -36,15 +44,15 @@ peakDynamicWatts(const EnergyModel &energy)
     // and a scratchpad drain on writes.
     const double lines_per_sec = kChannelPeakBytesPerSec / kCacheLineSize;
     const double per_line_pj =
-        energy.translation_lookup_pj + energy.phy_passthrough_pj +
-        energy.dsa_tls_line_pj / 2.0 + // half the slots are reads
-        energy.scratchpad_access_pj;
+        kTranslationLookupPj + kPhyPassthroughPj +
+        kDsaTlsLinePj / 2.0 + // half the slots are reads
+        kScratchpadAccessPj;
     return lines_per_sec * per_line_pj * 1e-12;
 }
 
 PowerReport
 estimatePower(const BufferDevice &device, Tick window_ticks,
-              std::uint64_t channel_bytes, const EnergyModel &energy)
+              std::uint64_t channel_bytes)
 {
     PowerReport report;
     if (window_ticks == 0)
@@ -58,20 +66,20 @@ estimatePower(const BufferDevice &device, Tick window_ticks,
     const ConfigMemoryStats &cm = device.configMemory().stats();
 
     const double tt_j = static_cast<double>(tt.lookups) *
-                        energy.translation_lookup_pj * 1e-12;
+                        kTranslationLookupPj * 1e-12;
     const double sp_j =
         static_cast<double>(sp.reads + sp.writes + sp.self_recycles) *
-        energy.scratchpad_access_pj * 1e-12;
+        kScratchpadAccessPj * 1e-12;
     const double cm_j =
         static_cast<double>(cm.context_reads + cm.context_writes) *
-        energy.config_access_pj * 1e-12;
+        kConfigAccessPj * 1e-12;
     const double dsa_j = static_cast<double>(arb.sbuf_reads) *
-                         energy.dsa_tls_line_pj * 1e-12;
+                         kDsaTlsLinePj * 1e-12;
     const double phy_events = static_cast<double>(
         arb.plain_reads + arb.plain_writes + arb.sbuf_reads +
         arb.dbuf_recycles + arb.dbuf_scratch_reads + arb.mmio_reads +
         arb.mmio_writes);
-    const double phy_j = phy_events * energy.phy_passthrough_pj * 1e-12;
+    const double phy_j = phy_events * kPhyPassthroughPj * 1e-12;
 
     const double total_w =
         (tt_j + sp_j + cm_j + dsa_j + phy_j) / seconds;

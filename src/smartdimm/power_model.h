@@ -20,17 +20,6 @@
 
 namespace sd::smartdimm {
 
-/** Per-event dynamic energies (picojoules). */
-struct EnergyModel
-{
-    double translation_lookup_pj = 180.0;  ///< 3 hash probes + CAM (FPGA)
-    double scratchpad_access_pj = 840.0;  ///< 64 B SRAM r/w
-    double config_access_pj = 640.0;      ///< context slot access
-    /** 4 AES rounds pipe + GHASH; charged for every DSA line, any ULP. */
-    double dsa_tls_line_pj = 21000.0;
-    double phy_passthrough_pj = 360.0;     ///< DDR PHY + slot decode
-};
-
 /** One row of the power/area report. */
 struct PowerBreakdownRow
 {
@@ -55,11 +44,10 @@ struct PowerReport
  * @param channel_bytes DRAM bytes moved in the window (utilisation)
  */
 PowerReport estimatePower(const BufferDevice &device, Tick window_ticks,
-                          std::uint64_t channel_bytes,
-                          const EnergyModel &energy = {});
+                          std::uint64_t channel_bytes);
 
 /** Peak dynamic power at 100% DDR4-3200 channel utilisation. */
-double peakDynamicWatts(const EnergyModel &energy = {});
+double peakDynamicWatts();
 
 } // namespace sd::smartdimm
 

@@ -4,16 +4,16 @@
 
 #include "common/log.h"
 #include "crypto/tls_record.h"
+#include "smartdimm/config.h"
 
 namespace sd::smartdimm {
 
 TlsMessageState::TlsMessageState(const std::uint8_t key[16],
                                  const crypto::GcmIv &iv,
-                                 std::size_t message_len,
-                                 Cycles line_latency, DsaStats *stats)
+                                 std::size_t message_len, DsaStats *stats)
     : ctx_(key, crypto::Aes::KeySize::k128),
       gcm_(ctx_, iv, message_len), message_len_(message_len),
-      line_latency_(line_latency), stats_(stats)
+      stats_(stats)
 {
 }
 
@@ -24,11 +24,11 @@ TlsMessageState::processLine(std::size_t index, const std::uint8_t *in,
     gcm_.processLine(index, in, out);
     if (stats_) {
         ++stats_->tls_lines;
-        stats_->tls_busy_cycles += line_latency_;
+        stats_->tls_busy_cycles += kDsaLineLatency;
         if (gcm_.complete())
             ++stats_->tls_messages;
     }
-    return line_latency_;
+    return kDsaLineLatency;
 }
 
 TlsDsaJob::TlsDsaJob(std::shared_ptr<TlsMessageState> state,

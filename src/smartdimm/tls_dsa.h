@@ -34,12 +34,10 @@ class TlsMessageState
      * @param key 16-byte AES-128 key (context write)
      * @param iv per-record nonce (context write)
      * @param message_len plaintext bytes
-     * @param line_latency DSA busy cycles per line
      * @param stats optional aggregate counters (buffer-device owned)
      */
     TlsMessageState(const std::uint8_t key[16], const crypto::GcmIv &iv,
-                    std::size_t message_len, Cycles line_latency,
-                    DsaStats *stats = nullptr);
+                    std::size_t message_len, DsaStats *stats = nullptr);
 
     /** Encrypt global cacheline @p index of the message. */
     Cycles processLine(std::size_t index, const std::uint8_t *in,
@@ -56,7 +54,6 @@ class TlsMessageState
     crypto::GcmContext ctx_;
     crypto::IncrementalGcm gcm_;
     std::size_t message_len_;
-    Cycles line_latency_;
     DsaStats *stats_;
 };
 

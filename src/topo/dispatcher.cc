@@ -187,7 +187,7 @@ ShardDispatcher::noteCompletion(unsigned slot,
         degraded_[slot] = false; // device recovered — take load again
         return;
     }
-    if (++failure_streak_[slot] >= config_.degrade_after &&
+    if (++failure_streak_[slot] >= kDegradeAfter &&
         !degraded_[slot]) {
         degraded_[slot] = true;
         ++stats_.auto_degraded;
@@ -206,9 +206,10 @@ ShardDispatcher::StripePlan
 ShardDispatcher::planStripe(const compcpy::CompCpyParams &base,
                             std::uint64_t flow, int force_slot)
 {
-    std::size_t chunk_bytes = config_.stripe_chunk_bytes;
-    SD_ASSERT(chunk_bytes > 0 && chunk_bytes % kPageSize == 0,
-              "stripe chunks must be whole pages");
+    static_assert(kStripeChunkBytes > 0 &&
+                      kStripeChunkBytes % kPageSize == 0,
+                  "stripe chunks must be whole pages");
+    std::size_t chunk_bytes = kStripeChunkBytes;
     if (base.ulp == smartdimm::UlpKind::kDeflate)
         chunk_bytes =
             std::min(chunk_bytes, smartdimm::kDeflateMaxPayload);

@@ -38,6 +38,13 @@
 
 namespace sd::topo {
 
+/** Stripe chunk size (page multiple; deflate chunks additionally
+ *  clamp to the device's single-page payload limit). */
+inline constexpr std::size_t kStripeChunkBytes = 4 * kPageSize;
+
+/** Consecutive failed completions that mark a slot degraded. */
+inline constexpr unsigned kDegradeAfter = 4;
+
 /** Dispatcher policy knobs. */
 struct DispatcherConfig
 {
@@ -48,13 +55,6 @@ struct DispatcherConfig
 
     /** Home-queue occupancy fraction beyond which new flows shed. */
     double shed_occupancy = 0.75;
-
-    /** Stripe chunk size (page multiple; deflate chunks additionally
-     *  clamp to the device's single-page payload limit). */
-    std::size_t stripe_chunk_bytes = 4 * kPageSize;
-
-    /** Consecutive failed completions that mark a slot degraded. */
-    unsigned degrade_after = 4;
 
     /** Hot/cold classifier for the two-tier policy (only consulted
      *  when the topology has far slots). */

@@ -114,10 +114,13 @@ TopologySpec::fromEnv(const TopologySpec &fallback)
 
 namespace {
 
+/** Slot-local offset of each device's driver window. */
+constexpr Addr kDriverBase = 1ULL << 20;
+
 mem::DramGeometry
 finalizeGeometry(const TopologySpec &spec)
 {
-    mem::DramGeometry g = spec.geometry;
+    mem::DramGeometry g;
     // Far (CXL) channels sit after the local ones in the flat channel
     // index space; the AddressMap needs no far-awareness because its
     // layout already gives every channel a contiguous window — the
@@ -136,10 +139,10 @@ Topology::Topology(const TopologySpec &spec)
     SD_ASSERT(geometry_.dimms_per_channel >= 1, "need at least one DIMM");
     // Every per-device structure (MMIO window, driver heap) must fit
     // inside the device's contiguous address window.
-    SD_ASSERT(spec_.device.mmio_base + spec_.device.mmio_bytes <=
+    SD_ASSERT(spec_.device.mmio_base + smartdimm::kMmioBytes <=
                   geometry_.dimmBytes(),
               "MMIO window exceeds the per-DIMM capacity slice");
-    SD_ASSERT(spec_.driver_base + spec_.driver_bytes <=
+    SD_ASSERT(kDriverBase + spec_.driver_bytes <=
                   spec_.device.mmio_base,
               "driver heap would overlap the MMIO window");
 
@@ -171,8 +174,7 @@ Topology::Topology(const TopologySpec &spec)
     // One map for every decoder: the channel controllers (through the
     // memory system) and each device's Addr Remap block.
     memory_ = std::make_unique<cache::MemorySystem>(
-        events_, map_, spec_.llc, channel_devices, spec_.timing,
-        spec_.controller, spec_.latencies);
+        events_, map_, spec_.llc, channel_devices);
 
     // One CXL link per far channel: every DRAM-side access on that
     // channel defers its completion through the link's flit queue.
@@ -188,7 +190,7 @@ Topology::Topology(const TopologySpec &spec)
             const Addr base = slotBase(ch, d);
             Slot &slot = slots_.emplace_back(
                 ch, d, base, devices_[slotIndex(ch, d)], *memory_,
-                base + spec_.driver_base, spec_.driver_bytes);
+                base + kDriverBase, spec_.driver_bytes);
             slot.engine.setFaultScope(
                 {static_cast<int>(ch), static_cast<int>(d)});
             if (tagged)

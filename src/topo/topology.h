@@ -54,18 +54,12 @@ struct TopologySpec
     unsigned cxl_channels = 0;
     mem::CxlLinkConfig cxl_link{};
 
-    /** Per-channel DRAM shape; channels/dimms above override its
-     *  channel/dimm fields at construction. */
-    mem::DramGeometry geometry{};
-    mem::DramTiming timing{};
-    mem::ControllerConfig controller{};
     cache::CacheConfig llc{};
-    cache::HostLatencies latencies{};
 
-    /** Per-device config. mmio_base/driver window are *slot-local*
-     *  offsets; the factory rebases them into each device's window. */
+    /** Per-device config. mmio_base and the driver window (1 MB into
+     *  the slot) are *slot-local* offsets; the factory rebases them
+     *  into each device's window. */
     smartdimm::SmartDimmConfig device{};
-    Addr driver_base = 1ULL << 20;
     std::size_t driver_bytes = 2048ULL << 20;
 
     /**

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
 #include <vector>
 
 #include "common/random.h"
@@ -36,6 +38,57 @@ TEST(Random, BelowStaysInBounds)
     Rng rng(3);
     for (int i = 0; i < 1000; ++i)
         EXPECT_LT(rng.below(17), 17u);
+}
+
+TEST(Random, BelowPinnedDraws)
+{
+    // below() must accept and reject exactly the same raw draws for
+    // any bound: these values were printed by the implementation that
+    // computed its rejection threshold on every call. 2^63 + 1 rejects
+    // about half of all draws, so a changed rejection rule shifts the
+    // whole stream.
+    const std::uint64_t bounds[] = {1, 3, 6912, (1ULL << 32) + 1,
+                                    (1ULL << 63) + 1};
+    struct Pin
+    {
+        std::uint64_t seed;
+        std::uint64_t draws[5][3];
+    };
+    const Pin pins[] = {
+        {1,
+         {{0, 0, 0},
+          {2, 2, 1},
+          {230, 669, 289},
+          {2909328965ULL, 3920958855ULL, 4073433270ULL},
+          {7983247259527268592ULL, 3119285066212467764ULL,
+           1843446058500263382ULL}}},
+        {7,
+         {{0, 0, 0},
+          {1, 2, 2},
+          {2644, 3292, 5152},
+          {3669005764ULL, 1267224693ULL, 3600257185ULL},
+          {8097486056669415888ULL, 7025456533006481942ULL,
+           1123021458441024074ULL}}},
+        {42,
+         {{0, 0, 0},
+          {2, 1, 0},
+          {6322, 1671, 2686},
+          {3792263903ULL, 1566244414ULL, 692432333ULL},
+          {5552918176482117301ULL, 3895028994966849484ULL,
+           6968575404259309561ULL}}},
+    };
+    const std::uint64_t next_after[] = {16427605434558419749ULL,
+                                        4735242099796630975ULL,
+                                        11377242330661449621ULL};
+    for (std::size_t p = 0; p < std::size(pins); ++p) {
+        Rng rng(pins[p].seed);
+        for (std::size_t b = 0; b < std::size(bounds); ++b)
+            for (std::size_t i = 0; i < 3; ++i)
+                EXPECT_EQ(rng.below(bounds[b]), pins[p].draws[b][i])
+                    << "seed " << pins[p].seed << " bound " << bounds[b]
+                    << " draw " << i;
+        EXPECT_EQ(rng.next(), next_after[p]) << "seed " << pins[p].seed;
+    }
 }
 
 TEST(Random, RangeInclusive)

@@ -228,13 +228,10 @@ TEST(EndToEnd, AdaptiveEngineCpuAndOffloadAgree)
     // against its own software reference.
     crypto::GcmContext ctx(key, crypto::Aes::KeySize::k128);
     for (std::uint64_t seq = 0; seq < 2; ++seq) {
-        crypto::GcmIv nonce = static_iv;
-        for (int i = 0; i < 8; ++i)
-            nonce[4 + i] ^=
-                static_cast<std::uint8_t>(seq >> (56 - 8 * i));
         std::vector<std::uint8_t> expect(msg.size());
         const crypto::GcmTag tag =
-            ctx.encrypt(nonce, msg.data(), msg.size(), expect.data());
+            ctx.encrypt(crypto::tlsNonce(static_iv, seq), msg.data(),
+                        msg.size(), expect.data());
         const auto &rec = seq == 0 ? cpu : dimm;
         ASSERT_EQ(rec.body.size(), msg.size() + 16);
         EXPECT_EQ(0, std::memcmp(rec.body.data(), expect.data(),

@@ -73,11 +73,10 @@ TEST(HwDeflate, TokensRoundTrip)
 TEST(HwDeflate, DistancesRespectHistoryWindow)
 {
     const auto data = webCorpus(4096, 2);
-    HwDeflateConfig cfg;
-    const auto tokens = hwDeflateTokens(data.data(), data.size(), cfg);
+    const auto tokens = hwDeflateTokens(data.data(), data.size());
     for (const auto &tok : tokens)
         if (tok.is_match) {
-            EXPECT_LE(tok.distance, cfg.history);
+            EXPECT_LE(tok.distance, sd::compress::kHwHistory);
         }
 }
 

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "cache/memory_system.h"
@@ -21,10 +22,8 @@ namespace {
 
 using namespace sd;
 using mem::AddressMap;
-using mem::ControllerConfig;
 using mem::DdrCommand;
 using mem::DramGeometry;
-using mem::DramTiming;
 using mem::MemoryController;
 using mem::MemStatus;
 
@@ -73,7 +72,7 @@ struct Rig
     Rig()
         : geometry(makeGeometry()),
           map(geometry), dimm(store),
-          mc(events, map, DramTiming{}, ControllerConfig{}, 0, dimm)
+          mc(events, map, 0, dimm)
     {
     }
 
@@ -144,43 +143,49 @@ TEST(AlertRecovery, RetryBudgetExhaustionCompletesDegraded)
     std::uint8_t back[64] = {};
     EXPECT_EQ(rig.readSync(0x9000, back), MemStatus::kDegraded);
 
-    const ControllerConfig config;
     const auto &stats = rig.mc.stats();
     EXPECT_EQ(stats.degraded_reads, 1u);
-    EXPECT_EQ(stats.alert_retries, config.alert_max_retries);
+    EXPECT_EQ(stats.alert_retries, mem::kAlertMaxRetries);
     // Attempts past the fast window back off; the final attempt
     // degrades instead of backing off.
     EXPECT_EQ(stats.alert_backoffs,
-              config.alert_max_retries - config.alert_fast_retries - 1);
+              mem::kAlertMaxRetries - mem::kAlertFastRetries - 1);
     // The degraded read still counts as a completed read.
     EXPECT_EQ(stats.reads, 1u);
 }
 
 TEST(AlertRecovery, BackoffDelaysRetriesBeyondFastWindow)
 {
-    // Same storm twice: one rig with default backoff, one with a huge
-    // backoff base. The degraded completion must land later on the
-    // latter — evidence the exponential backoff actually waits.
-    auto run = [](Cycles base) {
-        EventQueue events;
-        mem::BackingStore store;
-        DramGeometry g;
-        g.channels = 1;
-        AddressMap map(g);
-        AlertingDimm dimm(store);
-        ControllerConfig config;
-        config.alert_backoff_base = base;
-        MemoryController mc(events, map, DramTiming{}, config, 0, dimm);
-        dimm.alerts_remaining_ = 1'000'000;
-        std::uint8_t buf[64];
-        bool done = false;
-        mc.enqueueRead(0x4000, buf,
-                       [&](Tick, MemStatus) { done = true; });
-        while (!done)
-            events.run();
-        return events.now();
-    };
-    EXPECT_GT(run(512), run(4));
+    // A storm that outlasts the retry budget: every attempt past the
+    // fast window parks the read for its backoff before requeueing,
+    // so the degraded completion can land no earlier than issue time
+    // plus the sum of those waits — evidence the exponential backoff
+    // actually waits, and by how much.
+    Rig rig;
+    rig.dimm.alerts_remaining_ = 1'000'000;
+    const Tick issued = rig.events.now();
+    std::uint8_t buf[64];
+    bool done = false;
+    Tick done_at = 0;
+    MemStatus status = MemStatus::kOk;
+    rig.mc.enqueueRead(0x4000, buf, [&](Tick at, MemStatus s) {
+        done_at = at;
+        status = s;
+        done = true;
+    });
+    while (!done)
+        rig.events.run();
+    EXPECT_EQ(status, MemStatus::kDegraded);
+
+    Cycles waits = 0;
+    for (unsigned attempt = mem::kAlertFastRetries + 1;
+         attempt < mem::kAlertMaxRetries; ++attempt) {
+        const unsigned shift =
+            std::min(attempt - mem::kAlertFastRetries - 1, 20u);
+        waits += std::min(mem::kAlertBackoffBase << shift,
+                          mem::kAlertBackoffCap);
+    }
+    EXPECT_GE(done_at, issued + waits * kDramClockPeriod);
 }
 
 TEST(AlertRecovery, ConservationAcrossGenuineAndSpuriousAlerts)

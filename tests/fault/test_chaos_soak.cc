@@ -277,7 +277,6 @@ TEST(ChaosSoak, ScriptedNetworkFaultsConserve)
 {
     const std::uint64_t seeds = envU64("SD_FAULT_SOAK_SEEDS", 4);
     const std::uint64_t base = envU64("SD_FAULT_SEED", 1);
-    net::TcpConfig tcp;
     net::LossConfig loss; // no background noise: exact accounting
 
     for (std::uint64_t seed = base; seed < base + seeds; ++seed) {
@@ -288,7 +287,7 @@ TEST(ChaosSoak, ScriptedNetworkFaultsConserve)
         plan.add(Site::kNetReorder, rng.below(100), 1 + rng.below(3));
 
         const auto result =
-            net::tcpTransfer(1 << 20, tcp, loss, seed, &plan);
+            net::tcpTransfer(1 << 20, loss, seed, &plan);
         // burst_len == 1: each scripted drop loses exactly one
         // segment, and each lost segment is retransmitted once.
         EXPECT_EQ(result.retransmits, plan.injected(Site::kNetLoss));

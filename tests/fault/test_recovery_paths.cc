@@ -283,18 +283,17 @@ TEST(RecoveryPaths, ScriptedLossAndReorderAreExact)
 
 TEST(RecoveryPaths, ScriptedBurstLossForcesTcpRecovery)
 {
-    net::TcpConfig tcp;
     net::LossConfig loss;
     loss.burst_len = 4;
 
-    const auto clean = net::tcpTransfer(1 << 20, tcp, loss, /*seed=*/3);
+    const auto clean = net::tcpTransfer(1 << 20, loss, /*seed=*/3);
     EXPECT_EQ(clean.retransmits, 0u);
 
     auto run = [&]() {
         auto plan = fault::FaultPlan(9);
         plan.add(fault::Site::kNetLoss, /*skip=*/40, /*count=*/1);
         plan.add(fault::Site::kNetReorder, /*skip=*/100, /*count=*/1);
-        return net::tcpTransfer(1 << 20, tcp, loss, /*seed=*/3, &plan);
+        return net::tcpTransfer(1 << 20, loss, /*seed=*/3, &plan);
     };
     const auto faulty = run();
     EXPECT_EQ(faulty.retransmits, 4u) << "one scripted burst of 4";

@@ -49,8 +49,8 @@ TEST(AddressMap, SequentialPagesStripeAcrossBanks)
     // Consecutive rows-worth of data land in different banks before
     // reusing a bank (col bits below bank bits).
     const auto c0 = map.decompose(0);
-    const auto c1 = map.decompose(g.row_bytes);
-    EXPECT_NE(c0.flatBank(g), c1.flatBank(g));
+    const auto c1 = map.decompose(mem::kRowBytes);
+    EXPECT_NE(c0.flatBank(), c1.flatBank());
 }
 
 TEST(AddressMap, ComposeInvertsDecomposeCapacityInterleave)
@@ -152,15 +152,15 @@ TEST(AddressMap, FlatBankUniqueAcrossDimms)
     g.dimms_per_channel = 3;
     std::vector<bool> seen(g.totalBanks(), false);
     for (unsigned d = 0; d < g.dimms_per_channel; ++d)
-        for (unsigned r = 0; r < g.ranks; ++r)
-            for (unsigned bg = 0; bg < g.bank_groups; ++bg)
-                for (unsigned b = 0; b < g.banks_per_group; ++b) {
+        for (unsigned r = 0; r < mem::kRanks; ++r)
+            for (unsigned bg = 0; bg < mem::kBankGroups; ++bg)
+                for (unsigned b = 0; b < mem::kBanksPerGroup; ++b) {
                     DramCoord coord;
                     coord.dimm = d;
                     coord.rank = r;
                     coord.bank_group = bg;
                     coord.bank = b;
-                    const unsigned flat = coord.flatBank(g);
+                    const unsigned flat = coord.flatBank();
                     ASSERT_LT(flat, seen.size());
                     EXPECT_FALSE(seen[flat]);
                     seen[flat] = true;
@@ -200,10 +200,10 @@ TEST(AddressMap, CoordFieldsWithinGeometry)
         const auto coord = map.decompose(
             lineAlign(rng.below(g.channel_bytes * g.channels)));
         EXPECT_LT(coord.channel, g.channels);
-        EXPECT_LT(coord.rank, g.ranks);
-        EXPECT_LT(coord.bank_group, g.bank_groups);
-        EXPECT_LT(coord.bank, g.banks_per_group);
-        EXPECT_LT(coord.col, g.linesPerRow());
+        EXPECT_LT(coord.rank, mem::kRanks);
+        EXPECT_LT(coord.bank_group, mem::kBankGroups);
+        EXPECT_LT(coord.bank, mem::kBanksPerGroup);
+        EXPECT_LT(coord.col, mem::kLinesPerRow);
     }
 }
 

@@ -26,10 +26,8 @@ namespace {
 
 using namespace sd;
 using mem::AddressMap;
-using mem::ControllerConfig;
 using mem::DdrCommand;
 using mem::DramGeometry;
-using mem::DramTiming;
 using mem::MemoryController;
 using mem::MemStatus;
 
@@ -103,7 +101,7 @@ class Reentry : public mem::DimmDevice
   public:
     Reentry()
         : map_(geometry()),
-          mc_(events_, map_, DramTiming{}, ControllerConfig{}, 0, *this),
+          mc_(events_, map_, 0, *this),
           bufs_(kMaxRequests)
     {
         mc_.setObserver(&digest_);
@@ -123,8 +121,8 @@ class Reentry : public mem::DimmDevice
     lineAddr(int region, int i)
     {
         const DramGeometry g = geometry();
-        const Addr bank_stride = g.row_bytes;
-        const Addr row_stride = g.row_bytes * g.totalBanks();
+        const Addr bank_stride = mem::kRowBytes;
+        const Addr row_stride = mem::kRowBytes * g.totalBanks();
         const auto u = static_cast<Addr>(i);
         return static_cast<Addr>(region) * 4 * row_stride +
                (u % 8) * bank_stride + ((u / 8) % 3) * row_stride +

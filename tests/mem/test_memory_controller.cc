@@ -20,11 +20,9 @@ namespace {
 
 using namespace sd;
 using mem::AddressMap;
-using mem::ControllerConfig;
 using mem::DdrCommand;
 using mem::DdrCommandType;
 using mem::DramGeometry;
-using mem::DramTiming;
 using mem::MemoryController;
 
 /** Device that delays read-readiness to exercise ALERT_N. */
@@ -78,8 +76,7 @@ struct Rig
 
     Rig()
         : geometry(makeGeometry()), map(geometry),
-          dimm(store), mc(events, map, DramTiming{}, ControllerConfig{},
-                          0, dimm)
+          dimm(store), mc(events, map, 0, dimm)
     {
         mc.setObserver(&tracer);
     }
@@ -159,8 +156,8 @@ TEST(MemoryController, RowConflictsGeneratePrecharges)
     std::uint8_t buf[64];
     const auto &g = rig.geometry;
     // Alternate between two rows of the same bank: row stride =
-    // row_bytes * totalBanks in this layout.
-    const Addr stride = g.row_bytes * g.totalBanks();
+    // kRowBytes * totalBanks in this layout.
+    const Addr stride = mem::kRowBytes * g.totalBanks();
     for (int i = 0; i < 8; ++i)
         rig.readSync((i % 2) * stride, buf);
     EXPECT_GT(rig.mc.stats().row_conflicts, 0u);

@@ -23,10 +23,8 @@ namespace {
 
 using namespace sd;
 using mem::AddressMap;
-using mem::ControllerConfig;
 using mem::DdrCommand;
 using mem::DramGeometry;
-using mem::DramTiming;
 using mem::MemoryController;
 
 /** Plain DRAM backed by the store. */
@@ -83,14 +81,13 @@ runWorkload(bool coalesce)
     geometry.channels = 1;
     AddressMap map(geometry);
     Dimm dimm(store);
-    MemoryController mc(events, map, DramTiming{}, ControllerConfig{}, 0,
-                        dimm);
+    MemoryController mc(events, map, 0, dimm);
     mc.setCoalesceWakeups(coalesce);
     Tracer tracer;
     mc.setObserver(&tracer);
 
-    const Addr bank_stride = geometry.row_bytes;
-    const Addr row_stride = geometry.row_bytes * geometry.totalBanks();
+    const Addr bank_stride = mem::kRowBytes;
+    const Addr row_stride = mem::kRowBytes * geometry.totalBanks();
     Rng rng(7);
     std::vector<std::uint8_t> line(kCacheLineSize);
     rng.fill(line.data(), line.size());

@@ -15,7 +15,6 @@ namespace {
 using namespace sd;
 using net::LossConfig;
 using net::LossInjector;
-using net::TcpConfig;
 using net::tcpTransfer;
 
 TEST(LossInjector, ZeroProbabilityNeverDrops)
@@ -57,21 +56,19 @@ TEST(LossInjector, BurstsDropConsecutively)
 
 TEST(TcpTransfer, LosslessApproachesLineRate)
 {
-    TcpConfig cfg;
-    const auto result = tcpTransfer(256ull << 20, cfg, {});
-    EXPECT_GT(result.goodput_gbps, cfg.link_gbps * 0.5);
+    const auto result = tcpTransfer(256ull << 20, {});
+    EXPECT_GT(result.goodput_gbps, net::kLinkGbps * 0.5);
     EXPECT_EQ(result.retransmits, 0u);
     EXPECT_EQ(result.resyncEvents(), 0u);
 }
 
 TEST(TcpTransfer, ThroughputDecreasesWithLoss)
 {
-    TcpConfig cfg;
     double prev = 1e9;
     for (double p : {0.0, 0.001, 0.005, 0.02}) {
         LossConfig loss;
         loss.drop_prob = p;
-        const auto result = tcpTransfer(64ull << 20, cfg, loss, 7);
+        const auto result = tcpTransfer(64ull << 20, loss, 7);
         EXPECT_LT(result.goodput_gbps, prev * 1.05)
             << "throughput must not grow with loss (p=" << p << ")";
         prev = result.goodput_gbps;
@@ -80,27 +77,25 @@ TEST(TcpTransfer, ThroughputDecreasesWithLoss)
 
 TEST(TcpTransfer, LossTriggersRecoveries)
 {
-    TcpConfig cfg;
     LossConfig loss;
     loss.drop_prob = 0.01;
-    const auto result = tcpTransfer(32ull << 20, cfg, loss, 8);
+    const auto result = tcpTransfer(32ull << 20, loss, 8);
     EXPECT_GT(result.retransmits, 0u);
     EXPECT_GT(result.resyncEvents(), 0u);
 }
 
 TEST(TcpTransfer, ReorderingCountsAsResyncTrigger)
 {
-    TcpConfig cfg;
     LossConfig loss;
     loss.reorder_prob = 0.01;
-    const auto result = tcpTransfer(8ull << 20, cfg, loss, 9);
+    const auto result = tcpTransfer(8ull << 20, loss, 9);
     EXPECT_GT(result.reorder_events, 0u);
     EXPECT_GT(result.resyncEvents(), 0u);
 }
 
 TEST(TcpTransfer, SmallTransferCompletes)
 {
-    const auto result = tcpTransfer(1000, {}, {});
+    const auto result = tcpTransfer(1000, {});
     EXPECT_GT(result.seconds, 0.0);
     EXPECT_EQ(result.segments_sent, 1u);
 }
@@ -109,8 +104,8 @@ TEST(TcpTransfer, DeterministicGivenSeed)
 {
     LossConfig loss;
     loss.drop_prob = 0.005;
-    const auto a = tcpTransfer(16ull << 20, {}, loss, 42);
-    const auto b = tcpTransfer(16ull << 20, {}, loss, 42);
+    const auto a = tcpTransfer(16ull << 20, loss, 42);
+    const auto b = tcpTransfer(16ull << 20, loss, 42);
     EXPECT_EQ(a.seconds, b.seconds);
     EXPECT_EQ(a.retransmits, b.retransmits);
 }

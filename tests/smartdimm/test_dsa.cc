@@ -37,7 +37,7 @@ struct TlsFixture
         rng.fill(iv.data(), iv.size());
         plain.resize(len);
         rng.fill(plain.data(), len);
-        state = std::make_shared<TlsMessageState>(key, iv, len, 24);
+        state = std::make_shared<TlsMessageState>(key, iv, len);
     }
 
     std::vector<std::uint8_t>
@@ -164,7 +164,7 @@ TEST(DeflateDsa, OrderedStreamingCompression)
     for (std::size_t i = 0; i < page.size(); ++i)
         page[i] = static_cast<std::uint8_t>("abcdefgh"[i % 8]);
 
-    DeflateDsaJob job(page.size(), {}, 24);
+    DeflateDsaJob job(page.size(), {});
     EXPECT_TRUE(job.ordered());
     EXPECT_FALSE(job.complete());
 
@@ -192,7 +192,7 @@ TEST(DeflateDsa, OrderedStreamingCompression)
 TEST(DeflateDsa, NoResultsUntilComplete)
 {
     std::vector<std::uint8_t> page(1000, 'x');
-    DeflateDsaJob job(page.size(), {}, 24);
+    DeflateDsaJob job(page.size(), {});
     std::uint8_t line[kCacheLineSize] = {'x'};
     std::uint8_t out[kCacheLineSize];
     job.processLine(0, line);
@@ -206,7 +206,7 @@ TEST(DeflateDsa, IncompressiblePageFallsBackToStored)
     std::vector<std::uint8_t> page(4000);
     rng.fill(page.data(), page.size());
 
-    DeflateDsaJob job(page.size(), {}, 24);
+    DeflateDsaJob job(page.size(), {});
     const std::size_t lines = divCeil(page.size(), kCacheLineSize);
     for (std::size_t l = 0; l < lines; ++l) {
         std::uint8_t padded[kCacheLineSize] = {};

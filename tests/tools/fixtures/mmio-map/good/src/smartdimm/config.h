@@ -11,9 +11,10 @@ enum class MmioReg : unsigned {
     kFaultStatus = 0x080,
 };
 
+inline constexpr std::size_t kMmioBytes = 1ULL << 20;
+
 struct Config {
     Addr mmio_base = 0xF000'0000ULL;
-    Addr mmio_bytes = 1ULL << 20;
 };
 
 } // namespace sd::smartdimm

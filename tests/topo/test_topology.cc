@@ -393,7 +393,7 @@ TEST(ShardDispatcher, ConsecutiveFailuresAutoDegrade)
     spec.channels = 2;
     Topology topo(spec);
     ShardDispatcher dispatcher(topo);
-    const unsigned after = dispatcher.config().degrade_after;
+    const unsigned after = topo::kDegradeAfter;
 
     for (unsigned i = 0; i + 1 < after; ++i)
         dispatcher.noteCompletion(0, compcpy::CompletionStatus::kBailout);

@@ -59,8 +59,11 @@ Rule catalogue:
   dead-parameter  every field of a *Config/*Params/*Timing/*Spec/
                   *Geometry/*Model struct in src/, and every
                   DdrCommandType enumerator, is read somewhere in src/
-                  (a write such as `cfg.x = 3` is not a read). The
-                  parameters not enforced yet are an exact budget.
+                  (a write such as `cfg.x = 3` is not a read), and
+                  each such field is set somewhere in src/, bench/,
+                  examples/, perfbench/ or tests/ (a field nothing
+                  sets is a constant). The parameters not enforced
+                  yet and those nothing sets yet are exact budgets.
 
 Findings ({rule, file, line, context, msg}) are compared against the
 committed baseline tools/sdcheck_baseline.json with the same contract
@@ -596,7 +599,7 @@ MMIO_ENUM_RE = re.compile(r"enum\s+class\s+MmioReg[^{]*\{(.*?)\}",
                           re.DOTALL)
 MMIO_ENTRY_RE = re.compile(r"(\w+)\s*=\s*(0[xX][0-9a-fA-F]+|\d+)")
 MMIO_BYTES_RE = re.compile(
-    r"mmio_bytes\s*=\s*(\d+)\s*ULL\s*<<\s*(\d+)|mmio_bytes\s*=\s*(\d+)")
+    r"kMmioBytes\s*=\s*(\d+)\s*ULL\s*<<\s*(\d+)|kMmioBytes\s*=\s*(\d+)")
 MMIO_REG_BYTES = 64
 
 # Files allowed to touch mmio_base / decode MmioReg numerically: the
@@ -809,7 +812,8 @@ def check_addr_arith(root: pathlib.Path, findings: list, read=None,
 
 
 # --------------------------------------------------------------------------
-# Rule: dead-parameter — config fields and DDR commands nothing reads
+# Rule: dead-parameter — config fields nothing reads or nothing sets,
+# and DDR commands nothing issues
 # --------------------------------------------------------------------------
 
 PARAM_STRUCT_RE = re.compile(
@@ -830,6 +834,51 @@ DEAD_PARAMETER_BUDGET = {
     "DramTiming::tWR": "write recovery before PRE is not enforced",
     "DdrCommandType::kRefresh": "the controller never refreshes",
 }
+
+
+# Parameters nothing sets, each with the reason. A field of a parameter
+# struct that no file in WRITER_DIRS assigns (`.f =`, `->f =`, a
+# designated initializer, a write through a nested member, a memcpy
+# into it) is a fixed value posing as a knob: make it a named constexpr
+# next to its reader. An entry names one field ("Struct::field") or a
+# whole struct ("Struct"). The list is exact, like the one above: an
+# entry that no longer covers an unset field is a finding too.
+UNSET_PARAMETER_BUDGET = {
+    "CostModel": "ROADMAP item 4 calibrates the cost model",
+    "CpuParams": "ROADMAP item 4 calibrates the cost model",
+    "MemoryParams": "ROADMAP item 4 calibrates the cost model",
+    "SmartNicParams": "ROADMAP item 4 calibrates the cost model",
+    "QatParams": "ROADMAP item 4 calibrates the cost model",
+    "SmartDimmParams": "ROADMAP item 4 calibrates the cost model",
+    "CxlParams": "ROADMAP item 4 calibrates the cost model",
+    "OpenLoopConfig": "ROADMAP item 8 replaces the open-loop config",
+    "ServerConfig::model": "the cost model item 4 calibrates",
+    "DramTiming": "read only through its one constexpr, kDramTiming",
+}
+
+WRITER_DIRS = ("src", "bench", "examples", "perfbench", "tests")
+# One assignment target: a member chain, then `=` or a compound
+# assignment (not `==`). Every member named in the chain is written:
+# `spec.llc.size_bytes = x` sets llc as well as size_bytes.
+MEMBER_WRITE_RE = re.compile(
+    r"((?:(?:\.|->)\s*\w+\s*(?:\[[^\]=;]*\]\s*)*)+)"
+    r"(?:[-+*/%|&^]|<<|>>)?=(?!=)")
+MEMCPY_INTO_RE = re.compile(
+    r"\bmemcpy\s*\(\s*\w+((?:\s*(?:\.|->)\s*\w+)+)")
+MEMBER_NAME_RE = re.compile(r"(?:\.|->)\s*(\w+)")
+
+
+def _written_members(files: dict) -> set:
+    """Names of the members some file in @p files (comment-stripped
+    source) assigns; the analyzer's fixtures are not writers."""
+    written = set()
+    for rel, clean in files.items():
+        if is_fixture(rel):
+            continue
+        for regex in (MEMBER_WRITE_RE, MEMCPY_INTO_RE):
+            for m in regex.finditer(clean):
+                written.update(MEMBER_NAME_RE.findall(m.group(1)))
+    return written
 
 
 def _is_function(stmt: str) -> bool:
@@ -872,8 +921,13 @@ def _struct_fields(body: str) -> list:
     return fields
 
 
-def dead_parameter_findings(files: dict, budget: dict) -> list:
-    """@p files maps repo-relative paths to comment-stripped source."""
+def dead_parameter_findings(files: dict, budget: dict,
+                            writers: dict = None,
+                            unset_budget: dict = None) -> list:
+    """@p files maps repo-relative src/ paths to comment-stripped
+    source. With @p writers, the same map for every file under
+    WRITER_DIRS, a field none of them sets is a finding too unless
+    @p unset_budget lists it."""
     declared = []  # (qualified name, bare name, rel, line)
     for rel, clean in sorted(files.items()):
         for m in PARAM_STRUCT_RE.finditer(clean):
@@ -915,17 +969,50 @@ def dead_parameter_findings(files: dict, budget: dict) -> list:
             "dead-parameter", "tools/sdcheck.py", 1, qual,
             f"DEAD_PARAMETER_BUDGET lists {qual}, which is no longer "
             "declared: remove the entry"))
+    if writers is not None:
+        findings.extend(_unset_findings(declared, writers,
+                                        unset_budget or {}))
+    return findings
+
+
+def _unset_findings(declared: list, writers: dict, budget: dict) -> list:
+    written = _written_members(writers)
+    findings, used = [], set()
+    for qual, name, rel, line in declared:
+        if qual.startswith("DdrCommandType::") or name in written:
+            continue
+        entry = next((k for k in (qual, qual.split("::")[0])
+                      if k in budget), None)
+        if entry:
+            used.add(entry)
+            continue
+        findings.append(Finding(
+            "dead-parameter", rel, line, "unset " + qual,
+            f"nothing in {', '.join(WRITER_DIRS)} sets {qual}: make it "
+            "a named constexpr next to its reader (a knob nothing "
+            "turns is a constant)"))
+    for entry in sorted(set(budget) - used):
+        findings.append(Finding(
+            "dead-parameter", "tools/sdcheck.py", 1, "unset " + entry,
+            f"UNSET_PARAMETER_BUDGET lists {entry}, which no unset "
+            "field matches any more: remove the entry"))
     return findings
 
 
 def check_dead_parameters(root: pathlib.Path, findings: list,
-                          budget: dict = DEAD_PARAMETER_BUDGET):
-    files = {
-        p.relative_to(root).as_posix():
-            strip_comments_and_strings(p.read_text())
-        for p in sorted((root / "src").rglob("*"))
-        if p.suffix in SRC_EXTS and p.is_file()}
-    findings.extend(dead_parameter_findings(files, budget))
+                          budget: dict = DEAD_PARAMETER_BUDGET,
+                          unset_budget: dict = UNSET_PARAMETER_BUDGET):
+    writers = {}
+    for sub in WRITER_DIRS:
+        for p in sorted((root / sub).rglob("*")):
+            if p.suffix in SRC_EXTS | {".cpp"} and p.is_file():
+                writers[p.relative_to(root).as_posix()] = \
+                    strip_comments_and_strings(p.read_text())
+    files = {rel: clean for rel, clean in writers.items()
+             if rel.startswith("src/") and
+             pathlib.PurePosixPath(rel).suffix in SRC_EXTS}
+    findings.extend(dead_parameter_findings(files, budget, writers,
+                                            unset_budget))
 
 
 # --------------------------------------------------------------------------
@@ -956,7 +1043,7 @@ TOPOLOGY_CTOR_RE = re.compile(
 # above *or* below its budget is a finding, so budgets only ratchet.
 INJECTED_MODULES = ("mem", "smartdimm", "compcpy", "net")
 RECOVERABLE_ASSERT_BUDGET = {
-    "src/mem/address_map.cc": 3,  # construction-time geometry invariants
+    "src/mem/address_map.cc": 2,  # construction-time geometry invariants
     "src/mem/cxl_link.cc": 2,  # construction-time link-config invariants
     "src/mem/bank_state.h": 1,
     "src/mem/dimm_mux.h": 2,  # chip-select decode of a malformed coord
@@ -1319,6 +1406,68 @@ DEAD_PARAMETER_SELF_TESTS = [
 ]
 
 
+UNSET_PARAMETER_SELF_TESTS = [
+    # (name, {path: source}, unset budget, expected finding contexts).
+    # Every field is read in src/, so only unset findings can appear.
+    ("set-in-tests",
+     {"src/a/cfg.h": "struct FooConfig { int a = 1; int b = 2; };",
+      "src/a/use.cc": "int f(const FooConfig &c) { return c.a + c.b; }",
+      "tests/a/t.cc": "void g(FooConfig &c) { c.a = 3; }"},
+     {}, ["unset FooConfig::b"]),
+    ("each-writer-dir-counts",
+     {"src/a/cfg.h": "struct FooConfig { int a = 1; int b = 2;\n"
+                     "  int c = 3; int d = 4; int e = 5; };",
+      "src/a/use.cc": "int f(const FooConfig &c) {\n"
+                      "  return c.a + c.b + c.c + c.d + c.e; }\n"
+                      "void s(FooConfig *p) { p->a = 1; }",
+      "bench/b.cc": "void g(FooConfig &c) { c.b = 3; }",
+      "examples/e.cpp": "void g(FooConfig &c) { c.c = 3; }",
+      "perfbench/p.cc": "void g(FooConfig &c) { c.d = 3; }",
+      "tests/t.cc": "void g(FooConfig &c) { c.e = 3; }"},
+     {}, []),
+    ("designated-nested-memcpy-compound",
+     {"src/a/cfg.h": "struct FooConfig { int a = 1; BarSpec inner;\n"
+                     "  std::uint8_t key[16]; int n = 0; };\n"
+                     "struct BarSpec { int x = 0; };",
+      "src/a/use.cc": "int f(const FooConfig &c) {\n"
+                      "  return c.a + c.inner.x + c.key[0] + c.n; }",
+      "tests/t.cc": "FooConfig c{.a = 2};\n"
+                    "void g(FooConfig &c, const std::uint8_t *k) {\n"
+                    "  c.inner.x = 1; std::memcpy(c.key, k, 16);\n"
+                    "  c.n += 1; }"},
+     {}, []),  # c.inner.x = 1 sets both inner and x
+    ("compare-is-not-a-write",
+     {"src/a/cfg.h": "struct FooParams { int a = 1; };",
+      "src/a/use.cc": "bool f(const FooParams &p) {\n"
+                      "  return p.a == 1 || p.a != 2 || p.a <= 3 ||"
+                      " p.a >= 4; }"},
+     {}, ["unset FooParams::a"]),
+    ("fixture-writes-ignored",
+     {"src/a/cfg.h": "struct FooConfig { int a = 1; };",
+      "src/a/use.cc": "int f(const FooConfig &c) { return c.a; }",
+      "tests/tools/fixtures/x/src/w.cc":
+          "void g(FooConfig &c) { c.a = 3; }"},
+     {}, ["unset FooConfig::a"]),
+    # Both sides of the exact budget, by field and by struct.
+    ("budgeted-unset-field",
+     {"src/a/cfg.h": "struct FooConfig { int a = 1; };",
+      "src/a/use.cc": "int f(const FooConfig &c) { return c.a; }"},
+     {"FooConfig::a": "calibrated later"}, []),
+    ("budgeted-unset-struct",
+     {"src/a/cfg.h": "struct FooModel { int a = 1; int b = 2; };",
+      "src/a/use.cc": "int f(const FooModel &m) { return m.a + m.b; }"},
+     {"FooModel": "calibrated later"}, []),
+    ("budgeted-field-now-set",
+     {"src/a/cfg.h": "struct FooConfig { int a = 1; };",
+      "src/a/use.cc": "int f(FooConfig &c) { c.a = 2; return c.a; }"},
+     {"FooConfig::a": "calibrated later"}, ["unset FooConfig::a"]),
+    ("budgeted-struct-gone",
+     {"src/a/cfg.h": "struct FooConfig { int a = 1; };",
+      "src/a/use.cc": "int f(FooConfig &c) { c.a = 2; return c.a; }"},
+     {"GoneConfig": "deleted"}, ["unset GoneConfig"]),
+]
+
+
 def run_fixture(root: pathlib.Path, rule: str) -> list:
     """Run exactly one rule family over a fixture tree."""
     findings = []
@@ -1335,7 +1484,7 @@ def run_fixture(root: pathlib.Path, rule: str) -> list:
             if p.suffix in SRC_EXTS and p.is_file())
         check_addr_arith(root, findings, audited=audited)
     elif rule == "dead-parameter":
-        check_dead_parameters(root, findings, budget={})
+        check_dead_parameters(root, findings, budget={}, unset_budget={})
     else:
         raise ValueError(f"unknown fixture rule {rule}")
     return findings
@@ -1376,6 +1525,21 @@ def self_test(repo_root: pathlib.Path) -> int:
                   f"{sorted(expected)}, got {got}")
         else:
             print(f"ok   dead-parameter/{name}")
+
+    for name, sources, budget, expected in UNSET_PARAMETER_SELF_TESTS:
+        writers = {rel: strip_comments_and_strings(src)
+                   for rel, src in sources.items()}
+        files = {rel: clean for rel, clean in writers.items()
+                 if rel.startswith("src/")}
+        got = sorted(f.context
+                     for f in dead_parameter_findings(files, {}, writers,
+                                                      budget))
+        if got != sorted(expected):
+            failures += 1
+            print(f"FAIL unset-parameter/{name}: expected "
+                  f"{sorted(expected)}, got {got}")
+        else:
+            print(f"ok   unset-parameter/{name}")
 
     # 3. On-disk fixtures: tests/tools/fixtures/<rule>/{good,bad}/ —
     # good trees must be clean, bad trees must raise >= 1 finding of
