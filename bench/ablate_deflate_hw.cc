@@ -3,7 +3,10 @@
  * Ablation: hardware Deflate pipeline design choices (Sec. V-B) —
  * parallelisation-window width and the best-effort bank-conflict
  * policy vs compression ratio and pipeline throughput, against the
- * software encoder's ratio as the upper bound.
+ * software encoder's ratio as the upper bound. A kernel
+ * micro-benchmark: it sweeps compress::hwDeflateCompress directly.
+ * The simulated Deflate DSA always runs the default pipeline (window
+ * 8, best-effort banking) at kDsaLineLatency per line.
  */
 
 #include <benchmark/benchmark.h>

@@ -59,13 +59,6 @@ CompCpyEngine::CompCpyEngine(cache::MemorySystem &memory, Driver &driver,
 
 CompCpyEngine::~CompCpyEngine() = default;
 
-bool
-CompCpyEngine::injectFault(fault::Site site)
-{
-    return fault_plan_ && fault_plan_->armed(site) &&
-           fault_plan_->shouldInject(site, fault_scope_);
-}
-
 std::size_t
 CompCpyEngine::destPages(const CompCpyParams &params)
 {
@@ -358,8 +351,10 @@ CompCpyEngine::copyLines(std::uint32_t id)
     bool fence_violation = false;
     std::size_t window;
     if (p.ordered) {
-        fence_violation = lines - flow.cursor >= 2 &&
-                          injectFault(fault::Site::kOrderedFence);
+        fence_violation =
+            lines - flow.cursor >= 2 &&
+            fault::fires(fault_plan_, fault::Site::kOrderedFence,
+                         fault_scope_);
         window = fence_violation ? 2 : 1;
         if (fence_violation) {
             ++stats_.fence_violations;

@@ -238,7 +238,6 @@ class CompCpyEngine
     void finishFlow(std::uint32_t id);
     void completeFlow(std::uint32_t id, std::uint64_t fresh_rejections);
     void useLineDone(std::uint32_t id);
-    bool injectFault(fault::Site site);
 
     cache::MemorySystem &memory_;
     Driver &driver_;

@@ -47,14 +47,6 @@ WorkQueue::WorkQueue(CompCpyEngine &engine, const WorkQueueConfig &config)
 
 WorkQueue::~WorkQueue() = default;
 
-bool
-WorkQueue::injectFault(fault::Site site)
-{
-    fault::FaultPlan *plan = engine_.faultPlan();
-    return plan && plan->armed(site) &&
-           plan->shouldInject(site, engine_.faultScope());
-}
-
 std::size_t
 WorkQueue::occupancy() const
 {
@@ -82,7 +74,9 @@ WorkQueue::submit(const Descriptor &desc, std::uint16_t submitter,
     // exactly one rejected submit — the soak conservation invariant.
     const bool genuinely_full = occupancy() >= config_.depth;
     const bool injected_full =
-        !genuinely_full && injectFault(fault::Site::kQueueFull);
+        !genuinely_full && fault::fires(engine_.faultPlan(),
+                                        fault::Site::kQueueFull,
+                                        engine_.faultScope());
     if (genuinely_full || injected_full) {
         ++stats_.rejected_full;
         if (injected_full)
@@ -263,7 +257,9 @@ WorkQueue::descriptorExecuted(const std::shared_ptr<Pending> &p)
                 // been holding since submit: delivery IS the record,
                 // so there is no lossy host write and no polling. The
                 // failure mode is the response itself timing out.
-                if (injectFault(fault::Site::kCxlTimeout)) {
+                if (fault::fires(engine_.faultPlan(),
+                                 fault::Site::kCxlTimeout,
+                                 engine_.faultScope())) {
                     ++stats_.withheld_timeouts;
                     // The offload DID run, but the host cannot trust a
                     // completion it never saw — the synthesised record
@@ -286,7 +282,9 @@ WorkQueue::descriptorExecuted(const std::shared_ptr<Pending> &p)
                 writeRecord(p, /*recovered=*/false);
                 return;
             }
-            if (injectFault(fault::Site::kLostCompletion)) {
+            if (fault::fires(engine_.faultPlan(),
+                             fault::Site::kLostCompletion,
+                             engine_.faultScope())) {
                 ++stats_.lost_records;
                 trace::tracer().faultEvent(p->desc.ops[0].dbuf / kPageSize,
                                            engine_.memory().events().now(),

@@ -271,7 +271,6 @@ class WorkQueue
         bool recorded = false; ///< completion record written
     };
 
-    bool injectFault(fault::Site site);
     std::uint64_t accept(const Descriptor &desc, std::uint16_t submitter,
                          CompletionCallback on_complete);
     void ringDoorbell(const std::shared_ptr<Pending> &p);

@@ -4,29 +4,7 @@
 
 namespace sd::crypto {
 
-namespace {
-
-inline kernels::Block128
-toBlock(const Gf128 &v)
-{
-    return kernels::Block128{v.hi, v.lo};
-}
-
-inline Gf128
-fromBlock(const kernels::Block128 &v)
-{
-    return Gf128{v.hi, v.lo};
-}
-
-} // namespace
-
-Gf128
-gfMul(const Gf128 &a, const Gf128 &b)
-{
-    return fromBlock(kernels::gfMulScalar(toBlock(a), toBlock(b)));
-}
-
-Ghash::Ghash(const Gf128 &h) : key_(kernels::ghashKeyInit(toBlock(h)))
+Ghash::Ghash(const Gf128 &h) : key_(kernels::ghashKeyInit(h))
 {
     // One reservation up front (sized for the largest TLS record)
     // instead of growing the vector lazily mid-record.
@@ -37,15 +15,13 @@ Ghash::Ghash(const Gf128 &h) : key_(kernels::ghashKeyInit(toBlock(h)))
 void
 Ghash::update(const std::uint8_t block[16])
 {
-    y_ = fromBlock(
-        kernels::gfMulByH(key_, toBlock(y_ ^ Gf128::load(block))));
+    y_ = kernels::gfMulByH(key_, y_ ^ Gf128::load(block));
 }
 
 void
 Ghash::updateBlocks(const std::uint8_t *blocks, std::size_t nblocks)
 {
-    y_ = fromBlock(
-        kernels::ghashFold(key_, toBlock(y_), blocks, nblocks));
+    y_ = kernels::ghashFold(key_, y_, blocks, nblocks);
 }
 
 const Gf128 &
@@ -53,8 +29,7 @@ Ghash::extendPowers(std::size_t k)
 {
     SD_ASSERT(k >= 1, "H^0 is never used by GHASH");
     while (powers_.size() < k)
-        powers_.push_back(fromBlock(kernels::gfMulByH(
-            key_, toBlock(powers_.back()))));
+        powers_.push_back(kernels::gfMulByH(key_, powers_.back()));
     return powers_[k - 1];
 }
 
@@ -63,9 +38,8 @@ Ghash::positional(const std::uint8_t block[16], std::size_t index,
                   std::size_t total_blocks)
 {
     SD_ASSERT(index < total_blocks, "block index outside message");
-    return fromBlock(kernels::gfMulVia(
-        key_.tier, toBlock(Gf128::load(block)),
-        toBlock(power(total_blocks - index))));
+    return kernels::gfMulVia(key_.tier, Gf128::load(block),
+                             power(total_blocks - index));
 }
 
 } // namespace sd::crypto

@@ -14,69 +14,23 @@
 #ifndef SD_CRYPTO_GHASH_H
 #define SD_CRYPTO_GHASH_H
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "kernels/ghash_kernel.h"
 
 namespace sd::crypto {
 
-/** A 128-bit GF(2^128) element in GCM bit order (big-endian bytes). */
-struct Gf128
-{
-    std::uint64_t hi = 0; ///< bytes 0..7 (big-endian most significant)
-    std::uint64_t lo = 0; ///< bytes 8..15
-    bool operator==(const Gf128 &) const = default;
-
-    /** Load from 16 big-endian bytes. */
-    static Gf128
-    load(const std::uint8_t bytes[16])
-    {
-        std::uint64_t hi;
-        std::uint64_t lo;
-        std::memcpy(&hi, bytes, 8);
-        std::memcpy(&lo, bytes + 8, 8);
-        return Gf128{beToHost(hi), beToHost(lo)};
-    }
-
-    /** Store to 16 big-endian bytes. */
-    void
-    store(std::uint8_t bytes[16]) const
-    {
-        const std::uint64_t be_hi = beToHost(hi);
-        const std::uint64_t be_lo = beToHost(lo);
-        std::memcpy(bytes, &be_hi, 8);
-        std::memcpy(bytes + 8, &be_lo, 8);
-    }
-
-    /** Big-endian <-> host conversion (an involution). */
-    static std::uint64_t
-    beToHost(std::uint64_t v)
-    {
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
-        return v;
-#else
-        return __builtin_bswap64(v);
-#endif
-    }
-
-    /** XOR (addition in GF(2^128)). */
-    Gf128
-    operator^(const Gf128 &o) const
-    {
-        return Gf128{hi ^ o.hi, lo ^ o.lo};
-    }
-};
+/** A 128-bit GF(2^128) element: the kernel layer's type. */
+using Gf128 = kernels::Block128;
 
 /**
  * Carry-less multiply in GF(2^128) with the GCM polynomial — the
  * bit-serial scalar reference (the kernel tiers are tested against
  * it; use Ghash for the fast paths).
  */
-Gf128 gfMul(const Gf128 &a, const Gf128 &b);
+inline constexpr auto &gfMul = kernels::gfMulScalar;
 
 /**
  * Upper bound on the powers of H one TLS record can need: a 16 KB

@@ -177,6 +177,17 @@ class FaultPlan
     SiteState sites_[static_cast<std::size_t>(Site::kCount)];
 };
 
+/**
+ * The injection check every site makes: true when @p plan (may be
+ * null) injects at @p site. An unarmed site returns before
+ * shouldInject(), so it counts no trigger.
+ */
+inline bool
+fires(FaultPlan *plan, Site site, const FaultScope &scope = {})
+{
+    return plan && plan->armed(site) && plan->shouldInject(site, scope);
+}
+
 } // namespace sd::fault
 
 #endif // SD_FAULT_FAULT_H

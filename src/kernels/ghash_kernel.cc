@@ -1,7 +1,6 @@
 #include "kernels/ghash_kernel.h"
 
 #include <array>
-#include <cstring>
 
 #include "common/log.h"
 
@@ -100,21 +99,6 @@ buildMul8(const Block128 &h, Block128 *m)
     for (unsigned i = 2; i < 256; i <<= 1)
         for (unsigned j = 1; j < i; ++j)
             m[i | j] = m[i] ^ m[j];
-}
-
-/** Load 16 big-endian bytes into a field element. */
-inline Block128
-loadBlock(const std::uint8_t bytes[16])
-{
-    std::uint64_t hi;
-    std::uint64_t lo;
-    std::memcpy(&hi, bytes, 8);
-    std::memcpy(&lo, bytes + 8, 8);
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
-    return Block128{hi, lo};
-#else
-    return Block128{__builtin_bswap64(hi), __builtin_bswap64(lo)};
-#endif
 }
 
 } // namespace
@@ -227,7 +211,7 @@ ghashFold(const GhashKey &key, Block128 y, const std::uint8_t *blocks,
         while (nblocks >= 4) {
             Block128 x[4];
             for (int j = 0; j < 4; ++j)
-                x[j] = loadBlock(blocks + 16 * j);
+                x[j] = Block128::load(blocks + 16 * j);
             x[0] = x[0] ^ y;
             // Four independent Shoup Horner chains, stepped in
             // lockstep so the table loads pipeline.
@@ -246,7 +230,7 @@ ghashFold(const GhashKey &key, Block128 y, const std::uint8_t *blocks,
         }
     }
     for (std::size_t i = 0; i < nblocks; ++i)
-        y = gfMulByH(key, y ^ loadBlock(blocks + 16 * i));
+        y = gfMulByH(key, y ^ Block128::load(blocks + 16 * i));
     return y;
 }
 

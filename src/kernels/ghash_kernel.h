@@ -10,8 +10,8 @@
  *    4-bit table for general a*b (powers of H, positional folds).
  *  - native: PCLMULQDQ carry-less multiply (see native_x86.cc).
  *
- * The kernel layer works on raw 64-bit halves so it has no dependency
- * on the crypto layer; crypto::Gf128 converts trivially.
+ * The kernel layer has no dependency on the crypto layer; its field
+ * element type is crypto::Gf128.
  */
 
 #ifndef SD_KERNELS_GHASH_KERNEL_H
@@ -19,20 +19,54 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "kernels/dispatch.h"
 
 namespace sd::kernels {
 
-/** A 128-bit GCM field element: hi = big-endian bytes 0..7. */
+/** A 128-bit GF(2^128) element in GCM bit order (big-endian bytes). */
 struct Block128
 {
-    std::uint64_t hi = 0;
-    std::uint64_t lo = 0;
+    std::uint64_t hi = 0; ///< bytes 0..7 (big-endian most significant)
+    std::uint64_t lo = 0; ///< bytes 8..15
 
     bool operator==(const Block128 &) const = default;
 
+    /** Load from 16 big-endian bytes. */
+    static Block128
+    load(const std::uint8_t bytes[16])
+    {
+        std::uint64_t hi;
+        std::uint64_t lo;
+        std::memcpy(&hi, bytes, 8);
+        std::memcpy(&lo, bytes + 8, 8);
+        return Block128{beToHost(hi), beToHost(lo)};
+    }
+
+    /** Store to 16 big-endian bytes. */
+    void
+    store(std::uint8_t bytes[16]) const
+    {
+        const std::uint64_t be_hi = beToHost(hi);
+        const std::uint64_t be_lo = beToHost(lo);
+        std::memcpy(bytes, &be_hi, 8);
+        std::memcpy(bytes + 8, &be_lo, 8);
+    }
+
+    /** Big-endian <-> host conversion (an involution). */
+    static std::uint64_t
+    beToHost(std::uint64_t v)
+    {
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+        return v;
+#else
+        return __builtin_bswap64(v);
+#endif
+    }
+
+    /** XOR (addition in GF(2^128)). */
     Block128
     operator^(const Block128 &o) const
     {

@@ -43,10 +43,8 @@ CxlLink::transfer(std::size_t bytes)
         ++stats_.queued;
         stats_.queue_ticks += start - now;
     }
-    if (fault_plan_ &&
-        fault_plan_->armed(fault::Site::kCxlLinkStall) &&
-        fault_plan_->shouldInject(fault::Site::kCxlLinkStall,
-                                  fault_scope_)) {
+    if (fault::fires(fault_plan_, fault::Site::kCxlLinkStall,
+                     fault_scope_)) {
         // CRC retry episode: the flit replays after a fixed penalty.
         ++stats_.injected_stalls;
         start += stall_ticks_;

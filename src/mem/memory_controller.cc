@@ -295,9 +295,8 @@ MemoryController::readDataPhase(std::uint32_t slot)
         retryAlert(slot, /*spurious=*/false);
         return;
     }
-    if (fault_plan_ && fault_plan_->armed(fault::Site::kAlertStorm)
-        && fault_plan_->shouldInject(fault::Site::kAlertStorm,
-                                     {static_cast<int>(channel_), -1})) {
+    if (fault::fires(fault_plan_, fault::Site::kAlertStorm,
+                     {static_cast<int>(channel_), -1})) {
         // Injected storm: treat the good read as if the device had
         // asserted ALERT_N (data is discarded and re-read).
         retryAlert(slot, /*spurious=*/true);
@@ -370,10 +369,9 @@ MemoryController::updateWriteDrain()
         // the write queue keeps backing up (exercises queue-pressure
         // paths above the high watermark).
         const bool delayed =
-            !write_drain_ && fault_plan_ &&
-            fault_plan_->armed(fault::Site::kWriteDrainDelay) &&
-            fault_plan_->shouldInject(fault::Site::kWriteDrainDelay,
-                                      {static_cast<int>(channel_), -1});
+            !write_drain_ &&
+            fault::fires(fault_plan_, fault::Site::kWriteDrainDelay,
+                         {static_cast<int>(channel_), -1});
         if (!delayed)
             write_drain_ = true;
     }

@@ -47,8 +47,7 @@ class LossInjector
             ++drops_;
             return true;
         }
-        if (fault_plan_ && fault_plan_->armed(fault::Site::kNetLoss) &&
-            fault_plan_->shouldInject(fault::Site::kNetLoss)) {
+        if (fault::fires(fault_plan_, fault::Site::kNetLoss)) {
             burst_remaining_ = config_.burst_len - 1;
             ++scripted_drops_;
             ++drops_;
@@ -66,8 +65,7 @@ class LossInjector
     bool
     shouldReorder()
     {
-        if (fault_plan_ && fault_plan_->armed(fault::Site::kNetReorder) &&
-            fault_plan_->shouldInject(fault::Site::kNetReorder)) {
+        if (fault::fires(fault_plan_, fault::Site::kNetReorder)) {
             ++scripted_reorders_;
             ++reorders_;
             return true;

@@ -43,13 +43,6 @@ BufferDevice::onCommand(const mem::DdrCommand &cmd)
     bank_table_.onCommand(cmd);
 }
 
-bool
-BufferDevice::injectFault(fault::Site site)
-{
-    return fault_plan_ && fault_plan_->armed(site) &&
-           fault_plan_->shouldInject(site, fault_scope_);
-}
-
 void
 BufferDevice::rejectRegistration(std::uint64_t dbuf_page)
 {
@@ -69,7 +62,8 @@ BufferDevice::handleMmioRead(Addr addr, std::uint8_t *data)
     switch (static_cast<MmioReg>(off)) {
       case MmioReg::kFreePages: {
         std::uint64_t free = scratchpad_.freePages();
-        if (injectFault(fault::Site::kFreePagesLie)) {
+        if (fault::fires(fault_plan_, fault::Site::kFreePagesLie,
+                         fault_scope_)) {
             // Lie low: claiming exhaustion drives the software down
             // Alg. 1's Force-Recycle path, which a fault-free run of a
             // small workload would rarely exercise.
@@ -135,7 +129,8 @@ BufferDevice::registerTls(const std::uint8_t *data)
     // (genuine exhaustion after a stale freePages read, or an injected
     // fault) unwinds to the pre-registration state.
     std::optional<std::uint32_t> scratch;
-    if (!injectFault(fault::Site::kScratchpadExhaust))
+    if (!fault::fires(fault_plan_, fault::Site::kScratchpadExhaust,
+                      fault_scope_))
         scratch = scratchpad_.allocate();
     if (!scratch) {
         rejectRegistration(reg.dbuf_page);
@@ -147,7 +142,8 @@ BufferDevice::registerTls(const std::uint8_t *data)
         // Config Memory slot holds the shipped context (key material,
         // IV; H powers are derived inside the DSA model).
         std::optional<std::uint32_t> slot;
-        if (!injectFault(fault::Site::kConfigMemExhaust))
+        if (!fault::fires(fault_plan_, fault::Site::kConfigMemExhaust,
+                      fault_scope_))
             slot = config_memory_.allocate();
         if (!slot) {
             scratchpad_.release(*scratch);
@@ -161,17 +157,17 @@ BufferDevice::registerTls(const std::uint8_t *data)
     }
 
     // Shared per-message state (partial tag + H-power table).
-    auto &state = message_states_[reg.message_id];
-    const bool fresh_state = !state;
-    if (!state)
-        state = std::make_shared<TlsMessageState>(
+    TlsMessage &message = messages_[reg.message_id];
+    const bool fresh_state = !message.state;
+    if (fresh_state)
+        message.state = std::make_shared<TlsMessageState>(
             reg.key, [&] {
                 crypto::GcmIv iv{};
                 std::memcpy(iv.data(), reg.iv, iv.size());
                 return iv;
             }(), reg.message_len, &dsa_stats_);
 
-    auto job = std::make_shared<TlsDsaJob>(state, reg.page_index);
+    auto job = std::make_shared<TlsDsaJob>(message.state, reg.page_index);
 
     Translation src_t;
     src_t.kind = MappingKind::kConfigMemory;
@@ -179,7 +175,7 @@ BufferDevice::registerTls(const std::uint8_t *data)
     src_t.dest_page = reg.dbuf_page;
     if (!tag_only && !translation_.insert(reg.sbuf_page, src_t)) {
         if (fresh_state)
-            message_states_.erase(reg.message_id);
+            messages_.erase(reg.message_id);
         config_memory_.release(slot_id);
         scratchpad_.release(*scratch);
         rejectRegistration(reg.dbuf_page);
@@ -195,20 +191,18 @@ BufferDevice::registerTls(const std::uint8_t *data)
             config_memory_.release(slot_id);
         }
         if (fresh_state)
-            message_states_.erase(reg.message_id);
+            messages_.erase(reg.message_id);
         scratchpad_.release(*scratch);
         rejectRegistration(reg.dbuf_page);
         return;
     }
 
-    if (!tag_only) {
+    if (!tag_only)
         sources_[reg.sbuf_page] =
-            SourceEntry{job, reg.dbuf_page, slot_id};
-        sbuf_message_[reg.sbuf_page] = reg.message_id;
-    }
+            SourceEntry{job, reg.dbuf_page, slot_id, reg.message_id};
     dests_[reg.dbuf_page] =
         DestEntry{job, tag_only ? 0 : reg.sbuf_page, *scratch};
-    message_pages_[reg.message_id].push_back(reg.dbuf_page);
+    message.dest_pages.push_back(reg.dbuf_page);
 
     ++stats_.registrations;
 }
@@ -219,14 +213,16 @@ BufferDevice::registerDeflate(const std::uint8_t *data)
     const auto reg = DeflatePageRegistration::unpack(data);
 
     std::optional<std::uint32_t> slot;
-    if (!injectFault(fault::Site::kConfigMemExhaust))
+    if (!fault::fires(fault_plan_, fault::Site::kConfigMemExhaust,
+                      fault_scope_))
         slot = config_memory_.allocate();
     if (!slot) {
         rejectRegistration(reg.dbuf_page);
         return;
     }
     std::optional<std::uint32_t> scratch;
-    if (!injectFault(fault::Site::kScratchpadExhaust))
+    if (!fault::fires(fault_plan_, fault::Site::kScratchpadExhaust,
+                      fault_scope_))
         scratch = scratchpad_.allocate();
     if (!scratch) {
         config_memory_.release(*slot);
@@ -256,8 +252,8 @@ BufferDevice::registerDeflate(const std::uint8_t *data)
         return;
     }
 
-    auto job = std::make_shared<DeflateDsaJob>(
-        reg.payload_bytes, deflate_config_, &dsa_stats_);
+    auto job =
+        std::make_shared<DeflateDsaJob>(reg.payload_bytes, &dsa_stats_);
     sources_[reg.sbuf_page] = SourceEntry{job, reg.dbuf_page, *slot};
     dests_[reg.dbuf_page] = DestEntry{job, reg.sbuf_page, *scratch};
 
@@ -311,19 +307,17 @@ BufferDevice::materializeResults(std::uint64_t dbuf_page)
     if (it == dests_.end())
         return;
     DestEntry &entry = it->second;
-    std::uint8_t line_data[kCacheLineSize];
-    // Visit only lines that became available since the last wakeup
-    // (ascending order, matching the historical full scan). Most
-    // wakeups stage exactly one line.
+    // Stage only lines that became ready since the last wakeup, in
+    // ascending order. Most wakeups stage exactly one line.
     std::uint64_t todo = entry.job->readyMask() & ~entry.staged;
+    entry.staged |= todo;
+    const std::uint8_t *result = entry.job->resultPage();
     while (todo) {
         const unsigned line =
             static_cast<unsigned>(std::countr_zero(todo));
         todo &= todo - 1;
-        if (!entry.job->resultLine(line, line_data))
-            continue;
-        entry.staged |= std::uint64_t{1} << line;
-        scratchpad_.writeLine(entry.scratch_page, line, line_data);
+        scratchpad_.writeLine(entry.scratch_page, line,
+                              result + line * kCacheLineSize);
         trace::tracer().pageEvent(dbuf_page, trace::Stage::kStage,
                                   events_.now(),
                                   dbuf_page * kPageSize +
@@ -356,21 +350,18 @@ BufferDevice::feedDsa(std::uint64_t sbuf_page, unsigned line,
                               events_.now(),
                               sbuf_page * kPageSize + line * kCacheLineSize);
 
-    const Cycles busy = entry.job->processLine(line, data);
+    entry.job->processLine(line, data);
     const Tick ready_at =
-        events_.now() + buffer_clock_.toTicks(
-                            busy ? busy : kDsaLineLatency);
+        events_.now() + buffer_clock_.toTicks(kDsaLineLatency);
     events_.schedule(ready_at,
                      [this, dbuf_page] { materializeResults(dbuf_page); });
 
     // When a TLS record just completed, trailer/tag lines on *other*
     // destination pages of the same message become available too.
-    auto msg_it = sbuf_message_.find(sbuf_page);
-    if (msg_it != sbuf_message_.end()) {
-        const std::uint64_t message_id = msg_it->second;
-        auto pages_it = message_pages_.find(message_id);
-        if (pages_it != message_pages_.end()) {
-            for (std::uint64_t page : pages_it->second) {
+    if (entry.message_id) {
+        auto msg = messages_.find(*entry.message_id);
+        if (msg != messages_.end()) {
+            for (std::uint64_t page : msg->second.dest_pages) {
                 if (page == dbuf_page)
                     continue;
                 events_.schedule(ready_at, [this, page] {
@@ -394,20 +385,14 @@ BufferDevice::retirePage(std::uint64_t dbuf_page)
         config_memory_.release(src->second.config_slot);
         translation_.erase(sbuf_page);
         sources_.erase(src);
-        sbuf_message_.erase(sbuf_page);
     }
     translation_.erase(dbuf_page);
     dests_.erase(it);
 
-    // Lazily sweep finished TLS message state.
-    for (auto ms = message_states_.begin(); ms != message_states_.end();) {
-        if (ms->second->complete()) {
-            message_pages_.erase(ms->first);
-            ms = message_states_.erase(ms);
-        } else {
-            ++ms;
-        }
-    }
+    // Lazily sweep finished TLS records.
+    std::erase_if(messages_, [](const auto &message) {
+        return message.second.state->complete();
+    });
 }
 
 mem::ReadResponse
@@ -564,13 +549,15 @@ BufferDevice::reportStats(trace::StatsBlock &block) const
     block.scalar("dsa.tls_messages",
                  static_cast<double>(dsa_stats_.tls_messages));
     block.scalar("dsa.tls_busy_cycles",
-                 static_cast<double>(dsa_stats_.tls_busy_cycles));
+                 static_cast<double>(dsa_stats_.tls_lines *
+                                     kDsaLineLatency));
     block.scalar("dsa.deflate_lines",
                  static_cast<double>(dsa_stats_.deflate_lines));
     block.scalar("dsa.deflate_pages",
                  static_cast<double>(dsa_stats_.deflate_pages));
     block.scalar("dsa.deflate_busy_cycles",
-                 static_cast<double>(dsa_stats_.deflate_busy_cycles));
+                 static_cast<double>(dsa_stats_.deflate_lines *
+                                     kDsaLineLatency));
     block.scalar("dsa.deflate_output_bytes",
                  static_cast<double>(dsa_stats_.deflate_output_bytes));
     block.scalar("dsa.deflate_order_faults",

@@ -25,11 +25,11 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
-#include "compress/hw_deflate.h"
 #include "fault/fault.h"
 #include "mem/backing_store.h"
 #include "mem/dram_command.h"
@@ -148,6 +148,8 @@ class BufferDevice : public mem::DimmDevice
         std::shared_ptr<DsaJob> job;
         std::uint64_t dbuf_page = 0;   ///< physical page number
         std::uint32_t config_slot = 0;
+        /** TLS record this page belongs to (none for Deflate). */
+        std::optional<std::uint64_t> message_id = std::nullopt;
         std::uint64_t fed_lines = 0;   ///< bitmap: lines already tapped
     };
 
@@ -161,12 +163,19 @@ class BufferDevice : public mem::DimmDevice
         std::uint64_t staged = 0;
     };
 
+    /** One TLS record: the DSA state its page jobs share, and its
+     *  destination pages, so trailer (tag-only) pages materialise
+     *  when the record completes. */
+    struct TlsMessage
+    {
+        std::shared_ptr<TlsMessageState> state;
+        std::vector<std::uint64_t> dest_pages;
+    };
+
     void handleMmioWrite(Addr addr, const std::uint8_t *data);
     void handleMmioRead(Addr addr, std::uint8_t *data);
     void registerTls(const std::uint8_t *data);
     void registerDeflate(const std::uint8_t *data);
-    /** Consult the fault plan for @p site (false with no plan). */
-    bool injectFault(fault::Site site);
     /** Count + trace a rejected registration of @p dbuf_page. */
     void rejectRegistration(std::uint64_t dbuf_page);
     void feedDsa(std::uint64_t sbuf_page, unsigned line,
@@ -180,7 +189,6 @@ class BufferDevice : public mem::DimmDevice
     const mem::AddressMap &map_;
     mem::BackingStore &store_;
     SmartDimmConfig config_;
-    compress::HwDeflateConfig deflate_config_;
 
     BankTable bank_table_;
     CuckooTable translation_;
@@ -190,15 +198,8 @@ class BufferDevice : public mem::DimmDevice
 
     std::unordered_map<std::uint64_t, SourceEntry> sources_;
     std::unordered_map<std::uint64_t, DestEntry> dests_;
-    /** Per-TLS-record shared DSA state, keyed by software message id. */
-    std::unordered_map<std::uint64_t, std::shared_ptr<TlsMessageState>>
-        message_states_;
-    /** Destination pages registered for each TLS record, so trailer
-     *  (tag-only) pages materialise when the record completes. */
-    std::unordered_map<std::uint64_t, std::vector<std::uint64_t>>
-        message_pages_;
-    /** Reverse index: sbuf page -> TLS message id. */
-    std::unordered_map<std::uint64_t, std::uint64_t> sbuf_message_;
+    /** Live TLS records, keyed by software message id. */
+    std::unordered_map<std::uint64_t, TlsMessage> messages_;
 
     fault::FaultPlan *fault_plan_ = nullptr;
     fault::FaultScope fault_scope_;

@@ -88,17 +88,13 @@ CuckooTable::insert(std::uint64_t page, const Translation &t)
         }
     }
 
-    if (fault_plan_ &&
-        fault_plan_->armed(fault::Site::kCuckooInsertFail) &&
-        fault_plan_->shouldInject(fault::Site::kCuckooInsertFail,
-                                  fault_scope_)) {
+    if (fault::fires(fault_plan_, fault::Site::kCuckooInsertFail,
+                     fault_scope_)) {
         ++stats_.failures;
         return false;
     }
-    const bool forced_conflict =
-        fault_plan_ && fault_plan_->armed(fault::Site::kCuckooConflict) &&
-        fault_plan_->shouldInject(fault::Site::kCuckooConflict,
-                                  fault_scope_);
+    const bool forced_conflict = fault::fires(
+        fault_plan_, fault::Site::kCuckooConflict, fault_scope_);
 
     if (!forced_conflict && tryDirectInsert(page, t)) {
         ++stats_.first_try_inserts;

@@ -3,16 +3,14 @@
 #include <cstring>
 
 #include "common/log.h"
-#include "smartdimm/config.h"
+#include "compress/hw_deflate.h"
 
 namespace sd::smartdimm {
 
-DeflateDsaJob::DeflateDsaJob(std::size_t payload_bytes,
-                             const compress::HwDeflateConfig &hw_config,
-                             DsaStats *stats)
+DeflateDsaJob::DeflateDsaJob(std::size_t payload_bytes, DsaStats *stats)
     : payload_bytes_(payload_bytes),
       payload_lines_(divCeil(payload_bytes, kCacheLineSize)),
-      hw_config_(hw_config), stats_(stats)
+      stats_(stats)
 {
     SD_ASSERT(payload_bytes_ >= 1 &&
                   payload_bytes_ <= kDeflateMaxPayload,
@@ -21,11 +19,11 @@ DeflateDsaJob::DeflateDsaJob(std::size_t payload_bytes,
     input_.reserve(kPageSize);
 }
 
-Cycles
+void
 DeflateDsaJob::processLine(unsigned line, const std::uint8_t *data)
 {
     if (poisoned_)
-        return kDsaLineLatency;
+        return;
     if (line != next_line_) {
         // Fence violation: the streaming pipeline cannot reorder, so
         // the hardware poisons the job instead of emitting a corrupt
@@ -35,7 +33,7 @@ DeflateDsaJob::processLine(unsigned line, const std::uint8_t *data)
         poisoned_ = true;
         if (stats_)
             ++stats_->deflate_order_faults;
-        return kDsaLineLatency;
+        return;
     }
     ++next_line_;
 
@@ -48,46 +46,21 @@ DeflateDsaJob::processLine(unsigned line, const std::uint8_t *data)
         // Final line: run the pipeline over the full page. Hardware
         // overlaps this with the line arrivals; the extra latency here
         // models only the pipeline flush.
-        result_ = compress::hwDeflateCompress(input_.data(),
-                                              input_.size(), hw_config_);
-        SD_ASSERT(result_.size() <= kPageSize,
+        const std::vector<std::uint8_t> framed =
+            compress::hwDeflateCompress(input_.data(), input_.size());
+        SD_ASSERT(framed.size() <= kPageSize,
                   "compressed page exceeded a page (incompressible "
                   "input should use stored blocks)");
-        result_.resize(kPageSize, 0);
+        std::memcpy(result_.data(), framed.data(), framed.size());
         done_ = true;
         if (stats_) {
             ++stats_->deflate_pages;
-            stats_->deflate_output_bytes += resultBytes();
+            // One page: the 2-byte length header plus its stream.
+            stats_->deflate_output_bytes += framed.size();
         }
     }
-    if (stats_) {
+    if (stats_)
         ++stats_->deflate_lines;
-        stats_->deflate_busy_cycles += kDsaLineLatency;
-    }
-    return kDsaLineLatency;
-}
-
-bool
-DeflateDsaJob::resultLine(unsigned line, std::uint8_t *out) const
-{
-    SD_ASSERT(line < kLinesPerPage, "line index out of page");
-    if (!done_)
-        return false;
-    std::memcpy(out, result_.data() + line * kCacheLineSize,
-                kCacheLineSize);
-    return true;
-}
-
-std::size_t
-DeflateDsaJob::resultBytes() const
-{
-    if (!done_)
-        return 0;
-    // 2-byte framing header + stream length, rounded to lines.
-    const std::size_t framed =
-        2 + (static_cast<std::size_t>(result_[0]) |
-             (static_cast<std::size_t>(result_[1]) << 8));
-    return std::min(framed, kPageSize);
 }
 
 } // namespace sd::smartdimm

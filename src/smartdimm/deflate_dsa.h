@@ -4,7 +4,9 @@
  * Source lines must arrive in order (the CompCpy ordered mode inserts
  * fences); the compressed page — a 2-byte length header plus the
  * fixed-Huffman stream — becomes available once the final line has
- * been consumed.
+ * been consumed. The pipeline is the paper's: an 8-byte parallel
+ * window with best-effort bank arbitration (compress::HwDeflateConfig's
+ * defaults).
  */
 
 #ifndef SD_SMARTDIMM_DEFLATE_DSA_H
@@ -13,7 +15,6 @@
 #include <vector>
 
 #include "common/types.h"
-#include "compress/hw_deflate.h"
 #include "smartdimm/dsa.h"
 
 namespace sd::smartdimm {
@@ -32,37 +33,23 @@ class DeflateDsaJob : public DsaJob
   public:
     /**
      * @param payload_bytes valid bytes within the source page
-     * @param hw_config pipeline policy (8-byte window, best-effort
-     *        bank arbitration)
      * @param stats optional aggregate counters (buffer-device owned)
      */
-    DeflateDsaJob(std::size_t payload_bytes,
-                  const compress::HwDeflateConfig &hw_config,
-                  DsaStats *stats = nullptr);
+    explicit DeflateDsaJob(std::size_t payload_bytes,
+                           DsaStats *stats = nullptr);
 
-    UlpKind kind() const override { return UlpKind::kDeflate; }
-    bool ordered() const override { return true; }
-
-    Cycles processLine(unsigned line, const std::uint8_t *data) override;
-    bool complete() const override { return done_; }
-    bool resultLine(unsigned line, std::uint8_t *out) const override;
+    void processLine(unsigned line, const std::uint8_t *data) override;
     /** Streaming ULP: the whole page appears at completion. */
     std::uint64_t
-    readyMask() const override
+    readyMask() override
     {
         return done_ ? ~std::uint64_t{0} : 0;
     }
-    std::size_t resultBytes() const override;
-
-    /** True after an out-of-order line poisoned the stream. */
-    bool poisoned() const { return poisoned_; }
 
   private:
     std::size_t payload_bytes_;
     std::size_t payload_lines_;
-    compress::HwDeflateConfig hw_config_;
     std::vector<std::uint8_t> input_;
-    std::vector<std::uint8_t> result_;
     DsaStats *stats_ = nullptr;
     unsigned next_line_ = 0;
     bool done_ = false;

@@ -5,14 +5,14 @@
  * consumes 64-byte cachelines as rdCAS commands deliver them —
  * possibly out of order for size-preserving ULPs, strictly in order
  * for streaming ones — and produces result lines for the Scratchpad.
+ * Every line occupies the pipeline for kDsaLineLatency cycles.
  */
 
 #ifndef SD_SMARTDIMM_DSA_H
 #define SD_SMARTDIMM_DSA_H
 
+#include <array>
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "common/types.h"
 
@@ -31,67 +31,48 @@ enum class UlpKind : std::uint8_t
 /**
  * Aggregate DSA activity counters, owned by the buffer device and
  * updated by the jobs it spawns (the jobs themselves are transient,
- * per-page objects).
+ * per-page objects). Busy time is lines x kDsaLineLatency.
  */
 struct DsaStats
 {
     std::uint64_t tls_lines = 0;          ///< cachelines encrypted
     std::uint64_t tls_messages = 0;       ///< records completed
-    std::uint64_t tls_busy_cycles = 0;    ///< AES/GHASH pipe busy
     std::uint64_t deflate_lines = 0;      ///< cachelines consumed
     std::uint64_t deflate_pages = 0;      ///< pages compressed
-    std::uint64_t deflate_busy_cycles = 0;
     std::uint64_t deflate_output_bytes = 0;
     std::uint64_t deflate_order_faults = 0; ///< fence violations (poisoned)
 };
 
 /**
  * Per-offload DSA state machine. One instance exists per registered
- * source page; the arbiter feeds it lines and collects results.
+ * source page; the arbiter feeds it lines and stages result lines
+ * straight from its result page.
  */
 class DsaJob
 {
   public:
     virtual ~DsaJob() = default;
 
-    /** ULP this job implements. */
-    virtual UlpKind kind() const = 0;
-
     /**
      * Process the source page's cacheline @p line (0..63) carrying
-     * @p data. Appends zero or more result lines via resultLine().
-     * @return DSA busy time in buffer-device cycles for this line.
+     * @p data. Zero or more result lines may become ready.
      */
-    virtual Cycles processLine(unsigned line,
-                               const std::uint8_t *data) = 0;
-
-    /** @return true once every source line has been consumed. */
-    virtual bool complete() const = 0;
+    virtual void processLine(unsigned line, const std::uint8_t *data) = 0;
 
     /**
-     * Whether the job requires in-order line delivery (Deflate). The
-     * CompCpy software inserts fences when true (Alg. 2 line 24).
+     * Bitmask of destination lines whose result is ready in
+     * resultPage(): size-preserving ULPs ready a line as soon as its
+     * source line is processed, streaming ULPs the whole page at
+     * completion.
      */
-    virtual bool ordered() const = 0;
+    virtual std::uint64_t readyMask() = 0;
 
-    /**
-     * Result for destination line @p line. Size-preserving ULPs have
-     * a result per source line as soon as that source line processed;
-     * streaming ULPs produce results only at completion.
-     * @return true when the result line is available in @p out.
-     */
-    virtual bool resultLine(unsigned line, std::uint8_t *out) const = 0;
+    /** The destination page; line @c i is valid while readyMask() has
+     *  bit @c i set. */
+    const std::uint8_t *resultPage() const { return result_.data(); }
 
-    /**
-     * Bitmask of destination lines whose result is currently
-     * available: bit @c i is set exactly when resultLine(i) would
-     * return true. Lets the arbiter stage only newly-available lines
-     * instead of probing all 64 per wakeup.
-     */
-    virtual std::uint64_t readyMask() const = 0;
-
-    /** Valid destination bytes (== 4 KB for size-preserving ULPs). */
-    virtual std::size_t resultBytes() const = 0;
+  protected:
+    std::array<std::uint8_t, kPageSize> result_{};
 };
 
 } // namespace sd::smartdimm

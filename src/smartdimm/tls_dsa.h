@@ -40,8 +40,8 @@ class TlsMessageState
                     std::size_t message_len, DsaStats *stats = nullptr);
 
     /** Encrypt global cacheline @p index of the message. */
-    Cycles processLine(std::size_t index, const std::uint8_t *in,
-                       std::uint8_t *out);
+    void processLine(std::size_t index, const std::uint8_t *in,
+                     std::uint8_t *out);
 
     bool complete() const { return gcm_.complete(); }
     std::size_t messageLen() const { return message_len_; }
@@ -59,9 +59,8 @@ class TlsMessageState
 
 /**
  * The per-source-page DSA job: encrypts the page's slice of the
- * message and exposes result lines for the Scratchpad. The trailer
- * tag is appended to the result bytes of the page that contains
- * offset message_len.
+ * message into its result page. The trailer tag lands in the result
+ * page that contains offset message_len once the whole message is in.
  */
 class TlsDsaJob : public DsaJob
 {
@@ -73,31 +72,22 @@ class TlsDsaJob : public DsaJob
     TlsDsaJob(std::shared_ptr<TlsMessageState> state,
               std::size_t page_index);
 
-    UlpKind kind() const override { return UlpKind::kTlsEncrypt; }
-    bool ordered() const override { return false; }
-
-    Cycles processLine(unsigned line, const std::uint8_t *data) override;
-    bool complete() const override;
-    bool resultLine(unsigned line, std::uint8_t *out) const override;
-    std::uint64_t readyMask() const override;
-    std::size_t resultBytes() const override;
+    void processLine(unsigned line, const std::uint8_t *data) override;
+    /** Processed payload lines, plus the trailer region (zero
+     *  padding, and the tag on the tag page): at once on other pages,
+     *  on the tag page once the message completes. */
+    std::uint64_t readyMask() override;
 
   private:
     /** Patch the trailer tag into this page's result bytes (once). */
-    void placeTag() const;
-
-    /** Bitmask of this page's trailer-region lines (>= payload). */
-    std::uint64_t trailerMask() const;
+    void placeTag();
 
     std::shared_ptr<TlsMessageState> state_;
     std::size_t page_index_;
-    std::size_t page_payload_;  ///< payload bytes within this page
     std::size_t payload_lines_; ///< lines carrying payload
     bool holds_tag_;            ///< trailer lives in this page
-    mutable std::vector<std::uint8_t> result_;
-    mutable std::uint64_t ready_ = 0; ///< bit per available result line
-    mutable bool tag_placed_ = false;
-    std::size_t lines_done_ = 0;
+    std::uint64_t ready_ = 0;   ///< bit per processed line (and tag)
+    bool tag_placed_ = false;
 };
 
 } // namespace sd::smartdimm

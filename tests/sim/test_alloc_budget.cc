@@ -14,8 +14,7 @@
  *  - Driver: free-list nodes when ranges split and are released (3);
  *  - BufferDevice TLS registration: the per-message TlsMessageState
  *    and its IncrementalGcm, the per-page TlsDsaJob, and the hash-map
- *    nodes of the source, destination, message-page and sbuf-message
- *    maps (about 15);
+ *    nodes of the source, destination and message maps (about 12);
  *  - Deflate only: the functional compressor behind DeflateDsaJob
  *    (hwDeflateCompress and its stored-block fallback), about 40 per
  *    4 KB page.
@@ -163,7 +162,7 @@ TEST_F(AllocBudget, SteadyStateTlsOp)
         ClosedLoop(smartdimm::UlpKind::kTlsEncrypt, kPageSize)
             .allocationsPerOp();
     RecordProperty("allocations_per_op", std::to_string(per_op));
-    EXPECT_LE(per_op, 23.0); // measured 22.03
+    EXPECT_LE(per_op, 19.0); // measured 18.03
 }
 
 TEST_F(AllocBudget, SteadyStateDeflateOp)

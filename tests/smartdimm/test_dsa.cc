@@ -54,7 +54,6 @@ TEST(TlsDsa, SinglePageRecordProducesCipherAndTag)
 {
     TlsFixture fx(4000, 1);
     TlsDsaJob job(fx.state, 0);
-    EXPECT_FALSE(job.ordered());
 
     const std::size_t lines = divCeil(4000ul, kCacheLineSize);
     for (std::size_t l = 0; l < lines; ++l) {
@@ -62,19 +61,16 @@ TEST(TlsDsa, SinglePageRecordProducesCipherAndTag)
         const std::size_t take =
             std::min(kCacheLineSize, 4000ul - l * kCacheLineSize);
         std::memcpy(padded, fx.plain.data() + l * kCacheLineSize, take);
-        EXPECT_GT(job.processLine(static_cast<unsigned>(l), padded), 0u);
+        job.processLine(static_cast<unsigned>(l), padded);
     }
-    EXPECT_TRUE(job.complete());
+    ASSERT_EQ(job.readyMask(), ~std::uint64_t{0});
 
     crypto::GcmTag tag;
     const auto expect = fx.reference(tag);
 
-    std::vector<std::uint8_t> result(kPageSize);
-    for (unsigned l = 0; l < kLinesPerPage; ++l)
-        ASSERT_TRUE(job.resultLine(l, result.data() + l * kCacheLineSize));
-    EXPECT_EQ(0, std::memcmp(result.data(), expect.data(), 4000));
-    EXPECT_EQ(0, std::memcmp(result.data() + 4000, tag.data(), 16));
-    EXPECT_EQ(job.resultBytes(), 4016u);
+    const std::uint8_t *result = job.resultPage();
+    EXPECT_EQ(0, std::memcmp(result, expect.data(), 4000));
+    EXPECT_EQ(0, std::memcmp(result + 4000, tag.data(), 16));
 }
 
 TEST(TlsDsa, OutOfOrderLinesAcrossPages)
@@ -116,24 +112,20 @@ TEST(TlsDsa, OutOfOrderLinesAcrossPages)
     crypto::GcmTag tag;
     const auto expect = fx.reference(tag);
     // Page 2 carries the final 100 bytes + tag.
-    std::uint8_t line0[kCacheLineSize];
-    std::uint8_t line1[kCacheLineSize];
-    ASSERT_TRUE(page2.resultLine(0, line0));
-    ASSERT_TRUE(page2.resultLine(1, line1));
-    EXPECT_EQ(0, std::memcmp(line0, expect.data() + 2 * kPageSize, 64));
-    EXPECT_EQ(0, std::memcmp(line1 + (100 - 64), tag.data(), 16));
+    ASSERT_EQ(page2.readyMask() & 3u, 3u);
+    const std::uint8_t *result = page2.resultPage();
+    EXPECT_EQ(0, std::memcmp(result, expect.data() + 2 * kPageSize, 100));
+    EXPECT_EQ(0, std::memcmp(result + 100, tag.data(), 16));
 }
 
 TEST(TlsDsa, ResultUnavailableBeforeProcessing)
 {
     TlsFixture fx(4096, 4);
     TlsDsaJob job(fx.state, 0);
-    std::uint8_t out[kCacheLineSize];
-    EXPECT_FALSE(job.resultLine(0, out));
+    EXPECT_EQ(job.readyMask(), 0u);
     std::uint8_t line[kCacheLineSize] = {};
     job.processLine(0, line);
-    EXPECT_TRUE(job.resultLine(0, out));
-    EXPECT_FALSE(job.resultLine(1, out));
+    EXPECT_EQ(job.readyMask(), 1u);
 }
 
 TEST(TlsDsa, TagOnlyTrailerPage)
@@ -142,10 +134,8 @@ TEST(TlsDsa, TagOnlyTrailerPage)
     TlsFixture fx(len, 5);
     TlsDsaJob payload(fx.state, 0);
     TlsDsaJob trailer(fx.state, 1);
-    EXPECT_TRUE(trailer.complete()) << "no payload lines to consume";
 
-    std::uint8_t out[kCacheLineSize];
-    EXPECT_FALSE(trailer.resultLine(0, out))
+    EXPECT_EQ(trailer.readyMask(), 0u)
         << "tag not available until the record completes";
 
     for (unsigned l = 0; l < kLinesPerPage; ++l)
@@ -153,9 +143,9 @@ TEST(TlsDsa, TagOnlyTrailerPage)
 
     crypto::GcmTag tag;
     fx.reference(tag);
-    ASSERT_TRUE(trailer.resultLine(0, out));
-    EXPECT_EQ(0, std::memcmp(out, tag.data(), 16));
-    EXPECT_EQ(trailer.resultBytes(), 16u);
+    ASSERT_EQ(trailer.readyMask(), ~std::uint64_t{0})
+        << "the tag line and its zero padding";
+    EXPECT_EQ(0, std::memcmp(trailer.resultPage(), tag.data(), 16));
 }
 
 TEST(DeflateDsa, OrderedStreamingCompression)
@@ -164,9 +154,8 @@ TEST(DeflateDsa, OrderedStreamingCompression)
     for (std::size_t i = 0; i < page.size(); ++i)
         page[i] = static_cast<std::uint8_t>("abcdefgh"[i % 8]);
 
-    DeflateDsaJob job(page.size(), {});
-    EXPECT_TRUE(job.ordered());
-    EXPECT_FALSE(job.complete());
+    DeflateDsaJob job(page.size());
+    EXPECT_EQ(job.readyMask(), 0u);
 
     const std::size_t lines = divCeil(page.size(), kCacheLineSize);
     for (std::size_t l = 0; l < lines; ++l) {
@@ -176,27 +165,23 @@ TEST(DeflateDsa, OrderedStreamingCompression)
         std::memcpy(padded, page.data() + l * kCacheLineSize, take);
         job.processLine(static_cast<unsigned>(l), padded);
     }
-    ASSERT_TRUE(job.complete());
+    ASSERT_EQ(job.readyMask(), ~std::uint64_t{0});
 
-    std::vector<std::uint8_t> framed(kPageSize);
-    for (unsigned l = 0; l < kLinesPerPage; ++l)
-        ASSERT_TRUE(job.resultLine(l, framed.data() + l * kCacheLineSize));
+    const std::uint8_t *framed = job.resultPage();
     const std::size_t stream_len = framed[0] | (framed[1] << 8);
     ASSERT_GT(stream_len, 0u);
-    const auto back =
-        compress::deflateDecompress(framed.data() + 2, stream_len);
+    const auto back = compress::deflateDecompress(framed + 2, stream_len);
     EXPECT_EQ(back, page);
-    EXPECT_LT(job.resultBytes(), page.size());
+    EXPECT_LT(2 + stream_len, page.size());
 }
 
 TEST(DeflateDsa, NoResultsUntilComplete)
 {
     std::vector<std::uint8_t> page(1000, 'x');
-    DeflateDsaJob job(page.size(), {});
+    DeflateDsaJob job(page.size());
     std::uint8_t line[kCacheLineSize] = {'x'};
-    std::uint8_t out[kCacheLineSize];
     job.processLine(0, line);
-    EXPECT_FALSE(job.resultLine(0, out))
+    EXPECT_EQ(job.readyMask(), 0u)
         << "streaming ULP emits only at completion";
 }
 
@@ -206,7 +191,7 @@ TEST(DeflateDsa, IncompressiblePageFallsBackToStored)
     std::vector<std::uint8_t> page(4000);
     rng.fill(page.data(), page.size());
 
-    DeflateDsaJob job(page.size(), {});
+    DeflateDsaJob job(page.size());
     const std::size_t lines = divCeil(page.size(), kCacheLineSize);
     for (std::size_t l = 0; l < lines; ++l) {
         std::uint8_t padded[kCacheLineSize] = {};
@@ -215,12 +200,10 @@ TEST(DeflateDsa, IncompressiblePageFallsBackToStored)
         std::memcpy(padded, page.data() + l * kCacheLineSize, take);
         job.processLine(static_cast<unsigned>(l), padded);
     }
-    std::vector<std::uint8_t> framed(kPageSize);
-    for (unsigned l = 0; l < kLinesPerPage; ++l)
-        job.resultLine(l, framed.data() + l * kCacheLineSize);
+    ASSERT_EQ(job.readyMask(), ~std::uint64_t{0});
+    const std::uint8_t *framed = job.resultPage();
     const std::size_t stream_len = framed[0] | (framed[1] << 8);
-    const auto back =
-        compress::deflateDecompress(framed.data() + 2, stream_len);
+    const auto back = compress::deflateDecompress(framed + 2, stream_len);
     EXPECT_EQ(back, page);
 }
 

@@ -62,8 +62,12 @@ Rule catalogue:
                   (a write such as `cfg.x = 3` is not a read), and
                   each such field is set somewhere in src/, bench/,
                   examples/, perfbench/ or tests/ (a field nothing
-                  sets is a constant). The parameters not enforced
-                  yet and those nothing sets yet are exact budgets.
+                  sets is a constant). So is each class member of
+                  such a struct type (assigned, constructor-
+                  initialised with a value or memcpy'd into; a
+                  member nothing sets is a per-instance constant).
+                  The parameters not enforced yet and those nothing
+                  sets yet are exact budgets.
 
 Findings ({rule, file, line, context, msg}) are compared against the
 committed baseline tools/sdcheck_baseline.json with the same contract
@@ -840,9 +844,12 @@ DEAD_PARAMETER_BUDGET = {
 # struct that no file in WRITER_DIRS assigns (`.f =`, `->f =`, a
 # designated initializer, a write through a nested member, a memcpy
 # into it) is a fixed value posing as a knob: make it a named constexpr
-# next to its reader. An entry names one field ("Struct::field") or a
-# whole struct ("Struct"). The list is exact, like the one above: an
-# entry that no longer covers an unset field is a finding too.
+# next to its reader. So is a class member of a parameter struct type
+# that nothing assigns, constructor-initialises with a value or
+# memcpys into. An entry names one field ("Struct::field"), one member
+# ("Class::member") or a whole struct ("Struct"). The list is exact,
+# like the one above: an entry that no longer covers an unset field is
+# a finding too.
 UNSET_PARAMETER_BUDGET = {
     "CostModel": "ROADMAP item 4 calibrates the cost model",
     "CpuParams": "ROADMAP item 4 calibrates the cost model",
@@ -887,9 +894,9 @@ def _is_function(stmt: str) -> bool:
 
 
 def _struct_fields(body: str) -> list:
-    """(name, offset in body) of each data member declared at the top
-    level of a struct body; member functions, nested types and static
-    members are skipped."""
+    """(name, offset in body, declared type) of each data member
+    declared at the top level of a struct body; member functions,
+    nested types and static members are skipped."""
     flat, depth, closes = list(body), 0, set()
     for i, c in enumerate(body):
         if c == "{":
@@ -917,7 +924,8 @@ def _struct_fields(body: str) -> list:
         decl = re.sub(r"\s:\s*\d+\s*$", " ", decl)  # bit-field width
         m = re.search(r"\S\s*[&*\s]\s*(\w+)\s*$", decl)
         if m:
-            fields.append((m.group(1), stmt_start + stmt.find(m.group(1))))
+            fields.append((m.group(1), stmt_start + stmt.find(m.group(1)),
+                           decl[:m.start(1)]))
     return fields
 
 
@@ -927,14 +935,17 @@ def dead_parameter_findings(files: dict, budget: dict,
     """@p files maps repo-relative src/ paths to comment-stripped
     source. With @p writers, the same map for every file under
     WRITER_DIRS, a field none of them sets is a finding too unless
-    @p unset_budget lists it."""
+    @p unset_budget lists it, and so is a class member of a parameter
+    struct type none of them sets."""
     declared = []  # (qualified name, bare name, rel, line)
+    param_types = set()
     for rel, clean in sorted(files.items()):
         for m in PARAM_STRUCT_RE.finditer(clean):
+            param_types.add(m.group(1))
             close = _matching_brace(clean, m.end() - 1)
             if close is None:
                 continue
-            for name, off in _struct_fields(clean[m.end():close]):
+            for name, off, _ in _struct_fields(clean[m.end():close]):
                 declared.append((f"{m.group(1)}::{name}", name, rel,
                                  line_of(clean, m.end() + off)))
         for m in DDR_COMMAND_ENUM_RE.finditer(clean):
@@ -970,17 +981,65 @@ def dead_parameter_findings(files: dict, budget: dict,
             f"DEAD_PARAMETER_BUDGET lists {qual}, which is no longer "
             "declared: remove the entry"))
     if writers is not None:
-        findings.extend(_unset_findings(declared, writers,
-                                        unset_budget or {}))
+        findings.extend(_unset_findings(
+            declared, _param_members(files, param_types),
+            writers, unset_budget or {}))
     return findings
 
 
-def _unset_findings(declared: list, writers: dict, budget: dict) -> list:
+# A class or struct head: name, optional `final`, optional base list.
+CLASS_HEAD_RE = re.compile(
+    r"\b(?:class|struct)\s+(\w+(?:::\w+)*)\s*(?:final\b\s*)?"
+    r"(?::[^;{()]*)?\{")
+
+
+def _param_members(files: dict, param_types: set) -> list:
+    """(Class::member, member, rel, line) of each data member whose
+    type is a parameter struct, in classes and structs that are not
+    parameter structs themselves (their fields are checked by name)."""
+    if not param_types:
+        return []
+    type_re = re.compile(
+        r"\b(?:" + "|".join(sorted(param_types)) + r")\b")
+    members = []
+    for rel, clean in sorted(files.items()):
+        for m in CLASS_HEAD_RE.finditer(clean):
+            if m.group(1) in param_types:
+                continue
+            close = _matching_brace(clean, m.end() - 1)
+            if close is None:
+                continue
+            for name, off, decl in _struct_fields(clean[m.end():close]):
+                if type_re.search(decl) and not re.search(r"[&*]", decl):
+                    members.append((f"{m.group(1)}::{name}", name, rel,
+                                    line_of(clean, m.end() + off)))
+    return members
+
+
+def _member_set(name: str, text: str) -> bool:
+    """Whether @p text gives member @p name a value: an assignment to
+    it or through it, a constructor initializer with an argument, or a
+    memcpy into it. Its default member initializer does not count."""
+    n = re.escape(name)
+    return bool(
+        re.search(rf"\b{n}\b(?:\s*(?:\.|->)\s*\w+|\s*\[[^\]=;]*\])*"
+                  r"\s*(?:[-+*/%|&^]|<<|>>)?=(?!=)", text) or
+        re.search(rf"[:,]\s*{n}\s*[({{]\s*[^\s)}}]", text) or
+        re.search(rf"\bmemcpy\s*\(\s*&?\s*{n}\b", text))
+
+
+def _unset_findings(declared: list, members: list, writers: dict,
+                    budget: dict) -> list:
     written = _written_members(writers)
+    text = "\n".join(clean for rel, clean in writers.items()
+                     if not is_fixture(rel))
+    unset = [(qual, rel, line) for qual, name, rel, line in declared
+             if not qual.startswith("DdrCommandType::") and
+             name not in written]
+    unset += [(qual, rel, line) for qual, name, rel, line in members
+              if not _member_set(name, text)]
     findings, used = [], set()
-    for qual, name, rel, line in declared:
-        if qual.startswith("DdrCommandType::") or name in written:
-            continue
+    for qual, rel, line in unset:
         entry = next((k for k in (qual, qual.split("::")[0])
                       if k in budget), None)
         if entry:
@@ -1051,9 +1110,9 @@ RECOVERABLE_ASSERT_BUDGET = {
     "src/smartdimm/buffer_device.cc": 3,
     "src/smartdimm/config_memory.cc": 4,
     "src/smartdimm/cuckoo_table.cc": 1,
-    "src/smartdimm/deflate_dsa.cc": 3,
+    "src/smartdimm/deflate_dsa.cc": 2,
     "src/smartdimm/scratchpad.cc": 9,
-    "src/smartdimm/tls_dsa.cc": 4,
+    "src/smartdimm/tls_dsa.cc": 3,
     "src/smartdimm/bank_table.h": 1,
     "src/compcpy/compcpy.cc": 3,
     "src/compcpy/offload_engine.cc": 2,
@@ -1465,6 +1524,41 @@ UNSET_PARAMETER_SELF_TESTS = [
      {"src/a/cfg.h": "struct FooConfig { int a = 1; };",
       "src/a/use.cc": "int f(FooConfig &c) { c.a = 2; return c.a; }"},
      {"GoneConfig": "deleted"}, ["unset GoneConfig"]),
+    # A class member of a parameter struct type that nothing sets is a
+    # per-instance copy of a constant; its default initializer, an
+    # empty constructor initializer and reads do not set it.
+    ("member-never-set",
+     {"src/a/cfg.h": "struct FooConfig { int a = 1; };",
+      "src/a/dev.h": "class Dev : public Base {\n"
+                     "  public: Dev() : cfg_() {}\n"
+                     "  int f() const { return cfg_.a; }\n"
+                     "  private: FooConfig cfg_{2}; };",
+      "tests/t.cc": "void g(FooConfig &c) { c.a = 3; }"},
+     {}, ["unset Dev::cfg_"]),
+    ("member-set-each-way",
+     {"src/a/cfg.h": "struct FooConfig { int a = 1; };",
+      "src/a/dev.h": "class Dev final {\n"
+                     "  public: explicit Dev(const FooConfig &c) : x_(0),\n"
+                     "      cfg_(c) {}\n"
+                     "  int f() const { return cfg_.a + b_.a + c_.a; }\n"
+                     "  int x_; FooConfig cfg_; FooConfig b_; FooConfig c_;\n"
+                     "  const FooConfig &ref_; FooConfig *ptr_; };",
+      "src/a/dev.cc": "void Dev::set(int w) { b_.a = w; }\n"
+                      "void Dev::load(const void *p) {\n"
+                      "  std::memcpy(&c_, p, sizeof(c_)); }",
+      "tests/t.cc": "void g(FooConfig &c) { c.a = 3; }"},
+     {}, []),  # a reference or pointer member is not a copy
+    ("budgeted-unset-member",
+     {"src/a/cfg.h": "struct FooConfig { int a = 1; };",
+      "src/a/dev.h": "struct Dev { FooConfig cfg_; };",
+      "src/a/use.cc": "int f(FooConfig &c) { c.a = 2; return c.a; }"},
+     {"Dev::cfg_": "calibrated later"}, []),
+    ("budgeted-member-now-set",
+     {"src/a/cfg.h": "struct FooConfig { int a = 1; };",
+      "src/a/dev.h": "struct Dev { FooConfig cfg_; };",
+      "src/a/use.cc": "int f(FooConfig &c, Dev &d) {\n"
+                      "  c.a = 2; d.cfg_ = c; return c.a; }"},
+     {"Dev::cfg_": "calibrated later"}, ["unset Dev::cfg_"]),
 ]
 
 
