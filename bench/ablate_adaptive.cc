@@ -55,8 +55,8 @@ main()
             rpsAt(offload::PlacementKind::kSmartDimm, conns);
         const double leak = leakAt(conns);
         // The probe offloads when the smoothed miss rate crosses the
-        // policy's default threshold — mirror that decision here.
-        const bool offload = leak > compcpy::AdaptiveConfig{}.threshold;
+        // policy's threshold — mirror that decision here.
+        const bool offload = leak > compcpy::kOffloadMissRate;
         const double adaptive = offload ? dimm : cpu;
         std::printf("%-12u %8.2f %12.0f %14.0f %12.0f %10s\n", conns,
                     leak, cpu, dimm, adaptive,

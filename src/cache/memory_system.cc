@@ -236,12 +236,6 @@ MemorySystem::dmaReadLine(Addr addr, std::uint8_t *dst, Callback cb)
 }
 
 void
-MemorySystem::drain()
-{
-    events_.run();
-}
-
-void
 MemorySystem::readSync(Addr addr, std::uint8_t *dst, std::size_t len)
 {
     SD_ASSERT(isLineAligned(addr) && len % kCacheLineSize == 0,

@@ -115,9 +115,6 @@ class MemorySystem
 
     // ----- synchronous conveniences ----------------------------------------
 
-    /** Run the event queue until @p pending ops complete. */
-    void drain();
-
     /** Blocking multi-line helpers used by tests and examples. */
     void readSync(Addr addr, std::uint8_t *dst, std::size_t len);
     void writeSync(Addr addr, const std::uint8_t *src, std::size_t len);

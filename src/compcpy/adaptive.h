@@ -14,22 +14,20 @@
 
 namespace sd::compcpy {
 
-/** Tunables for the contention probe. */
-struct AdaptiveConfig
-{
-    double threshold = 0.30;    ///< miss rate above which to offload
-    double hysteresis = 0.05;   ///< +/- band around the threshold
-    double ewma_alpha = 0.3;    ///< smoothing of probe samples
-};
+/** Smoothed LLC miss rate above which ULP work is offloaded. */
+inline constexpr double kOffloadMissRate = 0.30;
+
+/** +/- band around kOffloadMissRate that keeps a decision stable. */
+inline constexpr double kMissRateHysteresis = 0.05;
+
+/** EWMA weight of the newest probe sample. */
+inline constexpr double kMissRateEwmaAlpha = 0.3;
 
 /** Decision state machine fed by periodic LLC probes. */
 class LlcContentionProbe
 {
   public:
-    LlcContentionProbe(cache::Cache &llc, const AdaptiveConfig &config = {})
-        : llc_(llc), config_(config)
-    {
-    }
+    explicit LlcContentionProbe(cache::Cache &llc) : llc_(llc) {}
 
     /**
      * Take a probe sample and update the decision. Called
@@ -40,14 +38,14 @@ class LlcContentionProbe
     {
         const double rate = llc_.probeMissRate();
         ewma_ = ewma_ < 0 ? rate
-                          : config_.ewma_alpha * rate +
-                                (1 - config_.ewma_alpha) * ewma_;
+                          : kMissRateEwmaAlpha * rate +
+                                (1 - kMissRateEwmaAlpha) * ewma_;
         ++samples_;
         const bool was = offload_;
-        if (offload_ && ewma_ < config_.threshold - config_.hysteresis)
+        if (offload_ && ewma_ < kOffloadMissRate - kMissRateHysteresis)
             offload_ = false;
         else if (!offload_ &&
-                 ewma_ > config_.threshold + config_.hysteresis)
+                 ewma_ > kOffloadMissRate + kMissRateHysteresis)
             offload_ = true;
         if (offload_ != was)
             ++switches_;
@@ -82,9 +80,6 @@ class LlcContentionProbe
     /** CPU<->SmartDIMM decision flips (stability metric). */
     std::uint64_t switches() const { return switches_; }
 
-    /** Degraded-call fallbacks forced via noteDegraded(). */
-    std::uint64_t degradedNotes() const { return degraded_notes_; }
-
     /** Contribute probe counters to a stats dump. */
     void
     reportStats(trace::StatsBlock &block) const
@@ -99,7 +94,6 @@ class LlcContentionProbe
 
   private:
     cache::Cache &llc_;
-    AdaptiveConfig config_;
     double ewma_ = -1.0;
     bool offload_ = false;
     std::uint64_t samples_ = 0;

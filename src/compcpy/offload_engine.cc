@@ -21,10 +21,9 @@ AdaptiveTlsEngine::AdaptiveTlsEngine(cache::MemorySystem &memory,
                                      Driver &driver,
                                      CompCpyEngine::SharedState &shared,
                                      const std::uint8_t key[16],
-                                     const crypto::GcmIv &static_iv,
-                                     const AdaptiveConfig &adaptive)
+                                     const crypto::GcmIv &static_iv)
     : memory_(memory), driver_(driver), compcpy_(memory, driver, shared),
-      queue_(compcpy_, queueConfig()), probe_(memory.llc(), adaptive),
+      queue_(compcpy_, queueConfig()), probe_(memory.llc()),
       static_iv_(static_iv)
 {
     std::memcpy(key_, key, sizeof(key_));

@@ -48,8 +48,7 @@ class AdaptiveTlsEngine
     AdaptiveTlsEngine(cache::MemorySystem &memory, Driver &driver,
                       CompCpyEngine::SharedState &shared,
                       const std::uint8_t key[16],
-                      const crypto::GcmIv &static_iv,
-                      const AdaptiveConfig &adaptive = {});
+                      const crypto::GcmIv &static_iv);
 
     /**
      * Protect @p len plaintext bytes as one record body

@@ -274,8 +274,7 @@ WorkQueue::descriptorExecuted(const std::shared_ptr<Pending> &p)
                 }
                 const Tick waited =
                     engine_.memory().events().now() - p->submitted;
-                const std::uint64_t saved =
-                    1 + waited / std::max<Tick>(1, config_.poll_interval);
+                const std::uint64_t saved = 1 + waited / kPollInterval;
                 stats_.polls_saved += saved;
                 stats_.poll_bytes_saved += saved * kCacheLineSize;
                 ++stats_.withheld_completions;
@@ -407,7 +406,7 @@ WorkQueue::poll()
     const Tick now = engine_.memory().events().now();
     for (const auto &p : order_) {
         if (p->executed && !p->recorded &&
-            now - p->submitted >= config_.poll_timeout) {
+            now - p->submitted >= kPollTimeout) {
             recoverLost();
             break;
         }

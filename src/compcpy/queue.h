@@ -130,6 +130,16 @@ struct CompletionRecord
     Tick completed = 0;     ///< record written (or recovered)
 };
 
+/** Outstanding-descriptor age that arms poll-timeout recovery. */
+inline constexpr Tick kPollTimeout = 100'000'000; // 100 us
+
+/**
+ * Modelled host poll cadence while a descriptor is outstanding — the
+ * withheld-response mode uses it to count the polls (and their MMIO
+ * read traffic) the far tier saved.
+ */
+inline constexpr Tick kPollInterval = 2'000'000; // 2 us
+
 /** Geometry and policy of one work queue. */
 struct WorkQueueConfig
 {
@@ -137,16 +147,8 @@ struct WorkQueueConfig
     QueueMode mode = QueueMode::kDedicated;
     std::size_t depth = 16;        ///< max unrecorded descriptors
     std::size_t max_inflight = 8;  ///< ops executing concurrently
-    /** Outstanding-descriptor age that arms poll-timeout recovery. */
-    Tick poll_timeout = 100'000'000; // 100 us
     /** Completion delivery model (see CompletionSignal). */
     CompletionSignal signal = CompletionSignal::kPollRecord;
-    /**
-     * Modelled host poll cadence while a descriptor is outstanding —
-     * the withheld-response mode uses it to count the polls (and their
-     * MMIO read traffic) the far tier saved.
-     */
-    Tick poll_interval = 2'000'000; // 2 us
 };
 
 /** Outcome counters for one work queue. */

@@ -15,7 +15,6 @@
 #ifndef SD_CRYPTO_AES_H
 #define SD_CRYPTO_AES_H
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 
@@ -41,13 +40,6 @@ class Aes
      * @param key raw key bytes (16 or 32 depending on @p size).
      */
     Aes(const std::uint8_t *key, KeySize size);
-
-    /** Convenience: AES-128 from a 16-byte array. */
-    static Aes
-    aes128(const std::array<std::uint8_t, 16> &key)
-    {
-        return Aes(key.data(), KeySize::k128);
-    }
 
     /** Encrypt one 16-byte block (in-place allowed). */
     void encryptBlock(const std::uint8_t in[16], std::uint8_t out[16]) const;

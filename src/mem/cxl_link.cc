@@ -25,7 +25,7 @@ CxlLink::CxlLink(EventQueue &events, const CxlLinkConfig &config)
               "CXL round trip must be positive");
     SD_ASSERT(config_.gbps > 0.0, "CXL link rate must be positive");
     round_trip_ticks_ = nsToTicks(config_.round_trip_ns);
-    stall_ticks_ = nsToTicks(config_.stall_ns);
+    stall_ticks_ = nsToTicks(kCxlStallNs);
 }
 
 Tick

@@ -28,12 +28,14 @@
 
 namespace sd::mem {
 
+/** Penalty of one injected CRC-retry episode on the link (ns). */
+inline constexpr double kCxlStallNs = 250.0;
+
 /** Link timing knobs (defaults: mid-range CXL 2.0 switch hop). */
 struct CxlLinkConfig
 {
     double round_trip_ns = kCxlRoundTripNs; ///< request + response flight
     double gbps = kCxlLinkGbps;             ///< payload serialization rate
-    double stall_ns = 250.0; ///< injected CRC-retry episode penalty
 };
 
 /**

@@ -45,6 +45,15 @@ TlsDsaJob::TlsDsaJob(std::shared_ptr<TlsMessageState> state,
     // A tag-only page (message_len on a page boundary) has no payload
     // lines; its tag line becomes ready when the message completes.
     holds_tag_ = page_index_ == msg_len / kPageSize;
+    if (holds_tag_) {
+        const std::size_t tag_off = msg_len - page_start;
+        SD_ASSERT(tag_off + crypto::kTlsTagSize <= kPageSize,
+                  "trailer tag crosses the destination page");
+        for (std::size_t b = tag_off / kCacheLineSize;
+             b <= (tag_off + crypto::kTlsTagSize - 1) / kCacheLineSize;
+             ++b)
+            tag_lines_ |= std::uint64_t{1} << b;
+    }
 }
 
 void
@@ -74,13 +83,8 @@ TlsDsaJob::placeTag()
     const crypto::GcmTag tag = state_->finalTag();
     const std::size_t tag_off =
         state_->messageLen() - page_index_ * kPageSize;
-    SD_ASSERT(tag_off + crypto::kTlsTagSize <= kPageSize,
-              "trailer tag crosses the destination page");
     std::memcpy(result_.data() + tag_off, tag.data(), tag.size());
-    // Mark the tag's line(s) ready.
-    for (std::size_t b = tag_off / kCacheLineSize;
-         b <= (tag_off + crypto::kTlsTagSize - 1) / kCacheLineSize; ++b)
-        ready_ |= std::uint64_t{1} << b;
+    ready_ |= tag_lines_;
 }
 
 std::uint64_t
@@ -98,7 +102,8 @@ TlsDsaJob::readyMask()
         placeTag();
         return ready_ | trailer;
     }
-    return ready_;
+    // A payload line the tag lands in is not final until the tag is.
+    return ready_ & ~tag_lines_;
 }
 
 } // namespace sd::smartdimm

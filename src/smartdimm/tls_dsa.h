@@ -75,7 +75,8 @@ class TlsDsaJob : public DsaJob
     void processLine(unsigned line, const std::uint8_t *data) override;
     /** Processed payload lines, plus the trailer region (zero
      *  padding, and the tag on the tag page): at once on other pages,
-     *  on the tag page once the message completes. */
+     *  on the tag page once the message completes. The tag page holds
+     *  back the line(s) the tag lands in until then, payload or not. */
     std::uint64_t readyMask() override;
 
   private:
@@ -86,6 +87,7 @@ class TlsDsaJob : public DsaJob
     std::size_t page_index_;
     std::size_t payload_lines_; ///< lines carrying payload
     bool holds_tag_;            ///< trailer lives in this page
+    std::uint64_t tag_lines_ = 0; ///< bit per line the tag lands in
     std::uint64_t ready_ = 0;   ///< bit per processed line (and tag)
     bool tag_placed_ = false;
 };

@@ -45,7 +45,6 @@ ShardDispatcher::ShardDispatcher(Topology &topo,
         }
         queues_.emplace_back(topo_.slot(s).engine, qc);
     }
-    heat_ = HeatClassifier(config_.heat);
 }
 
 unsigned
@@ -82,7 +81,7 @@ ShardDispatcher::placeIn(std::uint64_t flow,
     const unsigned home = tier[narrowIdx(
         mix64(flow) % tier.size(), tier.size())];
     const std::size_t shed_at = std::max<std::size_t>(
-        1, static_cast<std::size_t>(config_.shed_occupancy *
+        1, static_cast<std::size_t>(kShedOccupancy *
                                     static_cast<double>(
                                         config_.queue.depth)));
     if (!degraded_[home] && queues_[home].occupancy() < shed_at) {

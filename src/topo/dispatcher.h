@@ -45,20 +45,16 @@ inline constexpr std::size_t kStripeChunkBytes = 4 * kPageSize;
 /** Consecutive failed completions that mark a slot degraded. */
 inline constexpr unsigned kDegradeAfter = 4;
 
-/** Dispatcher policy knobs. */
+/** Home-queue occupancy fraction beyond which new flows shed. */
+inline constexpr double kShedOccupancy = 0.75;
+
+/** Dispatcher settings: the work-queue template every slot gets. */
 struct DispatcherConfig
 {
     /** Per-slot queue template (the id must differ from the engines'
      *  internal sync queue, id 0). */
     compcpy::WorkQueueConfig queue{
         .id = 1, .mode = compcpy::QueueMode::kShared};
-
-    /** Home-queue occupancy fraction beyond which new flows shed. */
-    double shed_occupancy = 0.75;
-
-    /** Hot/cold classifier for the two-tier policy (only consulted
-     *  when the topology has far slots). */
-    HeatConfig heat{};
 };
 
 /** Placement and shedding counters. */
@@ -195,9 +191,6 @@ class ShardDispatcher
      *  ("queue" at 1x1). The registry must not outlive this object. */
     void registerStats(trace::StatsRegistry &registry) const;
 
-    /** Heat-classifier view (two-tier policy introspection). */
-    const HeatClassifier &heat() const { return heat_; }
-
   private:
     /** Least-occupied healthy, non-full slot of @p slots, or kCpuPath. */
     unsigned
@@ -214,6 +207,8 @@ class ShardDispatcher
     std::vector<unsigned> local_slots_; ///< slots on local channels
     std::vector<unsigned> far_slots_;   ///< slots behind CXL links
     std::unordered_map<std::uint64_t, unsigned> pins_;
+    /** Hot/cold classifier for the two-tier policy (only consulted
+     *  when the topology has far slots). */
     HeatClassifier heat_;
     DispatchStats stats_;
 };

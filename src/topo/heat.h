@@ -4,7 +4,7 @@
  * CXL.mem) placement policy. Keys are opaque 64-bit ids — the
  * dispatcher classifies flows, a page-granular policy would pass page
  * numbers — and heat is a touch count with deterministic epoch decay:
- * every `epoch_touches` total touches, all counts halve. No wall
+ * every kEpochTouches total touches, all counts halve. No wall
  * clock is involved, so a run replays bit-identically (the same
  * determinism contract as the fault layer).
  */
@@ -18,30 +18,21 @@
 
 namespace sd::topo {
 
-/** Classifier knobs. */
-struct HeatConfig
-{
-    /** Decayed touch count at which a key counts as hot. */
-    std::uint64_t hot_threshold = 4;
+/** Decayed touch count at which a key counts as hot. */
+inline constexpr std::uint64_t kHotThreshold = 4;
 
-    /** Total touches between decay epochs (all counts halve). */
-    std::uint64_t epoch_touches = 256;
-};
+/** Total touches between decay epochs (all counts halve). */
+inline constexpr std::uint64_t kEpochTouches = 256;
 
 /** Touch-count classifier with epoch decay (single-owner). */
 class HeatClassifier
 {
   public:
-    explicit HeatClassifier(const HeatConfig &config = {})
-        : config_(config)
-    {
-    }
-
     /** Record one touch of @p key. @return true when it is now hot. */
     bool
     touch(std::uint64_t key)
     {
-        if (++since_epoch_ >= config_.epoch_touches) {
+        if (++since_epoch_ >= kEpochTouches) {
             since_epoch_ = 0;
             for (auto it = counts_.begin(); it != counts_.end();) {
                 it->second /= 2;
@@ -49,7 +40,7 @@ class HeatClassifier
                                      : std::next(it);
             }
         }
-        return ++counts_[key] >= config_.hot_threshold;
+        return ++counts_[key] >= kHotThreshold;
     }
 
     /** @return true when @p key is hot, without recording a touch. */
@@ -58,16 +49,13 @@ class HeatClassifier
     {
         const auto it = counts_.find(key);
         return it != counts_.end() &&
-               it->second >= config_.hot_threshold;
+               it->second >= kHotThreshold;
     }
 
     /** Keys with a nonzero decayed count. */
     std::size_t tracked() const { return counts_.size(); }
 
-    const HeatConfig &config() const { return config_; }
-
   private:
-    HeatConfig config_;
     std::uint64_t since_epoch_ = 0;
     std::unordered_map<std::uint64_t, std::uint64_t> counts_;
 };

@@ -117,6 +117,9 @@ namespace {
 /** Slot-local offset of each device's driver window. */
 constexpr Addr kDriverBase = 1ULL << 20;
 
+/** Bytes of each device's driver window. */
+constexpr std::size_t kDriverBytes = 2048ULL << 20;
+
 mem::DramGeometry
 finalizeGeometry(const TopologySpec &spec)
 {
@@ -142,7 +145,7 @@ Topology::Topology(const TopologySpec &spec)
     SD_ASSERT(spec_.device.mmio_base + smartdimm::kMmioBytes <=
                   geometry_.dimmBytes(),
               "MMIO window exceeds the per-DIMM capacity slice");
-    SD_ASSERT(kDriverBase + spec_.driver_bytes <=
+    SD_ASSERT(kDriverBase + kDriverBytes <=
                   spec_.device.mmio_base,
               "driver heap would overlap the MMIO window");
 
@@ -190,7 +193,7 @@ Topology::Topology(const TopologySpec &spec)
             const Addr base = slotBase(ch, d);
             Slot &slot = slots_.emplace_back(
                 ch, d, base, devices_[slotIndex(ch, d)], *memory_,
-                base + kDriverBase, spec_.driver_bytes);
+                base + kDriverBase, kDriverBytes);
             slot.engine.setFaultScope(
                 {static_cast<int>(ch), static_cast<int>(d)});
             if (tagged)

@@ -5,9 +5,8 @@
  * cuckoo translation tables, config memories, MMIO windows, driver
  * address ranges and CompCpy engines. This factory replaces the
  * implicit single-instance MemorySystem/BufferDevice wiring: every
- * rig — benches, examples, tests, the open-loop server model — builds
- * its system through a Topology, and tools/sdcheck.py bans direct
- * construction elsewhere.
+ * rig — benches, examples, tests — builds its system through a
+ * Topology, and tools/sdcheck.py bans direct construction elsewhere.
  *
  * Address scheme (the one mem::AddressMap layout): channel c owns the
  * contiguous window [c * channel_bytes, +channel_bytes), and DIMM d
@@ -60,7 +59,6 @@ struct TopologySpec
      *  the slot) are *slot-local* offsets; the factory rebases them
      *  into each device's window. */
     smartdimm::SmartDimmConfig device{};
-    std::size_t driver_bytes = 2048ULL << 20;
 
     /**
      * Parse a "CxD" topology string ("1x1", "4x2"). Also accepts a

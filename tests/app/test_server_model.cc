@@ -13,7 +13,6 @@
 
 #include "app/antagonist.h"
 #include "app/contention_model.h"
-#include "app/open_loop.h"
 #include "app/server_model.h"
 
 namespace {
@@ -304,75 +303,6 @@ TEST(ServerModel, TableIOrderings)
     EXPECT_LT(dimm_mcf, cpu_mcf);
     EXPECT_GT(corun(offload::PlacementKind::kSmartDimm).rps,
               corun(offload::PlacementKind::kSmartNic).rps);
-}
-
-app::OpenLoopConfig
-openLoopPoint(unsigned channels, unsigned dimms, double rate)
-{
-    app::OpenLoopConfig cfg;
-    cfg.topology.channels = channels;
-    cfg.topology.dimms_per_channel = dimms;
-    cfg.arrival_rate = rate;
-    cfg.requests = 256;
-    cfg.flows = 24;
-    cfg.seed = 42;
-    return cfg;
-}
-
-TEST(OpenLoop, CompletesEveryArrivalOnOneByOne)
-{
-    const app::OpenLoopResult r =
-        app::runOpenLoopServer(openLoopPoint(1, 1, 200e3));
-    EXPECT_EQ(r.completed, 256u);
-    EXPECT_EQ(r.dimm_ops + r.cpu_ops, r.completed);
-    EXPECT_GT(r.achieved_ops_per_sec, 0.0);
-    EXPECT_GT(r.p99_us, 0.0);
-    EXPECT_GE(r.p99_us, r.p50_us);
-    EXPECT_GE(r.max_us, r.p99_us);
-}
-
-TEST(OpenLoop, DeterministicInSeed)
-{
-    const app::OpenLoopConfig cfg = openLoopPoint(2, 2, 800e3);
-    const app::OpenLoopResult a = app::runOpenLoopServer(cfg);
-    const app::OpenLoopResult b = app::runOpenLoopServer(cfg);
-    EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.dimm_ops, b.dimm_ops);
-    EXPECT_EQ(a.cpu_ops, b.cpu_ops);
-    EXPECT_EQ(a.shed_to_sibling, b.shed_to_sibling);
-    EXPECT_EQ(bitsOf(a.achieved_ops_per_sec),
-              bitsOf(b.achieved_ops_per_sec));
-    EXPECT_EQ(bitsOf(a.p99_us), bitsOf(b.p99_us));
-}
-
-TEST(OpenLoop, TieredTopologyCompletesEveryArrival)
-{
-    // With a far tier the dispatcher migrates pinned flows between
-    // tiers (and leaves them unpinned when both are saturated) while
-    // their ops are in flight; every op must still complete and free
-    // its buffers on the slot that allocated them.
-    for (const double rate : {800e3, 3e6}) {
-        app::OpenLoopConfig cfg = openLoopPoint(1, 1, rate);
-        cfg.topology.cxl_channels = 1;
-        const app::OpenLoopResult r = app::runOpenLoopServer(cfg);
-        EXPECT_EQ(r.completed, 256u) << rate;
-        EXPECT_EQ(r.dimm_ops + r.cpu_ops, r.completed) << rate;
-    }
-}
-
-TEST(OpenLoop, ScaleOutAbsorbsOverload)
-{
-    // Offer far more load than a single DIMM can absorb: the 4x2
-    // topology must complete them faster (open-loop makespan shrinks)
-    // and with a lighter tail than 1x1.
-    const double rate = 3e6;
-    const app::OpenLoopResult one =
-        app::runOpenLoopServer(openLoopPoint(1, 1, rate));
-    const app::OpenLoopResult eight =
-        app::runOpenLoopServer(openLoopPoint(4, 2, rate));
-    EXPECT_EQ(one.completed, eight.completed);
-    EXPECT_GT(eight.achieved_ops_per_sec, one.achieved_ops_per_sec);
-    EXPECT_LE(eight.p99_us, one.p99_us);
 }
 
 TEST(Antagonist, PointerChaseVisitsEveryNode)

@@ -21,7 +21,6 @@
 namespace {
 
 using namespace sd;
-using compcpy::AdaptiveConfig;
 using compcpy::Driver;
 using compcpy::LlcContentionProbe;
 
@@ -66,37 +65,38 @@ TEST(AdaptiveProbe, HysteresisAroundThreshold)
     cache::CacheConfig cfg;
     cfg.size_bytes = 64 * 1024;
     cache::Cache llc(cfg);
-    AdaptiveConfig policy;
-    policy.threshold = 0.30;
-    policy.hysteresis = 0.05;
-    policy.ewma_alpha = 1.0; // no smoothing: test the band directly
-    LlcContentionProbe probe(llc, policy);
+    LlcContentionProbe probe(llc);
 
-    auto feed = [&](double miss_rate) {
-        // Construct a window with the desired miss rate.
-        const int total = 1000;
-        const int misses = static_cast<int>(miss_rate * total);
-        // Misses: always-new addresses; hits: re-touch one line.
-        static Addr fresh = 1 << 20;
-        llc.access(0, false, cache::AllocClass::kCpu);
-        for (int i = 0; i < misses; ++i) {
-            llc.access(fresh, false, cache::AllocClass::kCpu);
-            fresh += kCacheLineSize;
-        }
-        for (int i = 0; i < total - misses; ++i)
+    // Feed enough windows of one miss rate that the EWMA settles on
+    // it, so each step tests the band rather than the smoothing.
+    Addr fresh = 1 << 20;
+    auto settle = [&](double miss_rate) {
+        for (int window = 0; window < 30; ++window) {
+            // Misses: always-new addresses; hits: re-touch one line.
+            const int total = 1000;
+            const int misses = static_cast<int>(miss_rate * total);
             llc.access(0, false, cache::AllocClass::kCpu);
-        probe.sample();
+            for (int i = 0; i < misses; ++i) {
+                llc.access(fresh, false, cache::AllocClass::kCpu);
+                fresh += kCacheLineSize;
+            }
+            for (int i = 0; i < total - misses; ++i)
+                llc.access(0, false, cache::AllocClass::kCpu);
+            probe.sample();
+        }
     };
 
+    const double band = compcpy::kMissRateHysteresis;
     EXPECT_FALSE(probe.shouldOffload());
-    feed(0.32); // inside the band: no switch
+    settle(compcpy::kOffloadMissRate + band / 2); // inside band
     EXPECT_FALSE(probe.shouldOffload());
-    feed(0.50); // above band: offload
+    settle(compcpy::kOffloadMissRate + 4 * band); // above band: offload
     EXPECT_TRUE(probe.shouldOffload());
-    feed(0.28); // inside band: stays offloaded
+    settle(compcpy::kOffloadMissRate - band / 2); // inside: stays
     EXPECT_TRUE(probe.shouldOffload());
-    feed(0.10); // below band: back to CPU
+    settle(compcpy::kOffloadMissRate - 4 * band); // below: back to CPU
     EXPECT_FALSE(probe.shouldOffload());
+    EXPECT_EQ(probe.switches(), 2u);
 }
 
 TEST(AdaptiveProbe, EwmaSmoothsSpikes)
@@ -104,9 +104,7 @@ TEST(AdaptiveProbe, EwmaSmoothsSpikes)
     cache::CacheConfig cfg;
     cfg.size_bytes = 64 * 1024;
     cache::Cache llc(cfg);
-    AdaptiveConfig policy;
-    policy.ewma_alpha = 0.2;
-    LlcContentionProbe probe(llc, policy);
+    LlcContentionProbe probe(llc);
 
     // Prime with a quiet window (the first sample seeds the EWMA).
     llc.access(0, false, cache::AllocClass::kCpu);
@@ -116,13 +114,15 @@ TEST(AdaptiveProbe, EwmaSmoothsSpikes)
     const double primed = probe.missRateEwma();
 
     // One spiky 100%-miss window must move the EWMA only by alpha.
-    static Addr fresh = 1 << 22;
+    Addr fresh = 1 << 22;
     for (int i = 0; i < 200; ++i) {
         llc.access(fresh, false, cache::AllocClass::kCpu);
         fresh += kCacheLineSize;
     }
     probe.sample();
-    EXPECT_LT(probe.missRateEwma(), primed + 0.25);
+    EXPECT_DOUBLE_EQ(probe.missRateEwma(),
+                     primed + compcpy::kMissRateEwmaAlpha * (1 - primed));
+    EXPECT_FALSE(probe.shouldOffload());
 }
 
 /** One-channel SmartDIMM system: a 1x1 topology with a 4 MB LLC. */
@@ -131,7 +131,6 @@ systemSpec()
 {
     topo::TopologySpec spec;
     spec.llc.size_bytes = 4ull << 20;
-    spec.driver_bytes = 256ULL << 20;
     return spec;
 }
 

@@ -41,7 +41,6 @@ systemSpec()
 {
     topo::TopologySpec spec;
     spec.llc.size_bytes = 4ull << 20;
-    spec.driver_bytes = 512ULL << 20;
     return spec;
 }
 

@@ -98,9 +98,7 @@ TEST(WithheldCompletion, DeliversExactlyOnceWithoutPolling)
 TEST(WithheldCompletion, TalliesTheSavedPollTraffic)
 {
     topo::Topology topo{topo::TopologySpec{}};
-    WorkQueueConfig config = withheldConfig();
-    config.poll_interval = 1'000'000; // 1 us: several polls per op
-    WorkQueue queue(topo.slot(0u).engine, config);
+    WorkQueue queue(topo.slot(0u).engine, withheldConfig());
 
     Rng rng(43);
     const auto params = makeTlsOp(topo, topo.slot(0u), rng, 9);
@@ -118,7 +116,7 @@ TEST(WithheldCompletion, TalliesTheSavedPollTraffic)
     // One poll replaced per interval the descriptor was outstanding,
     // plus the final one that would have found the record.
     EXPECT_EQ(stats.polls_saved,
-              1 + waited / config.poll_interval);
+              1 + waited / compcpy::kPollInterval);
     EXPECT_EQ(stats.poll_bytes_saved,
               stats.polls_saved * kCacheLineSize);
     EXPECT_GT(stats.polls_saved, 1u)

@@ -57,7 +57,6 @@ systemSpec()
 {
     topo::TopologySpec spec;
     spec.llc.size_bytes = 1ULL << 20;
-    spec.driver_bytes = 64ULL << 20;
     return spec;
 }
 

@@ -40,7 +40,6 @@ systemSpec()
 {
     topo::TopologySpec spec;
     spec.llc.size_bytes = 4ull << 20;
-    spec.driver_bytes = 512ULL << 20;
     return spec;
 }
 
@@ -178,9 +177,7 @@ TEST(QueueFaults, LostCompletionRecoveredByPollTimeout)
     plan.add(Site::kLostCompletion, 0, /*count=*/1);
     sys.setFaultPlan(&plan);
 
-    WorkQueueConfig cfg;
-    cfg.poll_timeout = 0; // any executed-but-unrecorded entry is late
-    WorkQueue queue(sys.slot(0).engine, cfg);
+    WorkQueue queue(sys.slot(0).engine, WorkQueueConfig{});
 
     Rng rng(58);
     TlsOp op = makeTlsOp(sys, rng, 4);
@@ -191,6 +188,12 @@ TEST(QueueFaults, LostCompletionRecoveredByPollTimeout)
     sys.events().run();
     EXPECT_EQ(queue.stats().lost_records, 1u);
     EXPECT_EQ(queue.occupancy(), 1u) << "descriptor still unrecorded";
+    EXPECT_TRUE(queue.poll().empty())
+        << "no recovery before the poll timeout";
+    EXPECT_EQ(queue.stats().recovery_polls, 0u);
+
+    // Age the unrecorded descriptor past the poll timeout.
+    sys.events().runUntil(sys.events().now() + compcpy::kPollTimeout);
 
     // First poll finds nothing but arms recovery (kQueueStatus read)…
     EXPECT_TRUE(queue.poll().empty());
@@ -217,9 +220,7 @@ TEST(QueueFaults, RepeatedLossesAllRecoverInOneBatch)
     plan.add(Site::kLostCompletion, 0, /*count=*/3);
     sys.setFaultPlan(&plan);
 
-    WorkQueueConfig cfg;
-    cfg.poll_timeout = 0;
-    WorkQueue queue(sys.slot(0).engine, cfg);
+    WorkQueue queue(sys.slot(0).engine, WorkQueueConfig{});
 
     Rng rng(60);
     std::vector<TlsOp> ops;
@@ -231,6 +232,7 @@ TEST(QueueFaults, RepeatedLossesAllRecoverInOneBatch)
     }
     sys.events().run();
     EXPECT_EQ(queue.stats().lost_records, 3u);
+    sys.events().runUntil(sys.events().now() + compcpy::kPollTimeout);
 
     EXPECT_TRUE(queue.poll().empty()); // arms recovery
     sys.events().run();

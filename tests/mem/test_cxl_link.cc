@@ -98,7 +98,6 @@ TEST(CxlLink, StallMidBurstKeepsArrivalsFifo)
     CxlLinkConfig config;
     config.round_trip_ns = 300.0;
     config.gbps = 32.0;
-    config.stall_ns = 250.0;
     CxlLink link(events, config);
 
     // The third of six back-to-back flits hits a CRC-retry episode.
@@ -133,7 +132,6 @@ TEST(CxlLink, StallFaultAddsPenaltyAndCounts)
     CxlLinkConfig config;
     config.round_trip_ns = 600.0;
     config.gbps = 32.0;
-    config.stall_ns = 250.0;
     CxlLink link(events, config);
 
     fault::FaultPlan plan(11);

@@ -128,6 +128,32 @@ TEST(TlsDsa, ResultUnavailableBeforeProcessing)
     EXPECT_EQ(job.readyMask(), 1u);
 }
 
+TEST(TlsDsa, TagLineHeldBackUntilRecordCompletes)
+{
+    // A 100-byte record: the tag lands at byte 100, inside payload
+    // line 1. Line 1 arriving first must not ready that line, or the
+    // Scratchpad would stage it without the tag.
+    const std::size_t len = 100;
+    TlsFixture fx(len, 6);
+    TlsDsaJob job(fx.state, 0);
+
+    std::uint8_t line1[kCacheLineSize] = {};
+    std::memcpy(line1, fx.plain.data() + kCacheLineSize,
+                len - kCacheLineSize);
+    job.processLine(1, line1);
+    EXPECT_EQ(job.readyMask() & 2u, 0u)
+        << "the tag's line waits for the rest of the record";
+
+    job.processLine(0, fx.plain.data());
+    ASSERT_EQ(job.readyMask(), ~std::uint64_t{0});
+
+    crypto::GcmTag tag;
+    const auto expect = fx.reference(tag);
+    const std::uint8_t *result = job.resultPage();
+    EXPECT_EQ(0, std::memcmp(result, expect.data(), len));
+    EXPECT_EQ(0, std::memcmp(result + len, tag.data(), tag.size()));
+}
+
 TEST(TlsDsa, TagOnlyTrailerPage)
 {
     const std::size_t len = kPageSize; // tag spills to page 1

@@ -31,7 +31,8 @@ namespace {
 
 using namespace sd;
 using topo::HeatClassifier;
-using topo::HeatConfig;
+using topo::kEpochTouches;
+using topo::kHotThreshold;
 using topo::ShardDispatcher;
 using topo::Topology;
 using topo::TopologySpec;
@@ -145,12 +146,10 @@ TEST(MixedTopology, FarLinkRegistersCxlStats)
 
 TEST(HeatClassifier, ColdUntilThresholdTouches)
 {
-    HeatConfig config;
-    config.hot_threshold = 3;
-    HeatClassifier heat(config);
+    HeatClassifier heat;
 
-    EXPECT_FALSE(heat.touch(7));
-    EXPECT_FALSE(heat.touch(7));
+    for (std::uint64_t touch = 1; touch < kHotThreshold; ++touch)
+        EXPECT_FALSE(heat.touch(7)) << "touch " << touch;
     EXPECT_TRUE(heat.touch(7));
     EXPECT_TRUE(heat.hot(7));
     EXPECT_FALSE(heat.hot(8)) << "untouched keys are cold";
@@ -158,18 +157,20 @@ TEST(HeatClassifier, ColdUntilThresholdTouches)
 
 TEST(HeatClassifier, EpochDecayCoolsIdleKeys)
 {
-    HeatConfig config;
-    config.hot_threshold = 3;
-    config.epoch_touches = 4;
-    HeatClassifier heat(config);
+    HeatClassifier heat;
 
-    heat.touch(1);
-    heat.touch(1);
-    heat.touch(1); // hot at 3
+    for (std::uint64_t touch = 0; touch < kHotThreshold; ++touch)
+        heat.touch(1);
     EXPECT_TRUE(heat.hot(1));
 
-    // One more touch closes the epoch: every count halves (3 -> 1),
-    // so the idle key cools below the threshold.
+    // Another key's touches up to the epoch's last one leave key 1 hot…
+    for (std::uint64_t touch = kHotThreshold + 1; touch < kEpochTouches;
+         ++touch)
+        heat.touch(2);
+    EXPECT_TRUE(heat.hot(1));
+
+    // …and the touch that closes the epoch halves every count, so the
+    // idle key cools below the threshold.
     heat.touch(2);
     EXPECT_FALSE(heat.hot(1));
     EXPECT_EQ(heat.tracked(), 2u);
@@ -203,16 +204,15 @@ TEST(TieredDispatch, ColdFlowsHomeOnTheFarTier)
 TEST(TieredDispatch, HotFlowsMigrateToTheLocalTier)
 {
     Topology topo(mixedSpec());
-    topo::DispatcherConfig config;
-    config.heat.hot_threshold = 3;
-    ShardDispatcher dispatcher(topo, config);
+    ShardDispatcher dispatcher(topo);
 
     const std::uint64_t flow = 5;
     const unsigned cold = dispatcher.place(flow);
     EXPECT_TRUE(topo.isFarSlot(cold));
-    EXPECT_EQ(dispatcher.place(flow), cold) << "still cold: pinned";
+    for (std::uint64_t touch = 2; touch < kHotThreshold; ++touch)
+        EXPECT_EQ(dispatcher.place(flow), cold) << "still cold: pinned";
 
-    // Third touch crosses the threshold: the pin migrates tiers.
+    // The threshold touch makes the flow hot: the pin migrates tiers.
     const unsigned hot = dispatcher.place(flow);
     EXPECT_FALSE(topo.isFarSlot(hot));
     EXPECT_EQ(dispatcher.stats().migrations_to_local, 1u);
@@ -223,22 +223,19 @@ TEST(TieredDispatch, HotFlowsMigrateToTheLocalTier)
 TEST(TieredDispatch, CooledFlowsMigrateBackToTheFarTier)
 {
     Topology topo(mixedSpec());
-    topo::DispatcherConfig config;
-    config.heat.hot_threshold = 3;
-    config.heat.epoch_touches = 6;
-    ShardDispatcher dispatcher(topo, config);
+    ShardDispatcher dispatcher(topo);
 
     const std::uint64_t flow = 5;
-    dispatcher.place(flow);
-    dispatcher.place(flow);
-    const unsigned hot = dispatcher.place(flow); // count 3: hot, local
+    for (std::uint64_t touch = 1; touch < kHotThreshold; ++touch)
+        dispatcher.place(flow);
+    const unsigned hot = dispatcher.place(flow); // at threshold: local
     EXPECT_FALSE(topo.isFarSlot(hot));
 
-    // Three other-flow touches close the 6-touch epoch and halve the
-    // counts (3 -> 1); the cooled flow's next placement migrates back.
-    dispatcher.place(100);
-    dispatcher.place(101);
-    dispatcher.place(102);
+    // Other flows' touches close the epoch and halve the counts; the
+    // cooled flow's next placement migrates back.
+    for (std::uint64_t other = kHotThreshold; other < kEpochTouches;
+         ++other)
+        dispatcher.place(100 + other);
     const unsigned cooled = dispatcher.place(flow);
     EXPECT_TRUE(topo.isFarSlot(cooled));
     EXPECT_EQ(dispatcher.stats().migrations_to_cxl, 1u);

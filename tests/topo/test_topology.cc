@@ -341,8 +341,7 @@ TEST(ShardDispatcher, SaturatedHomeShedsFreshFlows)
     spec.channels = 2;
     Topology topo(spec);
     topo::DispatcherConfig config;
-    config.queue.depth = 2;
-    config.shed_occupancy = 0.5; // shed at occupancy >= 1
+    config.queue.depth = 2; // kShedOccupancy * 2 floors to 1: shed at 1
     ShardDispatcher dispatcher(topo, config);
 
     // Two distinct flows with the same home slot.

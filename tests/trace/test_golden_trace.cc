@@ -63,7 +63,6 @@ runGoldenWorkload(CasCounter *observer,
 {
     topo::TopologySpec spec;
     spec.llc.size_bytes = 4ull << 20;
-    spec.driver_bytes = 64ULL << 20;
     topo::Topology topo(spec);
     cache::MemorySystem &memory = topo.memory();
     if (observer)

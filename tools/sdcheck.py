@@ -60,10 +60,10 @@ Rule catalogue:
                   *Geometry/*Model struct in src/, and every
                   DdrCommandType enumerator, is read somewhere in src/
                   (a write such as `cfg.x = 3` is not a read), and
-                  each such field is set somewhere in src/, bench/,
-                  examples/, perfbench/ or tests/ (a field nothing
-                  sets is a constant). So is each class member of
-                  such a struct type (assigned, constructor-
+                  each such field is set somewhere in src/, bench/ or
+                  perfbench/ (a field only tests/ or examples/ set is
+                  a constant to every product run). So is each class
+                  member of such a struct type (assigned, constructor-
                   initialised with a value or memcpy'd into; a
                   member nothing sets is a per-instance constant).
                   The parameters not enforced yet and those nothing
@@ -844,9 +844,11 @@ DEAD_PARAMETER_BUDGET = {
 # struct that no file in WRITER_DIRS assigns (`.f =`, `->f =`, a
 # designated initializer, a write through a nested member, a memcpy
 # into it) is a fixed value posing as a knob: make it a named constexpr
-# next to its reader. So is a class member of a parameter struct type
-# that nothing assigns, constructor-initialises with a value or
-# memcpys into. An entry names one field ("Struct::field"), one member
+# next to its reader. Tests and examples are not writers: a value only
+# they turn is a setting no product run exercises, so the test should
+# reach its state at the constant instead. So is a class member of a
+# parameter struct type that nothing assigns, constructor-initialises
+# with a value or memcpys into. An entry names one field ("Struct::field"), one member
 # ("Class::member") or a whole struct ("Struct"). The list is exact,
 # like the one above: an entry that no longer covers an unset field is
 # a finding too.
@@ -858,12 +860,18 @@ UNSET_PARAMETER_BUDGET = {
     "QatParams": "ROADMAP item 4 calibrates the cost model",
     "SmartDimmParams": "ROADMAP item 4 calibrates the cost model",
     "CxlParams": "ROADMAP item 4 calibrates the cost model",
-    "OpenLoopConfig": "ROADMAP item 8 replaces the open-loop config",
     "ServerConfig::model": "the cost model item 4 calibrates",
     "DramTiming": "read only through its one constexpr, kDramTiming",
+    "DramGeometry::channel_bytes":
+        "test_address_map.cc shrinks the channel to keep its walks short",
+    "LossConfig::reorder_prob":
+        "the TCP loss-recovery tests drive reordering",
+    "LossConfig::burst_len": "the TCP loss-recovery tests drive bursts",
 }
 
-WRITER_DIRS = ("src", "bench", "examples", "perfbench", "tests")
+# The directories whose writes make a field a knob: the simulator, its
+# benches and the repository benchmark.
+WRITER_DIRS = ("src", "bench", "perfbench")
 # One assignment target: a member chain, then `=` or a compound
 # assignment (not `==`). Every member named in the chain is written:
 # `spec.llc.size_bytes = x` sets llc as well as size_bytes.
@@ -875,12 +883,18 @@ MEMCPY_INTO_RE = re.compile(
 MEMBER_NAME_RE = re.compile(r"(?:\.|->)\s*(\w+)")
 
 
+def _is_writer(rel: str) -> bool:
+    """Whether a write in @p rel can make a field a knob; tests/ (the
+    analyzer's fixtures included) and examples/ cannot."""
+    return rel.split("/", 1)[0] in WRITER_DIRS
+
+
 def _written_members(files: dict) -> set:
-    """Names of the members some file in @p files (comment-stripped
-    source) assigns; the analyzer's fixtures are not writers."""
+    """Names of the members some writer file in @p files
+    (comment-stripped source) assigns."""
     written = set()
     for rel, clean in files.items():
-        if is_fixture(rel):
+        if not _is_writer(rel):
             continue
         for regex in (MEMBER_WRITE_RE, MEMCPY_INTO_RE):
             for m in regex.finditer(clean):
@@ -1032,7 +1046,7 @@ def _unset_findings(declared: list, members: list, writers: dict,
                     budget: dict) -> list:
     written = _written_members(writers)
     text = "\n".join(clean for rel, clean in writers.items()
-                     if not is_fixture(rel))
+                     if _is_writer(rel))
     unset = [(qual, rel, line) for qual, name, rel, line in declared
              if not qual.startswith("DdrCommandType::") and
              name not in written]
@@ -1047,9 +1061,11 @@ def _unset_findings(declared: list, members: list, writers: dict,
             continue
         findings.append(Finding(
             "dead-parameter", rel, line, "unset " + qual,
-            f"nothing in {', '.join(WRITER_DIRS)} sets {qual}: make it "
-            "a named constexpr next to its reader (a knob nothing "
-            "turns is a constant)"))
+            f"nothing in {', '.join(WRITER_DIRS)} sets {qual}, and a "
+            "write under tests/ or examples/ does not count: make it a "
+            "named constexpr next to its reader and let the tests reach "
+            "their state at it (a knob no product run turns is a "
+            "constant)"))
     for entry in sorted(set(budget) - used):
         findings.append(Finding(
             "dead-parameter", "tools/sdcheck.py", 1, "unset " + entry,
@@ -1064,7 +1080,7 @@ def check_dead_parameters(root: pathlib.Path, findings: list,
     writers = {}
     for sub in WRITER_DIRS:
         for p in sorted((root / sub).rglob("*")):
-            if p.suffix in SRC_EXTS | {".cpp"} and p.is_file():
+            if p.suffix in SRC_EXTS and p.is_file():
                 writers[p.relative_to(root).as_posix()] = \
                     strip_comments_and_strings(p.read_text())
     files = {rel: clean for rel, clean in writers.items()
@@ -1468,11 +1484,16 @@ DEAD_PARAMETER_SELF_TESTS = [
 UNSET_PARAMETER_SELF_TESTS = [
     # (name, {path: source}, unset budget, expected finding contexts).
     # Every field is read in src/, so only unset findings can appear.
-    ("set-in-tests",
+    ("set-in-bench",
      {"src/a/cfg.h": "struct FooConfig { int a = 1; int b = 2; };",
       "src/a/use.cc": "int f(const FooConfig &c) { return c.a + c.b; }",
-      "tests/a/t.cc": "void g(FooConfig &c) { c.a = 3; }"},
+      "bench/a/b.cc": "void g(FooConfig &c) { c.a = 3; }"},
      {}, ["unset FooConfig::b"]),
+    ("set-only-in-tests",
+     {"src/a/cfg.h": "struct FooConfig { int a = 1; };",
+      "src/a/use.cc": "int f(const FooConfig &c) { return c.a; }",
+      "tests/a/t.cc": "void g(FooConfig &c) { c.a = 3; }"},
+     {}, ["unset FooConfig::a"]),  # no product run turns it
     ("each-writer-dir-counts",
      {"src/a/cfg.h": "struct FooConfig { int a = 1; int b = 2;\n"
                      "  int c = 3; int d = 4; int e = 5; };",
@@ -1480,17 +1501,17 @@ UNSET_PARAMETER_SELF_TESTS = [
                       "  return c.a + c.b + c.c + c.d + c.e; }\n"
                       "void s(FooConfig *p) { p->a = 1; }",
       "bench/b.cc": "void g(FooConfig &c) { c.b = 3; }",
-      "examples/e.cpp": "void g(FooConfig &c) { c.c = 3; }",
-      "perfbench/p.cc": "void g(FooConfig &c) { c.d = 3; }",
+      "perfbench/p.cc": "void g(FooConfig &c) { c.c = 3; }",
+      "examples/e.cpp": "void g(FooConfig &c) { c.d = 3; }",
       "tests/t.cc": "void g(FooConfig &c) { c.e = 3; }"},
-     {}, []),
+     {}, ["unset FooConfig::d", "unset FooConfig::e"]),
     ("designated-nested-memcpy-compound",
      {"src/a/cfg.h": "struct FooConfig { int a = 1; BarSpec inner;\n"
                      "  std::uint8_t key[16]; int n = 0; };\n"
                      "struct BarSpec { int x = 0; };",
       "src/a/use.cc": "int f(const FooConfig &c) {\n"
                       "  return c.a + c.inner.x + c.key[0] + c.n; }",
-      "tests/t.cc": "FooConfig c{.a = 2};\n"
+      "bench/b.cc": "FooConfig c{.a = 2};\n"
                     "void g(FooConfig &c, const std::uint8_t *k) {\n"
                     "  c.inner.x = 1; std::memcpy(c.key, k, 16);\n"
                     "  c.n += 1; }"},
@@ -1533,7 +1554,7 @@ UNSET_PARAMETER_SELF_TESTS = [
                      "  public: Dev() : cfg_() {}\n"
                      "  int f() const { return cfg_.a; }\n"
                      "  private: FooConfig cfg_{2}; };",
-      "tests/t.cc": "void g(FooConfig &c) { c.a = 3; }"},
+      "bench/b.cc": "void g(FooConfig &c) { c.a = 3; }"},
      {}, ["unset Dev::cfg_"]),
     ("member-set-each-way",
      {"src/a/cfg.h": "struct FooConfig { int a = 1; };",
@@ -1546,7 +1567,7 @@ UNSET_PARAMETER_SELF_TESTS = [
       "src/a/dev.cc": "void Dev::set(int w) { b_.a = w; }\n"
                       "void Dev::load(const void *p) {\n"
                       "  std::memcpy(&c_, p, sizeof(c_)); }",
-      "tests/t.cc": "void g(FooConfig &c) { c.a = 3; }"},
+      "bench/b.cc": "void g(FooConfig &c) { c.a = 3; }"},
      {}, []),  # a reference or pointer member is not a copy
     ("budgeted-unset-member",
      {"src/a/cfg.h": "struct FooConfig { int a = 1; };",
