@@ -395,16 +395,14 @@ CompCpyEngine::copyLines(std::uint32_t id)
 void
 CompCpyEngine::zeroTrailer(std::uint32_t id)
 {
-    // TLS only: the record trailer (tag space) belongs to dbuf but is
-    // never written by the memcpy; writing zeros makes those lines
-    // dirty so LLC writebacks self-recycle them like any other line.
+    // The destination lines past the payload (a TLS record's tag
+    // space, a short Deflate page's tail) belong to dbuf but are never
+    // written by the memcpy; writing zeros makes those lines dirty so
+    // LLC writebacks self-recycle them like any other line.
     Flow &flow = flows_[id];
     const CompCpyParams &p = flow.params;
     const std::size_t payload_lines = divCeil(p.size, kCacheLineSize);
-    const std::size_t total_lines =
-        p.ulp == smartdimm::UlpKind::kTlsEncrypt
-            ? flow.dst_pages * kLinesPerPage
-            : payload_lines;
+    const std::size_t total_lines = flow.dst_pages * kLinesPerPage;
 
     if (payload_lines >= total_lines) {
         finishFlow(id);
@@ -453,8 +451,7 @@ CompCpyEngine::completeFlow(std::uint32_t id, std::uint64_t fresh_rejections)
     const std::uint64_t degraded =
         memory_.degradedReads() - flow.degraded_base;
     stats_.rejected_registrations += fresh_rejections;
-    last_call_degraded_ = fresh_rejections > 0 || degraded > 0;
-    if (last_call_degraded_) {
+    if (fresh_rejections > 0 || degraded > 0) {
         ++stats_.degraded_calls;
         trace::tracer().event(flow.span, trace::Stage::kFault,
                               memory_.events().now(), flow.params.dbuf);

@@ -183,13 +183,6 @@ class CompCpyEngine
                    : deflate_span_name_;
     }
 
-    /**
-     * Whether the most recently completed call was degraded (ALERT_N
-     * retry exhaustion or a rejected registration). The adaptive
-     * policy uses this to fall back to CPU placement.
-     */
-    bool lastCallDegraded() const { return last_call_degraded_; }
-
     const CompCpyStats &stats() const { return stats_; }
 
     /** Contribute engine counters to a stats dump. */
@@ -247,7 +240,6 @@ class CompCpyEngine
     const char *tls_span_name_ = "tls";        ///< interned/static
     const char *deflate_span_name_ = "deflate"; ///< interned/static
     std::uint64_t seen_rejections_ = 0; ///< kFaultStatus poll baseline
-    bool last_call_degraded_ = false;
     CompCpyStats stats_;
     LogHistogram call_latency_;
     SlotPool<Flow> flows_;

@@ -33,11 +33,9 @@ struct Matcher
     std::vector<std::int64_t> prev;
     const std::uint8_t *data;
     std::size_t len;
-    const Lz77Config &cfg;
 
-    Matcher(const std::uint8_t *d, std::size_t l, const Lz77Config &c)
-        : head(kHashBuckets, kNoPos), prev(l, kNoPos), data(d), len(l),
-          cfg(c)
+    Matcher(const std::uint8_t *d, std::size_t l)
+        : head(kHashBuckets, kNoPos), prev(l, kNoPos), data(d), len(l)
     {
     }
 
@@ -58,9 +56,6 @@ struct Matcher
         if (pos + kMinMatch > len)
             return 0;
         const std::size_t limit = std::min(kMaxMatch, len - pos);
-        const std::size_t window =
-            std::min(cfg.window, static_cast<std::size_t>(kMaxDistance));
-
         std::size_t best_len = 0;
         std::size_t best_dist = 0;
         std::int64_t cand = head[hash3(data + pos)];
@@ -68,7 +63,7 @@ struct Matcher
 
         while (cand != kNoPos && chain++ < kMaxChain) {
             const auto cpos = static_cast<std::size_t>(cand);
-            if (cpos >= pos || pos - cpos > window)
+            if (cpos >= pos || pos - cpos > kMaxDistance)
                 break;
             // Quick reject on the byte past the current best.
             if (best_len == 0 ||
@@ -102,7 +97,7 @@ lz77Compress(const std::uint8_t *data, std::size_t len,
     tokens.reserve(len / 2 + 8);
     Lz77Stats local{};
 
-    Matcher matcher(data, len, config);
+    Matcher matcher(data, len);
 
     std::size_t pos = 0;
     // Lazy-match lookahead cache: when a match is deferred, the search

@@ -42,11 +42,11 @@ struct Lz77Token
     }
 };
 
-/** Tuning knobs for the software match finder. */
+/** Tuning knobs for the software match finder (its history window is
+ *  the format's whole kMaxDistance). */
 struct Lz77Config
 {
-    std::size_t window = kMaxDistance; ///< history window in bytes
-    bool lazy = true;                  ///< one-token lazy matching
+    bool lazy = true; ///< one-token lazy matching
 };
 
 /** Aggregate statistics from a match-finding pass. */

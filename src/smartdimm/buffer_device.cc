@@ -9,6 +9,20 @@
 
 namespace sd::smartdimm {
 
+namespace {
+
+/** @return @p entries' entry for @p slot, growing it on first use. */
+template <typename Entry>
+Entry &
+slotEntry(std::vector<Entry> &entries, std::uint32_t slot)
+{
+    if (slot >= entries.size())
+        entries.resize(slot + 1);
+    return entries[slot];
+}
+
+} // namespace
+
 BufferDevice::BufferDevice(EventQueue &events, const mem::AddressMap &map,
                            mem::BackingStore &store,
                            const SmartDimmConfig &config)
@@ -97,13 +111,17 @@ BufferDevice::handleMmioRead(Addr addr, std::uint8_t *data)
       }
       case MmioReg::kPendingList: {
         // Up to 7 pending destination-page physical addresses after a
-        // count word — one 64-byte register read per batch.
+        // count word, in Scratchpad page order — one 64-byte register
+        // read per batch. A page a later registration re-mapped to
+        // another Scratchpad page is listed once, at its live page.
         std::uint64_t words[8] = {};
         std::size_t n = 0;
-        for (const auto &[dbuf_page, entry] : dests_) {
-            if (n >= 7)
-                break;
-            words[1 + n++] = dbuf_page * kPageSize;
+        for (std::uint32_t slot = 0; slot < dests_.size() && n < 7;
+             ++slot) {
+            const std::uint64_t page = dests_[slot].page;
+            const auto t = translation_.find(page);
+            if (t && t->kind == MappingKind::kScratchpad && t->offset == slot)
+                words[1 + n++] = page * kPageSize;
         }
         words[0] = n;
         std::memcpy(data, words, sizeof(words));
@@ -198,10 +216,9 @@ BufferDevice::registerTls(const std::uint8_t *data)
     }
 
     if (!tag_only)
-        sources_[reg.sbuf_page] =
-            SourceEntry{job, reg.dbuf_page, slot_id, reg.message_id};
-    dests_[reg.dbuf_page] =
-        DestEntry{job, tag_only ? 0 : reg.sbuf_page, *scratch};
+        slotEntry(sources_, slot_id) = SourceEntry{job, 0, reg.message_id};
+    slotEntry(dests_, *scratch) =
+        DestEntry{job, reg.dbuf_page, reg.sbuf_page};
     message.dest_pages.push_back(reg.dbuf_page);
 
     ++stats_.registrations;
@@ -254,8 +271,9 @@ BufferDevice::registerDeflate(const std::uint8_t *data)
 
     auto job =
         std::make_shared<DeflateDsaJob>(reg.payload_bytes, &dsa_stats_);
-    sources_[reg.sbuf_page] = SourceEntry{job, reg.dbuf_page, *slot};
-    dests_[reg.dbuf_page] = DestEntry{job, reg.sbuf_page, *scratch};
+    slotEntry(sources_, *slot) = SourceEntry{job};
+    slotEntry(dests_, *scratch) =
+        DestEntry{job, reg.dbuf_page, reg.sbuf_page};
 
     ++stats_.registrations;
 }
@@ -303,20 +321,22 @@ BufferDevice::handleMmioWrite(Addr addr, const std::uint8_t *data)
 void
 BufferDevice::materializeResults(std::uint64_t dbuf_page)
 {
-    auto it = dests_.find(dbuf_page);
-    if (it == dests_.end())
+    // Wake-ups are keyed by page: one that outlives its registration
+    // stages for whatever registration holds the page now, if any.
+    const auto t = translation_.find(dbuf_page);
+    if (!t || t->kind != MappingKind::kScratchpad)
         return;
-    DestEntry &entry = it->second;
+    DsaJob &job = *dests_[t->offset].job;
     // Stage only lines that became ready since the last wakeup, in
     // ascending order. Most wakeups stage exactly one line.
-    std::uint64_t todo = entry.job->readyMask() & ~entry.staged;
-    entry.staged |= todo;
-    const std::uint8_t *result = entry.job->resultPage();
+    std::uint64_t todo =
+        job.readyMask() & ~scratchpad_.computedLines(t->offset);
+    const std::uint8_t *result = job.resultPage();
     while (todo) {
         const unsigned line =
             static_cast<unsigned>(std::countr_zero(todo));
         todo &= todo - 1;
-        scratchpad_.writeLine(entry.scratch_page, line,
+        scratchpad_.writeLine(t->offset, line,
                               result + line * kCacheLineSize);
         trace::tracer().pageEvent(dbuf_page, trace::Stage::kStage,
                                   events_.now(),
@@ -326,12 +346,10 @@ BufferDevice::materializeResults(std::uint64_t dbuf_page)
 }
 
 void
-BufferDevice::feedDsa(std::uint64_t sbuf_page, unsigned line,
-                      const std::uint8_t *data)
+BufferDevice::feedDsa(const Translation &sbuf, std::uint64_t sbuf_page,
+                      unsigned line, const std::uint8_t *data)
 {
-    auto it = sources_.find(sbuf_page);
-    SD_ASSERT(it != sources_.end(), "sbuf mapping without a job");
-    SourceEntry &entry = it->second;
+    SourceEntry &entry = sources_[sbuf.offset];
 
     // An ALERT_N retry re-issues the rdCAS, so the tap must be
     // idempotent: a line already handed to the DSA is served from DRAM
@@ -345,7 +363,7 @@ BufferDevice::feedDsa(std::uint64_t sbuf_page, unsigned line,
     // The DSA transform is functionally immediate; its latency is
     // modelled by deferring the Scratchpad materialisation, so a too-
     // early rdCAS/wrCAS of the destination line sees S13/S7.
-    const std::uint64_t dbuf_page = entry.dbuf_page;
+    const std::uint64_t dbuf_page = sbuf.dest_page;
     trace::tracer().pageEvent(sbuf_page, trace::Stage::kTransform,
                               events_.now(),
                               sbuf_page * kPageSize + line * kCacheLineSize);
@@ -374,20 +392,20 @@ BufferDevice::feedDsa(std::uint64_t sbuf_page, unsigned line,
 }
 
 void
-BufferDevice::retirePage(std::uint64_t dbuf_page)
+BufferDevice::retirePage(std::uint32_t scratch_page)
 {
-    auto it = dests_.find(dbuf_page);
-    if (it == dests_.end())
-        return;
-    const std::uint64_t sbuf_page = it->second.sbuf_page;
-    auto src = sources_.find(sbuf_page);
-    if (src != sources_.end() && src->second.dbuf_page == dbuf_page) {
-        config_memory_.release(src->second.config_slot);
-        translation_.erase(sbuf_page);
-        sources_.erase(src);
+    DestEntry &dest = dests_[scratch_page];
+    // The source mapping goes too, unless its sbuf page was registered
+    // again, to another destination, before this one drained.
+    const auto src = translation_.find(dest.sbuf_page);
+    if (src && src->kind == MappingKind::kConfigMemory &&
+        src->dest_page == dest.page) {
+        config_memory_.release(src->offset);
+        translation_.erase(dest.sbuf_page);
+        sources_[src->offset] = {};
     }
-    translation_.erase(dbuf_page);
-    dests_.erase(it);
+    translation_.erase(dest.page);
+    dest = {};
 
     // Lazily sweep finished TLS records.
     std::erase_if(messages_, [](const auto &message) {
@@ -424,21 +442,14 @@ BufferDevice::onRead(const mem::DdrCommand &cmd, std::uint8_t *data)
         // S6: sbuf read. Host receives DRAM data unchanged; the tap
         // feeds the DSA.
         store_.read(addr, data, kCacheLineSize);
-        feedDsa(page, line, data);
+        feedDsa(*translation, page, line, data);
         return mem::ReadResponse::kOk;
     }
 
     // Destination page.
-    auto dest = dests_.find(page);
-    if (dest == dests_.end()) {
-        // Mapping raced with retirement; treat as plain DRAM.
-        store_.read(addr, data, kCacheLineSize);
-        ++stats_.plain_reads;
-        return mem::ReadResponse::kOk;
-    }
-    if (scratchpad_.lineComputed(dest->second.scratch_page, line)) {
+    if (scratchpad_.lineComputed(translation->offset, line)) {
         // S10: serve the staged result from the Scratchpad.
-        scratchpad_.readLine(dest->second.scratch_page, line, data);
+        scratchpad_.readLine(translation->offset, line, data);
         ++stats_.dbuf_scratch_reads;
         return mem::ReadResponse::kOk;
     }
@@ -471,14 +482,8 @@ BufferDevice::onWrite(const mem::DdrCommand &cmd, const std::uint8_t *data)
         return;
     }
 
-    auto dest = dests_.find(page);
-    if (dest == dests_.end()) {
-        store_.write(addr, data, kCacheLineSize);
-        ++stats_.plain_writes;
-        return;
-    }
-
-    if (!scratchpad_.linePending(dest->second.scratch_page, line)) {
+    const std::uint32_t scratch_page = translation->offset;
+    if (!scratchpad_.linePending(scratch_page, line)) {
         // The line drained earlier (e.g. a Force-Recycle raced with a
         // Self-Recycle): the destination behaves as regular memory.
         store_.write(addr, data, kCacheLineSize);
@@ -486,7 +491,7 @@ BufferDevice::onWrite(const mem::DdrCommand &cmd, const std::uint8_t *data)
         return;
     }
 
-    if (!scratchpad_.lineComputed(dest->second.scratch_page, line)) {
+    if (!scratchpad_.lineComputed(scratch_page, line)) {
         // S7: DSA still computing — the write is ignored; the line
         // stays pending in the Scratchpad.
         ++stats_.dbuf_write_ignored;
@@ -496,14 +501,13 @@ BufferDevice::onWrite(const mem::DdrCommand &cmd, const std::uint8_t *data)
     // S8/S9: Self-Recycle — replace the burst with the staged result
     // on its way to DRAM and invalidate the Scratchpad line.
     std::uint8_t staged[kCacheLineSize];
-    const bool page_freed =
-        scratchpad_.drainLine(dest->second.scratch_page, line, staged);
+    const bool page_freed = scratchpad_.drainLine(scratch_page, line, staged);
     store_.write(addr, staged, kCacheLineSize);
     ++stats_.dbuf_recycles;
     trace::tracer().pageEvent(page, trace::Stage::kRecycle, events_.now(),
                               addr);
     if (page_freed)
-        retirePage(page);
+        retirePage(scratch_page);
 }
 
 void

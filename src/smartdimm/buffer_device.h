@@ -143,24 +143,23 @@ class BufferDevice : public mem::DimmDevice
     }
 
   private:
+    /** A registered source page, indexed by its Config Memory slot. */
     struct SourceEntry
     {
         std::shared_ptr<DsaJob> job;
-        std::uint64_t dbuf_page = 0;   ///< physical page number
-        std::uint32_t config_slot = 0;
+        std::uint64_t fed_lines = 0;   ///< bitmap: lines already tapped
         /** TLS record this page belongs to (none for Deflate). */
         std::optional<std::uint64_t> message_id = std::nullopt;
-        std::uint64_t fed_lines = 0;   ///< bitmap: lines already tapped
     };
 
+    /** A registered destination page, indexed by its Scratchpad page;
+     *  its staged lines are the Scratchpad page's computed bits. */
     struct DestEntry
     {
         std::shared_ptr<DsaJob> job;
+        std::uint64_t page = 0;      ///< the destination page number
+        /** Its source page (the page itself when tag-only). */
         std::uint64_t sbuf_page = 0;
-        std::uint32_t scratch_page = 0;
-        /** Lines already copied into the Scratchpad (mirrors the
-         *  scratch page's computed bits while the mapping lives). */
-        std::uint64_t staged = 0;
     };
 
     /** One TLS record: the DSA state its page jobs share, and its
@@ -178,12 +177,13 @@ class BufferDevice : public mem::DimmDevice
     void registerDeflate(const std::uint8_t *data);
     /** Count + trace a rejected registration of @p dbuf_page. */
     void rejectRegistration(std::uint64_t dbuf_page);
-    void feedDsa(std::uint64_t sbuf_page, unsigned line,
-                 const std::uint8_t *data);
+    void feedDsa(const Translation &sbuf, std::uint64_t sbuf_page,
+                 unsigned line, const std::uint8_t *data);
     /** Stage every currently-available result line of @p dbuf_page. */
     void materializeResults(std::uint64_t dbuf_page);
-    /** Tear down the mappings once @p dbuf_page fully drained. */
-    void retirePage(std::uint64_t dbuf_page);
+    /** Tear down the mappings once the destination page staged on
+     *  @p scratch_page fully drained. */
+    void retirePage(std::uint32_t scratch_page);
 
     EventQueue &events_;
     const mem::AddressMap &map_;
@@ -196,8 +196,11 @@ class BufferDevice : public mem::DimmDevice
     ConfigMemory config_memory_;
     ClockDomain buffer_clock_{kBufferClockPeriod};
 
-    std::unordered_map<std::uint64_t, SourceEntry> sources_;
-    std::unordered_map<std::uint64_t, DestEntry> dests_;
+    /** Per-registration state. The Translation Table is the one page
+     *  index: a page's offset selects its entry here. Both allocators
+     *  hand out slots LIFO from 0, so these grow to peak concurrency. */
+    std::vector<SourceEntry> sources_; ///< by Config Memory slot
+    std::vector<DestEntry> dests_;     ///< by Scratchpad page
     /** Live TLS records, keyed by software message id. */
     std::unordered_map<std::uint64_t, TlsMessage> messages_;
 

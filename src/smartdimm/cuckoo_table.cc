@@ -35,18 +35,23 @@ std::optional<Translation>
 CuckooTable::lookup(std::uint64_t page)
 {
     ++stats_.lookups;
+    auto found = find(page);
+    if (found)
+        ++stats_.hits;
+    return found;
+}
+
+std::optional<Translation>
+CuckooTable::find(std::uint64_t page) const
+{
     for (unsigned fn = 0; fn < 3; ++fn) {
         const Bucket &bucket = buckets_[hash(page, fn)];
-        if (bucket.valid && bucket.page == page) {
-            ++stats_.hits;
+        if (bucket.valid && bucket.page == page)
             return bucket.translation;
-        }
     }
     for (const Bucket &bucket : cam_) {
-        if (bucket.valid && bucket.page == page) {
-            ++stats_.hits;
+        if (bucket.valid && bucket.page == page)
             return bucket.translation;
-        }
     }
     return std::nullopt;
 }

@@ -83,8 +83,13 @@ class CuckooTable
     /** Scope for matching device-targeted (`smartdimm[ch][dimm]`) rules. */
     void setFaultScope(const fault::FaultScope &scope) { fault_scope_ = scope; }
 
-    /** @return the mapping for @p page when present. */
+    /** @return the mapping for @p page when present; a CAS lookup,
+     *  counted in stats() (the power model charges each one). */
     std::optional<Translation> lookup(std::uint64_t page);
+
+    /** @return the mapping for @p page when present, uncounted: the
+     *  device's own bookkeeping reads, which no CAS issues. */
+    std::optional<Translation> find(std::uint64_t page) const;
 
     /** Remove a mapping. @return true when it existed. */
     bool erase(std::uint64_t page);

@@ -42,7 +42,7 @@ Scratchpad::livePages() const
 
 void
 Scratchpad::writeLine(std::uint32_t page, unsigned line,
-                      const std::uint8_t *data, bool computed)
+                      const std::uint8_t *data)
 {
     owner_.check();
     SD_ASSERT(page < pages_.size() && line < kLinesPerPage,
@@ -51,8 +51,7 @@ Scratchpad::writeLine(std::uint32_t page, unsigned line,
     SD_ASSERT(p.allocated, "write to unallocated scratchpad page");
     std::memcpy(p.data.data() + line * kCacheLineSize, data,
                 kCacheLineSize);
-    if (computed)
-        p.computed.set(line);
+    p.computed.set(line);
     ++stats_.writes;
 }
 
@@ -80,14 +79,6 @@ Scratchpad::linePending(std::uint32_t page, unsigned line) const
 {
     const Page &p = pages_[page];
     return p.allocated && p.pending.test(line);
-}
-
-void
-Scratchpad::markComputed(std::uint32_t page, unsigned line)
-{
-    owner_.check();
-    SD_ASSERT(pages_[page].allocated, "mark on unallocated page");
-    pages_[page].computed.set(line);
 }
 
 bool

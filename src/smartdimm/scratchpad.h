@@ -64,7 +64,7 @@ class Scratchpad
 
     /** Store a DSA result line into page slot @p page, line @p line. */
     void writeLine(std::uint32_t page, unsigned line,
-                   const std::uint8_t *data, bool computed = true);
+                   const std::uint8_t *data);
 
     /** Read a line (S10: serving a rdCAS from the scratchpad). */
     void readLine(std::uint32_t page, unsigned line, std::uint8_t *dst);
@@ -72,11 +72,15 @@ class Scratchpad
     /** @return true when the line's DSA computation has finished. */
     bool lineComputed(std::uint32_t page, unsigned line) const;
 
+    /** @return the computed bits of allocated page @p page, bit
+     *  @c i for line @c i (the lines already staged). */
+    std::uint64_t computedLines(std::uint32_t page) const
+    {
+        return pages_[page].computed.to_ullong();
+    }
+
     /** @return true when the line has not yet drained to DRAM. */
     bool linePending(std::uint32_t page, unsigned line) const;
-
-    /** Mark a line computed without rewriting data (tag updates). */
-    void markComputed(std::uint32_t page, unsigned line);
 
     /**
      * Self-Recycle step: a wrCAS to a line staged here drains it.

@@ -24,16 +24,12 @@ mix64(std::uint64_t x)
 
 } // namespace
 
-ShardDispatcher::ShardDispatcher(Topology &topo,
-                                 const DispatcherConfig &config)
-    : topo_(topo), config_(config),
-      degraded_(topo.slotCount(), false),
+ShardDispatcher::ShardDispatcher(Topology &topo)
+    : topo_(topo), degraded_(topo.slotCount(), false),
       failure_streak_(topo.slotCount(), 0)
 {
-    SD_ASSERT(config_.queue.id != 0,
-              "queue id 0 is the engines' internal sync queue");
     for (unsigned s = 0; s < topo_.slotCount(); ++s) {
-        compcpy::WorkQueueConfig qc = config_.queue;
+        compcpy::WorkQueueConfig qc = kSlotQueue;
         if (topo_.isFarSlot(s)) {
             // Far-tier queues complete via the withheld-response
             // protocol: the CXL controller holds the completion read
@@ -64,7 +60,7 @@ ShardDispatcher::leastLoadedHealthyIn(
         if (degraded_[s])
             continue;
         const std::size_t occupancy = queues_[s].occupancy();
-        if (occupancy >= config_.queue.depth)
+        if (occupancy >= kSlotQueue.depth)
             continue; // genuinely full — a submit would be rejected
         if (occupancy < best_occupancy) {
             best_occupancy = occupancy;
@@ -83,7 +79,7 @@ ShardDispatcher::placeIn(std::uint64_t flow,
     const std::size_t shed_at = std::max<std::size_t>(
         1, static_cast<std::size_t>(kShedOccupancy *
                                     static_cast<double>(
-                                        config_.queue.depth)));
+                                        kSlotQueue.depth)));
     if (!degraded_[home] && queues_[home].occupancy() < shed_at) {
         ++stats_.home_hits;
         return home;

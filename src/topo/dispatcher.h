@@ -48,14 +48,10 @@ inline constexpr unsigned kDegradeAfter = 4;
 /** Home-queue occupancy fraction beyond which new flows shed. */
 inline constexpr double kShedOccupancy = 0.75;
 
-/** Dispatcher settings: the work-queue template every slot gets. */
-struct DispatcherConfig
-{
-    /** Per-slot queue template (the id must differ from the engines'
-     *  internal sync queue, id 0). */
-    compcpy::WorkQueueConfig queue{
-        .id = 1, .mode = compcpy::QueueMode::kShared};
-};
+/** The work-queue template every slot gets (the id must differ from
+ *  the engines' internal sync queue, id 0). */
+inline constexpr compcpy::WorkQueueConfig kSlotQueue{
+    .id = 1, .mode = compcpy::QueueMode::kShared};
 
 /** Placement and shedding counters. */
 struct DispatchStats
@@ -80,8 +76,7 @@ class ShardDispatcher
     /** place() result meaning "run this op on the CPU path". */
     static constexpr unsigned kCpuPath = ~0u;
 
-    explicit ShardDispatcher(Topology &topo,
-                             const DispatcherConfig &config = {});
+    explicit ShardDispatcher(Topology &topo);
 
     ShardDispatcher(const ShardDispatcher &) = delete;
     ShardDispatcher &operator=(const ShardDispatcher &) = delete;
@@ -185,7 +180,6 @@ class ShardDispatcher
     void releaseStripe(const StripePlan &plan);
 
     const DispatchStats &stats() const { return stats_; }
-    const DispatcherConfig &config() const { return config_; }
 
     /** Register "dispatch" plus one "queue.chN.dM" provider per slot
      *  ("queue" at 1x1). The registry must not outlive this object. */
@@ -200,7 +194,6 @@ class ShardDispatcher
                      const std::vector<unsigned> &tier);
 
     Topology &topo_;
-    DispatcherConfig config_;
     std::deque<compcpy::WorkQueue> queues_; ///< one per slot, stable refs
     std::vector<bool> degraded_;
     std::vector<unsigned> failure_streak_; ///< consecutive bad records

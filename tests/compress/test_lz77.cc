@@ -112,15 +112,29 @@ TEST(Lz77, TokensRespectFormatLimits)
 
 TEST(Lz77, WindowLimitIsHonoured)
 {
-    Lz77Config cfg;
-    cfg.window = 256;
-    const auto data = mixedCorpus(1 << 14, 6);
-    const auto tokens = lz77Compress(data.data(), data.size(), cfg);
-    for (const auto &tok : tokens)
-        if (tok.is_match) {
-            EXPECT_LE(tok.distance, 256);
-        }
-    EXPECT_EQ(lz77Decompress(tokens), data);
+    // A random block repeated once: the repeat is one long match when
+    // the block fits the kMaxDistance window, and out of reach when
+    // it is longer.
+    Rng rng(6);
+    for (const std::size_t block :
+         {kMaxDistance - 1024, kMaxDistance + 1024}) {
+        std::vector<std::uint8_t> data(2 * block);
+        rng.fill(data.data(), block);
+        std::memcpy(data.data() + block, data.data(), block);
+        Lz77Stats stats;
+        const auto tokens =
+            lz77Compress(data.data(), data.size(), Lz77Config{}, &stats);
+        bool repeat_matched = false;
+        for (const auto &tok : tokens)
+            if (tok.is_match) {
+                EXPECT_LE(tok.distance, kMaxDistance);
+                repeat_matched |= tok.distance == block;
+            }
+        EXPECT_EQ(repeat_matched, block <= kMaxDistance) << block;
+        if (block > kMaxDistance)
+            EXPECT_LT(stats.matched_bytes, block / 16) << block;
+        EXPECT_EQ(lz77Decompress(tokens), data);
+    }
 }
 
 TEST(Lz77, LazyMatchingNeverHurtsTokenCount)

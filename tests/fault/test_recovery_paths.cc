@@ -97,7 +97,6 @@ TEST(RecoveryPaths, ScratchpadExhaustRejectsAndDegradesGracefully)
     EXPECT_EQ(sys.slot(0).device.stats().rejected_registrations, 1u);
     EXPECT_EQ(sys.slot(0).engine.stats().rejected_registrations, 1u);
     EXPECT_EQ(sys.slot(0).engine.stats().degraded_calls, 1u);
-    EXPECT_TRUE(sys.slot(0).engine.lastCallDegraded());
     ASSERT_EQ(result.size(), plain.size() + 16);
     EXPECT_EQ(0, std::memcmp(result.data(), plain.data(), plain.size()))
         << "rejected pages must behave as plain DRAM";
@@ -123,7 +122,7 @@ TEST(RecoveryPaths, ConfigMemoryExhaustRejectsRegistration)
     runTls(sys, plain, key, iv, 2);
 
     EXPECT_EQ(sys.slot(0).device.stats().rejected_registrations, 1u);
-    EXPECT_TRUE(sys.slot(0).engine.lastCallDegraded());
+    EXPECT_EQ(sys.slot(0).engine.stats().degraded_calls, 1u);
     EXPECT_EQ(plan.injected(fault::Site::kConfigMemExhaust), 1u);
 }
 
@@ -146,7 +145,7 @@ TEST(RecoveryPaths, CuckooInsertFailureSurfacesAsRejection)
 
     EXPECT_EQ(sys.slot(0).device.translationTable().stats().failures, 1u);
     EXPECT_EQ(sys.slot(0).device.stats().rejected_registrations, 1u);
-    EXPECT_TRUE(sys.slot(0).engine.lastCallDegraded());
+    EXPECT_EQ(sys.slot(0).engine.stats().degraded_calls, 1u);
 }
 
 TEST(RecoveryPaths, ForcedCuckooConflictsStillResolve)
@@ -198,7 +197,7 @@ TEST(RecoveryPaths, FreePagesLieDrivesForceRecycleThenRecovers)
     EXPECT_EQ(sys.slot(0).device.stats().freepages_lies, 1u);
     EXPECT_GE(sys.slot(0).engine.stats().force_recycles, 1u);
     EXPECT_EQ(sys.slot(0).engine.stats().recycle_bailouts, 0u);
-    EXPECT_FALSE(sys.slot(0).engine.lastCallDegraded());
+    EXPECT_EQ(sys.slot(0).engine.stats().degraded_calls, 0u);
     EXPECT_EQ(result, softwareCiphertext(plain, key, iv));
 }
 

@@ -1,8 +1,9 @@
 /**
  * @file
  * Buffer-device arbiter (Fig. 6): MMIO config space, plain-DIMM
- * passthrough, S7 write-ignore, S10 scratchpad reads, S13 ALERT_N and
- * the address-remap check, exercised with hand-built DDR commands.
+ * passthrough, S7 write-ignore, S10 scratchpad reads, S13 ALERT_N, the
+ * address-remap check and the Translation Table as the one page index,
+ * exercised with hand-built DDR commands.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include "common/random.h"
 #include "crypto/aes_gcm.h"
 #include "mem/backing_store.h"
+#include "sim/clock.h"
 #include "sim/event_queue.h"
 #include "smartdimm/buffer_device.h"
 #include "smartdimm/mmio_layout.h"
@@ -23,8 +25,12 @@ using mem::DdrCommand;
 using mem::DdrCommandType;
 using mem::ReadResponse;
 using smartdimm::BufferDevice;
+using smartdimm::MappingKind;
 using smartdimm::MmioReg;
 using smartdimm::TlsPageRegistration;
+
+/** Ticks from an sbuf read to the staging wake-up it schedules. */
+constexpr Tick kDsaTicks = smartdimm::kDsaLineLatency * kBufferClockPeriod;
 
 struct Rig
 {
@@ -97,6 +103,38 @@ struct Rig
         write(dev.config().mmio_base +
                   static_cast<Addr>(MmioReg::kRegister),
               burst);
+    }
+
+    /** Read (sbuf: feed the DSA) every line of the page at @p base. */
+    void
+    readPage(Addr base)
+    {
+        std::uint8_t line[kCacheLineSize];
+        for (unsigned l = 0; l < kLinesPerPage; ++l)
+            read(base + l * kCacheLineSize, line);
+    }
+
+    /** Write back every line of the page at @p base (Self-Recycle). */
+    void
+    writePage(Addr base)
+    {
+        std::uint8_t junk[kCacheLineSize];
+        std::memset(junk, 0xaa, sizeof(junk));
+        for (unsigned l = 0; l < kLinesPerPage; ++l)
+            write(base + l * kCacheLineSize, junk);
+    }
+
+    /** The kPendingList register: the listed page addresses. */
+    std::vector<std::uint64_t>
+    pendingList()
+    {
+        std::uint8_t back[kCacheLineSize];
+        read(dev.config().mmio_base +
+                 static_cast<Addr>(MmioReg::kPendingList),
+             back);
+        std::uint64_t words[8];
+        std::memcpy(words, back, sizeof(words));
+        return {words + 1, words + 1 + words[0]};
     }
 };
 
@@ -275,13 +313,146 @@ TEST(BufferDevice, PendingListExposesUnrecycledPages)
     rig.registerTls(0x100000, 0x200000, 4000, key, iv);
     rig.registerTls(0x300000, 0x400000, 4000, key, iv, /*msg=*/2);
 
-    std::uint8_t back[64];
-    rig.read(rig.dev.config().mmio_base +
-                 static_cast<Addr>(MmioReg::kPendingList),
-             back);
-    std::uint64_t words[8];
-    std::memcpy(words, back, sizeof(words));
-    EXPECT_EQ(words[0], 2u);
+    EXPECT_EQ(rig.pendingList().size(), 2u);
+}
+
+TEST(BufferDevice, PendingListListsLivePagesInSlotOrder)
+{
+    Rig rig;
+    std::uint8_t key[16] = {};
+    crypto::GcmIv iv{};
+    rig.registerTls(0x100000, 0x500000, 4000, key, iv, /*msg=*/1);
+    rig.registerTls(0x200000, 0x600000, 4000, key, iv, /*msg=*/2);
+    rig.registerTls(0x300000, 0x700000, 4000, key, iv, /*msg=*/3);
+
+    // Retire the second page; the next registration reuses its
+    // Scratchpad page (the allocator is LIFO) and is listed there,
+    // ahead of the older third page.
+    rig.readPage(0x200000);
+    rig.events.run();
+    rig.writePage(0x600000);
+    ASSERT_EQ(rig.dev.scratchpad().livePages(), 2u);
+    rig.registerTls(0x400000, 0x800000, 4000, key, iv, /*msg=*/4);
+
+    EXPECT_EQ(rig.pendingList(),
+              (std::vector<std::uint64_t>{0x500000, 0x800000, 0x700000}));
+}
+
+TEST(BufferDevice, TableLookupsCountOnlyCasDataPhases)
+{
+    Rig rig;
+    std::uint8_t key[16] = {};
+    crypto::GcmIv iv{};
+    rig.registerTls(0x100000, 0x200000, 4000, key, iv);
+
+    std::uint8_t line[kCacheLineSize] = {};
+    rig.read(0x10000, line);  // plain
+    rig.write(0x10000, line); // plain
+    rig.readPage(0x100000);   // 64 sbuf reads
+    const std::uint64_t events_before = rig.events.executed();
+    rig.events.run();         // staging wake-ups: no CAS
+    EXPECT_GT(rig.events.executed(), events_before);
+    rig.read(0x200000, line); // S10
+    rig.writePage(0x200000);  // 64 recycles; the last retires the page
+    rig.pendingList();        // MMIO: no lookup
+
+    EXPECT_EQ(rig.dev.scratchpad().livePages(), 0u);
+    EXPECT_EQ(rig.dev.translationTable().stats().lookups,
+              2u + 64u + 1u + 64u);
+}
+
+TEST(BufferDevice, StaleWakeupStagesTheReRegisteredPage)
+{
+    // Staging wake-ups are keyed by page. One scheduled for a page
+    // that retires and is registered again before it fires stages the
+    // new registration's ready lines.
+    Rig rig;
+    Rng rng(5);
+    std::uint8_t key[16];
+    rng.fill(key, 16);
+    crypto::GcmIv iv{};
+    std::vector<std::uint8_t> plain(4096);
+    rng.fill(plain.data(), plain.size());
+    rig.store.write(0x300000, plain.data(), plain.size());
+
+    // A two-page record: every read of either source page wakes both
+    // destination pages.
+    rig.registerTls(0x100000, 0x200000, 8000, key, iv, /*msg=*/1, 0);
+    rig.registerTls(0x110000, 0x210000, 8000, key, iv, /*msg=*/1, 1);
+    rig.readPage(0x100000);
+    rig.events.run();
+
+    std::uint8_t line[kCacheLineSize] = {};
+    rig.read(0x110000, line); // wakes 0x200000 at now + kDsaTicks
+    const Tick stale_at = rig.events.now() + kDsaTicks;
+    rig.events.runUntil(stale_at - kDsaTicks / 2);
+
+    rig.writePage(0x200000); // drains and retires 0x200000
+    ASSERT_FALSE(rig.dev.translationTable().find(0x200000 / kPageSize));
+    rig.registerTls(0x300000, 0x200000, 4000, key, iv, /*msg=*/2);
+    for (unsigned l = 0; l < 4; ++l)
+        rig.read(0x300000 + l * kCacheLineSize, line);
+
+    // Only the stale wake-up has fired: it staged lines 0-3.
+    rig.events.runUntil(stale_at);
+    crypto::GcmContext ctx(key, crypto::Aes::KeySize::k128);
+    std::vector<std::uint8_t> expect(4000);
+    ctx.encrypt(iv, plain.data(), 4000, expect.data());
+    for (unsigned l = 0; l < 4; ++l) {
+        ASSERT_EQ(rig.read(0x200000 + l * kCacheLineSize, line),
+                  ReadResponse::kOk)
+            << "line " << l;
+        EXPECT_EQ(0, std::memcmp(line, expect.data() + l * kCacheLineSize,
+                                 kCacheLineSize));
+    }
+    EXPECT_EQ(rig.read(0x200000 + 4 * kCacheLineSize, line),
+              ReadResponse::kAlertN);
+}
+
+TEST(BufferDevice, SbufReRegisteredBeforeOldDestRetiresKeepsNewMapping)
+{
+    Rig rig;
+    Rng rng(6);
+    std::uint8_t key[16];
+    rng.fill(key, 16);
+    crypto::GcmIv iv{};
+    std::vector<std::uint8_t> plain(4096, 0);
+    rng.fill(plain.data(), 4000);
+    rig.store.write(0x100000, plain.data(), plain.size());
+
+    rig.registerTls(0x100000, 0x200000, 4000, key, iv, /*msg=*/1);
+    rig.readPage(0x100000);
+    rig.events.run();
+
+    // The sbuf page is registered again, to a new destination, while
+    // the old destination still holds its staged lines.
+    std::uint8_t key2[16];
+    rng.fill(key2, 16);
+    rig.registerTls(0x100000, 0x300000, 4000, key2, iv, /*msg=*/2);
+    rig.writePage(0x200000); // the old destination retires
+
+    const auto sbuf = rig.dev.translationTable().find(0x100000 / kPageSize);
+    ASSERT_TRUE(sbuf.has_value());
+    EXPECT_EQ(sbuf->kind, MappingKind::kConfigMemory);
+    EXPECT_EQ(sbuf->dest_page, 0x300000 / kPageSize);
+
+    // The new pair offloads end to end.
+    const std::uint64_t fed = rig.dev.stats().sbuf_reads;
+    rig.readPage(0x100000);
+    EXPECT_EQ(rig.dev.stats().sbuf_reads, fed + kLinesPerPage);
+    rig.events.run();
+    rig.writePage(0x300000);
+    EXPECT_EQ(rig.dev.scratchpad().livePages(), 0u);
+    EXPECT_FALSE(rig.dev.translationTable().find(0x100000 / kPageSize));
+
+    crypto::GcmContext ctx(key2, crypto::Aes::KeySize::k128);
+    std::vector<std::uint8_t> expect(4000);
+    const crypto::GcmTag tag =
+        ctx.encrypt(iv, plain.data(), 4000, expect.data());
+    std::vector<std::uint8_t> dram(4096);
+    rig.store.read(0x300000, dram.data(), dram.size());
+    EXPECT_EQ(0, std::memcmp(dram.data(), expect.data(), 4000));
+    EXPECT_EQ(0, std::memcmp(dram.data() + 4000, tag.data(), 16));
 }
 
 } // namespace

@@ -95,17 +95,18 @@ TEST(DeviceStats, ReportStatsBlockPinned)
 
     // Each busy-cycle row is its line count times kDsaLineLatency (24
     // buffer-device cycles). The poisoned page feeds no Deflate line,
-    // so it adds only the order fault; its 63 writes are ignored (S7)
-    // and its Scratchpad page stays live, as does the first Deflate
-    // page's unwritten 64th line.
+    // so it adds only the order fault; its 63 payload writes and its
+    // zeroed 64th line are ignored (S7) and its Scratchpad page stays
+    // live. The first Deflate page's zeroed 64th line self-recycles,
+    // so that page retires.
     const std::vector<std::pair<std::string, double>> expect = {
         {"plain_reads", 0},
         {"plain_writes", 382},
         {"mmio_reads", 2},
         {"mmio_writes", 13},
         {"sbuf_reads", 382},
-        {"dbuf_recycles", 383},
-        {"dbuf_write_ignored", 63},
+        {"dbuf_recycles", 384},
+        {"dbuf_write_ignored", 64},
         {"dbuf_scratch_reads", 0},
         {"alert_n", 0},
         {"registrations", 7},
@@ -114,10 +115,10 @@ TEST(DeviceStats, ReportStatsBlockPinned)
         {"doorbell_rings", 3},
         {"completion_acks", 3},
         {"scratchpad.allocs", 7},
-        {"scratchpad.self_recycles", 383},
+        {"scratchpad.self_recycles", 384},
         {"scratchpad.force_recycles", 0},
         {"scratchpad.peak_pages", 5},
-        {"scratchpad.live_pages", 2},
+        {"scratchpad.live_pages", 1},
         {"dsa.tls_lines", 256},
         {"dsa.tls_messages", 1},
         {"dsa.tls_busy_cycles", 6144},

@@ -340,9 +340,9 @@ TEST(ShardDispatcher, SaturatedHomeShedsFreshFlows)
     TopologySpec spec;
     spec.channels = 2;
     Topology topo(spec);
-    topo::DispatcherConfig config;
-    config.queue.depth = 2; // kShedOccupancy * 2 floors to 1: shed at 1
-    ShardDispatcher dispatcher(topo, config);
+    ShardDispatcher dispatcher(topo);
+    const auto shed_at = static_cast<std::size_t>(
+        topo::kShedOccupancy * static_cast<double>(topo::kSlotQueue.depth));
 
     // Two distinct flows with the same home slot.
     const std::uint64_t first = 0;
@@ -352,17 +352,19 @@ TEST(ShardDispatcher, SaturatedHomeShedsFreshFlows)
         ++second;
 
     ASSERT_EQ(dispatcher.place(first), home);
-    // Park one descriptor in the home queue (events never run, so it
-    // stays unrecorded and occupancy stays 1).
-    compcpy::CompCpyParams params;
-    params.sbuf = topo.slot(home).driver.alloc(kPageSize);
-    params.dbuf = topo.slot(home).driver.alloc(kPageSize);
-    params.size = 64;
-    params.ulp = smartdimm::UlpKind::kDeflate;
-    ASSERT_TRUE(dispatcher
-                    .submit(home, compcpy::Descriptor::single(params))
-                    .has_value());
-    EXPECT_EQ(dispatcher.queue(home).occupancy(), 1u);
+    // Park descriptors in the home queue up to its shed point (events
+    // never run, so they stay unrecorded).
+    for (std::size_t i = 0; i < shed_at; ++i) {
+        compcpy::CompCpyParams params;
+        params.sbuf = topo.slot(home).driver.alloc(kPageSize);
+        params.dbuf = topo.slot(home).driver.alloc(kPageSize);
+        params.size = 64;
+        params.ulp = smartdimm::UlpKind::kDeflate;
+        ASSERT_TRUE(dispatcher
+                        .submit(home, compcpy::Descriptor::single(params))
+                        .has_value());
+    }
+    EXPECT_EQ(dispatcher.queue(home).occupancy(), shed_at);
 
     const unsigned placed = dispatcher.place(second);
     EXPECT_NE(placed, home);

@@ -62,10 +62,15 @@ Rule catalogue:
                   (a write such as `cfg.x = 3` is not a read), and
                   each such field is set somewhere in src/, bench/ or
                   perfbench/ (a field only tests/ or examples/ set is
-                  a constant to every product run). So is each class
-                  member of such a struct type (assigned, constructor-
-                  initialised with a value or memcpy'd into; a
-                  member nothing sets is a per-instance constant).
+                  a constant to every product run). A write counts for
+                  the type of its target when the same file declares
+                  it (`x.f =` and `x->f =` by x's declaration,
+                  `T{.f = ...}` for T), by member name otherwise, so
+                  a same-named field of another struct hides nothing.
+                  So is each class member of such a struct type
+                  (assigned, constructor-initialised with a value or
+                  memcpy'd into; a member nothing sets is a
+                  per-instance constant).
                   The parameters not enforced yet and those nothing
                   sets yet are exact budgets.
 
@@ -843,7 +848,8 @@ DEAD_PARAMETER_BUDGET = {
 # Parameters nothing sets, each with the reason. A field of a parameter
 # struct that no file in WRITER_DIRS assigns (`.f =`, `->f =`, a
 # designated initializer, a write through a nested member, a memcpy
-# into it) is a fixed value posing as a knob: make it a named constexpr
+# into it; see _write_target_type for which struct a write counts
+# for) is a fixed value posing as a knob: make it a named constexpr
 # next to its reader. Tests and examples are not writers: a value only
 # they turn is a setting no product run exercises, so the test should
 # reach its state at the constant instead. So is a class member of a
@@ -889,17 +895,83 @@ def _is_writer(rel: str) -> bool:
     return rel.split("/", 1)[0] in WRITER_DIRS
 
 
-def _written_members(files: dict) -> set:
-    """Names of the members some writer file in @p files
-    (comment-stripped source) assigns."""
-    written = set()
+# A type name: CamelCase, maybe namespace-qualified or a template.
+TYPE_NAME = r"((?:\w+::)*[A-Z]\w*)\b(?:\s*<[^;{}()]*>)?"
+# What precedes a designated initializer's brace: `T name{`, `T name =
+# {` or a temporary `T{`.
+BRACED_DECL_RE = re.compile(TYPE_NAME + r"(?:\s*[&*]+\s*|\s+)\w+\s*=?\s*$")
+BRACED_TEMP_RE = re.compile(TYPE_NAME + r"\s*$")
+
+
+def _declared_type(clean: str, var: str, pos: int):
+    """The type of variable @p var at offset @p pos of @p clean: its
+    nearest declaration before @p pos, else its first one after (a
+    class member declared below its use). None when @p clean declares
+    no @p var with a CamelCase type (`auto`, a built-in, elsewhere)."""
+    found = None
+    decl = re.compile(TYPE_NAME + r"(?:\s+const\b)?\s*[&*]*\s*\b" +
+                      re.escape(var) + r"\s*(?=[;,)={(\[])")
+    for m in decl.finditer(clean):
+        if m.start() >= pos and found:
+            break
+        found = m
+    return found.group(1).split("::")[-1] if found else None
+
+
+def _enclosing_brace(clean: str, pos: int):
+    """Offset of the `{` that opens the braced list around @p pos, or
+    None when a parenthesis, bracket or statement end comes first."""
+    depth = 0
+    for i in range(pos - 1, -1, -1):
+        c = clean[i]
+        if c in ")]}":
+            depth += 1
+        elif c in "([{":
+            if depth == 0:
+                return i if c == "{" else None
+            depth -= 1
+        elif c == ";" and depth == 0:
+            return None
+    return None
+
+
+def _write_target_type(clean: str, chain_start: int):
+    """The type whose member the write chain at @p chain_start names
+    first: a designated initializer's `T{` or `T name{`, or the
+    declared type of the base variable in `x.f =`/`x->f =`. None when
+    unresolved."""
+    prev = clean[:chain_start].rstrip()
+    if prev.endswith(("{", ",")):
+        brace = len(prev) - 1 if prev.endswith("{") else \
+            _enclosing_brace(clean, len(prev) - 1)
+        if brace is None:
+            return None
+        before = clean[:brace].rstrip()
+        m = BRACED_DECL_RE.search(before) or BRACED_TEMP_RE.search(before)
+        return m.group(1).split("::")[-1] if m else None
+    base = re.search(r"\b([A-Za-z_]\w*)$", prev)
+    return _declared_type(clean, base.group(1), chain_start) if base \
+        else None
+
+
+def _written_members(files: dict) -> tuple:
+    """The members some writer file in @p files (comment-stripped
+    source) assigns: a set of (type, member) for writes whose target
+    type resolves in the same file, and a set of bare member names for
+    the rest (and for every member past the first of a chain)."""
+    typed, named = set(), set()
     for rel, clean in files.items():
         if not _is_writer(rel):
             continue
         for regex in (MEMBER_WRITE_RE, MEMCPY_INTO_RE):
             for m in regex.finditer(clean):
-                written.update(MEMBER_NAME_RE.findall(m.group(1)))
-    return written
+                names = MEMBER_NAME_RE.findall(m.group(1))
+                owner = _write_target_type(clean, m.start(1))
+                if owner:
+                    typed.add((owner, names[0]))
+                    names = names[1:]
+                named.update(names)
+    return typed, named
 
 
 def _is_function(stmt: str) -> bool:
@@ -1044,12 +1116,13 @@ def _member_set(name: str, text: str) -> bool:
 
 def _unset_findings(declared: list, members: list, writers: dict,
                     budget: dict) -> list:
-    written = _written_members(writers)
+    typed, named = _written_members(writers)
     text = "\n".join(clean for rel, clean in writers.items()
                      if _is_writer(rel))
     unset = [(qual, rel, line) for qual, name, rel, line in declared
              if not qual.startswith("DdrCommandType::") and
-             name not in written]
+             name not in named and
+             (qual.split("::")[0], name) not in typed]
     unset += [(qual, rel, line) for qual, name, rel, line in members
               if not _member_set(name, text)]
     findings, used = [], set()
@@ -1123,11 +1196,11 @@ RECOVERABLE_ASSERT_BUDGET = {
     "src/mem/bank_state.h": 1,
     "src/mem/dimm_mux.h": 2,  # chip-select decode of a malformed coord
     "src/mem/memory_controller.cc": 2,
-    "src/smartdimm/buffer_device.cc": 3,
+    "src/smartdimm/buffer_device.cc": 2,
     "src/smartdimm/config_memory.cc": 4,
     "src/smartdimm/cuckoo_table.cc": 1,
     "src/smartdimm/deflate_dsa.cc": 2,
-    "src/smartdimm/scratchpad.cc": 9,
+    "src/smartdimm/scratchpad.cc": 8,
     "src/smartdimm/tls_dsa.cc": 3,
     "src/smartdimm/bank_table.h": 1,
     "src/compcpy/compcpy.cc": 3,
@@ -1516,6 +1589,37 @@ UNSET_PARAMETER_SELF_TESTS = [
                     "  c.inner.x = 1; std::memcpy(c.key, k, 16);\n"
                     "  c.n += 1; }"},
      {}, []),  # c.inner.x = 1 sets both inner and x
+    # Both sides of a name collision: a write counts for the type of
+    # its target when the same file declares the base variable or the
+    # braced type, and by bare name only when it does not.
+    ("collision-other-type-sets-nothing",
+     {"src/a/cfg.h": "struct FooConfig { int queue = 1; };\n"
+                     "struct Doorbell { int queue = 0; };",
+      "src/a/use.cc": "int f(const FooConfig &c) { return c.queue; }",
+      "bench/b.cc": "void g(Doorbell *p, const Doorbell &d) {\n"
+                    "  Doorbell db; db.queue = 2; p->queue = 3;\n"
+                    "  sd::Doorbell qc{.queue = 4};\n"
+                    "  h(Doorbell{.queue = 5, .queue = 6}); }"},
+     {}, ["unset FooConfig::queue"]),
+    ("collision-own-type-sets",
+     {"src/a/cfg.h": "struct FooConfig { int a = 1; int b = 2;\n"
+                     "  int c = 3; };\n"
+                     "struct Doorbell { int a = 0; };",
+      "src/a/use.cc": "int f(const FooConfig &c) {\n"
+                      "  return c.a + c.b + c.c; }",
+      "bench/b.cc": "void g(topo::FooConfig &cfg) { Doorbell a;\n"
+                    "  a.a = 1; cfg.a = 2; }\n"
+                    "auto x = FooConfig{.b = 1};\n"
+                    "const FooConfig y = {.a = 0, .c = 2};"},
+     {}, []),
+    ("collision-unresolved-base-matches-by-name",
+     {"src/a/cfg.h": "struct FooConfig { int queue = 1; int id = 2; };\n"
+                     "struct Doorbell { int queue = 0; int id = 0; };",
+      "src/a/use.cc": "int f(const FooConfig &c) {\n"
+                      "  return c.queue + c.id; }",
+      "bench/b.cc": "void g(std::vector<Doorbell> &v) {\n"
+                    "  v[0].queue = 2; auto &d = v[1]; d.id = 3; }"},
+     {}, []),  # an element or an `auto` variable has no declared type
     ("compare-is-not-a-write",
      {"src/a/cfg.h": "struct FooParams { int a = 1; };",
       "src/a/use.cc": "bool f(const FooParams &p) {\n"
