@@ -13,6 +13,11 @@
  * columns are read only for the single request the pass actually
  * issues.
  *
+ * A bank's open row changes only on ACT (activate()): the controller
+ * folds each PRE into the ACT that follows it, so a bank never returns
+ * to kClosed once opened. The FR-FCFS scan's resume point relies on
+ * that: a queued key found to miss stays a miss until the next ACT.
+ *
  * Like the struct it replaces, this is plain controller-private
  * state: no concurrency contract beyond the controller's own
  * (single-owner via its EventQueue).
@@ -78,11 +83,8 @@ class BankStateSoA
         ready_at_[bank] = ready_at;
     }
 
-    /** Apply a PRE: close the bank. */
-    void precharge(std::size_t bank) { open_row_[bank] = kClosed; }
-
   private:
-    std::vector<std::uint64_t> open_row_; ///< kClosed when precharged
+    std::vector<std::uint64_t> open_row_; ///< kClosed until the first ACT
     std::vector<Tick> ready_at_;
     std::vector<Tick> act_at_;
 };

@@ -93,16 +93,23 @@ MemoryController::requestPass(Tick when)
 }
 
 std::size_t
-MemoryController::pickFrFcfs(const std::vector<Key> &queue) const
+MemoryController::pickFrFcfs(const std::vector<Key> &queue,
+                             std::size_t &known_misses) const
 {
     // First ready (row hit), then oldest. The scan walks contiguous
     // 16-byte keys; each probe is one 8-byte load against the SoA
     // open-row column, keyed by the flat bank id precomputed at
-    // enqueue.
-    for (std::size_t i = 0; i < queue.size(); ++i) {
-        if (banks_.rowHit(queue[i].flat_bank, queue[i].row))
+    // enqueue. It resumes past the keys an earlier scan found to miss:
+    // they stay misses until an ACT opens a row, which resets the
+    // count, and the queue changes only by appends and by erasing the
+    // picked key, so that prefix is never disturbed.
+    for (std::size_t i = known_misses; i < queue.size(); ++i) {
+        if (banks_.rowHit(queue[i].flat_bank, queue[i].row)) {
+            known_misses = i;
             return i;
+        }
     }
+    known_misses = queue.size();
     return 0;
 }
 
@@ -207,6 +214,9 @@ MemoryController::issueRequest(std::vector<Key> &queue, std::size_t index,
         pool_[key.slot].needed_act = true;
         banks_.activate(bank, key.row, /*act_at=*/when,
                         /*ready_at=*/when + kDramTiming.tRCD * period);
+        // The open row changed: any queued key may hit now.
+        read_known_misses_ = 0;
+        write_known_misses_ = 0;
         // Re-run the scheduler when the bank becomes ready.
         requestPass(banks_.readyAt(bank));
         return false; // CAS not issued this pass
@@ -392,7 +402,8 @@ MemoryController::schedulePass()
         std::vector<Key> &queue = service_writes ? write_q_ : read_q_;
         if (queue.empty())
             break;
-        const std::size_t index = pickFrFcfs(queue);
+        const std::size_t index = pickFrFcfs(
+            queue, service_writes ? write_known_misses_ : read_known_misses_);
         if (!issueRequest(queue, index, service_writes))
             break; // waiting on a bank/bus event already requested
         // Keep issuing while commands fit at the current tick.

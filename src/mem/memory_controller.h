@@ -202,7 +202,10 @@ class MemoryController
     void schedulePass();   ///< pick and issue the next command
     bool issueRequest(std::vector<Key> &queue, std::size_t index,
                       bool is_write);
-    std::size_t pickFrFcfs(const std::vector<Key> &queue) const;
+    /** FR-FCFS pick in @p queue, scanning from @p known_misses, the
+     *  count of leading keys known not to be row hits (updated). */
+    std::size_t pickFrFcfs(const std::vector<Key> &queue,
+                           std::size_t &known_misses) const;
     DdrCommand command(DdrCommandType type, const Request &req,
                        Tick at) const;
     void emit(DdrCommandType type, std::uint32_t slot, Tick at);
@@ -223,6 +226,9 @@ class MemoryController
     SlotPool<Request> pool_;
     std::vector<Key> read_q_;  ///< age-ordered
     std::vector<Key> write_q_; ///< age-ordered
+    /** Leading keys of each queue known not to be row hits. */
+    std::size_t read_known_misses_ = 0;
+    std::size_t write_known_misses_ = 0;
     BankStateSoA banks_;
     bool write_drain_ = false;
     bool coalesce_wakeups_ = true;

@@ -175,17 +175,19 @@ BufferDevice::registerTls(const std::uint8_t *data)
     }
 
     // Shared per-message state (partial tag + H-power table).
-    TlsMessage &message = messages_[reg.message_id];
-    const bool fresh_state = !message.state;
+    std::shared_ptr<TlsMessage> &message = messages_[reg.message_id];
+    const bool fresh_state = !message;
     if (fresh_state)
-        message.state = std::make_shared<TlsMessageState>(
+        message = std::make_shared<TlsMessage>(
             reg.key, [&] {
                 crypto::GcmIv iv{};
                 std::memcpy(iv.data(), reg.iv, iv.size());
                 return iv;
             }(), reg.message_len, &dsa_stats_);
 
-    auto job = std::make_shared<TlsDsaJob>(message.state, reg.page_index);
+    auto job = std::make_shared<TlsDsaJob>(
+        std::shared_ptr<TlsMessageState>(message, &message->state),
+        reg.page_index);
 
     Translation src_t;
     src_t.kind = MappingKind::kConfigMemory;
@@ -219,7 +221,7 @@ BufferDevice::registerTls(const std::uint8_t *data)
         slotEntry(sources_, slot_id) = SourceEntry{job, 0, reg.message_id};
     slotEntry(dests_, *scratch) =
         DestEntry{job, reg.dbuf_page, reg.sbuf_page};
-    message.dest_pages.push_back(reg.dbuf_page);
+    message->dest_pages.push_back(reg.dbuf_page);
 
     ++stats_.registrations;
 }
@@ -369,25 +371,33 @@ BufferDevice::feedDsa(const Translation &sbuf, std::uint64_t sbuf_page,
                               sbuf_page * kPageSize + line * kCacheLineSize);
 
     entry.job->processLine(line, data);
-    const Tick ready_at =
-        events_.now() + buffer_clock_.toTicks(kDsaLineLatency);
-    events_.schedule(ready_at,
-                     [this, dbuf_page] { materializeResults(dbuf_page); });
 
     // When a TLS record just completed, trailer/tag lines on *other*
-    // destination pages of the same message become available too.
+    // destination pages of the same message become available too, so
+    // the one staging event also wakes the pages the record lists now.
+    // It holds the record and that count: the retire sweep may drop
+    // the record, and later registrations may add pages, before it runs.
+    std::shared_ptr<const TlsMessage> message;
+    std::size_t pages = 0;
     if (entry.message_id) {
-        auto msg = messages_.find(*entry.message_id);
+        const auto msg = messages_.find(*entry.message_id);
         if (msg != messages_.end()) {
-            for (std::uint64_t page : msg->second.dest_pages) {
-                if (page == dbuf_page)
-                    continue;
-                events_.schedule(ready_at, [this, page] {
-                    materializeResults(page);
-                });
-            }
+            message = msg->second;
+            pages = message->dest_pages.size();
         }
     }
+    auto stage = [this, dbuf_page, message = std::move(message), pages] {
+        materializeResults(dbuf_page);
+        for (std::size_t i = 0; i < pages; ++i) {
+            const std::uint64_t page = message->dest_pages[i];
+            if (page != dbuf_page)
+                materializeResults(page);
+        }
+    };
+    static_assert(sizeof(stage) <= UniqueFunction::kInlineBytes,
+                  "the staging event allocates nothing");
+    events_.schedule(events_.now() + buffer_clock_.toTicks(kDsaLineLatency),
+                     std::move(stage));
     ++stats_.sbuf_reads;
 }
 
@@ -409,7 +419,7 @@ BufferDevice::retirePage(std::uint32_t scratch_page)
 
     // Lazily sweep finished TLS records.
     std::erase_if(messages_, [](const auto &message) {
-        return message.second.state->complete();
+        return message.second->state.complete();
     });
 }
 

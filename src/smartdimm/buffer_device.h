@@ -162,12 +162,19 @@ class BufferDevice : public mem::DimmDevice
         std::uint64_t sbuf_page = 0;
     };
 
-    /** One TLS record: the DSA state its page jobs share, and its
-     *  destination pages, so trailer (tag-only) pages materialise
-     *  when the record completes. */
+    /** One TLS record: the DSA state its page jobs share (through
+     *  aliasing pointers into this object, so one allocation holds
+     *  both), and its destination pages in registration order, so
+     *  trailer (tag-only) pages materialise when the record completes. */
     struct TlsMessage
     {
-        std::shared_ptr<TlsMessageState> state;
+        TlsMessage(const std::uint8_t key[16], const crypto::GcmIv &iv,
+                   std::size_t message_len, DsaStats *stats)
+            : state(key, iv, message_len, stats)
+        {
+        }
+
+        TlsMessageState state;
         std::vector<std::uint64_t> dest_pages;
     };
 
@@ -201,8 +208,9 @@ class BufferDevice : public mem::DimmDevice
      *  hand out slots LIFO from 0, so these grow to peak concurrency. */
     std::vector<SourceEntry> sources_; ///< by Config Memory slot
     std::vector<DestEntry> dests_;     ///< by Scratchpad page
-    /** Live TLS records, keyed by software message id. */
-    std::unordered_map<std::uint64_t, TlsMessage> messages_;
+    /** Live TLS records, keyed by software message id. Shared so a
+     *  staging event can hold its record past the retire sweep. */
+    std::unordered_map<std::uint64_t, std::shared_ptr<TlsMessage>> messages_;
 
     fault::FaultPlan *fault_plan_ = nullptr;
     fault::FaultScope fault_scope_;

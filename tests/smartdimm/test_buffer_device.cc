@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
+#include <vector>
 
 #include "common/random.h"
 #include "crypto/aes_gcm.h"
@@ -17,6 +19,7 @@
 #include "sim/event_queue.h"
 #include "smartdimm/buffer_device.h"
 #include "smartdimm/mmio_layout.h"
+#include "trace/trace.h"
 
 namespace {
 
@@ -122,6 +125,31 @@ struct Rig
         std::memset(junk, 0xaa, sizeof(junk));
         for (unsigned l = 0; l < kLinesPerPage; ++l)
             write(base + l * kCacheLineSize, junk);
+    }
+
+    /** Read the page at @p base one line per buffer cycle, as a copy
+     *  loop does, running the staging events that fall due before
+     *  each read. */
+    void
+    feedPage(Addr base)
+    {
+        std::uint8_t line[kCacheLineSize];
+        for (unsigned l = 0; l < kLinesPerPage; ++l) {
+            events.runUntil(events.now() + kBufferClockPeriod);
+            read(base + l * kCacheLineSize, line);
+        }
+    }
+
+    /** @return true when the dbuf line at @p addr is staged. */
+    bool
+    staged(Addr addr)
+    {
+        const auto t = dev.translationTable().find(addr / kPageSize);
+        return t && t->kind == MappingKind::kScratchpad &&
+               dev.scratchpad().lineComputed(
+                   t->offset,
+                   static_cast<unsigned>((addr % kPageSize) /
+                                         kCacheLineSize));
     }
 
     /** The kPendingList register: the listed page addresses. */
@@ -453,6 +481,170 @@ TEST(BufferDevice, SbufReRegisteredBeforeOldDestRetiresKeepsNewMapping)
     rig.store.read(0x300000, dram.data(), dram.size());
     EXPECT_EQ(0, std::memcmp(dram.data(), expect.data(), 4000));
     EXPECT_EQ(0, std::memcmp(dram.data() + 4000, tag.data(), 16));
+}
+
+/** Records every staged line, as (tick, address), while in scope. */
+class StagingLog
+{
+  public:
+    explicit StagingLog(const std::vector<Addr> &dbuf_pages)
+    {
+        auto &tr = trace::tracer();
+        tr.clear();
+        tr.enable();
+        const std::uint32_t span = tr.beginSpan("tls", 0, 0, 0, 0);
+        for (Addr page : dbuf_pages)
+            tr.bindPage(page / kPageSize, span);
+    }
+
+    ~StagingLog()
+    {
+        trace::tracer().disable();
+        trace::tracer().clear();
+    }
+
+    std::vector<std::pair<Tick, Addr>>
+    staged() const
+    {
+        std::vector<std::pair<Tick, Addr>> out;
+        for (const trace::TraceEvent &e : trace::tracer().events())
+            if (e.stage == trace::Stage::kStage)
+                out.emplace_back(e.tick, e.addr);
+        return out;
+    }
+};
+
+/** FNV-1a over a staging log. */
+std::uint64_t
+digest(const std::vector<std::pair<Tick, Addr>> &log)
+{
+    std::uint64_t h = 1469598103934665603ull;
+    for (const auto &[tick, addr] : log)
+        for (std::uint64_t v : {std::uint64_t{tick}, std::uint64_t{addr}})
+            for (int i = 0; i < 8; ++i) {
+                h ^= (v >> (8 * i)) & 0xff;
+                h *= 1099511628211ull;
+            }
+    return h;
+}
+
+TEST(BufferDevice, MultiPageRecordsRunOneStagingEventPerFedLine)
+{
+    // A two-page record whose second page registers only after its
+    // first page is fed, then a three-page record ending in a tag-only
+    // page, which the retire sweep drops before its last lines' staging
+    // events fire. Each fed line runs one event, and the staging log
+    // is the one the device printed when it scheduled one event per
+    // destination page of the record.
+    Rig rig;
+    Rng rng(7);
+    std::uint8_t key[16];
+    rng.fill(key, 16);
+    crypto::GcmIv iv{};
+    rng.fill(iv.data(), iv.size());
+    std::vector<std::uint8_t> plain(4 * kPageSize);
+    rng.fill(plain.data(), plain.size());
+    rig.store.write(0x100000, plain.data(), 2 * kPageSize);
+    rig.store.write(0x120000, plain.data() + 2 * kPageSize, 2 * kPageSize);
+
+    StagingLog log({0x200000, 0x201000, 0x220000, 0x221000, 0x222000});
+    const std::uint64_t events_before = rig.events.executed();
+
+    rig.registerTls(0x100000, 0x200000, 8000, key, iv, /*msg=*/1, 0);
+    rig.feedPage(0x100000);
+    rig.registerTls(0x101000, 0x201000, 8000, key, iv, /*msg=*/1, 1);
+    rig.feedPage(0x101000);
+    rig.events.runUntil(rig.events.now() + kDsaTicks);
+    rig.writePage(0x200000);
+    std::uint8_t junk[kCacheLineSize] = {};
+    for (unsigned l = 0; l + 1 < kLinesPerPage; ++l)
+        rig.write(0x201000 + l * kCacheLineSize, junk);
+
+    rig.registerTls(0x120000, 0x220000, 8192, key, iv, /*msg=*/2, 0);
+    rig.registerTls(0x121000, 0x221000, 8192, key, iv, /*msg=*/2, 1);
+    rig.registerTls(0x222000, 0x222000, 8192, key, iv, /*msg=*/2, 2);
+    rig.feedPage(0x120000);
+    rig.feedPage(0x121000);
+    // The first record's last page retires; the sweep drops both
+    // (complete) records while the second one's wake-ups are pending.
+    rig.write(0x201000 + (kLinesPerPage - 1) * kCacheLineSize, junk);
+    ASSERT_FALSE(rig.dev.translationTable().find(0x201000 / kPageSize));
+    rig.events.run();
+    for (Addr page : {0x220000, 0x221000, 0x222000})
+        rig.writePage(page);
+
+    EXPECT_EQ(rig.dev.stats().sbuf_reads, 4 * kLinesPerPage);
+    EXPECT_EQ(rig.events.executed() - events_before, 4 * kLinesPerPage);
+    EXPECT_EQ(rig.dev.scratchpad().livePages(), 0u);
+    const auto staged = log.staged();
+    EXPECT_EQ(staged.size(), 5 * kLinesPerPage);
+    EXPECT_EQ(digest(staged), 0x04ff5408450fae32ull);
+}
+
+TEST(BufferDevice, WakeupSkipsPagesRegisteredAfterItsFeed)
+{
+    // A fed line wakes the record's pages as listed when it was fed. A
+    // page registered later is staged by its own lines' events only.
+    Rig rig;
+    std::uint8_t key[16] = {};
+    crypto::GcmIv iv{};
+    rig.registerTls(0x100000, 0x200000, 8000, key, iv, /*msg=*/1, 0);
+    rig.readPage(0x100000);
+    const Tick fed_at = rig.events.now();
+    rig.registerTls(0x101000, 0x201000, 8000, key, iv, /*msg=*/1, 1);
+    rig.events.runUntil(fed_at + kBufferClockPeriod);
+    std::uint8_t line[kCacheLineSize];
+    rig.read(0x101000, line);
+
+    rig.events.runUntil(fed_at + kDsaTicks);
+    EXPECT_TRUE(rig.staged(0x200000 + (kLinesPerPage - 1) * kCacheLineSize));
+    EXPECT_FALSE(rig.staged(0x201000));
+    rig.events.runUntil(fed_at + kBufferClockPeriod + kDsaTicks);
+    EXPECT_TRUE(rig.staged(0x201000));
+    EXPECT_EQ(rig.events.executed(), kLinesPerPage + 1);
+}
+
+TEST(BufferDevice, WakeupStagesSiblingsOfASweptRecord)
+{
+    // The record's last line makes the tag-only page's tag ready. The
+    // record is complete, so the sweep of a retiring page drops it
+    // before that line's staging event fires; the event still wakes
+    // the tag-only page.
+    Rig rig;
+    Rng rng(8);
+    std::uint8_t key[16];
+    rng.fill(key, 16);
+    crypto::GcmIv iv{};
+    std::vector<std::uint8_t> plain(2 * kPageSize);
+    rng.fill(plain.data(), plain.size());
+    rig.store.write(0x100000, plain.data(), plain.size());
+
+    rig.registerTls(0x100000, 0x200000, 8192, key, iv, /*msg=*/1, 0);
+    rig.registerTls(0x101000, 0x201000, 8192, key, iv, /*msg=*/1, 1);
+    rig.registerTls(0x202000, 0x202000, 8192, key, iv, /*msg=*/1, 2);
+    rig.readPage(0x100000);
+    rig.events.run();
+    std::uint8_t junk[kCacheLineSize] = {};
+    for (unsigned l = 0; l + 1 < kLinesPerPage; ++l)
+        rig.write(0x200000 + l * kCacheLineSize, junk);
+
+    rig.readPage(0x101000);
+    rig.write(0x200000 + (kLinesPerPage - 1) * kCacheLineSize, junk);
+    ASSERT_FALSE(rig.dev.translationTable().find(0x200000 / kPageSize));
+    EXPECT_FALSE(rig.staged(0x202000));
+    rig.events.run();
+    EXPECT_TRUE(rig.staged(0x202000));
+
+    rig.writePage(0x201000);
+    rig.writePage(0x202000);
+    EXPECT_EQ(rig.dev.scratchpad().livePages(), 0u);
+    crypto::GcmContext ctx(key, crypto::Aes::KeySize::k128);
+    std::vector<std::uint8_t> expect(plain.size());
+    const crypto::GcmTag tag =
+        ctx.encrypt(iv, plain.data(), plain.size(), expect.data());
+    std::uint8_t dram[16];
+    rig.store.read(0x202000, dram, sizeof(dram));
+    EXPECT_EQ(0, std::memcmp(dram, tag.data(), sizeof(dram)));
 }
 
 } // namespace
