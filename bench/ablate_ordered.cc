@@ -45,7 +45,7 @@ runCopy(bool ordered)
         rng.fill(params.iv.data(), params.iv.size());
 
         const Tick start = rig.events().now();
-        rig.slot(0).engine.run(params);
+        rig.slot(0).queue.run(params);
         total += rig.events().now() - start;
         rig.slot(0).engine.useSync(dbuf, kMsg + kPageSize);
     }

@@ -57,7 +57,7 @@ runWithCapacity(std::size_t scratch_pages)
         params.message_id = 1 + static_cast<std::uint64_t>(i);
         rng.fill(params.key, sizeof(params.key));
         rng.fill(params.iv.data(), params.iv.size());
-        engine.run(params);
+        topo.slot(0u).queue.run(params);
         // Lazy consumption: rely on LLC evictions; no USE flush.
     }
     events.run();

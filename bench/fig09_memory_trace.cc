@@ -73,7 +73,6 @@ main()
     // Interleave the cores' CompCpys: each call's async flow advances
     // whenever the event loop runs, so the four streams overlap on
     // the channel exactly as four cores would.
-    int outstanding = 0;
     std::uint64_t message_id = 1;
     for (int call = 0; call < kCallsPerCore; ++call) {
         for (int core = 0; core < kCores; ++core) {
@@ -95,12 +94,16 @@ main()
             rng.fill(params.key, sizeof(params.key));
             rng.fill(params.iv.data(), params.iv.size());
 
-            ++outstanding;
-            rig.slot(0).engine.start(params, [&outstanding, &rig, dbuf] {
-                --outstanding;
+            const auto on_done = [&rig, dbuf](
+                                     const compcpy::CompletionRecord &) {
                 // USE: flush the destination so self-recycle drains.
                 rig.slot(0).engine.use(dbuf, kMsg + kPageSize, [] {});
-            });
+            };
+            if (!rig.slot(0).queue.submit(
+                    compcpy::Descriptor::single(params), 0, on_done)) {
+                std::fprintf(stderr, "fig09: the queue rejected a call\n");
+                return 1;
+            }
         }
         rig.events().run();
     }

@@ -50,7 +50,7 @@ runProvision(std::size_t llc_bytes, const char *label)
         rng.fill(params.key, sizeof(params.key));
         rng.fill(params.iv.data(), params.iv.size());
 
-        rig.slot(0).engine.run(params);
+        rig.slot(0).queue.run(params);
         // No explicit USE flush: recycling relies on the LLC's own
         // capacity evictions of the dirty destination lines, exactly
         // the Self-Recycle equilibrium of Sec. IV-B.

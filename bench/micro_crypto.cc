@@ -123,7 +123,7 @@ BM_DeviceCompCpy4K(benchmark::State &state)
         params.ulp = smartdimm::UlpKind::kTlsEncrypt;
         params.message_id = ++i;
         rng.fill(params.key, sizeof(params.key));
-        rig.slot(0).engine.run(params);
+        rig.slot(0).queue.run(params);
         rig.slot(0).engine.useSync(dbuf, 4096 + kPageSize);
     }
     state.SetBytesProcessed(

@@ -138,7 +138,7 @@ runPoint(const char *name, double link_ns)
         };
         if (!dispatcher.submit(slot, Descriptor::single(params), 0,
                                reap))
-            dispatcher.queue(slot).submitForce(
+            topo.slot(slot).queue.submitForce(
                 Descriptor::single(params), 0, reap);
     };
 
@@ -162,7 +162,7 @@ runPoint(const char *name, double link_ns)
     row.speedup_vs_cpu = modeledSpeedup(link_ns);
 
     const compcpy::WorkQueueStats &qs =
-        dispatcher.queue(slot).stats();
+        topo.slot(slot).queue.stats();
     row.polls_saved = qs.polls_saved;
     row.poll_bytes_saved = qs.poll_bytes_saved;
     row.withheld_completions = qs.withheld_completions;

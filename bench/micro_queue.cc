@@ -114,14 +114,14 @@ runSerial()
     const Workload w = stage(rig);
     const Tick start = rig.events().now();
     for (const auto &op : w.ops)
-        rig.slot(0).engine.run(op);
+        rig.slot(0).queue.run(op);
     const Tick elapsed = rig.events().now() - start;
 
     Row row;
     row.mode = "serial_sync";
     row.depth = 0;
     row.offloads_per_sec = offloadsPerSec(elapsed);
-    const auto &lat = rig.slot(0).engine.syncQueue().completionLatency();
+    const auto &lat = rig.slot(0).queue.completionLatency();
     row.p50_us = static_cast<double>(lat.percentile(0.50)) / 1e6;
     row.p99_us = static_cast<double>(lat.percentile(0.99)) / 1e6;
     return row;

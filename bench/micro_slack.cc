@@ -79,7 +79,7 @@ main()
         rng.fill(params.key, sizeof(params.key));
         rng.fill(params.iv.data(), params.iv.size());
 
-        rig.slot(0).engine.run(params);
+        rig.slot(0).queue.run(params);
         rig.slot(0).engine.useSync(probe.dbuf, kMsg + kPageSize);
 
         const double slack_us =

@@ -115,7 +115,7 @@ runShape(unsigned channels, unsigned dimms)
         };
         if (!dispatcher.submit(slot, Descriptor::single(params), 0,
                                reap))
-            dispatcher.queue(slot).submitForce(
+            topo.slot(slot).queue.submitForce(
                 Descriptor::single(params), 0, reap);
     };
 

@@ -46,7 +46,7 @@ main()
         params.message_id = message_id++;
         rng.fill(params.key, sizeof(params.key));
         rng.fill(params.iv.data(), params.iv.size());
-        rig.slot(0).engine.run(params);
+        rig.slot(0).queue.run(params);
         rig.slot(0).engine.useSync(dbuf, kMsg + kPageSize);
     }
     const Tick window = rig.events().now() - start;

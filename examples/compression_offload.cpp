@@ -83,7 +83,7 @@ main()
         params.size = take;
         params.ordered = true; // streaming DSA needs in-order lines
         params.ulp = smartdimm::UlpKind::kDeflate;
-        compcpy.run(params);
+        topo.slot(0u).queue.run(params);
         compcpy.useSync(dbuf, kPageSize);
 
         const auto framed = compcpy.readResult(dbuf, kPageSize);

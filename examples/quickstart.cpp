@@ -69,7 +69,7 @@ main()
         params.message_id = 1;
         std::memcpy(params.key, key, sizeof(key));
         params.iv = iv;
-        compcpy.run(params);
+        slot.queue.run(params);
 
         // 3. USE(dbuf): flush so the Scratchpad self-recycles into
         //    DRAM, then read the record (ciphertext || tag) back.

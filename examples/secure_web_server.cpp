@@ -31,7 +31,6 @@ main()
                                       // easy to provoke in a demo
     topo::Topology topo(spec);
     cache::MemorySystem &memory = topo.memory();
-    topo::Topology::Slot &slot = topo.slot(0u);
 
     Rng rng(7);
     std::uint8_t key[16];
@@ -39,8 +38,7 @@ main()
     crypto::GcmIv static_iv{};
     rng.fill(static_iv.data(), static_iv.size());
 
-    compcpy::AdaptiveTlsEngine engine(memory, slot.driver, slot.shared,
-                                      key, static_iv);
+    compcpy::AdaptiveTlsEngine engine(topo.slot(0u).queue, key, static_iv);
 
     // A client-side session with the same keys verifies every record.
     crypto::GcmContext client(key, crypto::Aes::KeySize::k128);

@@ -74,9 +74,6 @@ class LlcContentionProbe
     /** Smoothed miss rate. */
     double missRateEwma() const { return ewma_ < 0 ? 0.0 : ewma_; }
 
-    /** Probe samples taken. */
-    std::uint64_t samples() const { return samples_; }
-
     /** CPU<->SmartDIMM decision flips (stability metric). */
     std::uint64_t switches() const { return switches_; }
 

@@ -6,7 +6,6 @@
 #include <memory>
 
 #include "common/log.h"
-#include "compcpy/queue.h"
 #include "crypto/tls_record.h"
 #include "smartdimm/deflate_dsa.h"
 
@@ -20,14 +19,6 @@ namespace sd::compcpy {
  * full scratchpad then rejects the registration gracefully.
  */
 constexpr unsigned kMaxRecycleAttempts = 8;
-
-/**
- * Bound on sync-facade submit retries against an injected kQueueFull.
- * Each retry pumps the event queue (draining real occupancy); past
- * the bound the facade force-submits — a lying "queue full" signal
- * must not wedge a synchronous caller, mirroring the recycle bailout.
- */
-constexpr unsigned kMaxSubmitRetries = 8;
 
 /** Lines in flight per round of the unordered copy loop. */
 constexpr std::size_t kCopyWindow = 8;
@@ -65,58 +56,6 @@ CompCpyEngine::destPages(const CompCpyParams &params)
     if (params.ulp == smartdimm::UlpKind::kTlsEncrypt)
         return divCeil(params.size + crypto::kTlsTagSize, kPageSize);
     return divCeil(params.size, kPageSize);
-}
-
-WorkQueue &
-CompCpyEngine::syncQueue()
-{
-    if (!sync_queue_) {
-        WorkQueueConfig cfg;
-        cfg.id = 0;
-        cfg.mode = QueueMode::kShared; // the facade serves any caller
-        cfg.depth = 64;
-        cfg.max_inflight = 64;
-        sync_queue_ = std::make_unique<WorkQueue>(*this, cfg);
-    }
-    return *sync_queue_;
-}
-
-void
-CompCpyEngine::start(const CompCpyParams &params,
-                     std::function<void()> on_done)
-{
-    // Submit-then-poll facade: a single-op descriptor whose record is
-    // consumed by the callback the moment it is written. Rejections
-    // (injected kQueueFull, or a genuinely full facade ring) retry
-    // after pumping the event queue, then force-submit — the bounded
-    // escape hatch that keeps the old start() contract: on_done always
-    // eventually fires.
-    auto consume = [cb = std::move(on_done)](const CompletionRecord &) {
-        cb();
-    };
-    const Descriptor desc = Descriptor::single(params);
-    for (unsigned attempt = 0; attempt < kMaxSubmitRetries; ++attempt) {
-        if (syncQueue().submit(desc, 0, consume))
-            return;
-        memory_.events().run();
-    }
-    syncQueue().submitForce(desc, 0, consume);
-}
-
-void
-CompCpyEngine::run(const CompCpyParams &params)
-{
-    const Descriptor desc = Descriptor::single(params);
-    std::optional<std::uint64_t> id;
-    for (unsigned attempt = 0;
-         attempt < kMaxSubmitRetries && !id; ++attempt) {
-        id = syncQueue().submit(desc);
-        if (!id)
-            memory_.events().run();
-    }
-    if (!id)
-        id = syncQueue().submitForce(desc);
-    syncQueue().wait(*id);
 }
 
 void

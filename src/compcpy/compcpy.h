@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -31,8 +30,6 @@
 #include "trace/trace.h"
 
 namespace sd::compcpy {
-
-class WorkQueue;
 
 /** Parameters of one CompCpy invocation. */
 struct CompCpyParams
@@ -76,8 +73,9 @@ struct CompCpyStats
 };
 
 /**
- * The userspace CompCpy engine. One instance per logical core; the
- * freePages shadow counter is shared through a SharedState object
+ * The userspace CompCpy engine of one buffer device. Ops reach it
+ * only through that device's WorkQueue (topo::Topology::Slot::queue);
+ * the freePages shadow counter is shared through a SharedState object
  * (the lock-protected global of Algorithm 2).
  */
 class CompCpyEngine
@@ -93,30 +91,6 @@ class CompCpyEngine
     CompCpyEngine(cache::MemorySystem &memory, Driver &driver,
                   SharedState &shared);
     ~CompCpyEngine();
-
-    /**
-     * Asynchronous CompCpy. Submits a single-op descriptor to the
-     * engine's internal work queue (see syncQueue()) and invokes
-     * @p on_done when its completion record lands — there is exactly
-     * one execution path, the descriptor/work-queue one. The
-     * destination must then be consumed via use().
-     */
-    void start(const CompCpyParams &params, std::function<void()> on_done);
-
-    /**
-     * Synchronous CompCpy: submit to the internal work queue, then
-     * poll (pumping the event queue) until the completion record is
-     * reaped — submit-then-poll is the only way an op executes.
-     */
-    void run(const CompCpyParams &params);
-
-    /**
-     * The internal work queue backing start()/run(). Lazily created
-     * (queue id 0, shared mode, deep enough that the facade never
-     * genuinely backpressures its callers). Exposed so tests and
-     * stats dumps can observe the sync path's queue accounting.
-     */
-    WorkQueue &syncQueue();
 
     /**
      * USE(dbuf) (Alg. 2 line 32-33): flush the destination so the
@@ -244,7 +218,6 @@ class CompCpyEngine
     LogHistogram call_latency_;
     SlotPool<Flow> flows_;
     SlotPool<UseOp> uses_;
-    std::unique_ptr<WorkQueue> sync_queue_; ///< start()/run() facade
 };
 
 } // namespace sd::compcpy

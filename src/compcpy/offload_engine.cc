@@ -6,49 +6,13 @@
 
 namespace sd::compcpy {
 
-WorkQueueConfig
-AdaptiveTlsEngine::queueConfig()
-{
-    WorkQueueConfig cfg;
-    cfg.id = 1; // the sync facade owns queue 0
-    cfg.mode = QueueMode::kDedicated;
-    cfg.depth = 32;
-    cfg.max_inflight = 8;
-    return cfg;
-}
-
-AdaptiveTlsEngine::AdaptiveTlsEngine(cache::MemorySystem &memory,
-                                     Driver &driver,
-                                     CompCpyEngine::SharedState &shared,
+AdaptiveTlsEngine::AdaptiveTlsEngine(WorkQueue &queue,
                                      const std::uint8_t key[16],
                                      const crypto::GcmIv &static_iv)
-    : memory_(memory), driver_(driver), compcpy_(memory, driver, shared),
-      queue_(compcpy_, queueConfig()), probe_(memory.llc()),
+    : queue_(queue), probe_(queue.engine().memory().llc()),
       static_iv_(static_iv)
 {
     std::memcpy(key_, key, sizeof(key_));
-}
-
-void
-AdaptiveTlsEngine::registerStats(trace::StatsRegistry &registry,
-                                 const std::string &prefix) const
-{
-    registry.add(prefix + "engine", [this](trace::StatsBlock &block) {
-        block.scalar("cpu_records", static_cast<double>(cpu_records_));
-        block.scalar("offloaded_records",
-                     static_cast<double>(offloaded_records_));
-        block.scalar("records",
-                     static_cast<double>(cpu_records_ + offloaded_records_));
-    });
-    registry.add(prefix + "probe", [this](trace::StatsBlock &block) {
-        probe_.reportStats(block);
-    });
-    registry.add(prefix + "compcpy", [this](trace::StatsBlock &block) {
-        compcpy_.reportStats(block);
-    });
-    registry.add(prefix + "queue", [this](trace::StatsBlock &block) {
-        queue_.reportStats(block);
-    });
 }
 
 EngineRecord
@@ -108,6 +72,8 @@ AdaptiveTlsEngine::protectRecords(
     // SmartDIMM path: stage every plaintext in an sbuf, pack the
     // whole batch into one descriptor, submit, and reap the single
     // fanned-in completion record.
+    CompCpyEngine &engine = queue_.engine();
+    Driver &driver = engine.driver();
     struct Staged
     {
         Addr sbuf = 0;
@@ -128,13 +94,13 @@ AdaptiveTlsEngine::protectRecords(
         s.src_bytes = divCeil(len, kPageSize) * kPageSize;
         s.dst_bytes =
             divCeil(len + crypto::kTlsTagSize, kPageSize) * kPageSize;
-        s.sbuf = driver_.alloc(s.src_bytes);
-        s.dbuf = driver_.alloc(s.dst_bytes);
+        s.sbuf = driver.alloc(s.src_bytes);
+        s.dbuf = driver.alloc(s.dst_bytes);
 
         // Application writes the plaintext (padding the tail line).
         std::vector<std::uint8_t> page(s.src_bytes, 0);
         std::memcpy(page.data(), plain, len);
-        memory_.writeSync(s.sbuf, page.data(), page.size());
+        engine.memory().writeSync(s.sbuf, page.data(), page.size());
         staged.push_back(s);
 
         CompCpyParams params;
@@ -162,14 +128,14 @@ AdaptiveTlsEngine::protectRecords(
     for (std::size_t i = 0; i < plains.size(); ++i) {
         const auto len = plains[i].second;
         const Staged &s = staged[i];
-        compcpy_.useSync(s.dbuf, s.dst_bytes);
+        engine.useSync(s.dbuf, s.dst_bytes);
         EngineRecord record;
         record.on = ProcessedOn::kSmartDimm;
         record.body =
-            compcpy_.readResult(s.dbuf, len + crypto::kTlsTagSize);
+            engine.readResult(s.dbuf, len + crypto::kTlsTagSize);
         records.push_back(std::move(record));
-        driver_.release(s.sbuf, s.src_bytes);
-        driver_.release(s.dbuf, s.dst_bytes);
+        driver.release(s.sbuf, s.src_bytes);
+        driver.release(s.dbuf, s.dst_bytes);
     }
     return records;
 }

@@ -38,16 +38,15 @@ struct EngineRecord
 };
 
 /**
- * The adaptive TLS engine. Owns SmartDIMM-side staging buffers via
- * the driver and keeps per-connection key material like the OpenSSL
+ * The adaptive TLS engine. Offloads through one device's work queue
+ * (a topo::Topology slot's), stages buffers through that engine's
+ * driver, and keeps per-connection key material like the OpenSSL
  * cipher context would.
  */
 class AdaptiveTlsEngine
 {
   public:
-    AdaptiveTlsEngine(cache::MemorySystem &memory, Driver &driver,
-                      CompCpyEngine::SharedState &shared,
-                      const std::uint8_t key[16],
+    AdaptiveTlsEngine(WorkQueue &queue, const std::uint8_t key[16],
                       const crypto::GcmIv &static_iv);
 
     /**
@@ -60,8 +59,8 @@ class AdaptiveTlsEngine
                                std::optional<ProcessedOn> force = {});
 
     /**
-     * Protect a batch of records through the engine's dedicated work
-     * queue: one placement decision for the whole batch, one batch
+     * Protect a batch of records through the device's work queue:
+     * one placement decision for the whole batch, one batch
      * descriptor fanned out to per-record ops, one completion record
      * fanned back in. CPU fallback is *per queue*, not per call — a
      * non-success completion record notes degradation on the probe
@@ -77,29 +76,11 @@ class AdaptiveTlsEngine
     /** Probe access (callers sample it at their request cadence). */
     LlcContentionProbe &probe() { return probe_; }
 
-    /** The dedicated work queue batches offload through. */
-    WorkQueue &queue() { return queue_; }
-
     std::uint64_t cpuRecords() const { return cpu_records_; }
     std::uint64_t offloadedRecords() const { return offloaded_records_; }
 
-    /**
-     * Register "<prefix>engine", "<prefix>probe" and
-     * "<prefix>compcpy" providers into @p registry. Providers
-     * reference this object — remove them (or drop the registry)
-     * before destroying it.
-     */
-    void registerStats(trace::StatsRegistry &registry,
-                       const std::string &prefix = "") const;
-
   private:
-    /** Work-queue geometry of the engine's dedicated queue. */
-    static WorkQueueConfig queueConfig();
-
-    cache::MemorySystem &memory_;
-    Driver &driver_;
-    CompCpyEngine compcpy_;
-    WorkQueue queue_;
+    WorkQueue &queue_;
     LlcContentionProbe probe_;
     std::uint8_t key_[16];
     crypto::GcmIv static_iv_;

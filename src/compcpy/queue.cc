@@ -18,6 +18,14 @@ namespace sd::compcpy {
  */
 constexpr unsigned kMaxRecoveryRounds = 3;
 
+/**
+ * Bound on run() submit retries against an injected kQueueFull. Each
+ * retry pumps the event queue (draining real occupancy); past the
+ * bound run() force-submits — a lying "queue full" signal must not
+ * wedge a synchronous caller, mirroring the recycle bailout.
+ */
+constexpr unsigned kMaxSubmitRetries = 8;
+
 const char *
 completionStatusName(CompletionStatus status)
 {
@@ -475,6 +483,22 @@ WorkQueue::drain()
         recoverLost();
         engine_.memory().events().run();
     }
+}
+
+CompletionRecord
+WorkQueue::run(const CompCpyParams &params)
+{
+    const Descriptor desc = Descriptor::single(params);
+    std::optional<std::uint64_t> id;
+    for (unsigned attempt = 0;
+         attempt < kMaxSubmitRetries && !id; ++attempt) {
+        id = submit(desc);
+        if (!id)
+            engine_.memory().events().run();
+    }
+    if (!id)
+        id = submitForce(desc);
+    return wait(*id);
 }
 
 void

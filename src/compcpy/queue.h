@@ -25,9 +25,11 @@
  * recovery that still cannot account for a descriptor yields a
  * kBailout record — the zero-panic contract of the fault layer.
  *
- * The synchronous CompCpyEngine::run()/start() API is a facade over
- * an internal WorkQueue (submit-then-poll), so every op in the
- * simulator — sync or async — executes through this one path.
+ * Each buffer device has exactly one WorkQueue: its topo::Topology
+ * slot owns it, and every CompCpy — a synchronous run(), a
+ * dispatcher submit, an adaptive-engine batch — enters the device
+ * through it. Tests and benches that study queue geometry may build
+ * a private WorkQueue over a slot's engine.
  *
  * Concurrency contract: a WorkQueue belongs to one simulated system
  * and is single-owner like the EventQueue that drives it; the
@@ -207,8 +209,8 @@ class WorkQueue
 
     /**
      * submit() that skips the occupancy/fault backpressure checks —
-     * the bounded-retry escape hatch of the sync facade, mirroring
-     * the Force-Recycle bailout (a stuck "queue full" signal must not
+     * the bounded-retry escape hatch of run(), mirroring the
+     * Force-Recycle bailout (a stuck "queue full" signal must not
      * wedge a synchronous caller forever).
      */
     std::uint64_t submitForce(const Descriptor &desc,
@@ -234,11 +236,18 @@ class WorkQueue
     /** wait() for everything outstanding (records stay reapable). */
     void drain();
 
+    /**
+     * Synchronous CompCpy: submit a single-op descriptor, then wait()
+     * for its record. A rejected submit pumps the event queue and
+     * retries a bounded number of times, then force-submits.
+     */
+    CompletionRecord run(const CompCpyParams &params);
+
     /** Descriptors accepted but not yet completion-recorded. */
     std::size_t occupancy() const;
 
-    /** Ops currently executing in the engine. */
-    std::size_t inflight() const { return inflight_ops_; }
+    /** The engine this queue dispatches to. */
+    CompCpyEngine &engine() { return engine_; }
 
     const WorkQueueConfig &config() const { return config_; }
     const WorkQueueStats &stats() const { return stats_; }

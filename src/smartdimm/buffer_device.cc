@@ -137,6 +137,7 @@ BufferDevice::registerTls(const std::uint8_t *data)
 {
     const auto reg = TlsPageRegistration::unpack(data);
     SD_ASSERT(reg.message_len > 0, "TLS registration with empty record");
+    retireStaleDest(reg.dbuf_page);
 
     // sbuf_page == dbuf_page marks a tag-only trailer page: the
     // record filled its last payload page exactly, so the tag spills
@@ -230,6 +231,7 @@ void
 BufferDevice::registerDeflate(const std::uint8_t *data)
 {
     const auto reg = DeflatePageRegistration::unpack(data);
+    retireStaleDest(reg.dbuf_page);
 
     std::optional<std::uint32_t> slot;
     if (!fault::fires(fault_plan_, fault::Site::kConfigMemExhaust,
@@ -421,6 +423,19 @@ BufferDevice::retirePage(std::uint32_t scratch_page)
     std::erase_if(messages_, [](const auto &message) {
         return message.second->state.complete();
     });
+}
+
+void
+BufferDevice::retireStaleDest(std::uint64_t dbuf_page)
+{
+    // The host re-registered the page before it drained: the new
+    // registration owns the page, so the old one's staged lines can
+    // never drain and its resources go back now.
+    const auto t = translation_.find(dbuf_page);
+    if (!t || t->kind != MappingKind::kScratchpad)
+        return;
+    scratchpad_.release(t->offset);
+    retirePage(t->offset);
 }
 
 mem::ReadResponse

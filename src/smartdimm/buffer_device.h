@@ -191,6 +191,10 @@ class BufferDevice : public mem::DimmDevice
     /** Tear down the mappings once the destination page staged on
      *  @p scratch_page fully drained. */
     void retirePage(std::uint32_t scratch_page);
+    /** A registration is about to install @p dbuf_page: retire the
+     *  undrained registration that still maps it, if any, and free
+     *  its Scratchpad page. */
+    void retireStaleDest(std::uint64_t dbuf_page);
 
     EventQueue &events_;
     const mem::AddressMap &map_;

@@ -95,7 +95,8 @@ class Scratchpad
      *  @p page_data (4 KB) and free it. */
     void forceDrainPage(std::uint32_t page, std::uint8_t *page_data);
 
-    /** Return a just-allocated page unused (registration rollback). */
+    /** Free a page without draining it (a registration rollback, or
+     *  a destination page registered again before it drained). */
     void release(std::uint32_t page);
 
     /** Pending (allocated) page slots — the MMIO pending list. */

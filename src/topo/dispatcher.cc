@@ -28,19 +28,8 @@ ShardDispatcher::ShardDispatcher(Topology &topo)
     : topo_(topo), degraded_(topo.slotCount(), false),
       failure_streak_(topo.slotCount(), 0)
 {
-    for (unsigned s = 0; s < topo_.slotCount(); ++s) {
-        compcpy::WorkQueueConfig qc = kSlotQueue;
-        if (topo_.isFarSlot(s)) {
-            // Far-tier queues complete via the withheld-response
-            // protocol: the CXL controller holds the completion read
-            // open instead of the host polling a record array.
-            qc.signal = compcpy::CompletionSignal::kWithheldResponse;
-            far_slots_.push_back(s);
-        } else {
-            local_slots_.push_back(s);
-        }
-        queues_.emplace_back(topo_.slot(s).engine, qc);
-    }
+    for (unsigned s = 0; s < topo_.slotCount(); ++s)
+        (topo_.isFarSlot(s) ? far_slots_ : local_slots_).push_back(s);
 }
 
 unsigned
@@ -59,7 +48,7 @@ ShardDispatcher::leastLoadedHealthyIn(
     for (unsigned s : slots) {
         if (degraded_[s])
             continue;
-        const std::size_t occupancy = queues_[s].occupancy();
+        const std::size_t occupancy = topo_.slot(s).queue.occupancy();
         if (occupancy >= kSlotQueue.depth)
             continue; // genuinely full — a submit would be rejected
         if (occupancy < best_occupancy) {
@@ -80,7 +69,7 @@ ShardDispatcher::placeIn(std::uint64_t flow,
         1, static_cast<std::size_t>(kShedOccupancy *
                                     static_cast<double>(
                                         kSlotQueue.depth)));
-    if (!degraded_[home] && queues_[home].occupancy() < shed_at) {
+    if (!degraded_[home] && topo_.slot(home).queue.occupancy() < shed_at) {
         ++stats_.home_hits;
         return home;
     }
@@ -163,7 +152,7 @@ ShardDispatcher::submit(unsigned slot, const compcpy::Descriptor &desc,
                         compcpy::WorkQueue::CompletionCallback on_done)
 {
     SD_ASSERT(slot < topo_.slotCount(), "submit to a nonexistent slot");
-    return queues_[slot].submit(
+    return topo_.slot(slot).queue.submit(
         desc, submitter,
         [this, slot, on_done = std::move(on_done)](
             const compcpy::CompletionRecord &record) {
@@ -274,7 +263,7 @@ ShardDispatcher::submitStripe(
     for (unsigned s = 0; s < per_slot.size(); ++s) {
         if (per_slot[s].empty())
             continue;
-        queues_[s].submitForce(
+        topo_.slot(s).queue.submitForce(
             compcpy::Descriptor::batch(std::move(per_slot[s])),
             submitter,
             [this, s, fan_in](const compcpy::CompletionRecord &record) {
@@ -347,7 +336,7 @@ ShardDispatcher::registerStats(trace::StatsRegistry &registry) const
             tagged ? "queue.ch" + std::to_string(slot.channel) + ".d" +
                          std::to_string(slot.dimm)
                    : std::string("queue");
-        const compcpy::WorkQueue &queue = queues_[s];
+        const compcpy::WorkQueue &queue = slot.queue;
         registry.add(name, [&queue](trace::StatsBlock &block) {
             queue.reportStats(block);
         });

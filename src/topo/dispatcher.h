@@ -26,7 +26,6 @@
 #define SD_TOPO_DISPATCHER_H
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <unordered_map>
@@ -47,11 +46,6 @@ inline constexpr unsigned kDegradeAfter = 4;
 
 /** Home-queue occupancy fraction beyond which new flows shed. */
 inline constexpr double kShedOccupancy = 0.75;
-
-/** The work-queue template every slot gets (the id must differ from
- *  the engines' internal sync queue, id 0). */
-inline constexpr compcpy::WorkQueueConfig kSlotQueue{
-    .id = 1, .mode = compcpy::QueueMode::kShared};
 
 /** Placement and shedding counters. */
 struct DispatchStats
@@ -80,9 +74,6 @@ class ShardDispatcher
 
     ShardDispatcher(const ShardDispatcher &) = delete;
     ShardDispatcher &operator=(const ShardDispatcher &) = delete;
-
-    Topology &topology() { return topo_; }
-    unsigned slotCount() const { return topo_.slotCount(); }
 
     /** Hash-affinity home slot of @p flow (ignores load/health). */
     unsigned homeSlot(std::uint64_t flow) const;
@@ -113,11 +104,8 @@ class ShardDispatcher
     /** The pinned slot of @p flow, or nullopt when unpinned. */
     std::optional<unsigned> pinnedSlot(std::uint64_t flow) const;
 
-    compcpy::WorkQueue &queue(unsigned slot) { return queues_[slot]; }
-    Topology::Slot &slot(unsigned s) { return topo_.slot(s); }
-
     /**
-     * Submit @p desc to @p slot's queue, observing the completion for
+     * Submit @p desc to @p slot's work queue, observing the completion for
      * the degraded-slot tracker before forwarding it to @p on_done.
      */
     std::optional<std::uint64_t>
@@ -194,7 +182,6 @@ class ShardDispatcher
                      const std::vector<unsigned> &tier);
 
     Topology &topo_;
-    std::deque<compcpy::WorkQueue> queues_; ///< one per slot, stable refs
     std::vector<bool> degraded_;
     std::vector<unsigned> failure_streak_; ///< consecutive bad records
     std::vector<unsigned> local_slots_; ///< slots on local channels

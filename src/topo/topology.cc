@@ -189,11 +189,15 @@ Topology::Topology(const TopologySpec &spec)
     }
 
     for (unsigned ch = 0; ch < channels; ++ch) {
+        compcpy::WorkQueueConfig queue_config = kSlotQueue;
+        if (isFarChannel(ch))
+            queue_config.signal =
+                compcpy::CompletionSignal::kWithheldResponse;
         for (unsigned d = 0; d < dimms; ++d) {
             const Addr base = slotBase(ch, d);
             Slot &slot = slots_.emplace_back(
                 ch, d, base, devices_[slotIndex(ch, d)], *memory_,
-                base + kDriverBase, kDriverBytes);
+                base + kDriverBase, kDriverBytes, queue_config);
             slot.engine.setFaultScope(
                 {static_cast<int>(ch), static_cast<int>(d)});
             if (tagged)

@@ -3,7 +3,7 @@
  * The explicit machine topology: N DDR4 channels x M SmartDIMM buffer
  * devices per channel behind one LLC, with per-device scratchpads,
  * cuckoo translation tables, config memories, MMIO windows, driver
- * address ranges and CompCpy engines. This factory replaces the
+ * address ranges, CompCpy engines and work queues. This factory replaces the
  * implicit single-instance MemorySystem/BufferDevice wiring: every
  * rig — benches, examples, tests — builds its system through a
  * Topology, and tools/sdcheck.py bans direct construction elsewhere.
@@ -31,11 +31,21 @@
 #include "cache/memory_system.h"
 #include "compcpy/compcpy.h"
 #include "compcpy/driver.h"
+#include "compcpy/queue.h"
 #include "mem/cxl_link.h"
 #include "mem/dimm_mux.h"
 #include "smartdimm/buffer_device.h"
 
 namespace sd::topo {
+
+/**
+ * The geometry of every slot's work queue. A far channel's slot
+ * completes through the withheld CXL.mem response instead of a
+ * polled record; the factory sets that signal.
+ */
+inline constexpr compcpy::WorkQueueConfig kSlotQueue{
+    .id = 0, .mode = compcpy::QueueMode::kShared, .depth = 16,
+    .max_inflight = 8};
 
 /** Everything needed to instantiate a Topology. */
 struct TopologySpec
@@ -47,8 +57,9 @@ struct TopologySpec
      * CXL.mem far-memory channels appended *after* the local channels
      * (so channel indices >= channels are far). Each far channel gets
      * the same DIMM population as a local one plus a CxlLink every
-     * DRAM-side access defers through; its work queues complete via
-     * the withheld-response protocol instead of host polling.
+     * DRAM-side access defers through; its slots' work queues
+     * complete via the withheld-response protocol instead of host
+     * polling.
      */
     unsigned cxl_channels = 0;
     mem::CxlLinkConfig cxl_link{};
@@ -93,7 +104,11 @@ struct TopologySpec
 class Topology
 {
   public:
-    /** One buffer device plus its host-side driver/engine stack. */
+    /**
+     * One buffer device plus its host-side driver/engine stack and
+     * the device's one work queue, through which every CompCpy on
+     * this device runs.
+     */
     struct Slot
     {
         unsigned channel = 0;
@@ -103,15 +118,17 @@ class Topology
         compcpy::Driver driver;
         compcpy::CompCpyEngine::SharedState shared;
         compcpy::CompCpyEngine engine;
+        compcpy::WorkQueue queue;
 
         Slot(unsigned ch, unsigned d, Addr base_addr,
              smartdimm::BufferDevice &dev, cache::MemorySystem &memory,
-             Addr drv_base, std::size_t drv_bytes)
+             Addr drv_base, std::size_t drv_bytes,
+             const compcpy::WorkQueueConfig &queue_config)
             : channel(ch), dimm(d), base(base_addr), device(dev),
               // dev.config() carries the rebased (global) mmio_base,
               // so driver.mmio() addresses land in this slot's window.
               driver(drv_base, drv_bytes, dev.config()),
-              engine(memory, driver, shared)
+              engine(memory, driver, shared), queue(engine, queue_config)
         {
         }
     };
@@ -164,12 +181,6 @@ class Topology
     Slot &slot(unsigned flat) { return slots_[flat]; }
     const Slot &slot(unsigned flat) const { return slots_[flat]; }
     Slot &slot(unsigned ch, unsigned d) { return slots_[slotIndex(ch, d)]; }
-
-    smartdimm::BufferDevice &
-    device(unsigned ch, unsigned d)
-    {
-        return slots_[slotIndex(ch, d)].device;
-    }
 
     /** First byte of slot (ch, d)'s contiguous address window. */
     Addr

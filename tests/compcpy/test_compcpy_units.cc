@@ -152,7 +152,7 @@ TEST(CompCpyUnits, StatsTrackCallsAndPages)
         params.ulp = smartdimm::UlpKind::kTlsEncrypt;
         params.message_id = 10 + static_cast<std::uint64_t>(i);
         rng.fill(params.key, sizeof(params.key));
-        rig.slot(0).engine.run(params);
+        rig.slot(0).queue.run(params);
         rig.slot(0).engine.useSync(dbuf, 8192);
     }
 
@@ -180,7 +180,7 @@ TEST(CompCpyUnits, FreePagesShadowAvoidsMmioPerCall)
         params.ulp = smartdimm::UlpKind::kTlsEncrypt;
         params.message_id = 50 + static_cast<std::uint64_t>(i);
         rng.fill(params.key, sizeof(params.key));
-        rig.slot(0).engine.run(params);
+        rig.slot(0).queue.run(params);
         rig.slot(0).engine.useSync(dbuf, 8192);
     }
     // The lazy refresh (Alg. 2 lines 8-9) touches MMIO only when the

@@ -64,7 +64,7 @@ TEST(EndToEnd, TlsOffloadMatchesSoftwareGcm)
     std::memcpy(params.key, key, 16);
     params.iv = iv;
 
-    sys.slot(0).engine.run(params);
+    sys.slot(0).queue.run(params);
     sys.slot(0).engine.useSync(dbuf, divCeil(len + 16, kPageSize) * kPageSize);
     const auto result = sys.slot(0).engine.readResult(dbuf, len + 16);
 
@@ -111,7 +111,7 @@ TEST(EndToEnd, TlsOffloadMultiPageRecord)
     std::memcpy(params.key, key, 16);
     params.iv = iv;
 
-    sys.slot(0).engine.run(params);
+    sys.slot(0).queue.run(params);
     const std::size_t dst_bytes =
         divCeil(len + 16, kPageSize) * kPageSize;
     sys.slot(0).engine.useSync(dbuf, dst_bytes);
@@ -153,7 +153,7 @@ TEST(EndToEnd, TlsOffloadExactPageBoundaryTag)
     std::memcpy(params.key, key, 16);
     params.iv = iv;
 
-    sys.slot(0).engine.run(params);
+    sys.slot(0).queue.run(params);
     sys.slot(0).engine.useSync(dbuf, divCeil(len + 16, kPageSize) * kPageSize);
     const auto result = sys.slot(0).engine.readResult(dbuf, len + 16);
 
@@ -188,7 +188,7 @@ TEST(EndToEnd, DeflateOffloadDecodable)
     params.ordered = true;
     params.ulp = smartdimm::UlpKind::kDeflate;
 
-    sys.slot(0).engine.run(params);
+    sys.slot(0).queue.run(params);
     sys.slot(0).engine.useSync(dbuf, kPageSize);
     const auto framed = sys.slot(0).engine.readResult(dbuf, kPageSize);
 
@@ -212,8 +212,7 @@ TEST(EndToEnd, AdaptiveEngineCpuAndOffloadAgree)
     crypto::GcmIv static_iv{};
     rng.fill(static_iv.data(), static_iv.size());
 
-    compcpy::AdaptiveTlsEngine engine(sys.memory(), sys.slot(0).driver,
-                                      sys.slot(0).shared, key, static_iv);
+    compcpy::AdaptiveTlsEngine engine(sys.slot(0).queue, key, static_iv);
 
     std::vector<std::uint8_t> msg(4096);
     rng.fill(msg.data(), msg.size());
@@ -269,7 +268,7 @@ TEST(EndToEnd, SelfRecycleFreesScratchpad)
         std::memcpy(params.key, key, 16);
         params.iv[0] = static_cast<std::uint8_t>(round);
 
-        sys.slot(0).engine.run(params);
+        sys.slot(0).queue.run(params);
         sys.slot(0).engine.useSync(
             dbuf, divCeil(len + 16, kPageSize) * kPageSize);
         sys.slot(0).driver.release(sbuf, len);

@@ -3,8 +3,8 @@
  * Descriptor/work-queue semantics: descriptor lifecycle and record
  * ticks, strict FIFO dispatch per queue, shared-vs-dedicated submitter
  * arbitration, queue-full backpressure, batch-descriptor fan-out /
- * fan-in, and the sync-facade contract (run() is submit-then-poll on
- * the engine's internal queue).
+ * fan-in, and the run() contract (a slot queue's run() is
+ * submit-then-wait, the one synchronous path).
  */
 
 #include <gtest/gtest.h>
@@ -331,28 +331,28 @@ TEST(QueueSemantics, BatchDescriptorFanOutFanIn)
         verifyTlsOutput(sys, op);
 }
 
-TEST(QueueSemantics, SyncFacadeIsSubmitThenPoll)
+TEST(QueueSemantics, RunIsSubmitThenWait)
 {
     topo::Topology sys(systemSpec());
     Rng rng(27);
 
     for (int i = 0; i < 3; ++i) {
         TlsOp op = makeTlsOp(sys, rng, 4096, 400 + i);
-        sys.slot(0).engine.run(op.params);
+        sys.slot(0).queue.run(op.params);
         verifyTlsOutput(sys, op);
     }
 
-    // run() executed through the internal queue — one descriptor per
+    // run() executed through the slot's queue — one descriptor per
     // call, every record reaped, no second execution path.
-    const auto &qs = sys.slot(0).engine.syncQueue().stats();
+    const auto &qs = sys.slot(0).queue.stats();
     EXPECT_EQ(qs.submitted, 3u);
     EXPECT_EQ(qs.submitted_ops, 3u);
     EXPECT_EQ(qs.completions, 3u);
     EXPECT_EQ(qs.reaped, 3u);
     EXPECT_EQ(qs.doorbells, 3u);
     EXPECT_EQ(sys.slot(0).engine.stats().calls, 3u);
-    EXPECT_EQ(sys.slot(0).engine.syncQueue().occupancy(), 0u);
-    EXPECT_EQ(sys.slot(0).engine.syncQueue().config().id, 0u);
+    EXPECT_EQ(sys.slot(0).queue.occupancy(), 0u);
+    EXPECT_EQ(sys.slot(0).queue.config().id, 0u);
 }
 
 } // namespace

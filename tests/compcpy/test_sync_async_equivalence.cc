@@ -111,8 +111,8 @@ stageScenario(topo::Topology &sys, const Scenario &sc, Rng &rng,
 }
 
 /**
- * Run the four-scenario workload. Sync mode calls engine.run() per
- * scenario; async mode stages everything first, submits all four
+ * Run the four-scenario workload. Sync mode calls the slot queue's
+ * run() per scenario; async mode stages everything first, submits all four
  * descriptors into one explicit work queue, drains, and only then
  * consumes the outputs — many flows genuinely in flight together.
  */
@@ -139,9 +139,9 @@ runWorkload(bool async, fault::FaultPlan *plan)
             const auto params =
                 stageScenario(sys, kScenarios[i], rng, key, iv, i + 1,
                               &dbufs[i], &dst_bytes[i]);
-            sys.slot(0).engine.run(params);
+            sys.slot(0).queue.run(params);
         }
-        result.queue = sys.slot(0).engine.syncQueue().stats();
+        result.queue = sys.slot(0).queue.stats();
     } else {
         WorkQueueConfig cfg;
         cfg.id = 3;

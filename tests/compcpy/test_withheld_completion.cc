@@ -17,7 +17,6 @@
 #include "common/random.h"
 #include "compcpy/queue.h"
 #include "fault/fault.h"
-#include "topo/dispatcher.h"
 #include "topo/topology.h"
 
 namespace {
@@ -179,14 +178,38 @@ TEST(WithheldCompletion, FarSlotsOfAMixedTopologyUseWithheldQueues)
     spec.channels = 1;
     spec.cxl_channels = 1;
     topo::Topology topo(spec);
-    topo::ShardDispatcher dispatcher(topo);
 
     ASSERT_EQ(topo.slotCount(), 2u);
-    EXPECT_EQ(dispatcher.queue(0).config().signal,
+    EXPECT_EQ(topo.slot(0u).queue.config().signal,
               CompletionSignal::kPollRecord);
-    EXPECT_EQ(dispatcher.queue(1).config().signal,
+    EXPECT_EQ(topo.slot(1u).queue.config().signal,
               CompletionSignal::kWithheldResponse)
         << "a far slot's queue must complete via the held read";
+}
+
+TEST(WithheldCompletion, SlotQueueRunCompletesByItsTiersSignal)
+{
+    topo::TopologySpec spec;
+    spec.channels = 1;
+    spec.cxl_channels = 1;
+    topo::Topology topo(spec);
+    Rng rng(47);
+
+    // A local slot: the record lands in the polled record array.
+    topo::Topology::Slot &local = topo.slot(0u);
+    EXPECT_EQ(local.queue.run(makeTlsOp(topo, local, rng, 1)).status,
+              CompletionStatus::kSuccess);
+    EXPECT_EQ(local.queue.stats().completions, 1u);
+    EXPECT_EQ(local.queue.stats().withheld_reads, 0u);
+    EXPECT_EQ(local.queue.stats().withheld_completions, 0u);
+
+    // A far slot: the held read's response is the completion.
+    topo::Topology::Slot &far = topo.slot(1u);
+    EXPECT_EQ(far.queue.run(makeTlsOp(topo, far, rng, 2)).status,
+              CompletionStatus::kSuccess);
+    EXPECT_EQ(far.queue.stats().completions, 1u);
+    EXPECT_EQ(far.queue.stats().withheld_completions, 1u);
+    EXPECT_EQ(far.queue.stats().lost_records, 0u);
 }
 
 } // namespace

@@ -109,7 +109,7 @@ driverThread(unsigned tid, SharedStats &shared)
         params.iv = iv;
 
         const Tick begin = sys.events().now();
-        sys.slot(0).engine.run(params);
+        sys.slot(0).queue.run(params);
         sys.slot(0).engine.useSync(
             dbuf, divCeil(kPayloadBytes + crypto::kTlsTagSize, kPageSize) *
                       kPageSize);

@@ -68,7 +68,7 @@ struct SoakResult
     smartdimm::DsaStats dsa;
     smartdimm::CuckooStats cuckoo;
     compcpy::CompCpyStats engine;
-    compcpy::WorkQueueStats queue; ///< the sync facade's queue
+    compcpy::WorkQueueStats queue; ///< the slot's work queue
     std::uint64_t degraded_reads = 0;
 
     bool
@@ -112,7 +112,7 @@ runWorkload(FaultPlan *plan)
         params.iv = iv;
         params.iv[0] ^= static_cast<std::uint8_t>(message_id);
 
-        sys.slot(0).engine.run(params);
+        sys.slot(0).queue.run(params);
         sys.slot(0).engine.useSync(
             dbuf, divCeil(len + 16, kPageSize) * kPageSize);
         return sys.slot(0).engine.readResult(dbuf, len + 16);
@@ -135,7 +135,7 @@ runWorkload(FaultPlan *plan)
         params.size = 4000;
         params.ordered = true;
         params.ulp = smartdimm::UlpKind::kDeflate;
-        sys.slot(0).engine.run(params);
+        sys.slot(0).queue.run(params);
         sys.slot(0).engine.useSync(dbuf, kPageSize);
         result.deflate_raw = sys.slot(0).engine.readResult(dbuf, kPageSize);
     }
@@ -145,7 +145,7 @@ runWorkload(FaultPlan *plan)
     result.dsa = sys.slot(0).device.dsaStats();
     result.cuckoo = sys.slot(0).device.translationTable().stats();
     result.engine = sys.slot(0).engine.stats();
-    result.queue = sys.slot(0).engine.syncQueue().stats();
+    result.queue = sys.slot(0).queue.stats();
     result.degraded_reads = sys.memory().degradedReads();
     return result;
 }
@@ -201,7 +201,7 @@ checkSoak(std::uint64_t seed, const FaultPlan &plan,
     EXPECT_EQ(run.engine.fence_violations,
               plan.injected(Site::kOrderedFence));
     EXPECT_EQ(run.degraded_reads, run.ctrl.degraded_reads);
-    // Work-queue conservation: the sync facade's queue never fills
+    // Work-queue conservation: the slot's queue never fills
     // genuinely in this serial workload, so every rejected submit is
     // an injection; every dropped record is recovered, never bailed.
     EXPECT_EQ(run.queue.rejected_full, plan.injected(Site::kQueueFull));
@@ -325,7 +325,7 @@ runOnEverySlot(topo::Topology &topo)
         params.message_id = 1;
         std::memcpy(params.key, key, 16);
         params.iv = iv;
-        slot.engine.run(params);
+        slot.queue.run(params);
         slot.engine.useSync(dbuf, 2 * kPageSize);
         records.push_back(slot.engine.readResult(dbuf, plain.size() + 16));
     }

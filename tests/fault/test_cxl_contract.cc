@@ -110,13 +110,13 @@ runWorkload(FaultPlan *plan)
         EXPECT_TRUE(id.has_value()) << "offload " << i;
         // Serialize: keeps occupancy below depth regardless of the
         // injected stalls, and drain() runs timeout recovery per op.
-        dispatcher.queue(far_slot).drain();
+        topo.slot(far_slot).queue.drain();
         dev.engine.useSync(dbufs[i], 2 * kPageSize);
         result.outputs[i] =
             dev.engine.readResult(dbufs[i], plain.size() + 16);
     }
 
-    result.queue = dispatcher.queue(far_slot).stats();
+    result.queue = topo.slot(far_slot).queue.stats();
     result.link = topo.cxlLink(1)->stats();
     return result;
 }

@@ -2,7 +2,7 @@
  * @file
  * Fault paths of the work-queue front end: injected kQueueFull
  * backpressure (a stuck not-ready signal — every injection is exactly
- * one rejected submit, and the sync facade's bounded retry rides it
+ * one rejected submit, and run()'s bounded retry rides it
  * out), and kLostCompletion (the host-visible record drops after the
  * device ack; poll-timeout recovery diffs kQueueStatus and synthesises
  * the record, flagged `recovered`).
@@ -124,7 +124,7 @@ TEST(QueueFaults, InjectedQueueFullRejectsExactlyPerInjection)
     verify(sys, op);
 }
 
-TEST(QueueFaults, SyncFacadeRetriesThroughInjectedFull)
+TEST(QueueFaults, RunRetriesThroughInjectedFull)
 {
     topo::Topology sys(systemSpec());
     FaultPlan plan(53);
@@ -133,9 +133,9 @@ TEST(QueueFaults, SyncFacadeRetriesThroughInjectedFull)
 
     Rng rng(54);
     TlsOp op = makeTlsOp(sys, rng, 2);
-    sys.slot(0).engine.run(op.params); // must not wedge: bounded retry
+    sys.slot(0).queue.run(op.params); // must not wedge: bounded retry
 
-    const auto &qs = sys.slot(0).engine.syncQueue().stats();
+    const auto &qs = sys.slot(0).queue.stats();
     EXPECT_EQ(plan.injected(Site::kQueueFull), 3u);
     EXPECT_EQ(qs.rejected_full, 3u);
     EXPECT_EQ(qs.submitted, 1u);
@@ -153,9 +153,9 @@ TEST(QueueFaults, LostCompletionRecoveredByWait)
 
     Rng rng(56);
     TlsOp op = makeTlsOp(sys, rng, 3);
-    sys.slot(0).engine.run(op.params); // wait() inside recovers the record
+    sys.slot(0).queue.run(op.params); // wait() inside recovers the record
 
-    const auto &qs = sys.slot(0).engine.syncQueue().stats();
+    const auto &qs = sys.slot(0).queue.stats();
     EXPECT_EQ(plan.injected(Site::kLostCompletion), 1u);
     EXPECT_EQ(qs.lost_records, 1u);
     EXPECT_EQ(qs.recovered_records, 1u);

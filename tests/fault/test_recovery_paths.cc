@@ -57,7 +57,7 @@ runTls(topo::Topology &sys, const std::vector<std::uint8_t> &plain,
     std::memcpy(params.key, key, 16);
     params.iv = iv;
 
-    sys.slot(0).engine.run(params);
+    sys.slot(0).queue.run(params);
     sys.slot(0).engine.useSync(dbuf, divCeil(len + 16, kPageSize) * kPageSize);
     return sys.slot(0).engine.readResult(dbuf, len + 16);
 }

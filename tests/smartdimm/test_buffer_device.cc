@@ -483,6 +483,36 @@ TEST(BufferDevice, SbufReRegisteredBeforeOldDestRetiresKeepsNewMapping)
     EXPECT_EQ(0, std::memcmp(dram.data() + 4000, tag.data(), 16));
 }
 
+TEST(BufferDevice, DbufReRegisteredRetiresTheOldRegistration)
+{
+    Rig rig;
+    Rng rng(8);
+    std::uint8_t key[16];
+    rng.fill(key, 16);
+    crypto::GcmIv iv{};
+
+    // A -> P, then B -> P before A's registration ever drained: the
+    // second registration takes P over, and A's Scratchpad page and
+    // Config Memory slot go back to the device.
+    rig.registerTls(0x100000, 0x200000, 4000, key, iv, /*msg=*/1);
+    rig.registerTls(0x110000, 0x200000, 4000, key, iv, /*msg=*/2);
+    EXPECT_EQ(rig.dev.scratchpad().livePages(), 1u);
+    EXPECT_FALSE(rig.dev.translationTable().find(0x100000 / kPageSize));
+
+    rig.readPage(0x110000);
+    rig.events.run();
+    rig.writePage(0x200000);
+    EXPECT_EQ(rig.dev.scratchpad().livePages(), 0u);
+
+    std::uint8_t back[kCacheLineSize];
+    rig.read(rig.dev.config().mmio_base +
+                 static_cast<Addr>(MmioReg::kFreePages),
+             back);
+    std::uint64_t free = 0;
+    std::memcpy(&free, back, sizeof(free));
+    EXPECT_EQ(free, rig.dev.config().scratchpadPages());
+}
+
 /** Records every staged line, as (tick, address), while in scope. */
 class StagingLog
 {

@@ -51,7 +51,7 @@ runTls(topo::Topology &sys, Rng &rng, std::size_t len)
     params.message_id = 1;
     rng.fill(params.key, 16);
     rng.fill(params.iv.data(), params.iv.size());
-    sys.slot(0).engine.run(params);
+    sys.slot(0).queue.run(params);
     sys.slot(0).engine.useSync(dbuf,
                                divCeil(len + 16, kPageSize) * kPageSize);
 }
@@ -72,7 +72,7 @@ runDeflate(topo::Topology &sys)
     params.size = 4000;
     params.ordered = true;
     params.ulp = smartdimm::UlpKind::kDeflate;
-    sys.slot(0).engine.run(params);
+    sys.slot(0).queue.run(params);
     sys.slot(0).engine.useSync(dbuf, kPageSize);
 }
 

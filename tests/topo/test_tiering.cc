@@ -290,7 +290,7 @@ runOnSlot(Topology &topo, Topology::Slot &slot,
     params.dbuf = slot.driver.alloc(dbytes);
     topo.memory().writeSync(params.sbuf, payload.data(),
                             payload.size());
-    slot.engine.run(params);
+    slot.queue.run(params);
     slot.engine.useSync(params.dbuf, dbytes);
     return slot.engine.readResult(params.dbuf, dbytes);
 }

@@ -31,6 +31,7 @@
 #include "common/random.h"
 #include "compcpy/compcpy.h"
 #include "compcpy/driver.h"
+#include "compcpy/queue.h"
 #include "compress/deflate.h"
 #include "fault/fault.h"
 #include "sim/event_queue.h"
@@ -91,11 +92,13 @@ TEST(TopologySpec, RejectsMalformedShapes)
 // ---------------------------------------------------------------------------
 
 /** The golden workload of test_golden_trace, driven through an
- *  arbitrary engine (one 4 KB TLS CompCpy + USE, DDR mirror on). */
+ *  arbitrary work queue (one 4 KB TLS CompCpy + USE, DDR mirror on). */
 std::string
-traceGoldenWorkload(cache::MemorySystem &memory, compcpy::Driver &driver,
-                    compcpy::CompCpyEngine &engine)
+traceGoldenWorkload(compcpy::WorkQueue &queue)
 {
+    compcpy::CompCpyEngine &engine = queue.engine();
+    cache::MemorySystem &memory = engine.memory();
+    compcpy::Driver &driver = engine.driver();
     auto &tr = trace::tracer();
     tr.clear();
     tr.enable(/*capture_ddr=*/true);
@@ -116,7 +119,7 @@ traceGoldenWorkload(cache::MemorySystem &memory, compcpy::Driver &driver,
     params.message_id = 1;
     rng.fill(params.key, sizeof(params.key));
     rng.fill(params.iv.data(), params.iv.size());
-    engine.run(params);
+    queue.run(params);
     engine.useSync(dbuf, 8192);
 
     std::ostringstream csv;
@@ -145,7 +148,8 @@ TEST(TopologyEquivalence, OneByOneReproducesLegacyRigTrace)
         compcpy::Driver driver(1ULL << 20, 64ULL << 20);
         compcpy::CompCpyEngine::SharedState shared;
         compcpy::CompCpyEngine engine(memory, driver, shared);
-        legacy = traceGoldenWorkload(memory, driver, engine);
+        compcpy::WorkQueue queue(engine, topo::kSlotQueue);
+        legacy = traceGoldenWorkload(queue);
     }
 
     std::string factory;
@@ -153,9 +157,7 @@ TEST(TopologyEquivalence, OneByOneReproducesLegacyRigTrace)
         TopologySpec spec;
         spec.llc.size_bytes = 4ull << 20;
         Topology topo(spec);
-        factory = traceGoldenWorkload(topo.memory(),
-                                      topo.slot(0u).driver,
-                                      topo.slot(0u).engine);
+        factory = traceGoldenWorkload(topo.slot(0u).queue);
     }
     EXPECT_EQ(factory, legacy)
         << "a 1x1 Topology must be byte-identical to direct wiring";
@@ -166,8 +168,7 @@ TEST(TopologyEquivalence, OneByOneMatchesCheckedInGoldenTrace)
     TopologySpec spec;
     spec.llc.size_bytes = 4ull << 20;
     Topology topo(spec);
-    const std::string got = traceGoldenWorkload(
-        topo.memory(), topo.slot(0u).driver, topo.slot(0u).engine);
+    const std::string got = traceGoldenWorkload(topo.slot(0u).queue);
 
     const std::string path =
         std::string(SD_GOLDEN_DIR) + "/compcpy_tls_4k.golden";
@@ -212,7 +213,7 @@ runTlsOnSlot(Topology &topo, Topology::Slot &slot,
     params.message_id = 1;
     std::memcpy(params.key, key, 16);
     params.iv = iv;
-    slot.engine.run(params);
+    slot.queue.run(params);
     slot.engine.useSync(dbuf, 2 * kPageSize);
     return slot.engine.readResult(dbuf, plain.size() + 16);
 }
@@ -364,11 +365,44 @@ TEST(ShardDispatcher, SaturatedHomeShedsFreshFlows)
                         .submit(home, compcpy::Descriptor::single(params))
                         .has_value());
     }
-    EXPECT_EQ(dispatcher.queue(home).occupancy(), shed_at);
+    EXPECT_EQ(topo.slot(home).queue.occupancy(), shed_at);
 
     const unsigned placed = dispatcher.place(second);
     EXPECT_NE(placed, home);
     EXPECT_GE(dispatcher.stats().shed_to_sibling, 1u);
+}
+
+TEST(ShardDispatcher, SubmitAndRunShareTheSlotsOneQueue)
+{
+    TopologySpec spec;
+    spec.channels = 2;
+    Topology topo(spec);
+    ShardDispatcher dispatcher(topo);
+    Topology::Slot &slot = topo.slot(1u);
+
+    Rng rng(53);
+    std::vector<std::uint8_t> plain(kPageSize);
+    auto stage = [&](std::uint64_t message_id) {
+        rng.fill(plain.data(), plain.size());
+        compcpy::CompCpyParams params;
+        params.sbuf = slot.driver.alloc(kPageSize);
+        params.dbuf = slot.driver.alloc(2 * kPageSize);
+        params.size = kPageSize;
+        params.ulp = smartdimm::UlpKind::kTlsEncrypt;
+        params.message_id = message_id;
+        rng.fill(params.key, sizeof(params.key));
+        topo.memory().writeSync(params.sbuf, plain.data(), plain.size());
+        return params;
+    };
+
+    ASSERT_TRUE(
+        dispatcher.submit(1, compcpy::Descriptor::single(stage(1)))
+            .has_value());
+    slot.queue.run(stage(2));
+
+    EXPECT_EQ(slot.queue.stats().submitted, 2u);
+    EXPECT_EQ(slot.queue.stats().completions, 2u);
+    EXPECT_EQ(topo.slot(0u).queue.stats().submitted, 0u);
 }
 
 TEST(ShardDispatcher, EverySlotDegradedFallsBackToCpu)

@@ -66,7 +66,7 @@ runCxlGoldenWorkload()
     params.message_id = 1;
     rng.fill(params.key, sizeof(params.key));
     rng.fill(params.iv.data(), params.iv.size());
-    far.engine.run(params);
+    far.queue.run(params);
     far.engine.useSync(dbuf, 8192);
 
     std::ostringstream csv;
@@ -147,7 +147,7 @@ TEST(CxlGoldenTrace, FarTraceDiffersFromLocalOnlyByTiming)
     params.message_id = 1;
     rng.fill(params.key, sizeof(params.key));
     rng.fill(params.iv.data(), params.iv.size());
-    topo.slot(0u).engine.run(params);
+    topo.slot(0u).queue.run(params);
     topo.slot(0u).engine.useSync(dbuf, 8192);
     std::ostringstream csv;
     tr.dumpCsv(csv);

@@ -94,7 +94,7 @@ runGoldenWorkload(CasCounter *observer,
     params.message_id = 1;
     rng.fill(params.key, sizeof(params.key));
     rng.fill(params.iv.data(), params.iv.size());
-    engine.run(params);
+    topo.slot(0).queue.run(params);
     engine.useSync(dbuf, 8192);
 
     std::ostringstream csv;

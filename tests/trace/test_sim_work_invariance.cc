@@ -85,7 +85,7 @@ runFixedWork(TraceMode mode)
     for (std::size_t b = 0; b < kBatches; ++b) {
         for (compcpy::CompCpyParams &op : ops) {
             op.message_id = message_id++;
-            engine.run(op);
+            rig.slot(0).queue.run(op);
         }
     }
     const compcpy::CompCpyParams &last = ops.back();

@@ -425,31 +425,51 @@ SCALAR_PREFIX_RE = re.compile(r'(?:scalar|hist)\(\s*\w+\s*\+\s*"(\.[^"]+)"')
 SPAN_KIND_RE = re.compile(
     r'(?:beginSpan|internString)\(\s*"([a-z][a-z0-9_.]*)"')
 CH_CONCAT_RE = re.compile(r'"\.?ch"\s*\+|"([a-z_.]+\.ch)"\s*\+')
+# A registration under a composed variable name,
+# `registry.add(name, ...)`, where `name` is a tagged/legacy ternary:
+# `tagged ? "queue.ch" + ... : std::string("queue")`. The ternary
+# declares the legacy component and the coordinate base.
+REGISTRY_ADD_VAR_RE = re.compile(r'registry\.add\(\s*[a-z_]\w*\s*,')
+TERNARY_NAME_RE = re.compile(
+    r'\?\s*"([a-z_]+(?:\.[a-z_]+)*)\.ch"\s*\+[^;?]*?:\s*'
+    r'std::string\(\s*"([a-z_]+(?:\.[a-z_]+)*)"\s*\)')
+
+
+def empty_declarations() -> dict:
+    return {"components": set(), "scalars": set(), "spans": set(),
+            "coord_bases": set(), "files": {}}
+
+
+def declare_names(text: str, rel: str, decl: dict) -> None:
+    """Add the stat/span names one src/ file declares to @p decl."""
+    for m in REGISTRY_ADD_PREFIX_RE.finditer(text):
+        decl["components"].add(m.group(1))
+        decl["files"].setdefault(m.group(1), rel)
+    if REGISTRY_ADD_VAR_RE.search(text):
+        for m in TERNARY_NAME_RE.finditer(text):
+            decl["coord_bases"].add(m.group(1))
+            decl["components"].add(m.group(2))
+            decl["files"].setdefault(m.group(2), rel)
+    for m in SCALAR_RE.finditer(text):
+        decl["scalars"].add(m.group(1))
+    for m in SCALAR_PREFIX_RE.finditer(text):
+        decl["scalars"].add("*" + m.group(1))  # suffix pattern
+    for m in SPAN_KIND_RE.finditer(text):
+        decl["spans"].add(m.group(1))
+    for m in CH_CONCAT_RE.finditer(text):
+        # A ".ch" concatenation marks coordinate tagging; the base
+        # is whatever literal component(s) this file registers.
+        for c in REGISTRY_ADD_PREFIX_RE.findall(text):
+            decl["coord_bases"].add(c.rstrip("."))
 
 
 def collect_declared_names(root: pathlib.Path, read=None) -> dict:
     read = read or (lambda p: p.read_text())
-    decl = {"components": set(), "scalars": set(), "spans": set(),
-            "coord_bases": set(), "files": {}}
+    decl = empty_declarations()
     for path in sorted((root / "src").rglob("*")):
         if path.suffix not in SRC_EXTS or not path.is_file():
             continue
-        text = read(path)
-        rel = path.relative_to(root).as_posix()
-        for m in REGISTRY_ADD_PREFIX_RE.finditer(text):
-            decl["components"].add(m.group(1))
-            decl["files"].setdefault(m.group(1), rel)
-        for m in SCALAR_RE.finditer(text):
-            decl["scalars"].add(m.group(1))
-        for m in SCALAR_PREFIX_RE.finditer(text):
-            decl["scalars"].add("*" + m.group(1))  # suffix pattern
-        for m in SPAN_KIND_RE.finditer(text):
-            decl["spans"].add(m.group(1))
-        for m in CH_CONCAT_RE.finditer(text):
-            # A ".ch" concatenation marks coordinate tagging; the base
-            # is whatever literal component(s) this file registers.
-            for c in REGISTRY_ADD_PREFIX_RE.findall(text):
-                decl["coord_bases"].add(c.rstrip("."))
+        declare_names(read(path), path.relative_to(root).as_posix(), decl)
     # Fault-site stat rows are derived, not literal.
     fault_cc = root / "src" / "fault" / "fault.cc"
     if fault_cc.is_file():
@@ -458,7 +478,6 @@ def collect_declared_names(root: pathlib.Path, read=None) -> dict:
             for lit, _ in string_literals(am.group(1)):
                 decl["scalars"].add(lit + ".triggers")
                 decl["scalars"].add(lit + ".injected")
-    # Queue/dispatcher tags compose "queue.chC.dD" from a full literal.
     return decl
 
 
@@ -1211,8 +1230,8 @@ RECOVERABLE_ASSERT_BUDGET = {
 }
 
 # startOp() is CompCpyEngine's private execution hook; only the queue
-# (which owns dispatch ordering) and the engine itself (declaration +
-# sync facade) may name it. Any other call site skips descriptor
+# (which owns dispatch ordering) and the engine itself (declaration and
+# definition) may name it. Any other call site skips descriptor
 # accounting, completion records and the per-queue fallback decision.
 QUEUE_BYPASS_ALLOWED = {
     "src/compcpy/compcpy.h",
@@ -1306,8 +1325,8 @@ def check_per_file(rel: str, text: str, clean: str) -> list:
         findings += _each_match(
             "queue-bypass", rel, clean, QUEUE_BYPASS_RE,
             "startOp() bypasses the work-queue front end; submit a "
-            "Descriptor through a WorkQueue (or the sync facade "
-            "run()/start()) so the call is accounted and reaped")
+            "Descriptor through the device's WorkQueue (or call its "
+            "run()) so the call is accounted and reaped")
     findings += _exact_budget(
         "wakeup-bypass", rel, clean, WAKEUP_BYPASS_RE,
         WAKEUP_BYPASS_BUDGET.get(rel, 0), "schedulePass",
@@ -1443,7 +1462,7 @@ PER_FILE_SELF_TESTS = [
     ("compcpy/queue", _sites(6) + "void f() { engine_.startOp(p, s, cb); }",
      ".cc", []),  # the queue is the blessed dispatcher
     ("compcpy/compcpy", _sites(3) + "void f() { startOp(p, s, cb); }",
-     ".cc", []),  # the engine's own sync facade
+     ".cc", []),  # the engine's own definition
     ("smartdimm/rogue2", "// startOp() is off limits\nint x;", ".cc",
      []),  # comments don't count
     # wakeup-bypass
@@ -1495,6 +1514,27 @@ PER_FILE_SELF_TESTS = [
     ("tests/topo/test_topology",
      "void f() { cache::MemorySystem memory(e, map, c, d); }", ".cc",
      []),  # the 1x1 equivalence reference
+]
+
+
+# The dispatcher's form: the registered name is a variable holding a
+# tagged/legacy ternary.
+_TERNARY_REGISTRATION = (
+    "const std::string name =\n"
+    "    tagged ? \"queue.ch\" + std::to_string(ch) + \".d\" +\n"
+    "                 std::to_string(d)\n"
+    "           : std::string(\"queue\");\n"
+    "registry.add(name, [&q](trace::StatsBlock &b) { q.report(b); });\n")
+
+STAT_REGISTRY_SELF_TESTS = [
+    # (name, src/ source, referenced name, declared?)
+    ("ternary-tagged-side", _TERNARY_REGISTRATION, "queue.ch1.d0", True),
+    ("ternary-legacy-side", _TERNARY_REGISTRATION, "queue", True),
+    ("ternary-other-base", _TERNARY_REGISTRATION, "queues.ch1.d0",
+     False),
+    ("ternary-never-registered",
+     _TERNARY_REGISTRATION.replace("registry.add(name", "use(name"),
+     "queue.ch1.d0", False),
 ]
 
 
@@ -1732,7 +1772,18 @@ def self_test(repo_root: pathlib.Path) -> int:
         else:
             print(f"ok   per-file/{name}")
 
-    # 2. Embedded dead-parameter corpus, budget included.
+    # 2. Embedded stat-registry declaration corpus.
+    for name, source, probe, declared in STAT_REGISTRY_SELF_TESTS:
+        decl = empty_declarations()
+        declare_names(source, "src/topo/self_test.cc", decl)
+        if _declared_component(probe, decl) != declared:
+            failures += 1
+            print(f"FAIL stat-registry/{name}: '{probe}' declared is "
+                  f"{not declared}, expected {declared}")
+        else:
+            print(f"ok   stat-registry/{name}")
+
+    # 3. Embedded dead-parameter corpus, budget included.
     for name, sources, budget, expected in DEAD_PARAMETER_SELF_TESTS:
         files = {rel: strip_comments_and_strings(src)
                  for rel, src in sources.items()}
@@ -1760,7 +1811,7 @@ def self_test(repo_root: pathlib.Path) -> int:
         else:
             print(f"ok   unset-parameter/{name}")
 
-    # 3. On-disk fixtures: tests/tools/fixtures/<rule>/{good,bad}/ —
+    # 4. On-disk fixtures: tests/tools/fixtures/<rule>/{good,bad}/ —
     # good trees must be clean, bad trees must raise >= 1 finding of
     # their rule.
     fixtures = repo_root / "tests" / "tools" / "fixtures"
@@ -1792,7 +1843,7 @@ def self_test(repo_root: pathlib.Path) -> int:
         failures += 1
         print(f"FAIL fixtures directory missing: {fixtures}")
 
-    # 4. Baseline mechanics.
+    # 5. Baseline mechanics.
     fs = [Finding("r", "f.cc", 1, "ctx", "m"),
           Finding("r", "f.cc", 2, "ctx", "m"),
           Finding("r2", "g.cc", 3, "other", "m")]
