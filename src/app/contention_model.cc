@@ -1,6 +1,7 @@
 #include "app/contention_model.h"
 
 #include <algorithm>
+#include <optional>
 #include <system_error>
 #include <thread>
 #include <vector>
@@ -19,12 +20,12 @@ constexpr unsigned kLlcWays = 16;
 struct ProbeLayout
 {
     cache::CacheConfig cfg;
-    std::size_t sets = 0;
-    unsigned __int128 set_reciprocal = 0; ///< fastmodReciprocal(sets)
+    Divisor sets{1}; ///< the LLC's set count, line numbers reduce by
     unsigned connections = 0;
     std::size_t conn_bytes = 0;
     std::size_t message_bytes = 0;
-    std::size_t antagonist_bytes = 0;
+    /** The antagonist working set in bytes; empty when there is none. */
+    std::optional<Divisor> antagonist_bytes;
     unsigned antagonist_rate = 0; ///< antagonist lines per connection
     Addr conn_base = 0;
     Addr msg_base = 0;
@@ -47,14 +48,14 @@ layoutFor(const ContentionWorkload &workload)
     p.cfg.ways = kLlcWays;
     p.cfg.ddio_ways = 2;
     p.cfg.cpu_ways = kLlcWays;
-    p.sets = cache::checkedConfig(p.cfg).sets();
-    p.set_reciprocal = fastmodReciprocal(p.sets);
+    p.sets = Divisor(cache::checkedConfig(p.cfg).sets());
 
     p.connections = std::max(1u, workload.connections / kScale);
     p.conn_bytes =
         static_cast<std::size_t>(workload.per_connection_kb * 1024.0);
     p.message_bytes = workload.message_bytes;
-    p.antagonist_bytes = (workload.antagonist_mb << 20) / kScale;
+    if (const std::size_t bytes = (workload.antagonist_mb << 20) / kScale)
+        p.antagonist_bytes.emplace(bytes);
     p.antagonist_rate = 64 * std::max(1u, workload.antagonist_instances);
 
     // Address-space layout: per-connection state, inbound message
@@ -152,12 +153,11 @@ replayShard(const ProbeLayout &p, std::uint64_t seed, std::size_t first_set,
     const std::size_t span = end_set - first_set;
     const std::size_t msg_lines = linesIn(p.message_bytes);
     const auto setOf = [&](Addr addr) {
-        return static_cast<std::size_t>(
-            fastmod(addr >> kLineBits, p.set_reciprocal, p.sets));
+        return static_cast<std::size_t>(p.sets.mod(addr >> kLineBits));
     };
     // The runs of the walk of @p lines from @p base that are ours.
     const auto runsOf = [&](Addr base, std::size_t lines) {
-        return OwnRuns(setOf(base), lines, p.sets, first_set, span);
+        return OwnRuns(setOf(base), lines, p.sets.value(), first_set, span);
     };
     // Unsigned wrap makes sets below first_set fail the test too.
     const auto mine = [&](std::size_t set) {
@@ -212,13 +212,13 @@ replayShard(const ProbeLayout &p, std::uint64_t seed, std::size_t first_set,
                 for (std::size_t k = r.begin(); k < r.end(); ++k)
                     llc.access(line(state, k), (k & 4) != 0,
                                cache::AllocClass::kCpu);
-            if (p.antagonist_bytes == 0)
+            if (!p.antagonist_bytes)
                 continue;
             // Every shard draws the whole stream, so the draws for
             // later connections stay in step.
             for (unsigned k = 0; k < p.antagonist_rate; ++k) {
                 const Addr a =
-                    p.ant_base + lineAlign(rng.below(p.antagonist_bytes));
+                    p.ant_base + lineAlign(rng.below(*p.antagonist_bytes));
                 const bool is_write = rng.chance(0.3);
                 if (mine(setOf(a)))
                     llc.access(a, is_write, cache::AllocClass::kCpu);
@@ -289,9 +289,10 @@ detail::measureContentionShards(const ContentionWorkload &workload,
                                 std::uint64_t seed, unsigned shards)
 {
     const ProbeLayout p = layoutFor(workload);
-    shards = static_cast<unsigned>(std::clamp<std::size_t>(shards, 1, p.sets));
+    const std::size_t sets = p.sets.value();
+    shards = static_cast<unsigned>(std::clamp<std::size_t>(shards, 1, sets));
     const auto firstSet = [&](unsigned shard) {
-        return p.sets * shard / shards;
+        return sets * shard / shards;
     };
     std::vector<ShardCounts> counts(shards);
     const auto run = [&](unsigned shard) {

@@ -15,6 +15,11 @@
  * outcome, so every set ends exactly as in one serial replay. Shards
  * return integer counts, whose sums give the result: it is
  * bit-identical for any shard count.
+ *
+ * A shard finds a line's set with one sd::Divisor (line mod sets),
+ * the type its private Cache indexes with, and draws the antagonist
+ * stream through Rng::below(const Divisor &), which makes the same
+ * draws as Rng::below(bound) without a divide.
  */
 
 #ifndef SD_APP_CONTENTION_MODEL_H

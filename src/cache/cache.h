@@ -11,9 +11,11 @@
 #define SD_CACHE_CACHE_H
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <optional>
 
+#include "common/bitops.h"
 #include "common/types.h"
 
 namespace sd::cache {
@@ -97,7 +99,13 @@ struct AccessResult
  * One-byte multiplicative hash of a line address. Each set keeps one
  * per way, so a lookup compares a full tag only where this matches.
  */
-std::uint8_t lineFingerprint(Addr line);
+inline std::uint8_t
+lineFingerprint(Addr line)
+{
+    // Fibonacci hashing: the top byte of the line number times 2^64/phi.
+    return static_cast<std::uint8_t>(
+        ((line >> kLineBits) * 0x9E37'79B9'7F4A'7C15ULL) >> 56);
+}
 
 /**
  * The LLC model. It tracks tags, dirtiness and exact LRU per set, and
@@ -113,6 +121,10 @@ std::uint8_t lineFingerprint(Addr line);
  * Set state, line slots and tags live in one demand-zero anonymous
  * mapping, so construction writes nothing proportional to capacity
  * and pages no access reaches are never committed.
+ *
+ * The per-access path (access, contains and the set lookup under
+ * them) is defined inline below the class: the contention probe
+ * issues millions of accesses per call and reads only `hit`.
  */
 class Cache
 {
@@ -198,16 +210,23 @@ class Cache
     /** Way-major slot number of (set, way), into tags_ and data_. */
     std::size_t slot(std::size_t set, unsigned way) const
     {
-        return way * sets_ + set;
+        return way * sets_.value() + set;
     }
-    std::uint8_t *slotData(std::size_t set, unsigned way);
+    std::uint8_t *slotData(std::size_t set, unsigned way)
+    {
+        return data_ + slot(set, way) * kCacheLineSize;
+    }
+    /**
+     * Eviction victim among the @p eligible ways of @p state. This is
+     * exactly what per-way timestamps give: the lowest invalid eligible
+     * way, else the eligible way touched longest ago.
+     */
+    unsigned pickVictim(const SetState &state, std::uint16_t eligible) const;
 
     CacheConfig config_;
-    std::size_t sets_; ///< cached config_.sets()
-    bool sets_pow2_;   ///< index with a mask instead of fastmod
-    /** fastmodReciprocal(sets_), for setIndex(). */
-    unsigned __int128 set_reciprocal_ = 0;
+    Divisor sets_; ///< config_.sets(), which setIndex() reduces by
     std::uint64_t initial_stack_; ///< an empty set's way order
+    std::uint16_t all_ways_;      ///< ways [0, ways) as a bitmask
     std::uint16_t cpu_eligible_;  ///< ways [0, cpu_ways) as a bitmask
     std::uint16_t ddio_eligible_; ///< the last ddio_ways ways
     /**
@@ -225,6 +244,163 @@ class Cache
     std::uint64_t probe_hits_ = 0;
     std::uint64_t probe_misses_ = 0;
 };
+
+namespace detail {
+
+inline constexpr std::uint64_t kNibbleLsb = 0x1111'1111'1111'1111ULL;
+
+/** @return the low bit of every nibble of @p stack that equals @p way. */
+inline std::uint64_t
+nibblesEqual(std::uint64_t stack, unsigned way)
+{
+    // SWAR search: the nibble equal to `way` becomes zero after the
+    // XOR; fold each nibble's bits onto its low bit to find it.
+    const std::uint64_t x = stack ^ (way * kNibbleLsb);
+    return ~(x | (x >> 1) | (x >> 2) | (x >> 3)) & kNibbleLsb;
+}
+
+/** @return @p stack with @p way moved to the MRU end. */
+inline std::uint64_t
+promote(std::uint64_t stack, unsigned way)
+{
+    // Unused high nibbles (ways < 16) sit deeper than every real way,
+    // so the lowest match is the real one.
+    const auto shift =
+        static_cast<unsigned>(std::countr_zero(nibblesEqual(stack, way)));
+    // Shift the nibbles above `way` one place deeper and put `way` on
+    // top. 0x10 << 60 wraps to 0, so depth 15 needs no special case.
+    const std::uint64_t above = (std::uint64_t{1} << shift) - 1;
+    const std::uint64_t through = (std::uint64_t{0x10} << shift) - 1;
+    return (stack & ~through) | ((stack & above) << 4) | way;
+}
+
+/** @return bit i set where byte i of @p word equals @p fp (8 bits). */
+inline unsigned
+matchBytes(std::uint64_t word, std::uint8_t fp)
+{
+    constexpr std::uint64_t kByteLsb = 0x0101'0101'0101'0101ULL;
+    constexpr std::uint64_t kLow7 = 0x7F7F'7F7F'7F7F'7F7FULL;
+    const std::uint64_t x = word ^ (fp * kByteLsb);
+    // Exact zero-byte test (no borrow between bytes): bit 7 of a byte
+    // survives only when the byte is zero.
+    const std::uint64_t zero = ~(((x & kLow7) + kLow7) | x | kLow7);
+    // Gather the eight flags (now at bits 0, 8, ..., 56) into the top
+    // byte: the multiplier's terms never collide, so nothing carries.
+    return static_cast<unsigned>(((zero >> 7) * 0x0102'0408'1020'4080ULL) >>
+                                 56);
+}
+
+} // namespace detail
+
+inline std::size_t
+Cache::setIndex(Addr addr) const
+{
+    return static_cast<std::size_t>(sets_.mod(addr >> kLineBits));
+}
+
+inline unsigned
+Cache::findWay(std::size_t set, Addr line) const
+{
+    // A line lives in at most one way, so only valid ways whose
+    // fingerprint matches need their full tag compared.
+    const SetState &state = state_[set];
+    const std::uint8_t fp = lineFingerprint(line);
+    unsigned candidates = (detail::matchBytes(state.fingerprints[0], fp) |
+                           detail::matchBytes(state.fingerprints[1], fp)
+                               << 8) &
+                          state.valid;
+    for (; candidates != 0; candidates &= candidates - 1) {
+        const auto way = static_cast<unsigned>(std::countr_zero(candidates));
+        if (tags_[slot(set, way)] == line)
+            return way;
+    }
+    return config_.ways;
+}
+
+inline unsigned
+Cache::pickVictim(const SetState &state, std::uint16_t eligible) const
+{
+    if (const unsigned free = ~state.valid & eligible)
+        return static_cast<unsigned>(std::countr_zero(free));
+    // All eligible ways are valid, and every valid way was touched at
+    // its fill, so stack depth orders them as timestamps would: take
+    // the deepest. For the full way mask that is the last real nibble.
+    const unsigned ways = config_.ways;
+    if (eligible == all_ways_)
+        return static_cast<unsigned>(state.stack >> (4 * (ways - 1))) & 0xF;
+    // A partial mask (DDIO, CAT) marks its ways' depths and takes the
+    // deepest mark. Unused nibbles read as way 0, so only the real
+    // depths count.
+    std::uint64_t depths = 0;
+    for (unsigned e = eligible; e != 0; e &= e - 1)
+        depths |= detail::nibblesEqual(
+            state.stack, static_cast<unsigned>(std::countr_zero(e)));
+    depths &= detail::kNibbleLsb >> (4 * (16 - ways));
+    const auto deepest =
+        63 - static_cast<unsigned>(std::countl_zero(depths));
+    return static_cast<unsigned>(state.stack >> deepest) & 0xF;
+}
+
+inline AccessResult
+Cache::access(Addr addr, bool is_write, AllocClass cls, bool full_line_store)
+{
+    const Addr line_addr = lineAlign(addr);
+    const std::size_t set = setIndex(line_addr);
+    SetState &state = state_[set];
+    AccessResult result;
+
+    if (const unsigned way = findWay(set, line_addr); way != config_.ways) {
+        ++stats_.hits;
+        ++probe_hits_;
+        state.stack = detail::promote(state.stack, way);
+        state.dirty |= static_cast<std::uint16_t>(unsigned{is_write} << way);
+        result.hit = true;
+        result.data = slotData(set, way);
+        return result;
+    }
+
+    ++stats_.misses;
+    ++probe_misses_;
+
+    // Victim selection restricted to the class's eligible ways.
+    // CPU class uses ways [0, cpu_ways); DDIO uses the last ddio_ways
+    // ways, mirroring Intel's restricted-allocation scheme.
+    const unsigned way = pickVictim(
+        state, cls == AllocClass::kDdio ? ddio_eligible_ : cpu_eligible_);
+    const auto bit = static_cast<std::uint16_t>(1u << way);
+    Addr &tag = tags_[slot(set, way)];
+    result.data = slotData(set, way);
+
+    if (state.dirty & bit) {
+        result.writeback = tag;
+        result.writeback_data = result.data;
+        ++stats_.writebacks;
+    }
+
+    tag = line_addr;
+    std::uint64_t &fps = state.fingerprints[way / 8];
+    const unsigned shift = 8 * (way % 8);
+    fps = (fps & ~(std::uint64_t{0xFF} << shift)) |
+          (std::uint64_t{lineFingerprint(line_addr)} << shift);
+    // The order of invalid ways never matters, so an empty set (a
+    // zero page reads as stack 0) may start over from any permutation.
+    if (state.valid == 0)
+        state.stack = initial_stack_;
+    state.valid |= bit;
+    state.dirty = static_cast<std::uint16_t>(
+        is_write ? state.dirty | bit : state.dirty & ~bit);
+    state.stack = detail::promote(state.stack, way);
+    ++stats_.fills;
+    result.filled = !(is_write && full_line_store);
+    return result;
+}
+
+inline bool
+Cache::contains(Addr addr) const
+{
+    const Addr line = lineAlign(addr);
+    return findWay(setIndex(line), line) != config_.ways;
+}
 
 } // namespace sd::cache
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * Bit-field extraction helpers used by the DDR address mapper and the
- * SmartDIMM slot decoder, and the exact remainder the LLC and the
- * contention probe map lines to sets with.
+ * SmartDIMM slot decoder, and the exact remainder by a fixed divisor
+ * (`Divisor`) the LLC and the contention probe map lines to sets with.
  */
 
 #ifndef SD_COMMON_BITOPS_H
@@ -96,6 +96,61 @@ fastmod(std::uint64_t n, unsigned __int128 reciprocal, std::uint64_t d)
     const U128 top = U128{static_cast<std::uint64_t>(low >> 64)} * d;
     return static_cast<std::uint64_t>((top + (bottom >> 64)) >> 64);
 }
+
+/**
+ * A fixed non-zero divisor d, prepared once so that mod(n) is exact
+ * for every 64-bit n without a divide: a mask when d is a power of
+ * two; Lemire's 64-bit reciprocal (two multiplies) when d and n are
+ * both below 2^32, as for every line the contention probe touches;
+ * and fastmod()'s 128-bit reciprocal otherwise.
+ */
+class Divisor
+{
+  public:
+    explicit Divisor(std::uint64_t d)
+        : d_(nonZero(d)), pow2_(isPowerOf2(d_)),
+          narrow_limit_(!pow2_ && d_ < kNarrow ? kNarrow : 0),
+          reciprocal64_(d_ < kNarrow ? ~std::uint64_t{0} / d_ + 1 : 0),
+          reciprocal128_(fastmodReciprocal(d_))
+    {
+    }
+
+    /** @return d. */
+    std::uint64_t value() const { return d_; }
+
+    /** @return n mod d. */
+    std::uint64_t
+    mod(std::uint64_t n) const
+    {
+        using U128 = unsigned __int128;
+        if (pow2_)
+            return n & (d_ - 1);
+        // Both operands below 2^32: the low 64 bits of M * n are the
+        // fraction n / d, and scaling it by d leaves the remainder in
+        // the high word (Lemire, Kaser and Kurz, Theorem 1).
+        if (n < narrow_limit_)
+            return static_cast<std::uint64_t>(
+                (U128{reciprocal64_ * n} * d_) >> 64);
+        return fastmod(n, reciprocal128_, d_);
+    }
+
+  private:
+    static constexpr std::uint64_t kNarrow = std::uint64_t{1} << 32;
+
+    static std::uint64_t
+    nonZero(std::uint64_t d)
+    {
+        SD_ASSERT(d > 0, "Divisor of zero");
+        return d;
+    }
+
+    std::uint64_t d_;
+    bool pow2_;
+    /** 2^32 when the 64-bit reciprocal applies to d, else 0. */
+    std::uint64_t narrow_limit_;
+    std::uint64_t reciprocal64_;      ///< ceil(2^64 / d), for d < 2^32
+    unsigned __int128 reciprocal128_; ///< fastmodReciprocal(d)
+};
 
 } // namespace sd
 

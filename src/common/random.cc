@@ -6,16 +6,6 @@
 
 namespace sd {
 
-namespace {
-
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
-} // namespace
-
 std::uint64_t
 Rng::splitMix(std::uint64_t &x)
 {
@@ -31,20 +21,6 @@ Rng::Rng(std::uint64_t seed)
     std::uint64_t sm = seed;
     for (auto &word : state_)
         word = splitMix(sm);
-}
-
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-    return result;
 }
 
 std::uint64_t
@@ -68,22 +44,6 @@ Rng::range(std::uint64_t lo, std::uint64_t hi)
 {
     SD_ASSERT(lo <= hi, "Rng::range requires lo <= hi");
     return lo + below(hi - lo + 1);
-}
-
-double
-Rng::uniform()
-{
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool
-Rng::chance(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return uniform() < p;
 }
 
 double

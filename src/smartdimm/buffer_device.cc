@@ -221,8 +221,9 @@ BufferDevice::registerTls(const std::uint8_t *data)
     if (!tag_only)
         slotEntry(sources_, slot_id) = SourceEntry{job, 0, reg.message_id};
     slotEntry(dests_, *scratch) =
-        DestEntry{job, reg.dbuf_page, reg.sbuf_page};
+        DestEntry{job, reg.dbuf_page, reg.sbuf_page, message.get()};
     message->dest_pages.push_back(reg.dbuf_page);
+    ++message->live_pages;
 
     ++stats_.registrations;
 }
@@ -407,6 +408,8 @@ void
 BufferDevice::retirePage(std::uint32_t scratch_page)
 {
     DestEntry &dest = dests_[scratch_page];
+    if (dest.message)
+        --dest.message->live_pages;
     // The source mapping goes too, unless its sbuf page was registered
     // again, to another destination, before this one drained.
     const auto src = translation_.find(dest.sbuf_page);
@@ -419,9 +422,11 @@ BufferDevice::retirePage(std::uint32_t scratch_page)
     translation_.erase(dest.page);
     dest = {};
 
-    // Lazily sweep finished TLS records.
+    // Lazily sweep finished TLS records, and records whose pages all
+    // retired before the record finished (a re-registered destination).
     std::erase_if(messages_, [](const auto &message) {
-        return message.second->state.complete();
+        return message.second->state.complete() ||
+               message.second->live_pages == 0;
     });
 }
 

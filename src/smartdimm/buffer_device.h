@@ -105,6 +105,8 @@ class BufferDevice : public mem::DimmDevice
     const ConfigMemory &configMemory() const { return config_memory_; }
     const CuckooTable &translationTable() const { return translation_; }
     CuckooTable &translationTable() { return translation_; }
+    /** TLS records the device still holds state for. */
+    std::size_t liveRecords() const { return messages_.size(); }
     const SmartDimmConfig &config() const { return config_; }
 
     /**
@@ -152,16 +154,6 @@ class BufferDevice : public mem::DimmDevice
         std::optional<std::uint64_t> message_id = std::nullopt;
     };
 
-    /** A registered destination page, indexed by its Scratchpad page;
-     *  its staged lines are the Scratchpad page's computed bits. */
-    struct DestEntry
-    {
-        std::shared_ptr<DsaJob> job;
-        std::uint64_t page = 0;      ///< the destination page number
-        /** Its source page (the page itself when tag-only). */
-        std::uint64_t sbuf_page = 0;
-    };
-
     /** One TLS record: the DSA state its page jobs share (through
      *  aliasing pointers into this object, so one allocation holds
      *  both), and its destination pages in registration order, so
@@ -176,6 +168,20 @@ class BufferDevice : public mem::DimmDevice
 
         TlsMessageState state;
         std::vector<std::uint64_t> dest_pages;
+        /** Registered destination pages not yet retired. */
+        unsigned live_pages = 0;
+    };
+
+    /** A registered destination page, indexed by its Scratchpad page;
+     *  its staged lines are the Scratchpad page's computed bits. */
+    struct DestEntry
+    {
+        std::shared_ptr<DsaJob> job;
+        std::uint64_t page = 0;      ///< the destination page number
+        /** Its source page (the page itself when tag-only). */
+        std::uint64_t sbuf_page = 0;
+        /** Its TLS record (none for Deflate), kept alive by job. */
+        TlsMessage *message = nullptr;
     };
 
     void handleMmioWrite(Addr addr, const std::uint8_t *data);
@@ -212,8 +218,10 @@ class BufferDevice : public mem::DimmDevice
      *  hand out slots LIFO from 0, so these grow to peak concurrency. */
     std::vector<SourceEntry> sources_; ///< by Config Memory slot
     std::vector<DestEntry> dests_;     ///< by Scratchpad page
-    /** Live TLS records, keyed by software message id. Shared so a
-     *  staging event can hold its record past the retire sweep. */
+    /** Live TLS records, keyed by software message id. A record goes
+     *  once it completes or none of its pages is registered any more.
+     *  Shared so a staging event can hold its record past the retire
+     *  sweep. */
     std::unordered_map<std::uint64_t, std::shared_ptr<TlsMessage>> messages_;
 
     fault::FaultPlan *fault_plan_ = nullptr;

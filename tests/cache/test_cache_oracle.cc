@@ -292,4 +292,21 @@ TEST(CacheOracle, MatchesOnContentionProbeGeometry)
         }
 }
 
+TEST(CacheOracle, MatchesAcrossThe32BitLineBoundary)
+{
+    // The probe geometry again, with the stream's lines straddling
+    // line number 2^32: the set index takes the 64-bit reciprocal
+    // below it and the 128-bit one above, so most sets hold lines
+    // indexed both ways. The drawn CAT masks take the partial-mask
+    // victim pick, DDIO's two ways the same on every fill.
+    constexpr std::size_t kSets = 6912;
+    constexpr std::uint64_t kLines = kSets * 16 * 3;
+    const Addr base = ((Addr{1} << 32) - kLines / 2) * kCacheLineSize;
+    for (const std::uint64_t seed : {3u, 4u}) {
+        runLockstep({16, kSets, 2, base}, seed, 300000);
+        if (HasFatalFailure())
+            return;
+    }
+}
+
 } // namespace

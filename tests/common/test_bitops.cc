@@ -1,7 +1,8 @@
 /**
  * @file
  * Bit-field helpers used by the address mapper, and the exact
- * remainder the cache and the contention probe index sets with.
+ * remainders (fastmod, Divisor) the cache and the contention probe
+ * index sets with.
  */
 
 #include <gtest/gtest.h>
@@ -67,6 +68,32 @@ TEST(Bitops, FastmodMatchesRemainder)
         for (int i = 0; i < 10000; ++i) {
             const std::uint64_t n = rng.next();
             EXPECT_EQ(fastmod(n, m, d), n % d) << n << " mod " << d;
+        }
+    }
+}
+
+TEST(Bitops, DivisorMatchesRemainder)
+{
+    // Powers of two take the mask, divisors below 2^32 the 64-bit
+    // reciprocal for numerators below 2^32, and everything else the
+    // 128-bit one; the edges sit on both sides of each switch.
+    constexpr std::uint64_t k32 = 1ULL << 32;
+    Rng rng(11);
+    const std::uint64_t divisors[] = {1,       2,   3,       64,
+                                      6912,    k32 - 1, k32, k32 + 1,
+                                      (1ULL << 63) + 1, ~0ULL};
+    for (const std::uint64_t d : divisors) {
+        const Divisor divisor(d);
+        EXPECT_EQ(divisor.value(), d);
+        const std::uint64_t edges[] = {0, 1, d - 1, d, k32 - 1, k32,
+                                       k32 + 1, ~0ULL};
+        for (const std::uint64_t n : edges)
+            EXPECT_EQ(divisor.mod(n), n % d) << n << " mod " << d;
+        // Every other random numerator is cut below 2^32, so the
+        // 64-bit reciprocal sees as many as the 128-bit one.
+        for (int i = 0; i < 10000; ++i) {
+            const std::uint64_t n = rng.next() >> (i % 2 ? 32 : 0);
+            EXPECT_EQ(divisor.mod(n), n % d) << n << " mod " << d;
         }
     }
 }

@@ -91,6 +91,26 @@ TEST(Random, BelowPinnedDraws)
     }
 }
 
+TEST(Random, BelowWithDivisorMatchesBelow)
+{
+    // Same seeds and bounds as BelowPinnedDraws, with enough draws per
+    // bound that a remainder wrong for one residue in thousands shows.
+    const std::uint64_t bounds[] = {1, 3, 6912, (1ULL << 32) + 1,
+                                    (1ULL << 63) + 1};
+    for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL}) {
+        Rng plain(seed);
+        Rng fast(seed);
+        for (const std::uint64_t bound : bounds) {
+            const sd::Divisor divisor(bound);
+            for (int i = 0; i < 20000; ++i)
+                ASSERT_EQ(fast.below(divisor), plain.below(bound))
+                    << "seed " << seed << " bound " << bound << " draw "
+                    << i;
+        }
+        EXPECT_EQ(fast.next(), plain.next()) << "seed " << seed;
+    }
+}
+
 TEST(Random, RangeInclusive)
 {
     Rng rng(4);

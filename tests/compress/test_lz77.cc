@@ -125,14 +125,16 @@ TEST(Lz77, WindowLimitIsHonoured)
         const auto tokens =
             lz77Compress(data.data(), data.size(), Lz77Config{}, &stats);
         bool repeat_matched = false;
-        for (const auto &tok : tokens)
+        for (const auto &tok : tokens) {
             if (tok.is_match) {
                 EXPECT_LE(tok.distance, kMaxDistance);
                 repeat_matched |= tok.distance == block;
             }
+        }
         EXPECT_EQ(repeat_matched, block <= kMaxDistance) << block;
-        if (block > kMaxDistance)
+        if (block > kMaxDistance) {
             EXPECT_LT(stats.matched_bytes, block / 16) << block;
+        }
         EXPECT_EQ(lz77Decompress(tokens), data);
     }
 }

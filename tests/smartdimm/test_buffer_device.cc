@@ -493,16 +493,19 @@ TEST(BufferDevice, DbufReRegisteredRetiresTheOldRegistration)
 
     // A -> P, then B -> P before A's registration ever drained: the
     // second registration takes P over, and A's Scratchpad page and
-    // Config Memory slot go back to the device.
+    // Config Memory slot go back to the device. A's record, never fed,
+    // can never finish, so it goes with its last page.
     rig.registerTls(0x100000, 0x200000, 4000, key, iv, /*msg=*/1);
     rig.registerTls(0x110000, 0x200000, 4000, key, iv, /*msg=*/2);
     EXPECT_EQ(rig.dev.scratchpad().livePages(), 1u);
     EXPECT_FALSE(rig.dev.translationTable().find(0x100000 / kPageSize));
+    EXPECT_EQ(rig.dev.liveRecords(), 1u);
 
     rig.readPage(0x110000);
     rig.events.run();
     rig.writePage(0x200000);
     EXPECT_EQ(rig.dev.scratchpad().livePages(), 0u);
+    EXPECT_EQ(rig.dev.liveRecords(), 0u);
 
     std::uint8_t back[kCacheLineSize];
     rig.read(rig.dev.config().mmio_base +
