@@ -5,14 +5,43 @@
  * insertion-order) order. Single-threaded by design — the simulated
  * system may have many cores, the simulator has one.
  *
- * Hot-path design: the heap orders small POD entries (tick, priority,
- * seq, pool slot) while the callbacks themselves live in a slot pool
- * with a free list. Sift operations therefore move 24-byte PODs, not
- * std::functions, and popping *moves* the callback out of its slot —
- * the seed implementation's std::priority_queue copied the whole
- * Entry (including the heap-allocated std::function state) out of
- * top() on every executed event, which dominated the simulator
- * profile at fleet scale.
+ * Hot-path design: sorted lanes in front of a small heap. Callbacks
+ * live in a slot pool with a free list; the ordering structures move
+ * only 24-byte POD entries (tick, packed order key, pool slot, lane),
+ * and popping *moves* the callback out of its slot.
+ *
+ * A lane is a FIFO ring whose entries were appended in increasing
+ * (tick, priority, seq) order, so its head is its minimum. The heap
+ * holds the head of every non-empty lane plus the stragglers no lane
+ * took, and its top is therefore the global minimum. schedule() puts
+ * an entry in the first of:
+ *  - the heap, while lane 0 is empty and the heap is shallower than
+ *    kShallow: a short closed loop neither pays for lane bookkeeping
+ *    nor allocates lane storage mid-run;
+ *  - lane 0, which takes any entry that does not sort before its
+ *    tail: in-order batches such as staged arrivals append in O(1);
+ *  - the keyed lane that a multiply-shift hash of (when - now(),
+ *    priority) selects, one of kKeyedLanes. The lane belongs to that
+ *    key while it is non-empty. now() never recedes and seq only
+ *    grows, so an entry with the lane's delay and priority never sorts
+ *    before the lane's earlier entries, and it appends without a
+ *    compare. A key that meets a live lane of another key falls
+ *    through;
+ *  - the heap, with an ordinary sift-up.
+ * Popping an entry that came from a lane replaces the heap's top with
+ * the lane's next head: one sift-down on a heap of a few entries,
+ * instead of one on a heap as deep as everything pending. Every path
+ * keeps each lane sorted and each live lane's head in the heap, which
+ * is all the exact order needs; which path an entry takes changes only
+ * the cost.
+ *
+ * The order key packs (priority + 2^15) << 48 | seq into 64 bits, so
+ * one 128-bit compare of (tick, key) is the exact (tick, priority,
+ * seq) order; schedule() asserts priority within [-2^15, 2^15) and
+ * seq below 2^48. Ring capacities are powers of two, at least
+ * kMinRing, that grow by doubling and are kept (reset() included), so
+ * each ring holds at most twice its lane's peak occupancy and a steady
+ * state allocates nothing.
  *
  * Time contract:
  *  - schedule(when, ...) requires when >= now(); scheduling into the
@@ -95,7 +124,7 @@ class EventQueue
     bool empty() const { return heap_.empty(); }
 
     /** Number of pending (not yet executed) events. */
-    std::size_t pending() const { return heap_.size(); }
+    std::size_t pending() const;
 
     /** Number of events executed so far. */
     std::uint64_t executed() const { return executed_; }
@@ -107,39 +136,85 @@ class EventQueue
     void reset();
 
   private:
+    /** Keyed lanes behind lane 0: 2^kKeyedLaneBits of them. */
+    static constexpr unsigned kKeyedLaneBits = 4;
+    static constexpr std::uint32_t kKeyedLanes = 1u << kKeyedLaneBits;
+    static constexpr std::uint32_t kLanes = kKeyedLanes + 1;
+    /** Entry::lane of a heap entry that belongs to no lane. */
+    static constexpr std::uint32_t kNoLane = kLanes;
+    /** While lane 0 is empty, a heap this shallow takes every entry. */
+    static constexpr std::size_t kShallow = 128;
+    /** A lane ring's first capacity. */
+    static constexpr std::size_t kMinRing = 16;
+    /** Field widths of the packed order key. */
+    static constexpr unsigned kPriorityBits = 16;
+    static constexpr unsigned kSeqBits = 64 - kPriorityBits;
+    static constexpr int kPriorityBias = 1 << (kPriorityBits - 1);
+
     /**
-     * Heap node: ordering key plus the index of the callback's pool
-     * slot. Deliberately POD-small so sift operations stay cheap.
+     * Lane and heap node: ordering key plus the index of the
+     * callback's pool slot and the lane the entry sits in. Deliberately
+     * POD-small so ring appends and sift operations stay cheap.
      */
     struct Entry
     {
         Tick when;
-        std::uint64_t seq;
+        /** (priority + kPriorityBias) << kSeqBits | seq. */
+        std::uint64_t order;
         std::uint32_t slot;
-        std::int32_t priority;
+        std::uint32_t lane;
     };
 
     /** @return true when @p a executes before @p b. */
     static bool
     before(const Entry &a, const Entry &b)
     {
-        if (a.when != b.when)
-            return a.when < b.when;
-        if (a.priority != b.priority)
-            return a.priority < b.priority;
-        return a.seq < b.seq;
+        using U128 = unsigned __int128;
+        return (U128{a.when} << 64 | a.order) <
+               (U128{b.when} << 64 | b.order);
     }
 
-    void siftUp(std::size_t i);
-    void siftDown(std::size_t i);
+    /** FIFO ring of entries in increasing order. */
+    struct Lane
+    {
+        /** Power-of-two capacity; every element is storage. */
+        std::vector<Entry> ring;
+        /** ring.size() - 1 once the ring has storage. */
+        std::uint32_t mask = 0;
+        std::uint32_t head = 0;
+        std::uint32_t count = 0;
+        /** Keyed lanes, while count > 0: delay << kPriorityBits |
+         *  biased priority. */
+        std::uint64_t key = 0;
 
+        const Entry &
+        tail() const
+        {
+            return ring[(head + count - 1) & mask];
+        }
+    };
+
+    /** Append @p e to lane @p index; a new head also enters the heap. */
+    void append(std::uint32_t index, const Entry &e);
+    /** Double lane @p lane's ring, unrolling it to start at index 0. */
+    void grow(Lane &lane);
+
+    /** Insert @p e into the heap. */
+    void push(const Entry &e);
+    /** Replace the heap's top with @p e and restore the heap order. */
+    void replaceTop(const Entry &e);
+
+    /** Remove the heap's top, @p top, refilling it from its lane. */
+    void removeTop(const Entry &top);
     /** Pop the top entry and move its callback out of the pool. */
     Callback popTop(Entry &top);
 
     /** Runtime spot-check of the single-owner contract. */
     SingleOwnerChecker owner_;
 
-    /** Binary min-heap of POD entries (root at index 0). */
+    /** Lane 0 (in-order) and the keyed lanes. */
+    Lane lanes_[kLanes];
+    /** Binary min-heap of lane heads and stragglers (root at index 0). */
     std::vector<Entry> heap_;
     /** Callback storage; entries index into this via Entry::slot. */
     std::vector<Callback> pool_;

@@ -21,12 +21,16 @@
  * Those are left for a follow-up. Each budget is today's measured
  * count rounded up (a rare hash-map rehash adds a fraction), so one
  * more allocation per op fails the test.
+ *
+ * The event queue itself must allocate nothing once its lane rings,
+ * heap and callback pool have grown to a steady load's working size.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
+#include <iterator>
 #include <new>
 #include <vector>
 
@@ -34,6 +38,7 @@
 #include "compcpy/compcpy.h"
 #include "compcpy/queue.h"
 #include "kernels/dispatch.h"
+#include "sim/event_queue.h"
 #include "smartdimm/deflate_dsa.h"
 #include "topo/topology.h"
 
@@ -173,6 +178,45 @@ TEST_F(AllocBudget, SteadyStateDeflateOp)
             .allocationsPerOp();
     RecordProperty("allocations_per_op", std::to_string(per_op));
     EXPECT_LE(per_op, 52.0); // measured 51.03
+}
+
+/** Reschedules itself @p delay ticks after each firing. */
+struct Reschedule
+{
+    EventQueue *q;
+    Tick delay;
+
+    void operator()() const { q->scheduleIn(delay, Reschedule{*this}); }
+};
+
+TEST_F(AllocBudget, EventQueueSteadyStateAllocatesNothing)
+{
+    // A staged in-order batch of 1,500 arrivals (each fired arrival
+    // re-stages itself behind the last, so the batch stays 1,500
+    // deep) plus eight fixed-delay clocks: lane 0, the keyed lanes and
+    // the heap all carry entries.
+    constexpr int kStaged = 1500;
+    constexpr Tick kGap = 400'000;
+    constexpr Tick kClockDelays[] = {500,   1000,  2000,  4000,
+                                     12500, 16250, 60000, 8000};
+    constexpr std::size_t kLive = kStaged + std::size(kClockDelays);
+    EventQueue q;
+    for (int i = 1; i <= kStaged; ++i)
+        q.schedule(i * kGap, Reschedule{&q, kStaged * kGap});
+    for (const Tick delay : kClockDelays)
+        q.schedule(delay, Reschedule{&q, delay});
+
+    const auto runEvents = [&](std::uint64_t events) {
+        const std::uint64_t target = q.executed() + events;
+        while (q.executed() < target) {
+            q.runUntil(q.now() + 100'000);
+            ASSERT_EQ(q.pending(), kLive);
+        }
+    };
+    runEvents(20'000); // warm-up: every ring, the heap and the pool
+    const std::uint64_t before = g_allocations;
+    runEvents(100'000);
+    EXPECT_EQ(g_allocations - before, 0u);
 }
 
 } // namespace

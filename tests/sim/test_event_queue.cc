@@ -1,22 +1,29 @@
 /**
  * @file
  * Event-queue ordering, priorities, re-entrancy, the runUntil()/
- * reset() time contract, and the zero-copy callback guarantee of the
- * pool-backed heap.
+ * reset() time contract, the zero-copy callback guarantee of the
+ * pool-backed queue, and a differential check of the sorted lanes
+ * against a reference (tick, priority, seq) order.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <set>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
+#include "common/random.h"
 #include "sim/event_queue.h"
 
 namespace {
 
 using sd::EventQueue;
+using sd::Rng;
 using sd::Tick;
 
 TEST(EventQueue, ExecutesInTimeOrder)
@@ -280,6 +287,163 @@ TEST(EventQueue, PeriodicSelfRescheduling)
     q.run();
     EXPECT_EQ(ticks, 10);
     EXPECT_EQ(q.now(), 1000u);
+}
+
+/**
+ * Reference model for the differential order test: every event the
+ * queue holds is also in a std::set ordered by (tick, priority, seq),
+ * and each event checks on firing that it is the set's minimum.
+ */
+class ReferenceOrder
+{
+  public:
+    using Key = std::tuple<Tick, int, std::uint64_t>;
+
+    EventQueue q;
+    Rng rng{0x0bde7};
+    std::uint64_t fired = 0;
+    std::uint64_t out_of_order = 0;
+
+    /** Schedule an event that verifies its turn, then runs @p then. */
+    template <typename F>
+    void
+    schedule(Tick when, int priority, F then)
+    {
+        const Key key{when, priority, seq_++};
+        pending_.insert(key);
+        q.schedule(
+            when,
+            [this, key, then]() mutable {
+                fire(key);
+                then();
+            },
+            priority);
+        check();
+    }
+
+    /** pending() and empty() must agree with the model. */
+    void
+    check()
+    {
+        ASSERT_EQ(q.pending(), pending_.size());
+        ASSERT_EQ(q.empty(), pending_.empty());
+    }
+
+    void
+    reset()
+    {
+        q.reset();
+        pending_.clear();
+        seq_ = 0;
+        check();
+    }
+
+  private:
+    void
+    fire(const Key &key)
+    {
+        ++fired;
+        ASSERT_FALSE(pending_.empty());
+        if (*pending_.begin() != key)
+            ++out_of_order;
+        EXPECT_EQ(q.now(), std::get<0>(key));
+        pending_.erase(key);
+        check();
+    }
+
+    std::set<Key> pending_;
+    std::uint64_t seq_ = 0;
+};
+
+/** Reschedules itself a fixed delay later at a fixed priority. */
+struct FixedDelay
+{
+    ReferenceOrder *m;
+    Tick delay;
+    int priority;
+
+    void
+    operator()() const
+    {
+        m->schedule(m->q.now() + delay, priority, *this);
+    }
+};
+
+/**
+ * Fires every @p period ticks and schedules three one-shot events at
+ * its own tick, at priorities 0, 100 and 200 in a seeded order, plus
+ * one at a random near delay and priority.
+ */
+struct SameTickBurst
+{
+    ReferenceOrder *m;
+    Tick period;
+
+    void
+    operator()() const
+    {
+        int priorities[] = {0, 100, 200};
+        for (int i = 2; i > 0; --i)
+            std::swap(priorities[i], priorities[m->rng.below(
+                                         static_cast<std::uint64_t>(i + 1))]);
+        const Tick now = m->q.now();
+        for (const int priority : priorities)
+            m->schedule(now, priority, [] {});
+        m->schedule(now + m->rng.below(5000),
+                    static_cast<int>(m->rng.below(3)) * 100, [] {});
+        m->schedule(now + period, 100, *this);
+    }
+};
+
+/** Stage a far-future in-order batch and start the streams. */
+void
+stageMixedSchedules(ReferenceOrder &m)
+{
+    // In due order, two per tick (priority 100 before 200). The first
+    // go to the still-shallow heap, lane 0 takes the rest, and its tail
+    // then lies past every stream event.
+    constexpr Tick kFar = 10'000'000;
+    for (int i = 0; i < 600; ++i)
+        m.schedule(m.q.now() + kFar + static_cast<Tick>(i / 2) * 50,
+                   i % 2 ? 200 : 100, [] {});
+    // Twenty fixed delays (more keys than keyed lanes, so some share a
+    // lane and fall through to the heap), three of them at each of the
+    // priorities 0, 100 and 200.
+    const Tick delays[] = {1,   3,   7,    8,    10,   12,   16,
+                           40,  64,  100,  128,  333,  500,  1000,
+                           1024, 2048, 4000, 8000, 12000, 16000};
+    int index = 0;
+    for (const Tick delay : delays) {
+        const Tick first = m.q.now() + 1 + m.rng.below(delay);
+        m.schedule(first, 100, FixedDelay{&m, delay, 100});
+        if (index++ % 7 == 0) {
+            m.schedule(first, 0, FixedDelay{&m, delay, 0});
+            m.schedule(first, 200, FixedDelay{&m, delay, 200});
+        }
+    }
+    m.schedule(m.q.now() + 5, 100, SameTickBurst{&m, 777});
+    m.schedule(m.q.now() + 11, 100, SameTickBurst{&m, 3001});
+}
+
+TEST(EventQueue, MatchesReferenceOrderUnderMixedSchedules)
+{
+    ReferenceOrder m;
+    for (int round = 0; round < 2; ++round) {
+        stageMixedSchedules(m);
+        // runUntil slices of seeded length that mostly land between
+        // events; each must stop exactly on its limit.
+        for (int slice = 0; slice < 400; ++slice) {
+            const Tick limit = m.q.now() + 1 + m.rng.below(997);
+            ASSERT_EQ(m.q.runUntil(limit), limit);
+            m.check();
+        }
+        ASSERT_GT(m.q.pending(), 600u);
+        // reset() mid-run: the next round starts from a fresh queue.
+        m.reset();
+        EXPECT_EQ(m.q.now(), 0u);
+    }
+    EXPECT_GT(m.fired, 50'000u);
+    EXPECT_EQ(m.out_of_order, 0u);
 }
 
 } // namespace

@@ -662,10 +662,12 @@ TEST(TopologyStats, MultiDimmComponentsCarryCoordinates)
     for (const char *component :
          {"smartdimm.ch0.d0", "smartdimm.ch1.d1", "compcpy.ch0.d1",
           "compcpy.ch1.d0", "queue.ch0.d0", "queue.ch1.d1", "mc.ch0",
-          "mc.ch1", "dispatch"})
-        EXPECT_NE(json.find("\"" + std::string(component) + "\""),
-                  std::string::npos)
+          "mc.ch1", "dispatch"}) {
+        std::string quoted = "\"";
+        quoted.append(component).append("\"");
+        EXPECT_NE(json.find(quoted), std::string::npos)
             << "missing component " << component;
+    }
 }
 
 TEST(TopologyStats, SingleDimmKeepsLegacyComponentNames)
