@@ -209,33 +209,6 @@ MemorySystem::mmioRead(Addr addr, std::uint8_t *dst, Callback cb)
 }
 
 void
-MemorySystem::dmaWriteLine(Addr addr, const std::uint8_t *src, Callback cb)
-{
-    // DDIO: the device write allocates into the restricted LLC ways;
-    // under contention the line may be evicted to DRAM before use.
-    const Addr line = lineAlign(addr);
-    const auto result =
-        llc_.access(line, true, AllocClass::kDdio, /*full_line_store=*/true);
-    writebackVictim(result);
-    std::memcpy(result.data, src, kCacheLineSize);
-    finishIn(kStoreCommitLatency, park(std::move(cb)));
-}
-
-void
-MemorySystem::dmaReadLine(Addr addr, std::uint8_t *dst, Callback cb)
-{
-    // Device reads snoop the LLC (hit: serve from cache) and otherwise
-    // fetch from DRAM without allocating.
-    const Addr line = lineAlign(addr);
-    if (const std::uint8_t *cached = llc_.dataPtr(line)) {
-        std::memcpy(dst, cached, kCacheLineSize);
-        finishIn(kLlcHitLatency, park(std::move(cb)));
-        return;
-    }
-    route(line).enqueueRead(line, dst, dramDone(line, park(std::move(cb))));
-}
-
-void
 MemorySystem::readSync(Addr addr, std::uint8_t *dst, std::size_t len)
 {
     SD_ASSERT(isLineAligned(addr) && len % kCacheLineSize == 0,

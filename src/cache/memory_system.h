@@ -3,9 +3,8 @@
  * The host-side memory system: LLC in front of one or more DDR4
  * channels, each terminated by a DIMM device (plain or SmartDIMM).
  * Offers the line-granular operations the software stack performs —
- * cached loads/stores, clflush, uncached MMIO, and device DMA with
- * DDIO allocation — in both callback (event-driven) and synchronous
- * (run-to-completion) forms.
+ * cached loads/stores, clflush and uncached MMIO — in both callback
+ * (event-driven) and synchronous (run-to-completion) forms.
  */
 
 #ifndef SD_CACHE_MEMORY_SYSTEM_H
@@ -106,12 +105,6 @@ class MemorySystem
 
     /** Uncached 64 B MMIO read (pending lists, freePages). */
     void mmioRead(Addr addr, std::uint8_t *dst, Callback cb);
-
-    /** Device DMA write (DDIO: allocates into the restricted ways). */
-    void dmaWriteLine(Addr addr, const std::uint8_t *src, Callback cb);
-
-    /** Device DMA read (e.g. NIC TX fetching a payload). */
-    void dmaReadLine(Addr addr, std::uint8_t *dst, Callback cb);
 
     // ----- synchronous conveniences ----------------------------------------
 

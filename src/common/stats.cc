@@ -97,43 +97,14 @@ LogHistogram::bucketHigh(std::size_t i)
     return (1ULL << octave) + ((sub + 1) << (octave - 3)) - 1;
 }
 
-namespace {
-
-/** Relaxed CAS-min over a plain uint64_t cell. */
-void
-atomicMin(std::uint64_t &cell, std::uint64_t v)
-{
-    std::atomic_ref<std::uint64_t> ref(cell);
-    std::uint64_t cur = ref.load(std::memory_order_relaxed);
-    while (v < cur &&
-           !ref.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-}
-
-/** Relaxed CAS-max over a plain uint64_t cell. */
-void
-atomicMax(std::uint64_t &cell, std::uint64_t v)
-{
-    std::atomic_ref<std::uint64_t> ref(cell);
-    std::uint64_t cur = ref.load(std::memory_order_relaxed);
-    while (v > cur &&
-           !ref.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-}
-
-} // namespace
-
 void
 LogHistogram::sample(std::uint64_t v)
 {
-    atomicMin(min_, v);
-    atomicMax(max_, v);
-    std::atomic_ref<std::uint64_t>(sum_).fetch_add(
-        v, std::memory_order_relaxed);
-    std::atomic_ref<std::uint64_t>(counts_[bucketIndex(v)])
-        .fetch_add(1, std::memory_order_relaxed);
-    std::atomic_ref<std::uint64_t>(count_).fetch_add(
-        1, std::memory_order_relaxed);
+    min_ = std::min(min_, v);
+    max_ = std::max(max_, v);
+    sum_ += v;
+    ++counts_[bucketIndex(v)];
+    ++count_;
 }
 
 void

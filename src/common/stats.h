@@ -1,14 +1,14 @@
 /**
  * @file
- * Lightweight statistics primitives: scalar counters, gauges and
- * linear- and log-bucket histograms. trace::StatsRegistry
- * (trace/trace.h) turns them into named stats blocks.
+ * Lightweight statistics primitives: gauges and linear- and log-bucket
+ * histograms. trace::StatsRegistry (trace/trace.h) turns them into
+ * named stats blocks. Like the simulated system that samples them,
+ * every one is single-owner: plain members, no atomics.
  */
 
 #ifndef SD_COMMON_STATS_H
 #define SD_COMMON_STATS_H
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -16,45 +16,6 @@
 #include "common/types.h"
 
 namespace sd {
-
-/**
- * Monotonic event counter.
- *
- * Concurrency contract: inc() may be called from any number of
- * threads concurrently (relaxed atomic add through std::atomic_ref,
- * so the class stays trivially copyable for single-threaded use).
- * reset() requires quiescence — no concurrent inc().
- */
-class Counter
-{
-  public:
-    Counter() = default;
-
-    /** Increment by @p n (default 1). Safe to call concurrently. */
-    void
-    inc(std::uint64_t n = 1)
-    {
-        std::atomic_ref<std::uint64_t>(value_).fetch_add(
-            n, std::memory_order_relaxed);
-    }
-
-    /** Reset to zero (between experiment phases; requires quiescence). */
-    void reset() { value_ = 0; }
-
-    /** @return the current count. */
-    std::uint64_t
-    value() const
-    {
-        // const_cast only to form the atomic_ref; the load mutates
-        // nothing.
-        return std::atomic_ref<std::uint64_t>(
-                   const_cast<std::uint64_t &>(value_))
-            .load(std::memory_order_relaxed);
-    }
-
-  private:
-    std::uint64_t value_ = 0;
-};
 
 /**
  * Linear-bucket histogram over [lo, hi); samples outside the range are
@@ -107,13 +68,6 @@ class Histogram
  * ~12.5% relative error across the full 64-bit range with a few
  * hundred buckets. No range must be chosen up front, which makes it
  * the right shape for the trace layer's per-stage latency summaries.
- *
- * Concurrency contract: sample() may be called from many threads
- * concurrently (every accumulator mutation is a relaxed atomic RMW
- * through std::atomic_ref, so the class stays copyable and the
- * single-threaded observable behaviour is bit-identical). Readers
- * (count/mean/min/max/percentile) and reset() require quiescence —
- * they see a torn snapshot if samples race with them.
  */
 class LogHistogram
 {
@@ -123,7 +77,7 @@ class LogHistogram
 
     LogHistogram();
 
-    /** Record one sample. Safe to call concurrently. */
+    /** Record one sample. */
     void sample(std::uint64_t v);
 
     /** Discard all samples. */
@@ -157,7 +111,7 @@ class LogHistogram
 
     std::vector<std::uint64_t> counts_;
     std::uint64_t sum_ = 0;
-    /** UINT64_MAX sentinel while empty so concurrent CAS-min works. */
+    /** UINT64_MAX sentinel while empty, so sample() takes a plain min. */
     std::uint64_t min_ = ~std::uint64_t{0};
     std::uint64_t max_ = 0;
     std::uint64_t count_ = 0;
@@ -166,8 +120,7 @@ class LogHistogram
 /**
  * Instantaneous-level tracker (queue depth, occupancy, outstanding
  * ops): add()/sub() move the level, peak() remembers the high-water
- * mark. Single-owner — gauges live inside per-simulation components
- * (work queues), so no atomics; snapshot after the run.
+ * mark. Snapshot after the run.
  */
 class Gauge
 {

@@ -4,6 +4,15 @@
 
 namespace sd {
 
+std::uint64_t
+SingleOwnerChecker::firstSelfId()
+{
+    self_id_ = static_cast<std::uint64_t>(
+                   std::hash<std::thread::id>{}(std::this_thread::get_id())) |
+               1;
+    return self_id_;
+}
+
 void
 SingleOwnerChecker::violation(std::uint64_t owner, std::uint64_t self)
 {

@@ -11,15 +11,16 @@
  *
  * Two kinds of contract appear in this codebase:
  *
- *  - Genuinely shared state (the process-wide Tracer,
- *    trace::StatsRegistry, the kernel dispatch override) is protected
- *    by an annotated sd::Mutex with SD_GUARDED_BY members, or by
+ *  - Genuinely shared state (the process-wide Tracer, the
+ *    internString pool, the kernel dispatch override) is protected by
+ *    an annotated sd::Mutex with SD_GUARDED_BY members, or by
  *    atomics.
  *
  *  - Per-simulation state (EventQueue, Scratchpad, BankTable, the
- *    cache/memory models) is **single-owner**: one thread constructs
- *    and drives a whole simulated system; nothing in it may be touched
- *    from another thread. That contract is spot-checked at runtime by
+ *    cache/memory models, the statistics they keep) is
+ *    **single-owner**: one thread constructs and drives a whole
+ *    simulated system; nothing in it may be touched from another
+ *    thread. That contract is spot-checked at runtime by
  *    SingleOwnerChecker (cheap relaxed-atomic thread-id compare) and
  *    caught wholesale by the TSan stress job when violated.
  */
@@ -121,8 +122,10 @@ class SD_SCOPED_CAPABILITY MutexLock
  * watching). release() hands the component to the next toucher, for
  * the legitimate construct-on-main / drive-on-worker pattern.
  *
- * Cost per check is one relaxed atomic load and compare, so it is
- * cheap enough for simulator hot paths (EventQueue::schedule).
+ * Each thread hashes its id once and caches the token in a
+ * thread_local, so a check costs a load of that token and one relaxed
+ * atomic load and compare: cheap enough for simulator hot paths
+ * (EventQueue::schedule runs one per event).
  */
 class SingleOwnerChecker
 {
@@ -150,17 +153,21 @@ class SingleOwnerChecker
     }
 
   private:
+    /** This thread's nonzero token (0 means unowned), cached. */
     static std::uint64_t
     selfId()
     {
-        // Hash the opaque id into a nonzero token (0 means unowned).
-        const std::uint64_t h = static_cast<std::uint64_t>(
-            std::hash<std::thread::id>{}(std::this_thread::get_id()));
-        return h | 1;
+        const std::uint64_t id = self_id_;
+        return id != 0 ? id : firstSelfId();
     }
+
+    /** Hash the opaque thread id into the token and cache it. */
+    static std::uint64_t firstSelfId();
 
     [[noreturn]] static void violation(std::uint64_t owner,
                                        std::uint64_t self);
+
+    static thread_local inline std::uint64_t self_id_ = 0;
 
     mutable std::atomic<std::uint64_t> owner_{0};
 };

@@ -42,9 +42,8 @@ struct CompCpyEngine::Flow
     bool bailed = false;             ///< recycle loop hit its bound
 };
 
-CompCpyEngine::CompCpyEngine(cache::MemorySystem &memory, Driver &driver,
-                             SharedState &shared)
-    : memory_(memory), driver_(driver), shared_(shared)
+CompCpyEngine::CompCpyEngine(cache::MemorySystem &memory, Driver &driver)
+    : memory_(memory), driver_(driver)
 {
 }
 
@@ -94,10 +93,10 @@ CompCpyEngine::checkFreePages(std::uint32_t id)
 {
     // Alg. 2 lines 7-17: reserve scratchpad pages under the lock,
     // refreshing the shadow counter lazily from the MMIO register.
-    ++shared_.lock_acquisitions;
+    ++stats_.lock_acquisitions;
     const auto needed = static_cast<std::int64_t>(flows_[id].dst_pages);
-    if (shared_.free_pages > needed) {
-        shared_.free_pages -= needed;
+    if (free_pages_ > needed) {
+        free_pages_ -= needed;
         flushSource(id);
         return;
     }
@@ -109,9 +108,9 @@ CompCpyEngine::checkFreePages(std::uint32_t id)
         Flow &flow = flows_[id];
         std::uint64_t hw_free = 0;
         std::memcpy(&hw_free, flow.staging[0].data(), sizeof(hw_free));
-        shared_.free_pages = static_cast<std::int64_t>(hw_free);
-        if (shared_.free_pages > needed) {
-            shared_.free_pages -= needed;
+        free_pages_ = static_cast<std::int64_t>(hw_free);
+        if (free_pages_ > needed) {
+            free_pages_ -= needed;
             flushSource(id);
             return;
         }
@@ -155,7 +154,7 @@ CompCpyEngine::forceRecycle(std::uint32_t id, std::size_t required_pages)
             // Nothing pending: the scratchpad will free as in-flight
             // drains land; retry the freePages check shortly.
             memory_.events().scheduleIn(100'000, [this, id] {
-                shared_.free_pages = -1;
+                free_pages_ = -1;
                 checkFreePages(id);
             });
             return;
@@ -196,7 +195,7 @@ void
 CompCpyEngine::recycleLineDone(std::uint32_t id)
 {
     if (--flows_[id].pending == 0) {
-        shared_.free_pages = -1;
+        free_pages_ = -1;
         checkFreePages(id);
     }
 }
@@ -457,7 +456,7 @@ CompCpyEngine::reportStats(trace::StatsBlock &block) const
     block.scalar("fence_violations",
                  static_cast<double>(stats_.fence_violations));
     block.scalar("shared_lock_acquisitions",
-                 static_cast<double>(shared_.lock_acquisitions));
+                 static_cast<double>(stats_.lock_acquisitions));
     block.hist("call_latency_ticks", call_latency_);
 }
 

@@ -70,26 +70,20 @@ struct CompCpyStats
     std::uint64_t rejected_registrations = 0; ///< device-side rejections seen
     std::uint64_t recycle_bailouts = 0;  ///< Force-Recycle loop bounded
     std::uint64_t fence_violations = 0;  ///< injected ordered-mode breaks
+    std::uint64_t lock_acquisitions = 0; ///< freePages checks (Alg. 2 l. 7)
 };
 
 /**
  * The userspace CompCpy engine of one buffer device. Ops reach it
- * only through that device's WorkQueue (topo::Topology::Slot::queue);
- * the freePages shadow counter is shared through a SharedState object
- * (the lock-protected global of Algorithm 2).
+ * only through that device's WorkQueue (topo::Topology::Slot::queue).
+ * The engine owns the freePages shadow counter, Algorithm 2's
+ * lock-protected global: one thread drives each simulated system, so
+ * the lock is counted, not taken.
  */
 class CompCpyEngine
 {
   public:
-    /** The lock-protected global freePages shadow (Alg. 2 line 1). */
-    struct SharedState
-    {
-        std::int64_t free_pages = -1;
-        std::uint64_t lock_acquisitions = 0;
-    };
-
-    CompCpyEngine(cache::MemorySystem &memory, Driver &driver,
-                  SharedState &shared);
+    CompCpyEngine(cache::MemorySystem &memory, Driver &driver);
     ~CompCpyEngine();
 
     /**
@@ -208,7 +202,8 @@ class CompCpyEngine
 
     cache::MemorySystem &memory_;
     Driver &driver_;
-    SharedState &shared_;
+    /** freePages shadow (Alg. 2 line 1); -1 forces an MMIO refresh. */
+    std::int64_t free_pages_ = -1;
     fault::FaultPlan *fault_plan_ = nullptr;
     fault::FaultScope fault_scope_;
     const char *tls_span_name_ = "tls";        ///< interned/static

@@ -2,8 +2,7 @@
  * @file
  * OpenSSL-engine analogue (Fig. 8): protects TLS records either on
  * the CPU (software AES-GCM) or through SmartDIMM via CompCpy,
- * steered by the LLC contention probe. Also hosts the equivalent
- * Deflate entry point used by the compression module.
+ * steered by the LLC contention probe.
  */
 
 #ifndef SD_COMPCPY_OFFLOAD_ENGINE_H
@@ -11,14 +10,12 @@
 
 #include <cstdint>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "compcpy/adaptive.h"
 #include "compcpy/compcpy.h"
 #include "compcpy/driver.h"
 #include "compcpy/queue.h"
-#include "compress/deflate.h"
 #include "crypto/tls_record.h"
 
 namespace sd::compcpy {
@@ -51,27 +48,14 @@ class AdaptiveTlsEngine
 
     /**
      * Protect @p len plaintext bytes as one record body
-     * (ciphertext || tag), on CPU or SmartDIMM per the probe.
-     * Equivalent to a one-record protectRecords() batch.
+     * (ciphertext || tag), on CPU or SmartDIMM per the probe. An
+     * offloaded record is one descriptor on the device's work queue;
+     * a non-success completion record notes degradation on the probe,
+     * so the next record routes to the CPU while the probe re-learns.
      * @param force optional override of the adaptive decision
      */
     EngineRecord protectRecord(const std::uint8_t *plain, std::size_t len,
                                std::optional<ProcessedOn> force = {});
-
-    /**
-     * Protect a batch of records through the device's work queue:
-     * one placement decision for the whole batch, one batch
-     * descriptor fanned out to per-record ops, one completion record
-     * fanned back in. CPU fallback is *per queue*, not per call — a
-     * non-success completion record notes degradation on the probe
-     * once per reaped batch, so the next batch routes to the CPU
-     * while the probe re-learns.
-     * @param force optional override of the adaptive decision
-     */
-    std::vector<EngineRecord> protectRecords(
-        const std::vector<std::pair<const std::uint8_t *, std::size_t>>
-            &plains,
-        std::optional<ProcessedOn> force = {});
 
     /** Probe access (callers sample it at their request cadence). */
     LlcContentionProbe &probe() { return probe_; }

@@ -89,13 +89,6 @@ GcmContext::encryptedIv(const GcmIv &iv) const
     return eiv;
 }
 
-void
-GcmContext::keystreamBlock(const GcmIv &iv, std::uint32_t ctr,
-                           std::uint8_t out[16]) const
-{
-    kernels::aesCtrKeystream(aes_.kernelKey(), iv.data(), ctr, 1, out);
-}
-
 GcmTag
 GcmContext::encrypt(const GcmIv &iv, const std::uint8_t *plain,
                     std::size_t len, std::uint8_t *cipher,

@@ -64,10 +64,6 @@ class GcmContext
      */
     std::array<std::uint8_t, 16> encryptedIv(const GcmIv &iv) const;
 
-    /** Raw counter-mode keystream block for counter value @p ctr. */
-    void keystreamBlock(const GcmIv &iv, std::uint32_t ctr,
-                        std::uint8_t out[16]) const;
-
     const Aes &cipher() const { return aes_; }
 
   private:

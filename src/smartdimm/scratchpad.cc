@@ -122,16 +122,6 @@ Scratchpad::release(std::uint32_t page)
     freePage(page);
 }
 
-std::vector<std::uint32_t>
-Scratchpad::pendingPages() const
-{
-    std::vector<std::uint32_t> out;
-    for (std::size_t i = 0; i < pages_.size(); ++i)
-        if (pages_[i].allocated)
-            out.push_back(static_cast<std::uint32_t>(i));
-    return out;
-}
-
 void
 Scratchpad::freePage(std::uint32_t page)
 {

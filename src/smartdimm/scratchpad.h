@@ -99,9 +99,6 @@ class Scratchpad
      *  a destination page registered again before it drained). */
     void release(std::uint32_t page);
 
-    /** Pending (allocated) page slots — the MMIO pending list. */
-    std::vector<std::uint32_t> pendingPages() const;
-
     const ScratchpadStats &stats() const { return stats_; }
     void resetStats() { stats_ = ScratchpadStats{}; }
 

@@ -116,7 +116,6 @@ class Topology
         Addr base = 0; ///< first byte of this device's address window
         smartdimm::BufferDevice &device;
         compcpy::Driver driver;
-        compcpy::CompCpyEngine::SharedState shared;
         compcpy::CompCpyEngine engine;
         compcpy::WorkQueue queue;
 
@@ -128,7 +127,7 @@ class Topology
               // dev.config() carries the rebased (global) mmio_base,
               // so driver.mmio() addresses land in this slot's window.
               driver(drv_base, drv_bytes, dev.config()),
-              engine(memory, driver, shared), queue(engine, queue_config)
+              engine(memory, driver), queue(engine, queue_config)
         {
         }
     };

@@ -89,7 +89,6 @@ StatsBlock::hist(const std::string &name, const LogHistogram &h)
 void
 StatsRegistry::add(const std::string &component, Provider provider)
 {
-    MutexLock lock(mu_);
     for (auto &[name, p] : providers_) {
         if (name == component) {
             p = std::move(provider);
@@ -102,7 +101,6 @@ StatsRegistry::add(const std::string &component, Provider provider)
 void
 StatsRegistry::remove(const std::string &component)
 {
-    MutexLock lock(mu_);
     std::erase_if(providers_,
                   [&](const auto &p) { return p.first == component; });
 }
@@ -110,17 +108,9 @@ StatsRegistry::remove(const std::string &component)
 std::vector<std::pair<std::string, StatsBlock>>
 StatsRegistry::collect() const
 {
-    // Snapshot under the lock, run the providers outside it: a
-    // provider may legitimately call back into this registry, and
-    // component state is required to be quiescent at dump time anyway.
-    std::vector<std::pair<std::string, Provider>> snapshot;
-    {
-        MutexLock lock(mu_);
-        snapshot = providers_;
-    }
     std::vector<std::pair<std::string, StatsBlock>> out;
-    out.reserve(snapshot.size());
-    for (const auto &[name, provider] : snapshot) {
+    out.reserve(providers_.size());
+    for (const auto &[name, provider] : providers_) {
         StatsBlock block;
         provider(block);
         out.emplace_back(name, std::move(block));

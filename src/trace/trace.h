@@ -24,15 +24,15 @@
  * `enabled_`, the one off switch, so a disabled tracer adds near-zero
  * overhead to the simulation hot paths.
  *
- * Concurrency contract: the Tracer and StatsRegistry are the two
- * pieces of genuinely process-shared state in the stack (many driver
- * threads, each owning an independent simulated system, record into
- * the one tracer()). Every recording and registration entry point is
+ * Concurrency contract: the Tracer is genuinely process-shared state
+ * (many driver threads, each owning an independent simulated system,
+ * record into the one tracer()). Every recording entry point is
  * therefore thread-safe behind an annotated mutex; the enabled check
  * stays a lock-free atomic load so the disabled fast path is
  * unchanged. Event order under concurrency follows lock-acquisition
  * order; single-threaded runs are bit-identical to the unsynchronised
- * implementation (the golden-trace suite is the guard).
+ * implementation (the golden-trace suite is the guard). A
+ * StatsRegistry is single-owner, like the components it collects.
  */
 
 #ifndef SD_TRACE_TRACE_H
@@ -144,11 +144,9 @@ class StatsBlock
  * raw pointers into their components — remove (or discard the
  * registry) before the component is destroyed.
  *
- * Thread-safe: add/remove/collect serialise on an internal mutex, so
- * driver threads may register their components against one shared
- * registry. collect() snapshots the provider list under the lock but
- * invokes the providers outside it — providers read component state,
- * which must be quiescent (or itself thread-safe) at dump time.
+ * Single-owner, like the simulated system whose components register
+ * in it: one thread adds, removes and collects. A provider must not
+ * add or remove providers.
  */
 class StatsRegistry
 {
@@ -157,21 +155,6 @@ class StatsRegistry
 
     void add(const std::string &component, Provider provider);
     void remove(const std::string &component);
-
-    void
-    clear()
-    {
-        MutexLock lock(mu_);
-        providers_.clear();
-    }
-
-    /** Number of registered providers. */
-    std::size_t
-    size() const
-    {
-        MutexLock lock(mu_);
-        return providers_.size();
-    }
 
     /** Collect every provider into (component, block) rows. */
     std::vector<std::pair<std::string, StatsBlock>> collect() const;
@@ -183,10 +166,8 @@ class StatsRegistry
     void dumpCsv(std::ostream &os) const;
 
   private:
-    mutable Mutex mu_;
     /** Insertion-ordered so dumps are reproducible. */
-    std::vector<std::pair<std::string, Provider>> providers_
-        SD_GUARDED_BY(mu_);
+    std::vector<std::pair<std::string, Provider>> providers_;
 };
 
 /**

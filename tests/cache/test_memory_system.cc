@@ -1,10 +1,10 @@
 /**
  * @file
  * MemorySystem facade: cached load/store data integrity through the
- * full controller path, flush-writeback semantics, DMA/DDIO
- * allocation classes, MMIO routing, multi-channel routing, and the
- * pooled host-op slots: re-entrant completions, pool growth inside a
- * callback, and kDegraded tallies on local and CXL-attached channels.
+ * full controller path, flush-writeback semantics, MMIO routing,
+ * multi-channel routing, and the pooled host-op slots: re-entrant
+ * completions, pool growth inside a callback, and kDegraded tallies on
+ * local and CXL-attached channels.
  */
 
 #include <gtest/gtest.h>
@@ -142,33 +142,6 @@ TEST(MemorySystem, MmioBypassesCache)
     while (!done)
         rig.events.run();
     EXPECT_EQ(back[0], 0x77);
-}
-
-TEST(MemorySystem, DmaWritesAllocateInDdioWays)
-{
-    Rig rig;
-    std::uint8_t line[64] = {1};
-    bool done = false;
-    rig.memory->dmaWriteLine(0x4000, line, [&](Tick) { done = true; });
-    while (!done)
-        rig.events.run();
-    EXPECT_TRUE(rig.memory->llc().contains(0x4000));
-    EXPECT_TRUE(rig.memory->llc().isDirty(0x4000));
-}
-
-TEST(MemorySystem, DmaReadSnoopsCache)
-{
-    Rig rig;
-    std::uint8_t line[64];
-    std::memset(line, 0xab, sizeof(line));
-    rig.memory->writeSync(0x5000, line, sizeof(line)); // dirty in LLC
-
-    std::uint8_t back[64] = {};
-    bool done = false;
-    rig.memory->dmaReadLine(0x5000, back, [&](Tick) { done = true; });
-    while (!done)
-        rig.events.run();
-    EXPECT_EQ(back[0], 0xab) << "NIC must see the cached dirty data";
 }
 
 TEST(MemorySystem, MultiChannelLineInterleaveRoundTrip)

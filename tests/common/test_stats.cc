@@ -9,19 +9,7 @@
 
 namespace {
 
-using sd::Counter;
 using sd::Histogram;
-
-TEST(Stats, CounterBasics)
-{
-    Counter c;
-    EXPECT_EQ(c.value(), 0u);
-    c.inc();
-    c.inc(5);
-    EXPECT_EQ(c.value(), 6u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
 
 TEST(Stats, HistogramBuckets)
 {

@@ -186,7 +186,7 @@ TEST(CompCpyUnits, FreePagesShadowAvoidsMmioPerCall)
     // The lazy refresh (Alg. 2 lines 8-9) touches MMIO only when the
     // shadow runs low — once here, not once per call.
     EXPECT_LE(rig.slot(0).engine.stats().freepages_refreshes, 2u);
-    EXPECT_GT(rig.slot(0).shared.lock_acquisitions, 0u);
+    EXPECT_GT(rig.slot(0).engine.stats().lock_acquisitions, 0u);
 }
 
 TEST(CompCpyUnits, DestPagesAccountsForTagSpill)

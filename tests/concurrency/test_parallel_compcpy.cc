@@ -3,16 +3,13 @@
  * Multi-threaded CompCpy stress: N driver threads each own an
  * independent simulated system (event queue, LLC, channel, SmartDIMM)
  * and push a stream of TLS CompCpy offloads through it, all while
- * recording into the ONE process-wide tracer and one shared
- * StatsRegistry, exactly the sharing pattern the paper's adaptive
- * stack assumes (many application threads, per-message CPU/DIMM
- * routing, shared DIMM bookkeeping).
+ * recording into the ONE process-wide tracer.
  *
  * The suite is the TSan gate for the trace layer: run it under
- * -fsanitize=thread and every mutex/atomic contract in
- * src/trace + src/common/stats.h gets exercised with real contention.
- * It also pins down the accounting: per-thread work summed over the
- * shared counters must balance exactly after the join.
+ * -fsanitize=thread and the Tracer's mutex/atomic contract gets
+ * exercised with real contention. Statistics are single-owner, so
+ * each thread keeps its own tally; after the join the tallies are
+ * registered in one StatsRegistry and must balance exactly.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +17,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <sstream>
+#include <map>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -55,30 +52,20 @@ systemSpec()
     return spec;
 }
 
-/** Shared accounting every thread hammers concurrently. */
-struct SharedStats
+/** What one driver thread counted, read only after the join. */
+struct ThreadTally
 {
-    Counter ops;
-    Counter bytes;
+    std::uint64_t ops = 0;
+    std::uint64_t bytes = 0;
     LogHistogram op_latency;
-    trace::StatsRegistry registry;
 };
 
 /** One driver thread: kOpsPerThread TLS offloads on a private rig. */
 void
-driverThread(unsigned tid, SharedStats &shared)
+driverThread(unsigned tid, ThreadTally &tally)
 {
     topo::Topology sys(systemSpec());
     Rng rng(0x1000 + tid);
-
-    // Per-thread op counter surfaced through the shared registry so
-    // the main thread can collect() concurrently (Counter reads are
-    // atomic; nothing else in the provider touches racing state).
-    Counter my_ops;
-    const std::string component = "stress.t" + std::to_string(tid);
-    shared.registry.add(component, [&my_ops](trace::StatsBlock &b) {
-        b.scalar("ops", static_cast<double>(my_ops.value()));
-    });
 
     // The whole batch is one synchronous traced unit of work.
     auto &tr = trace::tracer();
@@ -113,10 +100,9 @@ driverThread(unsigned tid, SharedStats &shared)
         sys.slot(0).engine.useSync(
             dbuf, divCeil(kPayloadBytes + crypto::kTlsTagSize, kPageSize) *
                       kPageSize);
-        shared.op_latency.sample(sys.events().now() - begin);
-        shared.ops.inc();
-        shared.bytes.inc(kPayloadBytes);
-        my_ops.inc();
+        tally.op_latency.sample(sys.events().now() - begin);
+        ++tally.ops;
+        tally.bytes += kPayloadBytes;
 
         // Spot-check correctness against the software GCM on the
         // first op so a synchronisation bug that corrupts payloads
@@ -141,7 +127,6 @@ driverThread(unsigned tid, SharedStats &shared)
     }
 
     tr.endSpan(batch_span, sys.events().now());
-    shared.registry.remove(component);
 }
 
 TEST(ParallelCompCpy, EightDriverThreadsShareTracerAndRegistry)
@@ -151,45 +136,44 @@ TEST(ParallelCompCpy, EightDriverThreadsShareTracerAndRegistry)
     tr.setMaxEvents(std::size_t{1} << 22);
     tr.enable(/*capture_ddr=*/false);
 
-    SharedStats shared;
+    std::vector<ThreadTally> tallies(kThreads);
 
     std::vector<std::thread> threads;
     threads.reserve(kThreads);
-    std::atomic<unsigned> finished{0};
-    for (unsigned t = 0; t < kThreads; ++t) {
-        threads.emplace_back([t, &shared, &finished] {
-            driverThread(t, shared);
-            // Incremented even when a fatal gtest assertion bails out
-            // of driverThread early, so the main loop below can't spin
-            // forever on a failing run.
-            finished.fetch_add(1, std::memory_order_release);
-        });
-    }
-
-    // Main thread hammers the shared registry while workers run:
-    // collect() snapshots providers under the lock and reads only
-    // atomic per-thread counters.
-    std::uint64_t collected_rows = 0;
-    while (finished.load(std::memory_order_acquire) < kThreads) {
-        for (const auto &[name, block] : shared.registry.collect())
-            collected_rows += block.entries().size();
-        std::ostringstream sink;
-        shared.registry.dumpJson(sink);
-    }
-
+    for (unsigned t = 0; t < kThreads; ++t)
+        threads.emplace_back([t, &tallies] { driverThread(t, tallies[t]); });
     for (auto &t : threads)
         t.join();
 
     tr.disable();
 
-    const std::uint64_t total = std::uint64_t{kThreads} * kOpsPerThread;
+    // Registered after the join: the registry, like each tally, has
+    // one owner, the main thread.
+    trace::StatsRegistry registry;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        registry.add("stress.t" + std::to_string(t),
+                     [&tally = tallies[t]](trace::StatsBlock &b) {
+            b.scalar("ops", static_cast<double>(tally.ops));
+            b.scalar("bytes", static_cast<double>(tally.bytes));
+            b.hist("op_latency", tally.op_latency);
+        });
+    }
+    const auto rows = registry.collect();
+    ASSERT_EQ(rows.size(), kThreads);
 
     // Exact accounting across all threads.
-    EXPECT_EQ(shared.ops.value(), total);
-    EXPECT_EQ(shared.bytes.value(), total * kPayloadBytes);
-    EXPECT_EQ(shared.op_latency.count(), total);
-    EXPECT_GT(shared.op_latency.min(), 0u);
-    EXPECT_GE(shared.op_latency.max(), shared.op_latency.min());
+    std::map<std::string, double> sums;
+    for (const auto &[name, block] : rows)
+        for (const auto &[key, value] : block.entries())
+            sums[key] += value;
+    const std::uint64_t total = std::uint64_t{kThreads} * kOpsPerThread;
+    EXPECT_EQ(sums["ops"], static_cast<double>(total));
+    EXPECT_EQ(sums["bytes"], static_cast<double>(total * kPayloadBytes));
+    EXPECT_EQ(sums["op_latency.count"], static_cast<double>(total));
+    for (const ThreadTally &tally : tallies) {
+        EXPECT_GT(tally.op_latency.min(), 0u);
+        EXPECT_GE(tally.op_latency.max(), tally.op_latency.min());
+    }
 
     // Every op opened an engine span; every thread opened one batch
     // span and closed it with endSpan().
@@ -206,10 +190,6 @@ TEST(ParallelCompCpy, EightDriverThreadsShareTracerAndRegistry)
     }
     EXPECT_EQ(tls_spans, total);
     EXPECT_EQ(batch_spans, kThreads);
-
-    // The registry drained: every thread removed its provider.
-    EXPECT_EQ(shared.registry.size(), 0u);
-    EXPECT_GT(collected_rows, 0u);
 
     // Span ids must be dense and unique (mutex-serialised allocation).
     std::vector<bool> seen(spans.size() + 1, false);

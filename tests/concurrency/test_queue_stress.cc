@@ -5,22 +5,21 @@
  * pipelined submit/poll loop through it — several logical submitters
  * per queue, one reaper (the owning thread), descriptors kept in
  * flight up to the ring depth — while recording into the ONE
- * process-wide tracer and one shared StatsRegistry.
+ * process-wide tracer.
  *
  * Together with test_parallel_compcpy this is the TSan gate for the
- * queue front end: the WorkQueue itself is single-owner (per-thread),
- * so what's exercised under -fsanitize=thread is exactly the shared
- * surface — tracer spans opened at submit and closed at record write,
- * plus the shared counters. Accounting must balance exactly after the
- * join: submits == completions == reaps on every queue, and no record
- * may be degraded or recovered on a fault-free run.
+ * queue front end: the WorkQueue and its statistics are single-owner
+ * (per-thread), so what's exercised under -fsanitize=thread is exactly
+ * the shared surface — tracer spans opened at submit and closed at
+ * record write. Each thread keeps its own tally, and after the join
+ * the tallies must balance exactly: submits == completions == reaps on
+ * every queue, and no record may be degraded or recovered on a
+ * fault-free run.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstring>
-#include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -60,14 +59,13 @@ systemSpec()
     return spec;
 }
 
-/** Shared accounting every thread hammers concurrently. */
-struct SharedStats
+/** What one driver thread counted, read only after the join. */
+struct ThreadTally
 {
-    Counter submits;
-    Counter reaps;
-    Counter recovered;
+    std::uint64_t submits = 0;
+    std::uint64_t reaps = 0;
+    std::uint64_t recovered = 0;
     LogHistogram record_latency;
-    trace::StatsRegistry registry;
 };
 
 /** Everything needed to verify one submitted descriptor later. */
@@ -82,7 +80,7 @@ struct InflightOp
 
 /** One driver thread: a pipelined submit/poll loop on a private rig. */
 void
-driverThread(unsigned tid, SharedStats &shared)
+driverThread(unsigned tid, ThreadTally &tally)
 {
     topo::Topology sys(systemSpec());
     Rng rng(0x2000 + tid);
@@ -93,12 +91,6 @@ driverThread(unsigned tid, SharedStats &shared)
     cfg.depth = 16;
     cfg.max_inflight = 8;
     WorkQueue queue(sys.slot(0).engine, cfg);
-
-    const std::string component = "qstress.t" + std::to_string(tid);
-    Counter my_reaps;
-    shared.registry.add(component, [&my_reaps](trace::StatsBlock &b) {
-        b.scalar("reaps", static_cast<double>(my_reaps.value()));
-    });
 
     // Stage every source buffer up front: writeSync drives the
     // private simulation synchronously, so staging inside the
@@ -141,7 +133,7 @@ driverThread(unsigned tid, SharedStats &shared)
                 break;
             ASSERT_EQ(*id, submitted + 1u);
             ++submitted;
-            shared.submits.inc();
+            ++tally.submits;
         }
 
         // Reap side: drive the private simulation to idle, then poll.
@@ -152,9 +144,9 @@ driverThread(unsigned tid, SharedStats &shared)
             ASSERT_EQ(rec.status, CompletionStatus::kSuccess)
                 << "thread " << tid << " descriptor " << rec.id;
             if (rec.recovered)
-                shared.recovered.inc();
+                ++tally.recovered;
             ASSERT_EQ(rec.submitter, (rec.id - 1) % kSubmitters);
-            shared.record_latency.sample(rec.completed - rec.submitted);
+            tally.record_latency.sample(rec.completed - rec.submitted);
             InflightOp &op = book[rec.id];
 
             // Spot-check payload correctness on the first reap so a
@@ -182,8 +174,7 @@ driverThread(unsigned tid, SharedStats &shared)
             sys.slot(0).driver.release(
                 op.dbuf, kPayloadBytes + crypto::kTlsTagSize);
             ++reaped;
-            shared.reaps.inc();
-            my_reaps.inc();
+            ++tally.reaps;
         }
     }
 
@@ -196,7 +187,6 @@ driverThread(unsigned tid, SharedStats &shared)
     EXPECT_EQ(queue.occupancy(), 0u);
     EXPECT_GT(queue.peakOccupancy(), 1)
         << "the pipelined loop must actually overlap descriptors";
-    shared.registry.remove(component);
 }
 
 TEST(QueueStress, EightThreadsPipelineSharedQueues)
@@ -206,37 +196,29 @@ TEST(QueueStress, EightThreadsPipelineSharedQueues)
     tr.setMaxEvents(std::size_t{1} << 22);
     tr.enable(/*capture_ddr=*/false);
 
-    SharedStats shared;
+    std::vector<ThreadTally> tallies(kThreads);
 
     std::vector<std::thread> threads;
     threads.reserve(kThreads);
-    std::atomic<unsigned> finished{0};
-    for (unsigned t = 0; t < kThreads; ++t) {
-        threads.emplace_back([t, &shared, &finished] {
-            driverThread(t, shared);
-            finished.fetch_add(1, std::memory_order_release);
-        });
-    }
-
-    // Main thread hammers the shared registry while workers run.
-    std::uint64_t collected_rows = 0;
-    while (finished.load(std::memory_order_acquire) < kThreads) {
-        for (const auto &[name, block] : shared.registry.collect())
-            collected_rows += block.entries().size();
-    }
+    for (unsigned t = 0; t < kThreads; ++t)
+        threads.emplace_back([t, &tallies] { driverThread(t, tallies[t]); });
     for (auto &t : threads)
         t.join();
     tr.disable();
 
+    ThreadTally sum;
+    for (const ThreadTally &tally : tallies) {
+        sum.submits += tally.submits;
+        sum.reaps += tally.reaps;
+        sum.recovered += tally.recovered;
+        EXPECT_EQ(tally.record_latency.count(), kOpsPerThread);
+        EXPECT_GT(tally.record_latency.min(), 0u);
+    }
     const std::uint64_t total = std::uint64_t{kThreads} * kOpsPerThread;
-    EXPECT_EQ(shared.submits.value(), total);
-    EXPECT_EQ(shared.reaps.value(), total);
-    EXPECT_EQ(shared.recovered.value(), 0u)
+    EXPECT_EQ(sum.submits, total);
+    EXPECT_EQ(sum.reaps, total);
+    EXPECT_EQ(sum.recovered, 0u)
         << "no fault plan: no record may need recovery";
-    EXPECT_EQ(shared.record_latency.count(), total);
-    EXPECT_GT(shared.record_latency.min(), 0u);
-    EXPECT_EQ(shared.registry.size(), 0u);
-    EXPECT_GT(collected_rows, 0u);
 
     // The queue opened one "tls" span per op at submit and closed
     // every one at record write — across all threads, concurrently,

@@ -90,24 +90,6 @@ TEST(Scratchpad, ForceDrainFreesWholePage)
     EXPECT_EQ(sp.stats().force_recycles, 1u);
 }
 
-TEST(Scratchpad, PendingListTracksAllocatedPages)
-{
-    Scratchpad sp(8);
-    auto a = sp.allocate();
-    auto b = sp.allocate();
-    const auto pending = sp.pendingPages();
-    EXPECT_EQ(pending.size(), 2u);
-
-    std::uint8_t drained[kCacheLineSize];
-    std::uint8_t data[kCacheLineSize] = {};
-    for (unsigned l = 0; l < kLinesPerPage; ++l) {
-        sp.writeLine(*a, l, data);
-        sp.drainLine(*a, l, drained);
-    }
-    EXPECT_EQ(sp.pendingPages().size(), 1u);
-    EXPECT_EQ(sp.pendingPages()[0], *b);
-}
-
 TEST(Scratchpad, RecycledPagesAreReusable)
 {
     Scratchpad sp(1);

@@ -146,8 +146,7 @@ TEST(TopologyEquivalence, OneByOneReproducesLegacyRigTrace)
         llc.size_bytes = 4ull << 20;
         cache::MemorySystem memory(events, map, llc, {&dimm});
         compcpy::Driver driver(1ULL << 20, 64ULL << 20);
-        compcpy::CompCpyEngine::SharedState shared;
-        compcpy::CompCpyEngine engine(memory, driver, shared);
+        compcpy::CompCpyEngine engine(memory, driver);
         compcpy::WorkQueue queue(engine, topo::kSlotQueue);
         legacy = traceGoldenWorkload(queue);
     }

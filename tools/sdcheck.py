@@ -1223,7 +1223,7 @@ RECOVERABLE_ASSERT_BUDGET = {
     "src/smartdimm/tls_dsa.cc": 3,
     "src/smartdimm/bank_table.h": 1,
     "src/compcpy/compcpy.cc": 3,
-    "src/compcpy/offload_engine.cc": 2,
+    "src/compcpy/offload_engine.cc": 1,
     "src/compcpy/queue.cc": 6,
     "src/compcpy/driver.h": 2,
     "src/net/tcp_stream.cc": 1,
