@@ -178,7 +178,6 @@ class Cache
 
     const CacheConfig &config() const { return config_; }
     const CacheStats &stats() const { return stats_; }
-    void resetStats() { stats_ = CacheStats{}; }
 
     /**
      * Windowed miss-rate probe (the software stack's LLC contention

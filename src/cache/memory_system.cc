@@ -109,9 +109,35 @@ MemorySystem::park(Callback cb)
 void
 MemorySystem::finishIn(Tick delay, std::uint32_t slot)
 {
-    events_.scheduleIn(delay, [this, slot] {
-        finish(slot, events_.now(), mem::MemStatus::kOk);
-    });
+    // A positive delay puts `at` past now(), so a batch whose event has
+    // run (at <= now()) never matches: only pending batches take joins.
+    SD_ASSERT(delay > 0, "fixed completion latency must be positive");
+    const Tick at = events_.now() + delay;
+    ops_[slot].next = kNoOp;
+    if (at == batch_.at && events_.scheduleToken() == batch_.token) {
+        ops_[batch_.tail].next = slot;
+        batch_.tail = slot;
+        return;
+    }
+    events_.schedule(at, [this, slot] { finishBatch(slot); });
+    batch_ = Batch{at, events_.scheduleToken(), slot};
+}
+
+void
+MemorySystem::finishBatch(std::uint32_t slot)
+{
+    // Every event in the simulator runs at the default priority, so an
+    // event a member's callback schedules on this tick sorts after the
+    // members that were already pending: running them back to back
+    // here keeps the exact (tick, priority, seq) order.
+    const Tick at = events_.now();
+    in_batch_ = true;
+    while (slot != kNoOp) {
+        const std::uint32_t next = ops_[slot].next;
+        finish(slot, at, mem::MemStatus::kOk);
+        slot = next;
+    }
+    in_batch_ = false;
 }
 
 mem::MemCallback
@@ -211,6 +237,7 @@ MemorySystem::mmioRead(Addr addr, std::uint8_t *dst, Callback cb)
 void
 MemorySystem::readSync(Addr addr, std::uint8_t *dst, std::size_t len)
 {
+    SD_ASSERT(!in_batch_, "a batched completion drives the event loop");
     SD_ASSERT(isLineAligned(addr) && len % kCacheLineSize == 0,
               "sync ops are line-granular");
     for (std::size_t off = 0; off < len; off += kCacheLineSize) {
@@ -224,6 +251,7 @@ MemorySystem::readSync(Addr addr, std::uint8_t *dst, std::size_t len)
 void
 MemorySystem::writeSync(Addr addr, const std::uint8_t *src, std::size_t len)
 {
+    SD_ASSERT(!in_batch_, "a batched completion drives the event loop");
     SD_ASSERT(isLineAligned(addr) && len % kCacheLineSize == 0,
               "sync ops are line-granular");
     for (std::size_t off = 0; off < len; off += kCacheLineSize) {
@@ -237,6 +265,7 @@ MemorySystem::writeSync(Addr addr, const std::uint8_t *src, std::size_t len)
 void
 MemorySystem::flushSync(Addr addr, std::size_t len)
 {
+    SD_ASSERT(!in_batch_, "a batched completion drives the event loop");
     for (Addr line = lineAlign(addr); line < addr + len;
          line += kCacheLineSize) {
         bool done = false;

@@ -176,6 +176,27 @@ class MemorySystem
          *  finish() installs it into the line allocated for `line`. */
         std::uint8_t *fill = nullptr;
         Addr line = 0;
+        /** The next op of this op's completion batch, or kNoOp. */
+        std::uint32_t next = 0;
+    };
+
+    /** Chain terminator of HostOp::next. */
+    static constexpr std::uint32_t kNoOp = ~std::uint32_t{0};
+
+    /**
+     * The last completion event finishIn() scheduled, which later
+     * fixed-latency completions join while they land on its tick and
+     * nothing has been scheduled since. Its ops form a chain through
+     * HostOp::next from the slot the event captured to `tail`.
+     */
+    struct Batch
+    {
+        /** The event's tick; 0 until the first finishIn(), which no
+         *  finishIn() matches (its delay is positive). */
+        Tick at = 0;
+        /** events_.scheduleToken() right after the event's schedule. */
+        std::uint64_t token = 0;
+        std::uint32_t tail = kNoOp;
     };
 
     mem::MemoryController &route(Addr addr);
@@ -186,8 +207,18 @@ class MemorySystem
     /** Park @p cb in a fresh slot. */
     std::uint32_t park(Callback cb);
 
-    /** Complete @p slot after @p delay (the local-speed paths). */
+    /**
+     * Complete @p slot after @p delay (the local-speed paths). A
+     * completion that lands on the open batch's tick with nothing
+     * scheduled since joins that batch instead of scheduling an event
+     * of its own: its own event would have taken the next sequence
+     * number on the same tick and priority, so it would have run right
+     * after the batch's other members anyway.
+     */
     void finishIn(Tick delay, std::uint32_t slot);
+
+    /** The batch event: finish the chain from @p slot in issue order. */
+    void finishBatch(std::uint32_t slot);
 
     /**
      * The controller completion for @p slot. On a far channel it ships
@@ -207,6 +238,10 @@ class MemorySystem
     std::vector<std::unique_ptr<mem::MemoryController>> controllers_;
     std::vector<mem::CxlLink *> links_; ///< per channel; null = local
     SlotPool<HostOp> ops_;
+    Batch batch_;
+    /** Set while a batch runs its callbacks, which must not drive the
+     *  event loop themselves (the *Sync helpers assert it). */
+    bool in_batch_ = false;
     std::uint64_t degraded_reads_ = 0;
 };
 

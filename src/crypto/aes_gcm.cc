@@ -172,13 +172,9 @@ IncrementalGcm::IncrementalGcm(const GcmContext &ctx, const GcmIv &iv,
                                std::size_t message_len)
     : ctx_(ctx), iv_(iv), message_len_(message_len),
       line_count_(divCeil(message_len, kCacheLineSize)),
-      seen_(line_count_, false), ghash_(ctx.hashSubkey()),
-      eiv_(ctx.encryptedIv(iv))
+      seen_(line_count_, false), eiv_(ctx.encryptedIv(iv))
 {
-    SD_ASSERT(message_len > 0, "empty GCM message");
-    // Pre-size the power table as the GF multiplier of Fig. 7 would:
-    // total GHASH blocks = ceil(len/16) + 1 (length block).
-    ghash_.power(divCeil(message_len, kAesBlockSize) + 1);
+    kernels::gcmLinePowersInit(powers_, ctx.hashSubkey(), message_len);
 }
 
 void
@@ -193,34 +189,9 @@ IncrementalGcm::processLine(std::size_t line_index, const std::uint8_t *in,
     const std::size_t line_off = line_index * kCacheLineSize;
     const std::size_t line_len =
         std::min(kCacheLineSize, message_len_ - line_off);
-
-    const std::size_t total_blocks =
-        divCeil(message_len_, kAesBlockSize) + 1; // + length block
-
-    // Each 64 B line spans up to 4 AES blocks at known positions —
-    // this is the stride-4 independence the paper exploits. The
-    // line's keystream is generated in one batched kernel call.
-    const std::size_t first_block = line_off / kAesBlockSize;
-    const std::size_t line_blocks = divCeil(line_len, kAesBlockSize);
-    std::uint8_t ks[kCacheLineSize];
-    kernels::aesCtrKeystream(
-        ctx_.cipher().kernelKey(), iv_.data(),
-        2 + static_cast<std::uint32_t>(first_block), line_blocks, ks);
-
-    for (std::size_t b = 0; b < line_blocks; ++b) {
-        const std::size_t block_index = first_block + b;
-        const std::size_t block_off = b * kAesBlockSize;
-        const std::size_t n =
-            std::min(kAesBlockSize, line_len - block_off);
-
-        for (std::size_t i = 0; i < n; ++i)
-            out[block_off + i] = in[block_off + i] ^ ks[block_off + i];
-
-        std::uint8_t cblock[16] = {};
-        std::memcpy(cblock, out + block_off, n);
-        partial_tag_ = partial_tag_ ^
-            ghash_.positional(cblock, block_index, total_blocks);
-    }
+    partial_tag_ = partial_tag_ ^
+        kernels::gcmLine(ctx_.cipher().kernelKey(), powers_, iv_.data(),
+                         line_index, in, out, line_len);
 }
 
 GcmTag
@@ -230,12 +201,9 @@ IncrementalGcm::finalTag() const
     std::uint8_t lenblock[16];
     buildLengthBlock(0, message_len_, lenblock);
 
-    // Length block is the last GHASH block: contributes * H^1, which
-    // the message's own power table already holds.
-    const std::size_t total_blocks =
-        divCeil(message_len_, kAesBlockSize) + 1;
-    const Gf128 len_contrib =
-        ghash_.positional(lenblock, total_blocks - 1, total_blocks);
+    // The length block is the last GHASH block: it contributes * H^1.
+    const Gf128 len_contrib = kernels::gfMulVia(
+        powers_.key.tier, Gf128::load(lenblock), ctx_.hashSubkey());
 
     Gf128 digest = partial_tag_ ^ len_contrib ^ Gf128::load(eiv_.data());
     GcmTag tag;

@@ -7,6 +7,14 @@
  *    order*, mirroring the SmartDIMM TLS DSA of Sec. V-A where rdCAS
  *    commands may arrive out of order. Correctness: the test suite
  *    asserts out-of-order == one-shot on random permutations.
+ *
+ * IncrementalGcm holds the record's power table the way the DSA's GF
+ * multiplier of Fig. 7 does: H^1..H^4 plus one stride-4 power per
+ * line (kernels/gcm_kernel.h). Each line is one fused kernel call that
+ * encrypts its up to four counter blocks side by side, folds its
+ * ciphertext blocks with H^4..H^1 into one sum and multiplies that sum
+ * by the line's stride power; a 4 KB record's table takes 66
+ * multiplies where a power per block took 256.
  */
 
 #ifndef SD_CRYPTO_AES_GCM_H
@@ -19,6 +27,7 @@
 
 #include "crypto/aes.h"
 #include "crypto/ghash.h"
+#include "kernels/gcm_kernel.h"
 
 namespace sd::crypto {
 
@@ -116,9 +125,7 @@ class IncrementalGcm
     std::size_t line_count_;
     std::size_t lines_done_ = 0;
     std::vector<bool> seen_;
-    /** Mutable so finalTag() can fold the length block; H^1 is
-     *  always cached, so that never extends the power table. */
-    mutable Ghash ghash_;
+    kernels::GcmLinePowers powers_; ///< H^1..H^4 and per-line strides
     Gf128 partial_tag_{}; ///< XOR of positional GHASH contributions
     std::array<std::uint8_t, 16> eiv_;
 };

@@ -152,6 +152,20 @@ detail::gfMulTable4(const Block128 &a, const Block128 &b)
     return z;
 }
 
+Block128
+detail::gfMulShoup8(const Block128 *m, const Block128 &x)
+{
+    const auto &red = red8Table();
+    // Horner over x's 16 bytes, most significant first — i.e.
+    // ascending shifts of lo then hi in the packed representation.
+    Block128 z = m[x.lo & 0xff];
+    for (int s = 8; s < 64; s += 8)
+        z = mulX8(z, red) ^ m[(x.lo >> s) & 0xff];
+    for (int s = 0; s < 64; s += 8)
+        z = mulX8(z, red) ^ m[(x.hi >> s) & 0xff];
+    return z;
+}
+
 GhashKey
 ghashKeyInit(const Block128 &h)
 {
@@ -176,18 +190,8 @@ Block128
 gfMulByH(const GhashKey &key, const Block128 &x)
 {
     switch (key.tier) {
-    case KernelTier::kTable: {
-        const auto &red = red8Table();
-        const Block128 *m = key.mul8.data();
-        // Horner over x's 16 bytes, most significant first — i.e.
-        // ascending shifts of lo then hi in the packed representation.
-        Block128 z = m[x.lo & 0xff];
-        for (int s = 8; s < 64; s += 8)
-            z = mulX8(z, red) ^ m[(x.lo >> s) & 0xff];
-        for (int s = 0; s < 64; s += 8)
-            z = mulX8(z, red) ^ m[(x.hi >> s) & 0xff];
-        return z;
-    }
+    case KernelTier::kTable:
+        return detail::gfMulShoup8(key.mul8.data(), x);
     case KernelTier::kNative:
         return detail::gfMulClmul(x, key.h);
     case KernelTier::kScalar:

@@ -7,7 +7,8 @@
  *    (moved here verbatim from crypto/ghash.cc; the reference).
  *  - table:  Shoup table-driven multiplication — a per-key 8-bit
  *    table (256 x 16 B) for the hot multiply-by-H, and a per-call
- *    4-bit table for general a*b (powers of H, positional folds).
+ *    4-bit table for general a*b (the GCM line kernel's stride
+ *    multiply).
  *  - native: PCLMULQDQ carry-less multiply (see native_x86.cc).
  *
  * The kernel layer has no dependency on the crypto layer; its field
@@ -107,8 +108,8 @@ Block128 gfMulScalar(const Block128 &a, const Block128 &b);
 Block128 gfMulByH(const GhashKey &key, const Block128 &x);
 
 /**
- * General multiply a*b on @p tier. Used for the powers-of-H chain and
- * the positional (out-of-order) folds where the multiplicand varies.
+ * General multiply a*b on @p tier. Used where the multiplicand varies:
+ * the GCM line kernel's stride multiply and the length block's fold.
  */
 Block128 gfMulVia(KernelTier tier, const Block128 &a, const Block128 &b);
 
@@ -124,6 +125,10 @@ Block128 ghashFold(const GhashKey &key, Block128 y,
                    const std::uint8_t *blocks, std::size_t nblocks);
 
 namespace detail {
+
+/** Table-tier multiply of @p x by the fixed multiplicand of the
+ *  Shoup 8-bit table @p m (256 entries, one of GhashKey::mul8's). */
+Block128 gfMulShoup8(const Block128 *m, const Block128 &x);
 
 /** Table-tier general multiply (per-call Shoup 4-bit table). */
 Block128 gfMulTable4(const Block128 &a, const Block128 &b);

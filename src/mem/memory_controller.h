@@ -133,7 +133,6 @@ class MemoryController
     std::size_t pending() const { return pool_.live(); }
 
     const ControllerStats &stats() const { return stats_; }
-    void resetStats() { stats_ = ControllerStats{}; }
 
     /** Channel data-bus busy cycles (bandwidth-utilisation metric). */
     std::uint64_t busBusyCycles() const { return bus_busy_cycles_; }

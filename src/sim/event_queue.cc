@@ -207,6 +207,7 @@ EventQueue::reset()
     pool_.clear();
     free_slots_.clear();
     now_ = 0;
+    token_base_ += seq_ + 1;
     seq_ = 0;
     executed_ = 0;
     // A drained, zeroed queue is the natural handoff point.

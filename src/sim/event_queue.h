@@ -56,7 +56,9 @@
  *    moves backwards across a runUntil() boundary.
  *  - reset() drops pending events, zeroes now()/seq/executed, and
  *    releases single-owner ownership (see below). After reset() the
- *    queue behaves exactly like a freshly constructed one.
+ *    queue behaves exactly like a freshly constructed one, except that
+ *    scheduleToken() keeps growing, so a token read before the reset
+ *    never matches one read after it.
  *
  * Concurrency contract: single-owner. One thread constructs and
  * drives a queue (and the whole simulated system hanging off it);
@@ -128,6 +130,14 @@ class EventQueue
 
     /** Number of events executed so far. */
     std::uint64_t executed() const { return executed_; }
+
+    /**
+     * A value that moves on every schedule() and on reset() and never
+     * repeats on one queue: two equal reads mean nothing was scheduled
+     * in between, so an event scheduled after the first read would
+     * have taken the very next sequence number.
+     */
+    std::uint64_t scheduleToken() const { return token_base_ + seq_; }
 
     /**
      * Drop all pending events, reset time/sequence/executed to zero
@@ -224,6 +234,8 @@ class EventQueue
     Tick now_ = 0;
     std::uint64_t seq_ = 0;
     std::uint64_t executed_ = 0;
+    /** Grows past every token handed out by reset(). */
+    std::uint64_t token_base_ = 0;
 };
 
 } // namespace sd

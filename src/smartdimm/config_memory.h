@@ -51,7 +51,6 @@ class ConfigMemory
               std::size_t len) const;
 
     const ConfigMemoryStats &stats() const { return stats_; }
-    void resetStats() { stats_ = ConfigMemoryStats{}; }
 
   private:
     std::size_t slots_;

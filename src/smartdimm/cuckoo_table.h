@@ -101,7 +101,6 @@ class CuckooTable
     std::size_t size() const { return live_; }
 
     const CuckooStats &stats() const { return stats_; }
-    void resetStats() { stats_ = CuckooStats{}; }
 
   private:
     struct Bucket

@@ -100,7 +100,6 @@ class Scratchpad
     void release(std::uint32_t page);
 
     const ScratchpadStats &stats() const { return stats_; }
-    void resetStats() { stats_ = ScratchpadStats{}; }
 
   private:
     struct Page

@@ -4,9 +4,13 @@
  * subkey H and encrypted IV through the Config Memory; the GF
  * multiplier precomputes powers of H in strides of 4 so GHASH folds of
  * different cachelines are independent, letting rdCAS commands arrive
- * out of order. Each processed line XORs its GHASH contribution into
- * the message's partial tag; the final tag lands in the record
- * trailer once every line is in.
+ * out of order. The record's table holds H^1..H^4 and one stride
+ * power per line: a line's four ciphertext blocks are multiplied by
+ * H^4..H^1 and summed, and the sum is multiplied by the line's stride
+ * power, H^(GHASH blocks after the line); consecutive strides differ
+ * by H^4 (kernels/gcm_kernel.h). Each processed line XORs its GHASH
+ * contribution into the message's partial tag; the final tag lands in
+ * the record trailer once every line is in.
  */
 
 #ifndef SD_SMARTDIMM_TLS_DSA_H

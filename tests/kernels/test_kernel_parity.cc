@@ -16,6 +16,7 @@
 #include "common/random.h"
 #include "crypto/aes_gcm.h"
 #include "crypto/ghash.h"
+#include "crypto/tls_record.h"
 #include "kernels/aes_kernel.h"
 #include "kernels/dispatch.h"
 #include "kernels/ghash_kernel.h"
@@ -299,16 +300,19 @@ TEST(KernelParity, FuzzCtrKeystreamAgainstScalar)
     }
 }
 
-// Out-of-order incremental GCM (the DSA path) must match the one-shot
-// result on every tier — exercises positional folds + power tables.
-TEST(KernelParity, IncrementalPermutationEveryTier)
+/**
+ * Feed a @p len-byte record's cachelines to IncrementalGcm in a
+ * shuffled order on every tier; ciphertext and tag must match the
+ * scalar one-shot result.
+ */
+void
+expectShuffledIncrementalMatchesOneShot(Rng &rng, std::size_t len)
 {
-    Rng rng(0xd15a);
+    SCOPED_TRACE(len);
     std::vector<std::uint8_t> key(16);
     rng.fill(key.data(), key.size());
     GcmIv iv{};
     rng.fill(iv.data(), iv.size());
-    const std::size_t len = 1024 + 32; // partial final cacheline
     std::vector<std::uint8_t> plain(len);
     rng.fill(plain.data(), plain.size());
 
@@ -320,7 +324,6 @@ TEST(KernelParity, IncrementalPermutationEveryTier)
         GcmContext ctx(key.data(), Aes::KeySize::k128);
         IncrementalGcm inc(ctx, iv, len);
         std::vector<std::uint8_t> cipher(len);
-        // Process cachelines in a shuffled order.
         std::vector<std::size_t> order(inc.lineCount());
         for (std::size_t i = 0; i < order.size(); ++i)
             order[i] = i;
@@ -328,8 +331,6 @@ TEST(KernelParity, IncrementalPermutationEveryTier)
             std::swap(order[i - 1], order[rng.below(i)]);
         for (const std::size_t line : order) {
             const std::size_t off = line * 64;
-            const std::size_t n = std::min<std::size_t>(64, len - off);
-            (void)n;
             inc.processLine(line, plain.data() + off,
                             cipher.data() + off);
         }
@@ -337,6 +338,26 @@ TEST(KernelParity, IncrementalPermutationEveryTier)
         const GcmTag tag = inc.finalTag();
         EXPECT_EQ(0, std::memcmp(ref.tag.data(), tag.data(), 16));
     }
+}
+
+// Out-of-order incremental GCM (the DSA path) must match the one-shot
+// result on every tier — exercises the line kernel and its power table.
+TEST(KernelParity, IncrementalPermutationEveryTier)
+{
+    Rng rng(0xd15a);
+    expectShuffledIncrementalMatchesOneShot(rng, 1024 + 32);
+}
+
+// Record shapes whose last line ends inside an AES block (61 B: one
+// short line; 4096 + 13 B: a 13-byte line after 64 full ones), and the
+// largest TLS record (16 KB, every power the table can need).
+TEST(KernelParity, IncrementalRecordShapesEveryTier)
+{
+    Rng rng(0x5eed);
+    for (const std::size_t len :
+         {std::size_t{61}, std::size_t{4096 + 13},
+          sd::crypto::kTlsMaxFragment})
+        expectShuffledIncrementalMatchesOneShot(rng, len);
 }
 
 } // namespace
