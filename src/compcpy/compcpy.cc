@@ -232,28 +232,22 @@ CompCpyEngine::registerPages(std::uint32_t id)
     }
 
     const std::size_t page = flow.cursor++;
-    std::array<std::uint8_t, kCacheLineSize> burst{};
-
-    if (p.ulp == smartdimm::UlpKind::kTlsEncrypt) {
-        smartdimm::TlsPageRegistration reg;
-        reg.page_index = static_cast<std::uint16_t>(page);
-        reg.message_len = static_cast<std::uint32_t>(p.size);
-        reg.message_id = p.message_id;
-        const bool tag_only = page >= flow.src_pages;
-        reg.sbuf_page = tag_only
-                            ? (p.dbuf / kPageSize + page)
-                            : (p.sbuf / kPageSize + page);
-        reg.dbuf_page = p.dbuf / kPageSize + page;
-        std::memcpy(reg.key, p.key, sizeof(reg.key));
-        std::memcpy(reg.iv, p.iv.data(), sizeof(reg.iv));
-        reg.pack(burst.data());
-    } else {
-        smartdimm::DeflatePageRegistration reg;
-        reg.payload_bytes = static_cast<std::uint16_t>(p.size);
-        reg.sbuf_page = p.sbuf / kPageSize;
-        reg.dbuf_page = p.dbuf / kPageSize;
-        reg.pack(burst.data());
-    }
+    smartdimm::PageRegistration reg;
+    reg.opcode = p.ulp == smartdimm::UlpKind::kTlsEncrypt
+                     ? smartdimm::MmioOpcode::kRegisterTlsPage
+                     : smartdimm::MmioOpcode::kRegisterDeflatePage;
+    reg.page_index = static_cast<std::uint16_t>(page);
+    reg.message_len = static_cast<std::uint32_t>(p.size);
+    reg.message_id = p.message_id;
+    reg.dbuf_page = p.dbuf / kPageSize + page;
+    // A destination page past the source pages is a TLS tag-only
+    // trailer page: it names itself as its source.
+    reg.sbuf_page =
+        page < flow.src_pages ? p.sbuf / kPageSize + page : reg.dbuf_page;
+    std::memcpy(reg.key, p.key, sizeof(reg.key));
+    std::memcpy(reg.iv, p.iv.data(), sizeof(reg.iv));
+    std::array<std::uint8_t, kCacheLineSize> burst;
+    smartdimm::packBurst(reg, burst.data());
 
     // The controller copies the burst at enqueue, as on the wire.
     const Addr reg_addr = driver_.mmio(smartdimm::MmioReg::kRegister);

@@ -172,8 +172,8 @@ WorkQueue::ringDoorbell(const std::shared_ptr<Pending> &p)
     db.submitter = p->submitter;
     db.ops = static_cast<std::uint32_t>(p->desc.ops.size());
     db.seq = p->id;
-    std::array<std::uint8_t, kCacheLineSize> burst{};
-    db.pack(burst.data());
+    std::array<std::uint8_t, kCacheLineSize> burst;
+    smartdimm::packBurst(db, burst.data());
     ++stats_.doorbells;
     // The controller copies the burst at enqueue, as on the wire.
     engine_.memory().mmioWrite(
@@ -253,8 +253,8 @@ WorkQueue::descriptorExecuted(const std::shared_ptr<Pending> &p)
     qc.status = static_cast<std::uint16_t>(statusOf(*p));
     qc.ops = static_cast<std::uint32_t>(p->desc.ops.size());
     qc.seq = p->id;
-    std::array<std::uint8_t, kCacheLineSize> burst{};
-    qc.pack(burst.data());
+    std::array<std::uint8_t, kCacheLineSize> burst;
+    smartdimm::packBurst(qc, burst.data());
     engine_.memory().mmioWrite(
         engine_.driver().mmio(smartdimm::MmioReg::kQueueComplete),
         burst.data(), [this, p](Tick) {

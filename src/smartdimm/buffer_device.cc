@@ -133,153 +133,101 @@ BufferDevice::handleMmioRead(Addr addr, std::uint8_t *data)
 }
 
 void
-BufferDevice::registerTls(const std::uint8_t *data)
+BufferDevice::registerPage(const PageRegistration &reg)
 {
-    const auto reg = TlsPageRegistration::unpack(data);
-    SD_ASSERT(reg.message_len > 0, "TLS registration with empty record");
-    retireStaleDest(reg.dbuf_page);
+    const bool tls = reg.opcode == MmioOpcode::kRegisterTlsPage;
+    if (!tls && reg.opcode != MmioOpcode::kRegisterDeflatePage) {
+        SD_WARN("unknown registration opcode %u",
+                static_cast<unsigned>(reg.opcode));
+        return;
+    }
+    SD_ASSERT(reg.message_len > 0, "registration with an empty payload");
 
     // sbuf_page == dbuf_page marks a tag-only trailer page: the
     // record filled its last payload page exactly, so the tag spills
     // into a destination page with no matching source page.
-    const bool tag_only = reg.sbuf_page == reg.dbuf_page;
+    const bool has_source = reg.sbuf_page != reg.dbuf_page;
+    retireStale(reg.dbuf_page);
+    if (has_source)
+        retireStale(reg.sbuf_page);
 
-    // Acquire every resource before mutating any map, so a rejection
+    // Take every resource before installing any state, so a rejection
     // (genuine exhaustion after a stale freePages read, or an injected
-    // fault) unwinds to the pre-registration state.
+    // fault) hands back exactly what this registration took.
     std::optional<std::uint32_t> scratch;
-    if (!fault::fires(fault_plan_, fault::Site::kScratchpadExhaust,
-                      fault_scope_))
-        scratch = scratchpad_.allocate();
-    if (!scratch) {
-        rejectRegistration(reg.dbuf_page);
-        return;
-    }
-
-    std::uint32_t slot_id = 0;
-    if (!tag_only) {
-        // Config Memory slot holds the shipped context (key material,
-        // IV; H powers are derived inside the DSA model).
-        std::optional<std::uint32_t> slot;
-        if (!fault::fires(fault_plan_, fault::Site::kConfigMemExhaust,
-                      fault_scope_))
-            slot = config_memory_.allocate();
-        if (!slot) {
-            scratchpad_.release(*scratch);
-            rejectRegistration(reg.dbuf_page);
-            return;
-        }
-        slot_id = *slot;
-        config_memory_.write(slot_id, 0, reg.key, sizeof(reg.key));
-        config_memory_.write(slot_id, sizeof(reg.key), reg.iv,
-                             sizeof(reg.iv));
-    }
-
-    // Shared per-message state (partial tag + H-power table).
-    std::shared_ptr<TlsMessage> &message = messages_[reg.message_id];
-    const bool fresh_state = !message;
-    if (fresh_state)
-        message = std::make_shared<TlsMessage>(
-            reg.key, [&] {
-                crypto::GcmIv iv{};
-                std::memcpy(iv.data(), reg.iv, iv.size());
-                return iv;
-            }(), reg.message_len, &dsa_stats_);
-
-    auto job = std::make_shared<TlsDsaJob>(
-        std::shared_ptr<TlsMessageState>(message, &message->state),
-        reg.page_index);
-
-    Translation src_t;
-    src_t.kind = MappingKind::kConfigMemory;
-    src_t.offset = slot_id;
-    src_t.dest_page = reg.dbuf_page;
-    if (!tag_only && !translation_.insert(reg.sbuf_page, src_t)) {
-        if (fresh_state)
-            messages_.erase(reg.message_id);
-        config_memory_.release(slot_id);
-        scratchpad_.release(*scratch);
-        rejectRegistration(reg.dbuf_page);
-        return;
-    }
-
-    Translation dst_t;
-    dst_t.kind = MappingKind::kScratchpad;
-    dst_t.offset = *scratch;
-    if (!translation_.insert(reg.dbuf_page, dst_t)) {
-        if (!tag_only) {
-            translation_.erase(reg.sbuf_page);
-            config_memory_.release(slot_id);
-        }
-        if (fresh_state)
-            messages_.erase(reg.message_id);
-        scratchpad_.release(*scratch);
-        rejectRegistration(reg.dbuf_page);
-        return;
-    }
-
-    if (!tag_only)
-        slotEntry(sources_, slot_id) = SourceEntry{job, 0, reg.message_id};
-    slotEntry(dests_, *scratch) =
-        DestEntry{job, reg.dbuf_page, reg.sbuf_page, message.get()};
-    message->dest_pages.push_back(reg.dbuf_page);
-    ++message->live_pages;
-
-    ++stats_.registrations;
-}
-
-void
-BufferDevice::registerDeflate(const std::uint8_t *data)
-{
-    const auto reg = DeflatePageRegistration::unpack(data);
-    retireStaleDest(reg.dbuf_page);
-
     std::optional<std::uint32_t> slot;
-    if (!fault::fires(fault_plan_, fault::Site::kConfigMemExhaust,
-                      fault_scope_))
-        slot = config_memory_.allocate();
-    if (!slot) {
-        rejectRegistration(reg.dbuf_page);
-        return;
-    }
-    std::optional<std::uint32_t> scratch;
-    if (!fault::fires(fault_plan_, fault::Site::kScratchpadExhaust,
-                      fault_scope_))
-        scratch = scratchpad_.allocate();
-    if (!scratch) {
-        config_memory_.release(*slot);
+    bool source_mapped = false;
+    const bool held = [&] {
+        if (!fault::fires(fault_plan_, fault::Site::kScratchpadExhaust,
+                          fault_scope_))
+            scratch = scratchpad_.allocate();
+        if (!scratch)
+            return false;
+        if (has_source) {
+            if (!fault::fires(fault_plan_, fault::Site::kConfigMemExhaust,
+                              fault_scope_))
+                slot = config_memory_.allocate();
+            if (!slot)
+                return false;
+            Translation src_t;
+            src_t.kind = MappingKind::kConfigMemory;
+            src_t.offset = *slot;
+            src_t.dest_page = reg.dbuf_page;
+            source_mapped = translation_.insert(reg.sbuf_page, src_t);
+            if (!source_mapped)
+                return false;
+        }
+        Translation dst_t;
+        dst_t.kind = MappingKind::kScratchpad;
+        dst_t.offset = *scratch;
+        return translation_.insert(reg.dbuf_page, dst_t);
+    }();
+    if (!held) {
+        if (source_mapped)
+            translation_.erase(reg.sbuf_page);
+        if (slot)
+            config_memory_.release(*slot);
+        if (scratch)
+            scratchpad_.release(*scratch);
         rejectRegistration(reg.dbuf_page);
         return;
     }
 
-    Translation src_t;
-    src_t.kind = MappingKind::kConfigMemory;
-    src_t.offset = *slot;
-    src_t.dest_page = reg.dbuf_page;
-    if (!translation_.insert(reg.sbuf_page, src_t)) {
-        scratchpad_.release(*scratch);
-        config_memory_.release(*slot);
-        rejectRegistration(reg.dbuf_page);
-        return;
+    // Only the job, and the context it ships, depend on the ULP.
+    std::shared_ptr<DsaJob> job;
+    TlsMessageState *record = nullptr;
+    if (tls) {
+        // Shared per-record state (partial tag + H-power table).
+        std::shared_ptr<TlsMessageState> &message =
+            messages_[reg.message_id];
+        if (!message) {
+            crypto::GcmIv iv{};
+            std::memcpy(iv.data(), reg.iv, iv.size());
+            message = std::make_shared<TlsMessageState>(
+                reg.key, iv, reg.message_len, &dsa_stats_);
+        }
+        message->dest_pages.push_back(reg.dbuf_page);
+        ++message->live_pages;
+        record = message.get();
+        job = std::make_shared<TlsDsaJob>(message, reg.page_index);
+        if (has_source) {
+            // The slot holds the shipped context (key material, IV; H
+            // powers are derived inside the DSA model).
+            config_memory_.write(*slot, 0, reg.key, sizeof(reg.key));
+            config_memory_.write(*slot, sizeof(reg.key), reg.iv,
+                                 sizeof(reg.iv));
+        }
+    } else {
+        job = std::make_shared<DeflateDsaJob>(reg.message_len, &dsa_stats_);
     }
 
-    Translation dst_t;
-    dst_t.kind = MappingKind::kScratchpad;
-    dst_t.offset = *scratch;
-    if (!translation_.insert(reg.dbuf_page, dst_t)) {
-        translation_.erase(reg.sbuf_page);
-        scratchpad_.release(*scratch);
-        config_memory_.release(*slot);
-        rejectRegistration(reg.dbuf_page);
-        return;
-    }
-
-    auto job =
-        std::make_shared<DeflateDsaJob>(reg.payload_bytes, &dsa_stats_);
-    slotEntry(sources_, *slot) = SourceEntry{job};
+    if (has_source)
+        slotEntry(sources_, *slot) = SourceEntry{
+            job, 0,
+            tls ? std::optional<std::uint64_t>(reg.message_id)
+                : std::nullopt};
     slotEntry(dests_, *scratch) =
-        DestEntry{job, reg.dbuf_page, reg.sbuf_page};
-
+        DestEntry{std::move(job), reg.dbuf_page, reg.sbuf_page, record};
     ++stats_.registrations;
 }
 
@@ -289,30 +237,18 @@ BufferDevice::handleMmioWrite(Addr addr, const std::uint8_t *data)
     ++stats_.mmio_writes;
     const Addr off = addr - config_.mmio_base;
     switch (static_cast<MmioReg>(off)) {
-      case MmioReg::kRegister: {
-        std::uint16_t opcode;
-        std::memcpy(&opcode, data, sizeof(opcode));
-        switch (static_cast<MmioOpcode>(opcode)) {
-          case MmioOpcode::kRegisterTlsPage:
-            registerTls(data);
-            break;
-          case MmioOpcode::kRegisterDeflatePage:
-            registerDeflate(data);
-            break;
-          default:
-            SD_WARN("unknown registration opcode %u", opcode);
-        }
+      case MmioReg::kRegister:
+        registerPage(unpackBurst<PageRegistration>(data));
         break;
-      }
       case MmioReg::kQueueDoorbell: {
-        const auto db = QueueDoorbell::unpack(data);
+        const auto db = unpackBurst<QueueDoorbell>(data);
         ++stats_.doorbell_rings;
         if (db.queue < kMaxDeviceQueues)
             ++queues_[db.queue].submitted;
         break;
       }
       case MmioReg::kQueueComplete: {
-        const auto qc = QueueCompletion::unpack(data);
+        const auto qc = unpackBurst<QueueCompletion>(data);
         ++stats_.completion_acks;
         if (qc.queue < kMaxDeviceQueues)
             ++queues_[qc.queue].completed;
@@ -380,7 +316,7 @@ BufferDevice::feedDsa(const Translation &sbuf, std::uint64_t sbuf_page,
     // the one staging event also wakes the pages the record lists now.
     // It holds the record and that count: the retire sweep may drop
     // the record, and later registrations may add pages, before it runs.
-    std::shared_ptr<const TlsMessage> message;
+    std::shared_ptr<const TlsMessageState> message;
     std::size_t pages = 0;
     if (entry.message_id) {
         const auto msg = messages_.find(*entry.message_id);
@@ -425,22 +361,30 @@ BufferDevice::retirePage(std::uint32_t scratch_page)
     // Lazily sweep finished TLS records, and records whose pages all
     // retired before the record finished (a re-registered destination).
     std::erase_if(messages_, [](const auto &message) {
-        return message.second->state.complete() ||
+        return message.second->complete() ||
                message.second->live_pages == 0;
     });
 }
 
 void
-BufferDevice::retireStaleDest(std::uint64_t dbuf_page)
+BufferDevice::retireStale(std::uint64_t page)
 {
-    // The host re-registered the page before it drained: the new
-    // registration owns the page, so the old one's staged lines can
-    // never drain and its resources go back now.
-    const auto t = translation_.find(dbuf_page);
-    if (!t || t->kind != MappingKind::kScratchpad)
+    // The host registered the page again before its old registration
+    // drained: the new registration owns the page, so what the old
+    // mapping holds goes back now. A destination's staged lines can
+    // never drain; a source's old job can never be fed again, while
+    // its old destination still drains what it staged.
+    const auto t = translation_.find(page);
+    if (!t)
         return;
-    scratchpad_.release(t->offset);
-    retirePage(t->offset);
+    if (t->kind == MappingKind::kScratchpad) {
+        scratchpad_.release(t->offset);
+        retirePage(t->offset);
+        return;
+    }
+    config_memory_.release(t->offset);
+    sources_[t->offset] = {};
+    translation_.erase(page);
 }
 
 mem::ReadResponse

@@ -46,6 +46,8 @@
 
 namespace sd::smartdimm {
 
+struct PageRegistration;
+
 /** Arbiter decision counters, one per Fig. 6 state of interest. */
 struct ArbiterStats
 {
@@ -154,24 +156,6 @@ class BufferDevice : public mem::DimmDevice
         std::optional<std::uint64_t> message_id = std::nullopt;
     };
 
-    /** One TLS record: the DSA state its page jobs share (through
-     *  aliasing pointers into this object, so one allocation holds
-     *  both), and its destination pages in registration order, so
-     *  trailer (tag-only) pages materialise when the record completes. */
-    struct TlsMessage
-    {
-        TlsMessage(const std::uint8_t key[16], const crypto::GcmIv &iv,
-                   std::size_t message_len, DsaStats *stats)
-            : state(key, iv, message_len, stats)
-        {
-        }
-
-        TlsMessageState state;
-        std::vector<std::uint64_t> dest_pages;
-        /** Registered destination pages not yet retired. */
-        unsigned live_pages = 0;
-    };
-
     /** A registered destination page, indexed by its Scratchpad page;
      *  its staged lines are the Scratchpad page's computed bits. */
     struct DestEntry
@@ -181,13 +165,13 @@ class BufferDevice : public mem::DimmDevice
         /** Its source page (the page itself when tag-only). */
         std::uint64_t sbuf_page = 0;
         /** Its TLS record (none for Deflate), kept alive by job. */
-        TlsMessage *message = nullptr;
+        TlsMessageState *message = nullptr;
     };
 
     void handleMmioWrite(Addr addr, const std::uint8_t *data);
     void handleMmioRead(Addr addr, std::uint8_t *data);
-    void registerTls(const std::uint8_t *data);
-    void registerDeflate(const std::uint8_t *data);
+    /** S17: install one page pair, or reject it with nothing held. */
+    void registerPage(const PageRegistration &reg);
     /** Count + trace a rejected registration of @p dbuf_page. */
     void rejectRegistration(std::uint64_t dbuf_page);
     void feedDsa(const Translation &sbuf, std::uint64_t sbuf_page,
@@ -197,10 +181,11 @@ class BufferDevice : public mem::DimmDevice
     /** Tear down the mappings once the destination page staged on
      *  @p scratch_page fully drained. */
     void retirePage(std::uint32_t scratch_page);
-    /** A registration is about to install @p dbuf_page: retire the
-     *  undrained registration that still maps it, if any, and free
-     *  its Scratchpad page. */
-    void retireStaleDest(std::uint64_t dbuf_page);
+    /** A registration is about to install @p page: retire the
+     *  registration that still maps it, if any, and free what that
+     *  mapping holds (a destination's Scratchpad page, a source's
+     *  Config Memory slot). */
+    void retireStale(std::uint64_t page);
 
     EventQueue &events_;
     const mem::AddressMap &map_;
@@ -222,7 +207,8 @@ class BufferDevice : public mem::DimmDevice
      *  once it completes or none of its pages is registered any more.
      *  Shared so a staging event can hold its record past the retire
      *  sweep. */
-    std::unordered_map<std::uint64_t, std::shared_ptr<TlsMessage>> messages_;
+    std::unordered_map<std::uint64_t, std::shared_ptr<TlsMessageState>>
+        messages_;
 
     fault::FaultPlan *fault_plan_ = nullptr;
     fault::FaultScope fault_scope_;

@@ -42,6 +42,9 @@ class ConfigMemory
     /** Release a slot after its offload completes. */
     void release(std::uint32_t slot);
 
+    /** Slots not allocated. */
+    std::size_t freeSlots() const { return free_.size(); }
+
     /** Write @p len bytes of context at @p offset within @p slot. */
     void write(std::uint32_t slot, std::size_t offset,
                const std::uint8_t *data, std::size_t len);

@@ -11,78 +11,36 @@
 
 #include <cstdint>
 #include <cstring>
+#include <type_traits>
 
 #include "common/types.h"
 
 namespace sd::smartdimm {
 
-/** Registration opcodes. */
+/** Registration opcodes: which ULP's DSA the page pair is for. */
 enum class MmioOpcode : std::uint16_t
 {
     kRegisterTlsPage = 1,
     kRegisterDeflatePage = 2,
-    kUnregisterPage = 3,
 };
 
-/** TLS page registration: 60 of 64 bytes used. */
-struct TlsPageRegistration
+/** Page-pair registration, one per destination page: 60 of 64 bytes
+ *  used. Deflate reads only the opcode, both pages and message_len. */
+struct PageRegistration
 {
-    std::uint16_t opcode = static_cast<std::uint16_t>(
-        MmioOpcode::kRegisterTlsPage);
+    MmioOpcode opcode = MmioOpcode::kRegisterTlsPage;
     std::uint16_t page_index = 0;  ///< page position within the record
-    std::uint32_t message_len = 0; ///< total plaintext bytes
-    std::uint64_t sbuf_page = 0;   ///< physical page number (addr>>12)
+    /** Total plaintext bytes of the TLS record; a Deflate page's
+     *  payload bytes. */
+    std::uint32_t message_len = 0;
+    /** Physical page number (addr>>12). A TLS tag-only trailer page,
+     *  which has no source page, names its destination page here. */
+    std::uint64_t sbuf_page = 0;
     std::uint64_t dbuf_page = 0;
     std::uint64_t message_id = 0;  ///< groups pages of one record
     std::uint8_t key[16] = {};
     std::uint8_t iv[12] = {};
-
-    /** Serialise into a 64-byte MMIO burst. */
-    void
-    pack(std::uint8_t out[kCacheLineSize]) const
-    {
-        std::memset(out, 0, kCacheLineSize);
-        std::memcpy(out, this, sizeof(*this));
-    }
-
-    static TlsPageRegistration
-    unpack(const std::uint8_t in[kCacheLineSize])
-    {
-        TlsPageRegistration reg;
-        std::memcpy(&reg, in, sizeof(reg));
-        return reg;
-    }
 };
-static_assert(sizeof(TlsPageRegistration) <= kCacheLineSize,
-              "registration must fit one MMIO burst");
-
-/** Deflate page registration. */
-struct DeflatePageRegistration
-{
-    std::uint16_t opcode = static_cast<std::uint16_t>(
-        MmioOpcode::kRegisterDeflatePage);
-    std::uint16_t payload_bytes = 0; ///< valid bytes in the source page
-    std::uint32_t reserved = 0;
-    std::uint64_t sbuf_page = 0;
-    std::uint64_t dbuf_page = 0;
-
-    void
-    pack(std::uint8_t out[kCacheLineSize]) const
-    {
-        std::memset(out, 0, kCacheLineSize);
-        std::memcpy(out, this, sizeof(*this));
-    }
-
-    static DeflatePageRegistration
-    unpack(const std::uint8_t in[kCacheLineSize])
-    {
-        DeflatePageRegistration reg;
-        std::memcpy(&reg, in, sizeof(reg));
-        return reg;
-    }
-};
-static_assert(sizeof(DeflatePageRegistration) <= kCacheLineSize,
-              "registration must fit one MMIO burst");
 
 /**
  * Work-queue doorbell ring: one write to MmioReg::kQueueDoorbell tells
@@ -97,24 +55,7 @@ struct QueueDoorbell
     std::uint16_t submitter = 0; ///< logical submitter (shared queues)
     std::uint32_t ops = 0;       ///< ops packed in the descriptor
     std::uint64_t seq = 0;       ///< descriptor id within the queue
-
-    void
-    pack(std::uint8_t out[kCacheLineSize]) const
-    {
-        std::memset(out, 0, kCacheLineSize);
-        std::memcpy(out, this, sizeof(*this));
-    }
-
-    static QueueDoorbell
-    unpack(const std::uint8_t in[kCacheLineSize])
-    {
-        QueueDoorbell db;
-        std::memcpy(&db, in, sizeof(db));
-        return db;
-    }
 };
-static_assert(sizeof(QueueDoorbell) <= kCacheLineSize,
-              "doorbell must fit one MMIO burst");
 
 /** Completion acknowledgement written to MmioReg::kQueueComplete when
  *  every op of a descriptor finished; mirrors QueueDoorbell. */
@@ -124,24 +65,32 @@ struct QueueCompletion
     std::uint16_t status = 0; ///< compcpy::CompletionStatus value
     std::uint32_t ops = 0;
     std::uint64_t seq = 0;
-
-    void
-    pack(std::uint8_t out[kCacheLineSize]) const
-    {
-        std::memset(out, 0, kCacheLineSize);
-        std::memcpy(out, this, sizeof(*this));
-    }
-
-    static QueueCompletion
-    unpack(const std::uint8_t in[kCacheLineSize])
-    {
-        QueueCompletion qc;
-        std::memcpy(&qc, in, sizeof(qc));
-        return qc;
-    }
 };
-static_assert(sizeof(QueueCompletion) <= kCacheLineSize,
-              "completion ack must fit one MMIO burst");
+
+/** Serialise @p value into a zero-padded 64-byte MMIO burst. */
+template <typename T>
+void
+packBurst(const T &value, std::uint8_t out[kCacheLineSize])
+{
+    static_assert(std::is_trivially_copyable_v<T> &&
+                      sizeof(T) <= kCacheLineSize,
+                  "a register layout must fit one MMIO burst");
+    std::memset(out, 0, kCacheLineSize);
+    std::memcpy(out, &value, sizeof(value));
+}
+
+/** The register layout @p in carries. */
+template <typename T>
+T
+unpackBurst(const std::uint8_t in[kCacheLineSize])
+{
+    static_assert(std::is_trivially_copyable_v<T> &&
+                      sizeof(T) <= kCacheLineSize,
+                  "a register layout must fit one MMIO burst");
+    T value;
+    std::memcpy(&value, in, sizeof(value));
+    return value;
+}
 
 } // namespace sd::smartdimm
 

@@ -29,7 +29,8 @@ namespace sd::smartdimm {
  * Shared state of one TLS message offload: the incremental GCM engine
  * (modelling the AES-CTR pipeline + GHASH + partial-tag accumulator of
  * Fig. 7). A message spans one or more source pages; page jobs share
- * this object.
+ * this object, and the buffer device keeps it as the record's entry,
+ * with the record's destination pages.
  */
 class TlsMessageState
 {
@@ -53,6 +54,12 @@ class TlsMessageState
 
     /** Final 16-byte authentication tag (trailer contents). */
     crypto::GcmTag finalTag() const { return gcm_.finalTag(); }
+
+    /** The record's destination pages in registration order, so its
+     *  trailer (tag-only) pages materialise when it completes. */
+    std::vector<std::uint64_t> dest_pages;
+    /** Registered destination pages not yet retired. */
+    unsigned live_pages = 0;
 
   private:
     crypto::GcmContext ctx_;

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "cache/memory_system.h"
@@ -22,6 +23,7 @@
 #include "sim/event_queue.h"
 #include "smartdimm/buffer_device.h"
 #include "smartdimm/cuckoo_table.h"
+#include "smartdimm/mmio_layout.h"
 #include "topo/topology.h"
 
 namespace {
@@ -146,6 +148,152 @@ TEST(RecoveryPaths, CuckooInsertFailureSurfacesAsRejection)
     EXPECT_EQ(sys.slot(0).device.translationTable().stats().failures, 1u);
     EXPECT_EQ(sys.slot(0).device.stats().rejected_registrations, 1u);
     EXPECT_EQ(sys.slot(0).engine.stats().degraded_calls, 1u);
+}
+
+/** Write one registration burst to slot 0's device and let it land. */
+void
+writeRegistration(topo::Topology &sys, const smartdimm::PageRegistration &reg)
+{
+    std::uint8_t burst[kCacheLineSize];
+    smartdimm::packBurst(reg, burst);
+    bool landed = false;
+    sys.memory().mmioWrite(
+        sys.slot(0).driver.mmio(smartdimm::MmioReg::kRegister), burst,
+        [&landed](Tick) { landed = true; });
+    sys.events().run();
+    ASSERT_TRUE(landed);
+}
+
+/** What a registration takes from the device. */
+struct DeviceHoldings
+{
+    std::size_t free_pages;
+    std::size_t free_slots;
+    std::size_t mappings;
+    std::size_t records;
+
+    explicit DeviceHoldings(const smartdimm::BufferDevice &dev)
+        : free_pages(dev.scratchpad().freePages()),
+          free_slots(dev.configMemory().freeSlots()),
+          mappings(dev.translationTable().size()),
+          records(dev.liveRecords())
+    {
+    }
+
+    bool operator==(const DeviceHoldings &) const = default;
+};
+
+TEST(RecoveryPaths, RejectedRegistrationHandsBackEverything)
+{
+    // Each page kind meets each fault its registration can hit. The
+    // insert fault with skip 0 fails the first insert (the source's,
+    // or a tag-only page's only one); with skip 1 it fails the
+    // destination insert after the source insert went in. A tag-only
+    // page takes no Config Memory slot and makes one insert.
+    using smartdimm::MmioOpcode;
+    using fault::Site;
+    struct Case
+    {
+        const char *page;
+        MmioOpcode opcode;
+        bool tag_only;
+        Site site;
+        std::uint64_t skip;
+    };
+    const Case cases[] = {
+        {"tls data", MmioOpcode::kRegisterTlsPage, false,
+         Site::kScratchpadExhaust, 0},
+        {"tls data", MmioOpcode::kRegisterTlsPage, false,
+         Site::kConfigMemExhaust, 0},
+        {"tls data", MmioOpcode::kRegisterTlsPage, false,
+         Site::kCuckooInsertFail, 0},
+        {"tls data", MmioOpcode::kRegisterTlsPage, false,
+         Site::kCuckooInsertFail, 1},
+        {"tls tag-only", MmioOpcode::kRegisterTlsPage, true,
+         Site::kScratchpadExhaust, 0},
+        {"tls tag-only", MmioOpcode::kRegisterTlsPage, true,
+         Site::kCuckooInsertFail, 0},
+        {"deflate", MmioOpcode::kRegisterDeflatePage, false,
+         Site::kScratchpadExhaust, 0},
+        {"deflate", MmioOpcode::kRegisterDeflatePage, false,
+         Site::kConfigMemExhaust, 0},
+        {"deflate", MmioOpcode::kRegisterDeflatePage, false,
+         Site::kCuckooInsertFail, 0},
+        {"deflate", MmioOpcode::kRegisterDeflatePage, false,
+         Site::kCuckooInsertFail, 1},
+    };
+
+    for (const Case &c : cases) {
+        SCOPED_TRACE(std::string(c.page) + " / " +
+                     fault::siteName(c.site) + " skip " +
+                     std::to_string(c.skip));
+        topo::Topology sys(systemSpec());
+        const smartdimm::BufferDevice &dev = sys.slot(0).device;
+        const std::uint64_t sbuf = sys.slot(0).driver.alloc(2 * kPageSize) /
+                                   kPageSize;
+        const std::uint64_t dbuf = sys.slot(0).driver.alloc(3 * kPageSize) /
+                                   kPageSize;
+
+        // Page 0 of an 8 KB record stands registered, so a rollback
+        // must leave the device holding exactly it.
+        smartdimm::PageRegistration first;
+        first.message_len = 2 * kPageSize;
+        first.message_id = 1;
+        first.sbuf_page = sbuf;
+        first.dbuf_page = dbuf;
+        writeRegistration(sys, first);
+
+        // The faulted page: the same record's tag-only trailer page,
+        // or a page pair with a record (or Deflate job) of its own.
+        smartdimm::PageRegistration reg;
+        if (c.tag_only) {
+            reg = first;
+            reg.page_index = 2;
+            reg.sbuf_page = reg.dbuf_page = dbuf + 2;
+        } else {
+            reg.message_len = 4000;
+            reg.message_id = 2;
+            reg.sbuf_page = sbuf + 1;
+            reg.dbuf_page = dbuf + 1;
+        }
+        reg.opcode = c.opcode;
+
+        const DeviceHoldings before(dev);
+        const smartdimm::ArbiterStats stats = dev.stats();
+        fault::FaultPlan plan(5);
+        plan.add(c.site, c.skip, /*count=*/1);
+        sys.setFaultPlan(&plan);
+        writeRegistration(sys, reg);
+
+        EXPECT_EQ(plan.injected(c.site), 1u);
+        EXPECT_EQ(dev.stats().rejected_registrations,
+                  stats.rejected_registrations + 1);
+        EXPECT_EQ(dev.stats().registrations, stats.registrations);
+        EXPECT_EQ(DeviceHoldings(dev), before);
+        EXPECT_FALSE(dev.translationTable().find(reg.dbuf_page));
+        EXPECT_FALSE(dev.translationTable().find(reg.sbuf_page));
+
+        // The plan's one fault is spent: the same pages now register.
+        writeRegistration(sys, reg);
+        EXPECT_EQ(dev.stats().registrations, stats.registrations + 1);
+        EXPECT_EQ(dev.stats().rejected_registrations,
+                  stats.rejected_registrations + 1);
+        const auto dst = dev.translationTable().find(reg.dbuf_page);
+        ASSERT_TRUE(dst.has_value());
+        EXPECT_EQ(dst->kind, smartdimm::MappingKind::kScratchpad);
+        if (!c.tag_only) {
+            const auto src = dev.translationTable().find(reg.sbuf_page);
+            ASSERT_TRUE(src.has_value());
+            EXPECT_EQ(src->kind, smartdimm::MappingKind::kConfigMemory);
+            EXPECT_EQ(src->dest_page, reg.dbuf_page);
+        }
+        const bool new_record =
+            c.opcode == MmioOpcode::kRegisterTlsPage && !c.tag_only;
+        EXPECT_EQ(dev.liveRecords(), before.records + (new_record ? 1 : 0));
+        EXPECT_EQ(dev.scratchpad().freePages(), before.free_pages - 1);
+        EXPECT_EQ(dev.configMemory().freeSlots(),
+                  before.free_slots - (c.tag_only ? 0 : 1));
+    }
 }
 
 TEST(RecoveryPaths, ForcedCuckooConflictsStillResolve)

@@ -12,9 +12,9 @@
  *  - WorkQueue::submit: the shared Pending record, its copy of the
  *    Descriptor's op vector and its span vector (3);
  *  - Driver: free-list nodes when ranges split and are released (3);
- *  - BufferDevice TLS registration: the per-message TlsMessage (its
- *    TlsMessageState and IncrementalGcm) and its message-map node and
- *    page list, and the per-page TlsDsaJob (about 9);
+ *  - BufferDevice::registerPage for TLS: the per-record
+ *    TlsMessageState (with its IncrementalGcm), its message-map node
+ *    and destination-page list, and the per-page TlsDsaJob (about 9);
  *  - Deflate only: the functional compressor behind DeflateDsaJob
  *    (hwDeflateCompress and its stored-block fallback), about 40 per
  *    4 KB page.

@@ -30,7 +30,7 @@ using mem::ReadResponse;
 using smartdimm::BufferDevice;
 using smartdimm::MappingKind;
 using smartdimm::MmioReg;
-using smartdimm::TlsPageRegistration;
+using smartdimm::PageRegistration;
 
 /** Ticks from an sbuf read to the staging wake-up it schedules. */
 constexpr Tick kDsaTicks = smartdimm::kDsaLineLatency * kBufferClockPeriod;
@@ -89,11 +89,11 @@ struct Rig
 
     /** Register one 4 KB TLS page pair. */
     void
-    registerTls(Addr sbuf, Addr dbuf, std::size_t len,
-                const std::uint8_t key[16], const crypto::GcmIv &iv,
-                std::uint64_t message_id = 1, std::uint16_t page_index = 0)
+    registerPair(Addr sbuf, Addr dbuf, std::size_t len,
+                 const std::uint8_t key[16], const crypto::GcmIv &iv,
+                 std::uint64_t message_id = 1, std::uint16_t page_index = 0)
     {
-        TlsPageRegistration reg;
+        PageRegistration reg;
         reg.page_index = page_index;
         reg.message_len = static_cast<std::uint32_t>(len);
         reg.sbuf_page = sbuf / kPageSize;
@@ -102,7 +102,7 @@ struct Rig
         std::memcpy(reg.key, key, 16);
         std::memcpy(reg.iv, iv.data(), 12);
         std::uint8_t burst[kCacheLineSize];
-        reg.pack(burst);
+        smartdimm::packBurst(reg, burst);
         write(dev.config().mmio_base +
                   static_cast<Addr>(MmioReg::kRegister),
               burst);
@@ -197,7 +197,7 @@ TEST(BufferDevice, RegistrationAllocatesResources)
     Rig rig;
     std::uint8_t key[16] = {};
     crypto::GcmIv iv{};
-    rig.registerTls(0x100000, 0x200000, 4000, key, iv);
+    rig.registerPair(0x100000, 0x200000, 4000, key, iv);
 
     EXPECT_EQ(rig.dev.stats().registrations, 1u);
     EXPECT_EQ(rig.dev.scratchpad().livePages(), 1u);
@@ -220,7 +220,7 @@ TEST(BufferDevice, SbufReadFeedsDsaAndReturnsPlaintext)
     rng.fill(plain.data(), plain.size());
     rig.store.write(0x100000, plain.data(), plain.size());
 
-    rig.registerTls(0x100000, 0x200000, 4000, key, iv);
+    rig.registerPair(0x100000, 0x200000, 4000, key, iv);
 
     std::uint8_t back[64];
     EXPECT_EQ(rig.read(0x100000, back), ReadResponse::kOk);
@@ -234,7 +234,7 @@ TEST(BufferDevice, DbufReadBeforeComputeAssertsAlertN)
     Rig rig;
     std::uint8_t key[16] = {};
     crypto::GcmIv iv{};
-    rig.registerTls(0x100000, 0x200000, 4000, key, iv);
+    rig.registerPair(0x100000, 0x200000, 4000, key, iv);
 
     std::uint8_t back[64];
     EXPECT_EQ(rig.read(0x200000, back), ReadResponse::kAlertN);
@@ -246,7 +246,7 @@ TEST(BufferDevice, S7WriteIgnoredBeforeCompute)
     Rig rig;
     std::uint8_t key[16] = {};
     crypto::GcmIv iv{};
-    rig.registerTls(0x100000, 0x200000, 4000, key, iv);
+    rig.registerPair(0x100000, 0x200000, 4000, key, iv);
 
     std::uint8_t junk[64];
     std::memset(junk, 0xee, 64);
@@ -272,7 +272,7 @@ TEST(BufferDevice, FullOffloadSelfRecyclesAndMatchesGcm)
     std::vector<std::uint8_t> plain(4096, 0);
     rng.fill(plain.data(), len);
     rig.store.write(0x100000, plain.data(), plain.size());
-    rig.registerTls(0x100000, 0x200000, len, key, iv);
+    rig.registerPair(0x100000, 0x200000, len, key, iv);
 
     // Read every sbuf line (the memcpy's loads).
     std::uint8_t line[64];
@@ -315,7 +315,7 @@ TEST(BufferDevice, S10ScratchpadReadAfterCompute)
     std::vector<std::uint8_t> plain(4096);
     rng.fill(plain.data(), plain.size());
     rig.store.write(0x100000, plain.data(), plain.size());
-    rig.registerTls(0x100000, 0x200000, 4000, key, iv);
+    rig.registerPair(0x100000, 0x200000, 4000, key, iv);
 
     std::uint8_t line[64];
     for (unsigned l = 0; l < kLinesPerPage; ++l)
@@ -338,8 +338,8 @@ TEST(BufferDevice, PendingListExposesUnrecycledPages)
     Rig rig;
     std::uint8_t key[16] = {};
     crypto::GcmIv iv{};
-    rig.registerTls(0x100000, 0x200000, 4000, key, iv);
-    rig.registerTls(0x300000, 0x400000, 4000, key, iv, /*msg=*/2);
+    rig.registerPair(0x100000, 0x200000, 4000, key, iv);
+    rig.registerPair(0x300000, 0x400000, 4000, key, iv, /*msg=*/2);
 
     EXPECT_EQ(rig.pendingList().size(), 2u);
 }
@@ -349,9 +349,9 @@ TEST(BufferDevice, PendingListListsLivePagesInSlotOrder)
     Rig rig;
     std::uint8_t key[16] = {};
     crypto::GcmIv iv{};
-    rig.registerTls(0x100000, 0x500000, 4000, key, iv, /*msg=*/1);
-    rig.registerTls(0x200000, 0x600000, 4000, key, iv, /*msg=*/2);
-    rig.registerTls(0x300000, 0x700000, 4000, key, iv, /*msg=*/3);
+    rig.registerPair(0x100000, 0x500000, 4000, key, iv, /*msg=*/1);
+    rig.registerPair(0x200000, 0x600000, 4000, key, iv, /*msg=*/2);
+    rig.registerPair(0x300000, 0x700000, 4000, key, iv, /*msg=*/3);
 
     // Retire the second page; the next registration reuses its
     // Scratchpad page (the allocator is LIFO) and is listed there,
@@ -360,7 +360,7 @@ TEST(BufferDevice, PendingListListsLivePagesInSlotOrder)
     rig.events.run();
     rig.writePage(0x600000);
     ASSERT_EQ(rig.dev.scratchpad().livePages(), 2u);
-    rig.registerTls(0x400000, 0x800000, 4000, key, iv, /*msg=*/4);
+    rig.registerPair(0x400000, 0x800000, 4000, key, iv, /*msg=*/4);
 
     EXPECT_EQ(rig.pendingList(),
               (std::vector<std::uint64_t>{0x500000, 0x800000, 0x700000}));
@@ -371,7 +371,7 @@ TEST(BufferDevice, TableLookupsCountOnlyCasDataPhases)
     Rig rig;
     std::uint8_t key[16] = {};
     crypto::GcmIv iv{};
-    rig.registerTls(0x100000, 0x200000, 4000, key, iv);
+    rig.registerPair(0x100000, 0x200000, 4000, key, iv);
 
     std::uint8_t line[kCacheLineSize] = {};
     rig.read(0x10000, line);  // plain
@@ -405,8 +405,8 @@ TEST(BufferDevice, StaleWakeupStagesTheReRegisteredPage)
 
     // A two-page record: every read of either source page wakes both
     // destination pages.
-    rig.registerTls(0x100000, 0x200000, 8000, key, iv, /*msg=*/1, 0);
-    rig.registerTls(0x110000, 0x210000, 8000, key, iv, /*msg=*/1, 1);
+    rig.registerPair(0x100000, 0x200000, 8000, key, iv, /*msg=*/1, 0);
+    rig.registerPair(0x110000, 0x210000, 8000, key, iv, /*msg=*/1, 1);
     rig.readPage(0x100000);
     rig.events.run();
 
@@ -417,7 +417,7 @@ TEST(BufferDevice, StaleWakeupStagesTheReRegisteredPage)
 
     rig.writePage(0x200000); // drains and retires 0x200000
     ASSERT_FALSE(rig.dev.translationTable().find(0x200000 / kPageSize));
-    rig.registerTls(0x300000, 0x200000, 4000, key, iv, /*msg=*/2);
+    rig.registerPair(0x300000, 0x200000, 4000, key, iv, /*msg=*/2);
     for (unsigned l = 0; l < 4; ++l)
         rig.read(0x300000 + l * kCacheLineSize, line);
 
@@ -448,7 +448,7 @@ TEST(BufferDevice, SbufReRegisteredBeforeOldDestRetiresKeepsNewMapping)
     rng.fill(plain.data(), 4000);
     rig.store.write(0x100000, plain.data(), plain.size());
 
-    rig.registerTls(0x100000, 0x200000, 4000, key, iv, /*msg=*/1);
+    rig.registerPair(0x100000, 0x200000, 4000, key, iv, /*msg=*/1);
     rig.readPage(0x100000);
     rig.events.run();
 
@@ -456,7 +456,7 @@ TEST(BufferDevice, SbufReRegisteredBeforeOldDestRetiresKeepsNewMapping)
     // the old destination still holds its staged lines.
     std::uint8_t key2[16];
     rng.fill(key2, 16);
-    rig.registerTls(0x100000, 0x300000, 4000, key2, iv, /*msg=*/2);
+    rig.registerPair(0x100000, 0x300000, 4000, key2, iv, /*msg=*/2);
     rig.writePage(0x200000); // the old destination retires
 
     const auto sbuf = rig.dev.translationTable().find(0x100000 / kPageSize);
@@ -472,6 +472,12 @@ TEST(BufferDevice, SbufReRegisteredBeforeOldDestRetiresKeepsNewMapping)
     rig.writePage(0x300000);
     EXPECT_EQ(rig.dev.scratchpad().livePages(), 0u);
     EXPECT_FALSE(rig.dev.translationTable().find(0x100000 / kPageSize));
+    // Re-registering the sbuf page retired its old mapping, so the
+    // first registration's Config Memory slot went back too.
+    EXPECT_EQ(rig.dev.configMemory().freeSlots(),
+              smartdimm::kConfigMemoryBytes / smartdimm::kContextBytes);
+    EXPECT_EQ(rig.dev.translationTable().size(), 0u);
+    EXPECT_EQ(rig.dev.liveRecords(), 0u);
 
     crypto::GcmContext ctx(key2, crypto::Aes::KeySize::k128);
     std::vector<std::uint8_t> expect(4000);
@@ -495,8 +501,8 @@ TEST(BufferDevice, DbufReRegisteredRetiresTheOldRegistration)
     // second registration takes P over, and A's Scratchpad page and
     // Config Memory slot go back to the device. A's record, never fed,
     // can never finish, so it goes with its last page.
-    rig.registerTls(0x100000, 0x200000, 4000, key, iv, /*msg=*/1);
-    rig.registerTls(0x110000, 0x200000, 4000, key, iv, /*msg=*/2);
+    rig.registerPair(0x100000, 0x200000, 4000, key, iv, /*msg=*/1);
+    rig.registerPair(0x110000, 0x200000, 4000, key, iv, /*msg=*/2);
     EXPECT_EQ(rig.dev.scratchpad().livePages(), 1u);
     EXPECT_FALSE(rig.dev.translationTable().find(0x100000 / kPageSize));
     EXPECT_EQ(rig.dev.liveRecords(), 1u);
@@ -506,6 +512,8 @@ TEST(BufferDevice, DbufReRegisteredRetiresTheOldRegistration)
     rig.writePage(0x200000);
     EXPECT_EQ(rig.dev.scratchpad().livePages(), 0u);
     EXPECT_EQ(rig.dev.liveRecords(), 0u);
+    EXPECT_EQ(rig.dev.configMemory().freeSlots(),
+              smartdimm::kConfigMemoryBytes / smartdimm::kContextBytes);
 
     std::uint8_t back[kCacheLineSize];
     rig.read(rig.dev.config().mmio_base +
@@ -583,9 +591,9 @@ TEST(BufferDevice, MultiPageRecordsRunOneStagingEventPerFedLine)
     StagingLog log({0x200000, 0x201000, 0x220000, 0x221000, 0x222000});
     const std::uint64_t events_before = rig.events.executed();
 
-    rig.registerTls(0x100000, 0x200000, 8000, key, iv, /*msg=*/1, 0);
+    rig.registerPair(0x100000, 0x200000, 8000, key, iv, /*msg=*/1, 0);
     rig.feedPage(0x100000);
-    rig.registerTls(0x101000, 0x201000, 8000, key, iv, /*msg=*/1, 1);
+    rig.registerPair(0x101000, 0x201000, 8000, key, iv, /*msg=*/1, 1);
     rig.feedPage(0x101000);
     rig.events.runUntil(rig.events.now() + kDsaTicks);
     rig.writePage(0x200000);
@@ -593,9 +601,9 @@ TEST(BufferDevice, MultiPageRecordsRunOneStagingEventPerFedLine)
     for (unsigned l = 0; l + 1 < kLinesPerPage; ++l)
         rig.write(0x201000 + l * kCacheLineSize, junk);
 
-    rig.registerTls(0x120000, 0x220000, 8192, key, iv, /*msg=*/2, 0);
-    rig.registerTls(0x121000, 0x221000, 8192, key, iv, /*msg=*/2, 1);
-    rig.registerTls(0x222000, 0x222000, 8192, key, iv, /*msg=*/2, 2);
+    rig.registerPair(0x120000, 0x220000, 8192, key, iv, /*msg=*/2, 0);
+    rig.registerPair(0x121000, 0x221000, 8192, key, iv, /*msg=*/2, 1);
+    rig.registerPair(0x222000, 0x222000, 8192, key, iv, /*msg=*/2, 2);
     rig.feedPage(0x120000);
     rig.feedPage(0x121000);
     // The first record's last page retires; the sweep drops both
@@ -621,10 +629,10 @@ TEST(BufferDevice, WakeupSkipsPagesRegisteredAfterItsFeed)
     Rig rig;
     std::uint8_t key[16] = {};
     crypto::GcmIv iv{};
-    rig.registerTls(0x100000, 0x200000, 8000, key, iv, /*msg=*/1, 0);
+    rig.registerPair(0x100000, 0x200000, 8000, key, iv, /*msg=*/1, 0);
     rig.readPage(0x100000);
     const Tick fed_at = rig.events.now();
-    rig.registerTls(0x101000, 0x201000, 8000, key, iv, /*msg=*/1, 1);
+    rig.registerPair(0x101000, 0x201000, 8000, key, iv, /*msg=*/1, 1);
     rig.events.runUntil(fed_at + kBufferClockPeriod);
     std::uint8_t line[kCacheLineSize];
     rig.read(0x101000, line);
@@ -652,9 +660,9 @@ TEST(BufferDevice, WakeupStagesSiblingsOfASweptRecord)
     rng.fill(plain.data(), plain.size());
     rig.store.write(0x100000, plain.data(), plain.size());
 
-    rig.registerTls(0x100000, 0x200000, 8192, key, iv, /*msg=*/1, 0);
-    rig.registerTls(0x101000, 0x201000, 8192, key, iv, /*msg=*/1, 1);
-    rig.registerTls(0x202000, 0x202000, 8192, key, iv, /*msg=*/1, 2);
+    rig.registerPair(0x100000, 0x200000, 8192, key, iv, /*msg=*/1, 0);
+    rig.registerPair(0x101000, 0x201000, 8192, key, iv, /*msg=*/1, 1);
+    rig.registerPair(0x202000, 0x202000, 8192, key, iv, /*msg=*/1, 2);
     rig.readPage(0x100000);
     rig.events.run();
     std::uint8_t junk[kCacheLineSize] = {};

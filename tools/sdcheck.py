@@ -58,8 +58,9 @@ Rule catalogue:
                   additively in one expression.
   dead-parameter  every field of a *Config/*Params/*Timing/*Spec/
                   *Geometry/*Model struct in src/, and every
-                  DdrCommandType enumerator, is read somewhere in src/
-                  (a write such as `cfg.x = 3` is not a read), and
+                  DdrCommandType and MmioOpcode enumerator, is read
+                  somewhere in src/ (a write such as `cfg.x = 3` is
+                  not a read), and
                   each such field is set somewhere in src/, bench/ or
                   perfbench/ (a field only tests/ or examples/ set is
                   a constant to every product run). A write counts for
@@ -841,13 +842,17 @@ def check_addr_arith(root: pathlib.Path, findings: list, read=None,
 
 # --------------------------------------------------------------------------
 # Rule: dead-parameter — config fields nothing reads or nothing sets,
-# and DDR commands nothing issues
+# and DDR commands nothing issues or MMIO opcodes nothing decodes
 # --------------------------------------------------------------------------
 
 PARAM_STRUCT_RE = re.compile(
     r"\bstruct\s+(\w*(?:Config|Params|Timing|Spec|Geometry|Model))\b"
     r"[^;{()]*\{")
-DDR_COMMAND_ENUM_RE = re.compile(r"\benum\s+class\s+DdrCommandType\b[^;{]*\{")
+# Enums whose enumerators are parameters too: a DDR command nothing
+# issues, or an MMIO opcode nothing decodes, is declared but dead.
+PARAM_ENUMS = ("DdrCommandType", "MmioOpcode")
+PARAM_ENUM_RE = re.compile(
+    r"\benum\s+class\s+(" + "|".join(PARAM_ENUMS) + r")\b[^;{]*\{")
 NOT_A_FIELD_RE = re.compile(
     r"^\s*(?:static|using|friend|template|typedef|struct|class|enum|"
     r"union)\b")
@@ -1053,11 +1058,11 @@ def dead_parameter_findings(files: dict, budget: dict,
             for name, off, _ in _struct_fields(clean[m.end():close]):
                 declared.append((f"{m.group(1)}::{name}", name, rel,
                                  line_of(clean, m.end() + off)))
-        for m in DDR_COMMAND_ENUM_RE.finditer(clean):
+        for m in PARAM_ENUM_RE.finditer(clean):
             close = _matching_brace(clean, m.end() - 1)
             body = clean[m.end():close]
             for e in re.finditer(r"(?:^|,)\s*(k\w+)", body):
-                declared.append((f"DdrCommandType::{e.group(1)}",
+                declared.append((f"{m.group(1)}::{e.group(1)}",
                                  e.group(1), rel,
                                  line_of(clean, m.end() + e.start(1))))
 
@@ -1139,7 +1144,7 @@ def _unset_findings(declared: list, members: list, writers: dict,
     text = "\n".join(clean for rel, clean in writers.items()
                      if _is_writer(rel))
     unset = [(qual, rel, line) for qual, name, rel, line in declared
-             if not qual.startswith("DdrCommandType::") and
+             if qual.split("::")[0] not in PARAM_ENUMS and
              name not in named and
              (qual.split("::")[0], name) not in typed]
     unset += [(qual, rel, line) for qual, name, rel, line in members
@@ -1577,6 +1582,13 @@ DEAD_PARAMETER_SELF_TESTS = [
          "enum class DdrCommandType : int { kActivate, kRefresh };",
       "src/mem/mc.cc": "auto t = DdrCommandType::kActivate;"},
      {}, ["DdrCommandType::kRefresh"]),
+    ("mmio-opcode-undecoded",
+     {"src/smartdimm/mmio_layout.h":
+         "enum class MmioOpcode : std::uint16_t\n"
+         "{\n    kRegisterTlsPage = 1,\n    kUnregisterPage = 3,\n};",
+      "src/smartdimm/buffer_device.cc":
+         "bool tls = op == MmioOpcode::kRegisterTlsPage;"},
+     {}, ["MmioOpcode::kUnregisterPage"]),
     # Both sides of the exact budget.
     ("budgeted-dead-parameter",
      {"src/mem/cmd.h":
