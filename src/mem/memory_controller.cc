@@ -93,7 +93,7 @@ MemoryController::requestPass(Tick when)
 }
 
 std::size_t
-MemoryController::pickFrFcfs(const std::vector<Key> &queue,
+MemoryController::pickFrFcfs(const AgeQueue<Key> &queue,
                              std::size_t &known_misses) const
 {
     // First ready (row hit), then oldest. The scan walks contiguous
@@ -103,13 +103,15 @@ MemoryController::pickFrFcfs(const std::vector<Key> &queue,
     // they stay misses until an ACT opens a row, which resets the
     // count, and the queue changes only by appends and by erasing the
     // picked key, so that prefix is never disturbed.
-    for (std::size_t i = known_misses; i < queue.size(); ++i) {
-        if (banks_.rowHit(queue[i].flat_bank, queue[i].row)) {
+    const Key *const keys = queue.data();
+    const std::size_t size = queue.size();
+    for (std::size_t i = known_misses; i < size; ++i) {
+        if (banks_.rowHit(keys[i].flat_bank, keys[i].row)) {
             known_misses = i;
             return i;
         }
     }
-    known_misses = queue.size();
+    known_misses = size;
     return 0;
 }
 
@@ -189,7 +191,7 @@ MemoryController::reportStats(trace::StatsBlock &block) const
 }
 
 bool
-MemoryController::issueRequest(std::vector<Key> &queue, std::size_t index,
+MemoryController::issueRequest(AgeQueue<Key> &queue, std::size_t index,
                                bool is_write)
 {
     const Key key = queue[index];
@@ -251,7 +253,7 @@ MemoryController::issueRequest(std::vector<Key> &queue, std::size_t index,
     if (!req.needed_act)
         ++stats_.row_hits;
     req.cas_at = cas_at;
-    queue.erase(queue.begin() + static_cast<long>(index));
+    queue.erase(index);
 
     const Cycles cas_latency = is_write ? kDramTiming.tCWL : kDramTiming.tCL;
     const Tick data_start = cas_at + cas_latency * period;
@@ -399,7 +401,7 @@ MemoryController::schedulePass()
     for (;;) {
         const bool service_writes =
             write_drain_ || (read_q_.empty() && !write_q_.empty());
-        std::vector<Key> &queue = service_writes ? write_q_ : read_q_;
+        AgeQueue<Key> &queue = service_writes ? write_q_ : read_q_;
         if (queue.empty())
             break;
         const std::size_t index = pickFrFcfs(

@@ -10,6 +10,7 @@
 #ifndef SD_MEM_MEMORY_CONTROLLER_H
 #define SD_MEM_MEMORY_CONTROLLER_H
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -65,6 +66,70 @@ inline constexpr unsigned kAlertMaxRetries = 64;
 inline constexpr Cycles kAlertBackoffBase = 64;
 /** Backoff ceiling, in command clocks. */
 inline constexpr Cycles kAlertBackoffCap = 8192;
+
+/**
+ * Age-ordered queue of small POD keys, oldest first: the FR-FCFS read
+ * and write queues. Live keys are contiguous from a head index, so a
+ * scan walks plain memory. Erasing the oldest key (the usual FR-FCFS
+ * pick) advances the head; erasing any other key shifts whichever
+ * side of it is shorter. A push onto a full buffer compacts the keys
+ * to the front, or doubles the buffer when they fill half of it or
+ * more, so the storage stops growing once it fits the peak depth.
+ */
+template <typename T>
+class AgeQueue
+{
+  public:
+    std::size_t size() const { return tail_ - head_; }
+    bool empty() const { return head_ == tail_; }
+    /** The oldest key; data()[i] is the i-th oldest. */
+    const T *data() const { return buf_.data() + head_; }
+    const T &operator[](std::size_t i) const { return buf_[head_ + i]; }
+
+    void
+    push_back(const T &key)
+    {
+        if (tail_ == buf_.size())
+            makeRoom();
+        buf_[tail_++] = key;
+    }
+
+    /** Remove the @p index-th oldest key; the others keep their order. */
+    void
+    erase(std::size_t index)
+    {
+        T *const front = buf_.data() + head_;
+        if (index < size() - index - 1) {
+            std::copy_backward(front, front + index, front + index + 1);
+            ++head_;
+        } else {
+            std::copy(front + index + 1, buf_.data() + tail_,
+                      front + index);
+            --tail_;
+        }
+        if (head_ == tail_)
+            head_ = tail_ = 0;
+    }
+
+  private:
+    void
+    makeRoom()
+    {
+        const std::size_t live = size();
+        if (live * 2 >= buf_.size()) {
+            buf_.resize(std::max<std::size_t>(16, buf_.size() * 2));
+            return;
+        }
+        // More than half the buffer is dead space before the head.
+        std::copy(buf_.data() + head_, buf_.data() + tail_, buf_.data());
+        head_ = 0;
+        tail_ = live;
+    }
+
+    std::vector<T> buf_;
+    std::size_t head_ = 0; ///< oldest live key
+    std::size_t tail_ = 0; ///< one past the newest
+};
 
 /** Controller statistics. */
 struct ControllerStats
@@ -199,11 +264,11 @@ class MemoryController
     void retryAlert(std::uint32_t slot, bool spurious);
     void updateWriteDrain(); ///< watermark hysteresis + injected delay
     void schedulePass();   ///< pick and issue the next command
-    bool issueRequest(std::vector<Key> &queue, std::size_t index,
+    bool issueRequest(AgeQueue<Key> &queue, std::size_t index,
                       bool is_write);
     /** FR-FCFS pick in @p queue, scanning from @p known_misses, the
      *  count of leading keys known not to be row hits (updated). */
-    std::size_t pickFrFcfs(const std::vector<Key> &queue,
+    std::size_t pickFrFcfs(const AgeQueue<Key> &queue,
                            std::size_t &known_misses) const;
     DdrCommand command(DdrCommandType type, const Request &req,
                        Tick at) const;
@@ -223,8 +288,8 @@ class MemoryController
      * slot is looked up again after it.
      */
     SlotPool<Request> pool_;
-    std::vector<Key> read_q_;  ///< age-ordered
-    std::vector<Key> write_q_; ///< age-ordered
+    AgeQueue<Key> read_q_;
+    AgeQueue<Key> write_q_;
     /** Leading keys of each queue known not to be row hits. */
     std::size_t read_known_misses_ = 0;
     std::size_t write_known_misses_ = 0;

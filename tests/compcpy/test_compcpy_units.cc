@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "cache/memory_system.h"
@@ -48,6 +50,93 @@ TEST(Driver, ReleasedRangesAreReused)
     driver.release(a, 16 * kPageSize);
     const Addr b = driver.alloc(8 * kPageSize);
     EXPECT_EQ(b, a) << "first-fit should reuse the freed range";
+}
+
+/**
+ * The allocator's policy before it gained a per-size index: first fit
+ * over an address-ordered map of free ranges, split, no coalescing.
+ * Kept here as the reference the indexed Driver must match call for
+ * call, because its addresses pick every bank and row downstream.
+ */
+class MapFirstFit
+{
+  public:
+    MapFirstFit(Addr base, std::size_t bytes) : next_(base), end_(base + bytes)
+    {
+    }
+
+    Addr
+    alloc(std::size_t bytes)
+    {
+        const std::size_t need = divCeil(bytes, kPageSize) * kPageSize;
+        for (auto it = free_.begin(); it != free_.end(); ++it) {
+            if (it->second >= need) {
+                const Addr addr = it->first;
+                const std::size_t left = it->second - need;
+                free_.erase(it);
+                if (left > 0)
+                    free_[addr + need] = left;
+                return addr;
+            }
+        }
+        EXPECT_LE(next_ + need, end_);
+        const Addr addr = next_;
+        next_ += need;
+        return addr;
+    }
+
+    void
+    release(Addr addr, std::size_t bytes)
+    {
+        free_[addr] = divCeil(bytes, kPageSize) * kPageSize;
+    }
+
+  private:
+    Addr next_;
+    Addr end_;
+    std::map<Addr, std::size_t> free_;
+};
+
+TEST(Driver, MatchesMapFirstFitUnderChurn)
+{
+    constexpr Addr kBase = 1ULL << 20;
+    constexpr std::size_t kBytes = 1ULL << 30;
+    constexpr int kCalls = 10'000;
+    for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+        Driver driver(kBase, kBytes);
+        MapFirstFit reference(kBase, kBytes);
+        Rng rng(seed);
+        std::vector<std::pair<Addr, std::size_t>> live;
+        for (int call = 0; call < kCalls; ++call) {
+            // Lean towards allocation so the free list and the bump
+            // region both keep growing, with bursts of releases.
+            const bool release = !live.empty() && rng.below(100) < 45;
+            if (release) {
+                const std::size_t pick = rng.below(live.size());
+                const auto [addr, bytes] = live[pick];
+                live[pick] = live.back();
+                live.pop_back();
+                driver.release(addr, bytes);
+                reference.release(addr, bytes);
+                continue;
+            }
+            // 1-17 pages, the last one partly used.
+            const std::size_t bytes =
+                rng.below(17) * kPageSize + 1 + rng.below(kPageSize);
+            const Addr want = reference.alloc(bytes);
+            const Addr got = driver.alloc(bytes);
+            ASSERT_EQ(got, want) << "seed " << seed << " call " << call;
+            live.emplace_back(got, bytes);
+        }
+    }
+}
+
+TEST(DriverDeathTest, ReleasingARangeTwiceAsserts)
+{
+    Driver driver(1ULL << 20, 1ULL << 24);
+    const Addr a = driver.alloc(2 * kPageSize);
+    driver.release(a, 2 * kPageSize);
+    EXPECT_DEATH(driver.release(a, 2 * kPageSize), "released twice");
 }
 
 TEST(Driver, MmioAddressesFollowRegisterMap)
